@@ -70,15 +70,14 @@ def cmd_check(config: RunConfig) -> int:
     results = []
     any_violation = False
     for item in fds:
-        oracle = fd.satisfies_oracle(table, item)
+        witness = fd.oracle_violation(table, item)
+        oracle = witness is None
         algebraic = fd.satisfies_algebraic(table, item)
-        f, g = fd.fd_projections(table, item)
-        typed = fd.satisfies_typed(tables.pid(table), f, g)
+        typed = fd.satisfies_typed(*fd.stored_fd_projections(table, item))
         if not (oracle == algebraic == typed):
             raise InternalCheckError(
                 f"checkers disagree on {item}: oracle={oracle} "
                 f"algebraic={algebraic} typed={typed}")
-        witness = None if oracle else fd.oracle_violation(table, item)
         any_violation = any_violation or not oracle
         results.append((item, oracle, witness))
 

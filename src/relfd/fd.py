@@ -10,6 +10,13 @@ two routes are quantifier-free renderings over the relation algebra:
 * `satisfies_typed(r, f, g)` is the general form for an arbitrary relation
   observed by functions: ``g <= f . r~`` under the injectivity preorder.
 
+On a table both algebraic routes run over the stored rows S alone, not over
+the row universe.  The ``pid(t)`` on each side of the inclusion relates
+stored rows only, so its left side never leaves S and ``ker y`` is only ever
+read on pairs of stored rows.  Taking ``pid`` as the identity of S and x, y
+as the projections restricted to S therefore gives the same verdict, with
+relations as large as the table instead of the domain product.
+
 The three must agree on tables; the CLI treats any disagreement as an
 internal bug.  `mutual_dependency`, `typecheck_union` and `typecheck_join`
 implement the merge/join typing rules on top of the same machinery.
@@ -28,7 +35,8 @@ from typing import Optional
 from . import rel
 from .errors import InternalCheckError, ParseError, SchemeError
 from .rel import Rel, Tup, Value, render_value
-from .tables import Table, pid, proj_fn
+from .tables import pid  # noqa: F401  (callers bind relfd.fd.pid)
+from .tables import Table, proj_fn, stored_carrier, stored_proj_fn
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -102,10 +110,14 @@ def satisfies_oracle(t: Table, fd: AttrFd) -> bool:
 
 
 def satisfies_algebraic(t: Table, fd: AttrFd) -> bool:
-    """Quantifier-free route: one inclusion between composite relations."""
-    p = pid(t)
-    x = proj_fn(t.scheme, fd.antecedent)
-    y = proj_fn(t.scheme, fd.consequent)
+    """Quantifier-free route: one inclusion between composite relations.
+
+    ``pid . x~ . x . pid~  included-in  ker y`` over the stored-row carrier
+    S: ``pid`` is the identity of S and x, y are the projections restricted
+    to S.  The verdict is that of the same inclusion over the row universe,
+    whose left side relates stored rows only.
+    """
+    p, x, y = stored_fd_projections(t, fd)
     lhs = rel.compose(p, rel.compose(rel.converse(x),
                                      rel.compose(x, rel.converse(p))))
     return rel.includes(rel.kernel(y), lhs)
@@ -248,3 +260,11 @@ def fd_projections(t: Table, fd: AttrFd) -> tuple[Rel, Rel]:
     """The antecedent and consequent projection functions of a table."""
     return (proj_fn(t.scheme, fd.antecedent),
             proj_fn(t.scheme, fd.consequent))
+
+
+def stored_fd_projections(t: Table, fd: AttrFd) -> tuple[Rel, Rel, Rel]:
+    """The identity of the stored-row carrier S and the antecedent and
+    consequent projections restricted to S."""
+    s = stored_carrier(t)
+    return (rel.identity(s), stored_proj_fn(t.scheme, fd.antecedent, s),
+            stored_proj_fn(t.scheme, fd.consequent, s))

@@ -123,12 +123,18 @@ def _fold_args(op: str, obj: dict, node) -> QueryExpr:
     return out
 
 
+def _field(op: str, obj: dict, key: str):
+    if key not in obj:
+        raise ParseError(f"{op!r} node lacks its {key!r} field")
+    return obj[key]
+
+
 def from_json(obj: dict) -> QueryExpr:
     if not isinstance(obj, dict) or "op" not in obj:
         raise ParseError("query node must be an object with an 'op' field")
     op = obj["op"]
     if op == "rel":
-        return RelRef(str(obj["name"]))
+        return RelRef(str(_field(op, obj, "name")))
     if op == "compose":
         return _fold_args(op, obj, Compose)
     if op == "union":
@@ -136,16 +142,18 @@ def from_json(obj: dict) -> QueryExpr:
     if op == "fork":
         return _fold_args(op, obj, Fork)
     if op == "converse":
-        return Converse(from_json(obj["arg"]))
+        return Converse(from_json(_field(op, obj, "arg")))
     if op == "kernel":
-        return Kernel(from_json(obj["arg"]))
+        return Kernel(from_json(_field(op, obj, "arg")))
     if op == "proj":
         attrs = obj.get("attrs")
         if not isinstance(attrs, list) or not attrs:
             raise ParseError("'proj' needs a non-empty attrs list")
-        return Proj(str(obj["scheme"]), frozenset(attrs))
+        if not all(isinstance(a, str) for a in attrs):
+            raise ParseError("'proj' attrs must all be strings")
+        return Proj(str(_field(op, obj, "scheme")), frozenset(attrs))
     if op == "pid":
-        return Pid(str(obj["table"]))
+        return Pid(str(_field(op, obj, "table")))
     raise ParseError(f"unknown query op {op!r}")
 
 

@@ -61,28 +61,33 @@ def render_value(v: Value) -> str:
 
 @dataclass(frozen=True)
 class Carrier:
-    """A named finite ordered set of values; the order is canonical."""
+    """A named finite ordered set of values; the order is canonical.
+
+    The element set and the hash are computed once, at construction: both
+    would otherwise walk every element on each membership test or hash.
+    """
 
     name: str
     elements: tuple[Value, ...]
 
     def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
+        element_set = frozenset(self.elements)
+        if len(element_set) != len(self.elements):
             raise SchemeError(f"carrier {self.name!r} has duplicate elements")
+        object.__setattr__(self, "_element_set", element_set)
+        object.__setattr__(self, "_hash", hash((self.name, self.elements)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def __contains__(self, v: Value) -> bool:
-        return v in _element_set(self)
+        return v in self._element_set
 
     def __repr__(self) -> str:
         return f"Carrier({self.name!r}, {len(self.elements)} elements)"
-
-
-@lru_cache(maxsize=None)
-def _element_set(c: Carrier) -> frozenset:
-    return frozenset(c.elements)
 
 
 UNIT_CARRIER = Carrier("1", (Unit(),))

@@ -1,6 +1,8 @@
 import json
 
-from relfd import cli, fd
+import pytest
+
+from relfd import cli, fd, tables
 from relfd.cli import main
 
 from conftest import FIXTURES
@@ -67,6 +69,36 @@ def test_check_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "check", "--table", "/nonexistent.csv",
                        "--fds", FIXTURES / "pilots.fds")
     assert code == 2
+
+
+def test_check_runs_over_stored_rows_past_the_universe_bound(tmp_path,
+                                                              capsys):
+    # 40 declared values for each of 4 attributes: a row universe of 2.56M,
+    # over ROW_CARRIER_LIMIT, holding 50 stored rows
+    names = ["A", "B", "C", "D"]
+    values = [f"v{i}" for i in range(40)]
+    assert len(values) ** len(names) > tables.ROW_CARRIER_LIMIT
+    schema = tmp_path / "wide.schema.json"
+    schema.write_text(json.dumps({n: values for n in names}))
+    rows = [(f"v{i}", f"v{i % 7}", f"v{i % 5}", f"v{i % 3}")
+            for i in range(40)]
+    rows += [(f"v{i}", f"v{i % 7}", f"v{i % 5}", f"v{(i + 1) % 3}")
+             for i in range(10)]  # A is no longer a key, A -> B still holds
+    table = tmp_path / "wide.csv"
+    table.write_text("\n".join(",".join(r) for r in [names] + rows) + "\n")
+    fds_file = tmp_path / "wide.fds"
+    fds_file.write_text("A -> B\nA -> D\n")
+    code, payload, err = run_json(capsys, "check", "--table", table,
+                                  "--schema", schema, "--fds", fds_file)
+    assert code == 1, err
+    holds, refuted = payload["results"]
+    assert holds == {"fd": "A -> B", "holds": True, "witness": None}
+    assert refuted["holds"] is False
+    loaded = tables.load_table(str(table), str(schema))
+    assert len(loaded.rows) == 50
+    r1, r2 = fd.oracle_violation(loaded, fd.parse_fd("A -> D"))
+    assert refuted["witness"] == [[v.name for v in r1.items],
+                                  [v.name for v in r2.items]]
 
 
 def test_checker_disagreement_is_internal_error(monkeypatch, capsys):
@@ -193,6 +225,27 @@ def test_optimize_table_flag_needs_single_reference(tmp_path, capsys):
                        "--fds", fds_file, "--table", FIXTURES / "movies.csv")
     assert code == 2
     assert "one" in err and "two" in err
+
+
+@pytest.mark.parametrize("node, named", [
+    ({"op": "rel"}, "name"),
+    ({"op": "converse"}, "arg"),
+    ({"op": "kernel"}, "arg"),
+    ({"op": "proj", "attrs": ["Title"]}, "scheme"),
+    ({"op": "pid"}, "table"),
+    ({"op": "proj", "scheme": "movies", "attrs": ["Title", 3]}, "attrs"),
+])
+def test_optimize_malformed_query_node_is_input_error(tmp_path, capsys, node,
+                                                      named):
+    qfile = tmp_path / "bad.json"
+    qfile.write_text(json.dumps({"op": "compose", "args": [
+        {"op": "pid", "table": "movies"}, node]}))
+    code, out, err = run(capsys, "optimize", "--query", qfile,
+                         "--fds", FIXTURES / "movies.fds",
+                         "--table", FIXTURES / "movies.csv")
+    assert code == 2
+    assert out == ""
+    assert repr(node["op"]) in err and named in err
 
 
 def test_optimize_without_table_just_rewrites(capsys):

@@ -383,3 +383,14 @@ def test_make_validates_membership():
     a, b = carrier("A", 2), carrier("B", 2)
     with pytest.raises(SchemeError):
         Rel.make(a, b, [(Atom("nope"), b.elements[0])])
+
+
+def test_equal_carriers_hash_equally_and_large_membership_works():
+    big = carrier("Big", 100_000)
+    twin = Carrier("Big", tuple(big.elements))
+    assert twin is not big and twin == big and hash(twin) == hash(big)
+    assert hash(big) == hash((big.name, big.elements))
+    assert {big: 1}[twin] == 1
+    assert Carrier("Other", big.elements) != big
+    assert all(v in big for v in big.elements[::997])
+    assert Atom("big100000") not in big and Atom("b0") not in big
