@@ -15,8 +15,7 @@ from .fd import (AttrFd, mutual_dependency, parse_fd, parse_fd_lines,
                  satisfies_algebraic, satisfies_general_quantified,
                  satisfies_oracle, satisfies_typed, typecheck_join,
                  typecheck_union)
-from .infer import (Derivation, RuleInstance, attr_closure,
-                    check_rule_soundness, derivation_from_dict,
+from .infer import (Derivation, attr_closure, derivation_from_dict,
                     derivation_to_dict, derive, fd_trade,
                     validate_derivation)
 from .laws import LAW_REGISTRY, LAW_SUITE
@@ -25,8 +24,9 @@ from .query import (Env, eval_query, from_json, rewrite_selfjoin, to_json,
 from .rel import (Atom, Carrier, Pair, Rel, Tup, Unit, Value, bang, compose,
                   converse, empty, fork, identity, includes, intersect,
                   is_entire, is_function, is_injective, kernel, leq,
-                  pair_carrier, product, proj1, proj2, subset_of, top, union)
-from .search import Scope, search_law, search_tables, two_tuple_witness
+                  pair_carrier, product, proj1, proj2, top, union)
+from .search import (RuleInstance, Scope, check_rule_soundness, search_law,
+                     search_tables, two_tuple_witness)
 from .tables import (Scheme, Table, encode_pairs, load_table, pid, proj_fn,
                      row_carrier)
 

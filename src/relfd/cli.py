@@ -37,7 +37,6 @@ class RunConfig:
     scope_dom: int = 2
     scope_carrier: int = 3
     json_output: bool = False
-    seed: int = 0  # reserved for randomized sweeps; commands are deterministic
 
 
 def _emit(config: RunConfig, payload: dict, text: str) -> None:
@@ -248,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="max carrier size for law sweeps")
         p.add_argument("--json", action="store_true", dest="json_output",
                        help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed recorded for randomized sweeps")
 
     p = sub.add_parser("check", help="check FDs against a table "
                                      "through all three checkers")

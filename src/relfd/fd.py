@@ -215,9 +215,9 @@ class UnionTypeReport:
         return self.union_holds
 
 
-def typecheck_union(r: Rel, s: Rel, f: Rel, g: Rel
-                    ) -> tuple[bool, UnionTypeReport]:
-    """Check the FD on the merge of r and s and report the decomposition.
+def typecheck_union(r: Rel, s: Rel, f: Rel, g: Rel) -> UnionTypeReport:
+    """Check the FD on the merge of r and s and report the decomposition;
+    the report is truthy exactly when the FD holds on the merge.
 
     The overall verdict always equals the conjunction of the FD on each
     operand plus their mutual dependency; a mismatch means a bug and raises.
@@ -236,7 +236,7 @@ def typecheck_union(r: Rel, s: Rel, f: Rel, g: Rel
         witness = fd_violation(s, s, f, g)
     elif not mutual:
         witness = fd_violation(r, s, f, g)
-    return overall, UnionTypeReport(overall, left, right, mutual, witness)
+    return UnionTypeReport(overall, left, right, mutual, witness)
 
 
 def typecheck_join(r: Rel, s: Rel, f: Rel, g: Rel, h: Rel) -> bool:

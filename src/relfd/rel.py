@@ -189,11 +189,6 @@ def includes(r: Rel, s: Rel) -> bool:
     return s.pairs <= r.pairs
 
 
-def subset_of(r: Rel, s: Rel) -> bool:
-    """True iff every pair of r is a pair of s."""
-    return includes(s, r)
-
-
 @lru_cache(maxsize=8192)
 def kernel(r: Rel) -> Rel:
     """converse(r) composed with r: relates inputs sharing some output."""

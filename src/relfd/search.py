@@ -5,7 +5,9 @@ non-derivable dependency; `search_tables` enumerates every table within a
 scope in a fixed canonical order (row count, then row content) and returns
 the first model separating the axioms from the goal.  `search_law` sweeps a
 registered algebraic law over all relation assignments at carrier sizes up
-to the scope bound.  Every witness is re-verified by the corresponding
+to the scope bound.  `check_rule_soundness` validates an inference rule
+instance empirically as a table search for a model of its premises that
+violates its conclusion.  Every witness is re-verified by the corresponding
 pointwise oracle before being returned.
 """
 
@@ -104,6 +106,31 @@ def search_tables(fds: Sequence[AttrFd], goal: AttrFd,
                 and not satisfies_oracle(table, goal)):
             return table
     return None
+
+
+@dataclass(frozen=True)
+class RuleInstance:
+    premises: tuple[AttrFd, ...]
+    conclusion: AttrFd
+
+
+@dataclass(frozen=True)
+class SoundnessResult:
+    ok: bool
+    witness: Optional[Table] = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def check_rule_soundness(instance: RuleInstance, max_rows: int = 4,
+                         domain_size: int = 2,
+                         cap: int = 10 ** 7) -> SoundnessResult:
+    """Enumerate all tables in scope; premises must entail the conclusion."""
+    witness = search_tables(instance.premises, instance.conclusion,
+                            Scope(max_rows=max_rows, domain_sizes=domain_size,
+                                  candidate_cap=cap))
+    return SoundnessResult(witness is None, witness)
 
 
 def get_law(law_id: str) -> Law:

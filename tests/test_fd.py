@@ -223,8 +223,8 @@ def test_union_report_pinpoints_mutual_failure():
     t2 = Table.make(s, {prow("p2", "f1", "d1", "t1")})
     f = proj_fn(s, {"Flight", "Date"})
     g = proj_fn(s, {"Pilot"})
-    ok, report = typecheck_union(pid(t1), pid(t2), f, g)
-    assert not ok
+    report = typecheck_union(pid(t1), pid(t2), f, g)
+    assert not report
     assert report.failed == ("mutual",)
     assert report.witness is not None
     (a1, b1), (a2, b2) = report.witness
@@ -238,8 +238,8 @@ def test_union_report_pinpoints_failing_operand():
     good = Table.make(s, {prow("p1", "f2", "d2", "t1")})
     f = proj_fn(s, {"Flight", "Date"})
     g = proj_fn(s, {"Pilot"})
-    ok, report = typecheck_union(pid(bad), pid(good), f, g)
-    assert not ok
+    report = typecheck_union(pid(bad), pid(good), f, g)
+    assert not report
     assert "left" in report.failed
     (a1, b1), (a2, b2) = report.witness
     assert a1 in {r for r, _ in pid(bad).pairs}
@@ -252,8 +252,9 @@ def test_union_with_itself_reduces_to_single_conjunct():
                        prow("p2", "f2", "d1", "t1")})
     f = proj_fn(s, {"Flight", "Date"})
     g = proj_fn(s, {"Pilot"})
-    ok, report = typecheck_union(pid(t), pid(t), f, g)
-    assert ok == report.left_holds == report.right_holds == report.mutual_holds
+    report = typecheck_union(pid(t), pid(t), f, g)
+    assert (bool(report) == report.left_holds == report.right_holds
+            == report.mutual_holds)
 
 
 def test_union_boolean_equals_decomposition_exhaustive_size2():
@@ -262,9 +263,10 @@ def test_union_boolean_equals_decomposition_exhaustive_size2():
         for s in all_rels(a, b):
             for f in kernel_representatives(a):
                 for g in kernel_representatives(b):
-                    ok, report = typecheck_union(r, s, f, g)
-                    assert ok == (report.left_holds and report.right_holds
-                                  and report.mutual_holds)
+                    report = typecheck_union(r, s, f, g)
+                    assert bool(report) == (report.left_holds
+                                            and report.right_holds
+                                            and report.mutual_holds)
 
 
 def test_fd_violation_is_none_when_fd_holds():

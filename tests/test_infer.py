@@ -9,10 +9,11 @@ from relfd import rel
 from relfd.errors import UnknownAttributeError
 from relfd.fd import AttrFd, parse_fd, satisfies_oracle
 from relfd.infer import (AXIOM, COMPOSITION, CONSEQUENCE, Derivation,
-                         RuleInstance, attr_closure, check_rule_soundness,
-                         derivation_from_dict, derivation_to_dict, derive,
-                         fd_trade, validate_derivation)
+                         attr_closure, derivation_from_dict,
+                         derivation_to_dict, derive, fd_trade,
+                         validate_derivation)
 from relfd.rel import Rel
+from relfd.search import RuleInstance, check_rule_soundness
 
 from conftest import all_functions, all_rels, carrier
 

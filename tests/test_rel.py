@@ -9,7 +9,7 @@ from relfd.errors import CarrierMismatchError, SchemeError
 from relfd.rel import (Atom, Carrier, Pair, Rel, bang, compose, converse,
                        empty, fork, identity, includes, intersect, is_entire,
                        is_function, is_injective, kernel, leq, pair_carrier,
-                       product, proj1, proj2, subset_of, top, union)
+                       product, proj1, proj2, top, union)
 
 from conftest import all_functions, all_rels, carrier
 
@@ -126,7 +126,6 @@ def test_includes_reflexive_and_top():
     for r in all_rels(a, b):
         assert includes(r, r)
         assert includes(t, r)
-        assert subset_of(r, t)
 
 
 def test_entire_iff_identity_below_kernel():

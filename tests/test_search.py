@@ -193,6 +193,39 @@ def test_corrupted_variants_refuted_and_reverified():
         assert not law.holds(witness)
 
 
+# The first witness each corrupted law's search returns, per variable as
+# (|source|, |target|, bitrel.rel_to_mask).  Pinned so that a rewrite of the
+# sweeps keeps their nesting order, not only their verdicts.
+CORRUPTED_WITNESSES = {
+    ("galois_corrupted", 2): {"f": (2, 2, 5), "R": (2, 2, 0),
+                              "S": (2, 2, 4)},
+    ("galois_corrupted", 3): {"f": (2, 2, 5), "R": (2, 3, 0),
+                              "S": (2, 3, 8)},
+    ("fork_lub_corrupted", 2): {"R": (2, 2, 1), "S": (2, 2, 0),
+                                "T": (2, 2, 1)},
+    ("fork_lub_corrupted", 3): {"R": (3, 3, 1), "S": (3, 3, 0),
+                                "T": (3, 3, 1)},
+    ("union_typing_corrupted", 2): {"f": (1, 2, 1), "g": (2, 2, 9),
+                                    "R": (1, 2, 1), "S": (1, 2, 2)},
+    ("union_typing_corrupted", 3): {"f": (1, 3, 1), "g": (2, 3, 17),
+                                    "R": (1, 2, 1), "S": (1, 2, 2)},
+    ("join_converse_corrupted", 2): {"f": (1, 2, 1), "g": (1, 2, 1),
+                                     "h": (2, 2, 9), "R": (1, 1, 0),
+                                     "S": (1, 2, 3)},
+    ("join_converse_corrupted", 3): {"f": (1, 3, 1), "g": (1, 3, 1),
+                                     "h": (2, 3, 17), "R": (1, 1, 0),
+                                     "S": (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize(("law_id", "carrier"), list(CORRUPTED_WITNESSES))
+def test_corrupted_law_witness_is_pinned(law_id, carrier):
+    witness = search_law(law_id, Scope(max_carrier=carrier))
+    got = {name: (len(r.source), len(r.target), bitrel.rel_to_mask(r))
+           for name, r in witness.items()}
+    assert got == CORRUPTED_WITNESSES[(law_id, carrier)]
+
+
 def test_law_search_deterministic():
     scope = Scope(max_carrier=3)
     w1 = search_law("galois_corrupted", scope)
