@@ -147,3 +147,14 @@ def all_masks(m: int, n: int) -> np.ndarray:
 def subset(x, y):
     """Elementwise mask test: every bit of x is set in y."""
     return (x & ~y) == 0
+
+
+def fit_table(n: int, kernels: np.ndarray) -> np.ndarray:
+    """T[m] = int64 bitset of the j with subset(m, kernels[j]), for every
+    mask m over n -> n; kernels are masks over n -> n."""
+    if len(kernels) > 62:
+        raise ResourceLimitError(
+            f"kernel bitsets hold at most 62 kernels, got {len(kernels)}")
+    ok = subset(all_masks(n, n)[:, None], kernels[None, :])
+    return ok.astype(np.int64) @ np.left_shift(
+        1, np.arange(len(kernels), dtype=np.int64))

@@ -91,11 +91,10 @@ def parse_fd_lines(text: str) -> list[AttrFd]:
 # Satisfaction on tables
 
 
-def oracle_violation(t: Table, fd: AttrFd) -> Optional[tuple[Tup, Tup]]:
-    """First row pair (sorted order) agreeing on x but not on y, if any."""
+def _violating_pair(t: Table, fd: AttrFd, rows) -> Optional[tuple[Tup, Tup]]:
+    """First pair of `rows`, in their order, agreeing on x but not on y."""
     xs = [t.scheme.names.index(n) for n in t.scheme.select(fd.antecedent)]
     ys = [t.scheme.names.index(n) for n in t.scheme.select(fd.consequent)]
-    rows = sorted(t.rows, key=render_value)
     for r1 in rows:
         for r2 in rows:
             if all(r1.items[i] == r2.items[i] for i in xs):
@@ -104,9 +103,14 @@ def oracle_violation(t: Table, fd: AttrFd) -> Optional[tuple[Tup, Tup]]:
     return None
 
 
+def oracle_violation(t: Table, fd: AttrFd) -> Optional[tuple[Tup, Tup]]:
+    """First row pair (sorted order) agreeing on x but not on y, if any."""
+    return _violating_pair(t, fd, sorted(t.rows, key=render_value))
+
+
 def satisfies_oracle(t: Table, fd: AttrFd) -> bool:
     """Ground truth: literal two-row quantification over the stored rows."""
-    return oracle_violation(t, fd) is None
+    return _violating_pair(t, fd, t.rows) is None
 
 
 def satisfies_algebraic(t: Table, fd: AttrFd) -> bool:

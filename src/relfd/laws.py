@@ -22,6 +22,17 @@ twin's `holds` and `sweep` called with ``corrupted=True``, which edits one
 term of the law (drops a converse or a conjunct, or swaps premises and
 conclusion) on top of the same op tables.
 
+Each sweep judges each distinct mask once.  A judgement that depends on an
+assignment only through one mask (often a kernel: a 3x3 relation has 18
+distinct kernels out of 512) is computed per distinct value and looked up
+per assignment: a law whose sides read T or f only through its kernel skips
+a T or f whose kernel is already judged, and "m is in ker g" for all g at
+once is an int64 bitset over g (`bitrel.fit_table`), tabulated over every
+mask m, so one xor compares both sides for every g.  `_first_bit` reads
+the first witness from those bitsets in the same C order as `_first_false`
+on the unpacked boolean array, so every sweep keeps its nesting order and
+its first witness.
+
 `search_law_bruteforce` is a slow pointwise mirror of the sweep machinery
 used by the tests to cross-validate the vectorized engine.
 """
@@ -90,6 +101,30 @@ def _first_false(ok: np.ndarray) -> Optional[tuple[int, ...]]:
         return None
     flat = int(np.argmax(~ok))
     return tuple(int(i) for i in np.unravel_index(flat, ok.shape))
+
+
+def _firsts(keys: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrence of each distinct key, ascending."""
+    return np.sort(np.unique(keys, return_index=True)[1])
+
+
+def _low_bit(x: int) -> int:
+    return (x & -x).bit_length() - 1
+
+
+def _first_bit(bits: np.ndarray, lead: int = 0) -> Optional[tuple[int, ...]]:
+    """First set position, in C order, of the boolean array that unpacks
+    each int64 bitset of `bits` into a new axis after its first `lead`
+    axes; the bit index sits in that place of the returned index."""
+    rows = bits.reshape(int(np.prod(bits.shape[:lead])), -1)
+    hits = np.flatnonzero(rows.any(axis=1))
+    if not hits.size:
+        return None
+    row = rows[hits[0]]
+    bit = _low_bit(int(np.bitwise_or.reduce(row)))
+    at = int(np.argmax(row >> bit & 1))
+    return (*(int(i) for i in np.unravel_index(hits[0], bits.shape[:lead])),
+            bit, *(int(i) for i in np.unravel_index(at, bits.shape[lead:])))
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +257,9 @@ def _holds_fd_trading(a: dict) -> bool:
 
 
 def _sweep_fd_trading(sz: dict) -> Optional[dict]:
+    """The y axis is packed into bitsets: lb[x, m] holds the y for which
+    x -> y holds on m = z.R.k~, tabulated over every K -> Z mask m, and
+    rb[k, x, R] the y for which ker(x.k.R~) is in ker(y.z), per z."""
     a, kk, b, zz = sz["A"], sz["K"], sz["B"], sz["Z"]
     cx, cy = sz["CX"], sz["CY"]
     zf = B.function_masks(b, zz)
@@ -233,25 +271,18 @@ def _sweep_fd_trading(sz: dict) -> Optional[dict]:
     conv_k = B.converse_table(a, kk)
     conv_kz = B.converse_table(kk, zz)
     ct_x_cm = B.compose_table(zz, kk, cx)
-    ker_z_cx = B.kernel_table(zz, cx)
-    ky = B.kernel_table(zz, cy)[yf]
-    ct_xk = B.compose_table(a, kk, cx)
+    lb = B.fit_table(zz, B.kernel_table(zz, cy)[yf])[
+        B.kernel_table(zz, cx)[ct_x_cm[xf[:, None], conv_kz[None, :]]]]
+    xk = B.compose_table(a, kk, cx)[xf[None, :], kf[:, None]]
+    k2 = B.kernel_table(b, cx)[B.compose_table(b, a, cx)[
+        xk[:, :, None], B.converse_table(a, b)]]
     ct_yz = B.compose_table(b, zz, cy)
-    conv_r = B.converse_table(a, b)
-    ct_xk_cr = B.compose_table(b, a, cx)
-    ker_b_cx = B.kernel_table(b, cx)
     kyz_tab = B.kernel_table(b, cy)
-    for zi, z in enumerate(zf):
-        kyz = kyz_tab[ct_yz[yf, z]]
+    for z in zf:
+        rb = B.fit_table(b, kyz_tab[ct_yz[yf, z]])[k2]
         for ki, k in enumerate(kf):
             m = ct_zrck[ct_zr[z, :], conv_k[k]]
-            cm = conv_kz[m]
-            k1 = ker_z_cx[ct_x_cm[xf[:, None], cm[None, :]]]
-            lhs = B.subset(k1[:, None, :], ky[None, :, None])
-            xk = ct_xk[xf, k]
-            k2 = ker_b_cx[ct_xk_cr[xk[:, None], conv_r[None, :]]]
-            rhs = B.subset(k2[:, None, :], kyz[None, :, None])
-            hit = _first_false(lhs == rhs)
+            hit = _first_bit(lb.take(m, axis=1) ^ rb[ki], lead=1)
             if hit is not None:
                 xi, yi, ri = hit
                 return {"x": int(xf[xi]), "z": int(z), "R": ri,
@@ -277,14 +308,14 @@ def _sweep_union_injectivity(sz: dict) -> Optional[dict]:
                                    np.arange(n, dtype=np.int64)[None, :]]
     masks = np.arange(n, dtype=np.int64)
     ku = ker_ab[masks[:, None] | masks[None, :]]
-    for xi in range(n):
+    for xi in _firsts(ker_ab):
         kx = int(ker_ab[xi])
         lhs = B.subset(ku, kx)
         single = B.subset(ker_ab, kx)
         rhs = single[:, None] & single[None, :] & B.subset(crs, kx)
         hit = _first_false(lhs == rhs)
         if hit is not None:
-            return {"X": xi, "R": hit[0], "S": hit[1]}
+            return {"X": int(xi), "R": hit[0], "S": hit[1]}
     return None
 
 
@@ -301,7 +332,7 @@ def _sweep_fork_lub(sz: dict, corrupted: bool = False) -> Optional[dict]:
     ker_t = B.kernel_table(c, d)
     ker_r = B.kernel_table(c, a)
     ker_s = B.kernel_table(c, b)
-    for ti in range(1 << (c * d)):
+    for ti in _firsts(ker_t):
         kt = int(ker_t[ti])
         lhs = B.subset(kt, fk)
         rhs = B.subset(kt, ker_r)[:, None]
@@ -309,7 +340,7 @@ def _sweep_fork_lub(sz: dict, corrupted: bool = False) -> Optional[dict]:
             rhs = rhs & B.subset(kt, ker_s)[None, :]
         hit = _first_false(lhs == rhs)
         if hit is not None:
-            return {"R": hit[0], "S": hit[1], "T": ti}
+            return {"R": hit[0], "S": hit[1], "T": int(ti)}
     return None
 
 
@@ -381,23 +412,23 @@ def _union_terms(sz: dict):
 
 def _sweep_union_fd_typing(sz: dict,
                            corrupted: bool = False) -> Optional[dict]:
-    """The corrupted rule drops the mutual conjunct."""
+    """The corrupted rule drops the mutual conjunct.  Each judgement is an
+    int64 bitset over g, so one comparison per f covers every g."""
     masks = np.arange(1 << (sz["A"] * sz["B"]), dtype=np.int64)
     un = masks[:, None] | masks[None, :]
     funcs_g, kg_all, ct_r_mid, per_f = _union_terms(sz)
+    fits = B.fit_table(sz["B"], kg_all)
     for f, kfu, m1 in per_f:
-        kfu_un = kfu[un]
-        # take() keeps C order; ct_r_mid[:, m1] is F order, and mixing the
-        # two orders makes the elementwise ops below several times slower
-        mut = ct_r_mid.take(m1, axis=1)
-        for g, kg in zip(funcs_g, kg_all):
-            single = B.subset(kfu, kg)
-            rhs = single[:, None] & single[None, :]
-            if not corrupted:
-                rhs = rhs & B.subset(mut, kg)
-            hit = _first_false(B.subset(kfu_un, kg) == rhs)
-            if hit is not None:
-                return {"R": hit[0], "S": hit[1], "f": f, "g": int(g)}
+        single = fits[kfu]
+        rhs = single[:, None] & single[None, :]
+        if not corrupted:
+            # take() keeps C order; ct_r_mid[:, m1] is F order, and mixing
+            # the two orders makes the elementwise ops several times slower
+            rhs &= fits[ct_r_mid.take(m1, axis=1)]
+        hit = _first_bit(single[un] ^ rhs)
+        if hit is not None:
+            gi, ri, si = hit
+            return {"R": ri, "S": si, "f": f, "g": int(funcs_g[gi])}
     return None
 
 
@@ -428,35 +459,34 @@ def _holds_join_fd_typing(a: dict, corrupted: bool = False) -> bool:
 
 
 def _join_violation(prem1, prem2, conc1, conc2):
-    """First (R, S, g, h), R and S outermost, with prem1[R,S,g] and
-    prem2[R,S,h] but not both conc1[R,S,g] and conc2[R,S,h], or None.
+    """First (R, S, g, h), R and S outermost, with g in prem1[R,S] and h in
+    prem2[R,S] but not both g in conc1[R,S] and h in conc2[R,S], or None.
 
-    Each argument is a boolean (R|1, S|1, g|h) array; an axis of length 1
-    broadcasts.  Among the (g, h) of the first violated (R, S), the first g
-    breaking conc1 is preferred, paired with the first h meeting prem2;
-    failing that, the first g meeting prem1 with the first h breaking conc2.
+    Each argument is an int64 bitset array over g (prem1, conc1) or over h
+    (prem2, conc2), shaped (R|1, S|1); an axis of length 1 broadcasts.
+    Among the (g, h) of the first violated (R, S), the first g breaking
+    conc1 is preferred, paired with the first h meeting prem2; failing
+    that, the first g meeting prem1 with the first h breaking conc2.
     """
-    bad1 = (prem1 & ~conc1).any(axis=2)
-    bad2 = (prem2 & ~conc2).any(axis=2)
-    any1 = prem1.any(axis=2)
-    any2 = prem2.any(axis=2)
-    viol = (bad1 & any2) | (bad2 & any1)
+    viol = ((((prem1 & ~conc1) != 0) & (prem2 != 0))
+            | (((prem2 & ~conc2) != 0) & (prem1 != 0)))
     hit = _first_false(~viol)
     if hit is None:
         return None
-    p1, p2, c1, c2 = (np.broadcast_to(t, viol.shape + t.shape[2:])[hit]
+    p1, p2, c1, c2 = (int(np.broadcast_to(t, viol.shape)[hit])
                       for t in (prem1, prem2, conc1, conc2))
-    g_bad = p1 & ~c1
-    if g_bad.any() and p2.any():
-        return (*hit, int(np.argmax(g_bad)), int(np.argmax(p2)))
-    return (*hit, int(np.argmax(p1)), int(np.argmax(p2 & ~c2)))
+    if p1 & ~c1 and p2:
+        return (*hit, _low_bit(p1 & ~c1), _low_bit(p2))
+    return (*hit, _low_bit(p1), _low_bit(p2 & ~c2))
 
 
 def _sweep_join_fd_typing(sz: dict,
                           corrupted: bool = False) -> Optional[dict]:
-    """Premises p1[R,g] = f -> g on R and p2[S,h] = f -> h on S; the
-    conclusion f -> gxh on fork(R,S) is factored as ok1[R,S,g] and
-    ok2[R,S,h].  The corrupted rule swaps premises and conclusion."""
+    """Premises p1[R] = {g : f -> g on R} and p2[S] = {h : f -> h on S};
+    the conclusion f -> gxh on fork(R,S) is factored as ok1[R,S] (over g)
+    and ok2[R,S] (over h).  All four are bitsets and depend on f only
+    through ker f, so each kernel is judged once, at its first f.  The
+    corrupted rule swaps premises and conclusion."""
     a, b, c = sz["A"], sz["B"], sz["C"]
     ff, gg, hh = sz["F"], sz["G"], sz["H"]
     funcs_f = B.function_masks(a, ff)
@@ -468,8 +498,8 @@ def _sweep_join_fd_typing(sz: dict,
     ct_f_cs = B.compose_table(c, a, ff)
     ker_bf = B.kernel_table(b, ff)
     ker_cf = B.kernel_table(c, ff)
-    kg_all = B.kernel_table(b, gg)[funcs_g]
-    kh_all = B.kernel_table(c, hh)[funcs_h]
+    fits_g = B.fit_table(b, B.kernel_table(b, gg)[funcs_g])
+    fits_h = B.fit_table(c, B.kernel_table(c, hh)[funcs_h])
     dom_ab = B.domain_table(a, b)
     dom_ac = B.domain_table(a, c)
     ker_af = B.kernel_table(a, ff)
@@ -480,20 +510,17 @@ def _sweep_join_fd_typing(sz: dict,
     ct_sm_cs = B.compose_table(c, a, c)
     rm = np.arange(1 << (a * b), dtype=np.int64)
     sm = np.arange(1 << (a * c), dtype=np.int64)
-    for f in funcs_f:
+    for f in funcs_f[_firsts(ker_af[funcs_f])]:
         kf = int(ker_af[f])
-        kfr = ker_bf[ct_f_cr[f, conv_ab]]
-        kfs = ker_cf[ct_f_cs[f, conv_ac]]
-        p1 = B.subset(kfr[:, None, None], kg_all[None, None, :])
-        p2 = B.subset(kfs[None, :, None], kh_all[None, None, :])
+        p1 = fits_g[ker_bf[ct_f_cr[f, conv_ab]]][:, None]
+        p2 = fits_h[ker_cf[ct_f_cs[f, conv_ac]]][None, :]
         mid1 = ct_aaa[ct_aaa[dom_ac, kf], dom_ac]
         l1 = ct_rm_cr[ct_r_mid[rm[:, None], mid1[None, :]],
                       conv_ab[rm][:, None]]
         mid2 = ct_aaa[ct_aaa[dom_ab, kf], dom_ab]
         l2 = ct_sm_cs[ct_s_mid[sm[None, :], mid2[:, None]],
                       conv_ac[sm][None, :]]
-        ok1 = B.subset(l1[:, :, None], kg_all[None, None, :])
-        ok2 = B.subset(l2[:, :, None], kh_all[None, None, :])
+        ok1, ok2 = fits_g[l1], fits_h[l2]
         terms = (ok1, ok2, p1, p2) if corrupted else (p1, p2, ok1, ok2)
         hit = _join_violation(*terms)
         if hit is not None:

@@ -29,7 +29,7 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Union
 
@@ -48,15 +48,13 @@ class Scheme:
     """Ordered attribute declarations: (name, domain carrier) pairs."""
 
     attributes: tuple[tuple[str, Carrier], ...]
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [n for n, _ in self.attributes]
+        names = tuple(n for n, _ in self.attributes)
         if len(set(names)) != len(names):
             raise SchemeError("duplicate attribute names in scheme")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.attributes)
+        object.__setattr__(self, "names", names)
 
     def domain(self, name: str) -> Carrier:
         for n, dom in self.attributes:

@@ -350,6 +350,22 @@ def test_three_checkers_agree_on_random_tables():
         assert satisfies_typed(pid(t), f, g) == o
 
 
+def test_satisfies_oracle_agrees_with_oracle_violation():
+    # satisfies_oracle scans the rows unsorted, oracle_violation sorted
+    s = pilot_scheme()
+    rnd = random.Random(4)
+    universe = row_carrier(s).elements
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        t = Table(s, frozenset(rnd.sample(universe, rnd.randint(0, 8))))
+        fd = AttrFd(frozenset(rnd.sample(s.names, rnd.randint(1, 3))),
+                    frozenset(rnd.sample(s.names, rnd.randint(1, 2))))
+        o = satisfies_oracle(t, fd)
+        assert o == (oracle_violation(t, fd) is None)
+        verdicts[o] += 1
+    assert min(verdicts.values()) >= 60
+
+
 def test_stored_row_routes_agree_with_oracle_on_random_tables():
     # sidecar domains declare values the rows never use, so the stored rows
     # are a small part of the universe; rows draw from few values, so both

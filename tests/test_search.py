@@ -1,13 +1,15 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from relfd import bitrel, rel
 from relfd.errors import ResourceLimitError, UnknownLawError
 from relfd.fd import AttrFd, parse_fd, satisfies_oracle
 from relfd.infer import attr_closure, derive
-from relfd.laws import LAW_REGISTRY, LAW_SUITE, search_law_bruteforce
+from relfd.laws import (LAW_REGISTRY, LAW_SUITE, _first_bit, _first_false,
+                        _firsts, _join_violation, search_law_bruteforce)
 from relfd.rel import Atom, Tup
 from relfd.search import Scope, search_law, search_tables, two_tuple_witness
 from relfd.tables import table_to_csv
@@ -174,6 +176,24 @@ def test_function_masks_enumerate_exactly_the_functions():
             assert rel.is_function(bitrel.mask_to_rel(int(mask), m, n))
 
 
+def test_fit_table_matches_elementwise_subset():
+    rnd = random.Random(12)
+    for n in (1, 2, 3):
+        masks = bitrel.all_masks(n, n)
+        kernel_sets = [bitrel.kernel_table(n, k)[bitrel.function_masks(n, k)]
+                       for k in (1, 2, 3)]
+        kernel_sets.append(np.array(rnd.sample(range(1 << (n * n)),
+                                               min(62, 1 << (n * n)))))
+        for kernels in kernel_sets:
+            fits = bitrel.fit_table(n, kernels)
+            for j, k in enumerate(kernels):
+                assert np.array_equal((fits >> j) & 1 == 1,
+                                      bitrel.subset(masks, k))
+            assert not (fits >> len(kernels)).any()
+    with pytest.raises(ResourceLimitError, match="62"):
+        bitrel.fit_table(3, np.arange(63))
+
+
 def test_sweeps_agree_with_bruteforce_at_size_2():
     scope = Scope(max_carrier=2)
     for law_id, law in LAW_REGISTRY.items():
@@ -285,6 +305,55 @@ def test_join_conclusion_factoring_matches_direct_form():
         factored = (rel.includes(rel.kernel(g), lhs1)
                     and rel.includes(rel.kernel(h), lhs2))
         assert direct == factored
+
+
+def test_join_violation_prefers_the_first_witness_branch():
+    # one (R, S): g1 meets prem1 but breaks conc1, h0 breaks conc2, so the
+    # two branches name different (g, h)
+    def one(bits):
+        return np.array([[bits]], dtype=np.int64)
+
+    assert _join_violation(one(0b11), one(0b11),
+                           one(0b01), one(0b10)) == (0, 0, 1, 0)
+    # no g breaks conc1: the second branch names h0
+    assert _join_violation(one(0b11), one(0b11),
+                           one(0b11), one(0b10)) == (0, 0, 0, 0)
+    assert _join_violation(one(0b11), one(0b11),
+                           one(0b11), one(0b11)) is None
+
+
+def _unpack(bits, lead, nbits):
+    """The boolean array with each bitset of `bits` spread over a new axis
+    after the first `lead` axes."""
+    spread = (bits[..., None] >> np.arange(nbits)) & 1 == 1
+    return np.moveaxis(spread, -1, lead)
+
+
+def test_first_bit_matches_first_false_on_the_unpacked_array():
+    rnd = np.random.default_rng(13)
+    last_bit_hits = 0
+    for trial in range(400):
+        lead = trial % 3
+        shape = tuple(int(x) for x in rnd.integers(1, 5, size=lead + 1))
+        nbits = int(rnd.integers(1, 63))
+        # sparse bits, so that many inputs have no hit or a late one
+        bits = np.zeros(shape, dtype=np.int64)
+        for _ in range(int(rnd.integers(0, 3))):
+            at = tuple(int(rnd.integers(0, d)) for d in shape)
+            bits[at] |= 1 << int(rnd.choice([nbits - 1,
+                                             rnd.integers(0, nbits)]))
+        expected = _first_false(~_unpack(bits, lead, nbits))
+        assert _first_bit(bits, lead) == expected
+        last_bit_hits += expected is not None and expected[lead] == nbits - 1
+    assert last_bit_hits >= 50
+
+
+def test_firsts_are_the_first_occurrence_of_each_key():
+    rnd = random.Random(14)
+    for _ in range(200):
+        keys = np.array([rnd.randrange(6) for _ in range(rnd.randint(1, 30))])
+        plain = [i for i, k in enumerate(keys) if k not in keys[:i]]
+        assert list(_firsts(keys)) == plain
 
 
 def test_law_witness_json_round_trip():
