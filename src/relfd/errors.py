@@ -22,12 +22,19 @@ class ResourceLimitError(RelfdError):
 
 
 class ParseError(RelfdError):
-    """Malformed textual input (FD file, CSV table, query JSON)."""
+    """Malformed textual input (FD file, CSV table, query JSON).
 
-    def __init__(self, message: str, line: int | None = None):
+    `line` locates it in a text file, `path` in a query's JSON tree.
+    """
+
+    def __init__(self, message: str, line: int | None = None,
+                 path: str = ""):
         self.line = line
+        self.path = path
         if line is not None:
             message = f"line {line}: {message}"
+        if path:
+            message = f"at {path}: {message}"
         super().__init__(message)
 
 

@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import rel
 from .errors import InternalCheckError, ParseError, SchemeError
 from .rel import Rel, Tup, Value, render_value
 from .tables import pid  # noqa: F401  (callers bind relfd.fd.pid)
-from .tables import Table, proj_fn, stored_carrier, stored_proj_fn
+from .tables import (Scheme, Table, proj_fn, stored_carrier,
+                     stored_proj_fn)
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -91,10 +92,16 @@ def parse_fd_lines(text: str) -> list[AttrFd]:
 # Satisfaction on tables
 
 
-def _violating_pair(t: Table, fd: AttrFd, rows) -> Optional[tuple[Tup, Tup]]:
-    """First pair of `rows`, in their order, agreeing on x but not on y."""
-    xs = [t.scheme.names.index(n) for n in t.scheme.select(fd.antecedent)]
-    ys = [t.scheme.names.index(n) for n in t.scheme.select(fd.consequent)]
+def fd_positions(scheme: Scheme, fd: AttrFd) -> tuple[list[int], list[int]]:
+    """Row positions of the FD's antecedent and consequent attributes."""
+    return ([scheme.names.index(n) for n in scheme.select(fd.antecedent)],
+            [scheme.names.index(n) for n in scheme.select(fd.consequent)])
+
+
+def violating_pair(rows, xs: Sequence[int], ys: Sequence[int]
+                   ) -> Optional[tuple[Tup, Tup]]:
+    """First pair of `rows`, in their order, agreeing on the positions `xs`
+    but not on `ys`."""
     for r1 in rows:
         for r2 in rows:
             if all(r1.items[i] == r2.items[i] for i in xs):
@@ -105,12 +112,13 @@ def _violating_pair(t: Table, fd: AttrFd, rows) -> Optional[tuple[Tup, Tup]]:
 
 def oracle_violation(t: Table, fd: AttrFd) -> Optional[tuple[Tup, Tup]]:
     """First row pair (sorted order) agreeing on x but not on y, if any."""
-    return _violating_pair(t, fd, sorted(t.rows, key=render_value))
+    return violating_pair(sorted(t.rows, key=render_value),
+                          *fd_positions(t.scheme, fd))
 
 
 def satisfies_oracle(t: Table, fd: AttrFd) -> bool:
     """Ground truth: literal two-row quantification over the stored rows."""
-    return _violating_pair(t, fd, t.rows) is None
+    return violating_pair(t.rows, *fd_positions(t.scheme, fd)) is None
 
 
 def satisfies_algebraic(t: Table, fd: AttrFd) -> bool:

@@ -256,6 +256,13 @@ def _holds_fd_trading(a: dict) -> bool:
     return fd_trade(a["x"], a["z"], a["R"], a["k"], a["y"])
 
 
+def _trade_violation(lb: np.ndarray, rb: np.ndarray
+                     ) -> Optional[tuple[int, ...]]:
+    """First (x, y, R) at which the y-bitsets lb[x, R] and rb[x, R] of the
+    two sides disagree, in either direction, or None."""
+    return _first_bit(lb ^ rb, lead=1)
+
+
 def _sweep_fd_trading(sz: dict) -> Optional[dict]:
     """The y axis is packed into bitsets: lb[x, m] holds the y for which
     x -> y holds on m = z.R.k~, tabulated over every K -> Z mask m, and
@@ -282,7 +289,7 @@ def _sweep_fd_trading(sz: dict) -> Optional[dict]:
         rb = B.fit_table(b, kyz_tab[ct_yz[yf, z]])[k2]
         for ki, k in enumerate(kf):
             m = ct_zrck[ct_zr[z, :], conv_k[k]]
-            hit = _first_bit(lb.take(m, axis=1) ^ rb[ki], lead=1)
+            hit = _trade_violation(lb.take(m, axis=1), rb[ki])
             if hit is not None:
                 xi, yi, ri = hit
                 return {"x": int(xf[xi]), "z": int(z), "R": ri,

@@ -8,6 +8,14 @@ tables and relations; `rewrite_selfjoin` removes the classical
 dependency set proves it redundant, and `verify_equiv` confirms a rewrite by
 evaluating both sides.
 
+A composition chain is evaluated as one step.  Each kernel factor
+``ker e`` is unfolded into the two factors ``e~ . e`` (the definition of
+`rel.kernel`), so the kernel over a whole row universe is never built, and
+the chain is associated by a matrix-chain dynamic program over estimated
+pair counts: composing ``l`` with ``r`` through a middle carrier ``m`` is
+estimated at ``|l| * |r| / |m|`` pairs, capped at ``|source| * |target|``.
+Composition is associative, so the result does not depend on the order.
+
 JSON wire form (one object per node):
 
     {"op": "compose", "args": [e1, e2, ...]}     # >= 2 args, folded left
@@ -113,48 +121,54 @@ def to_json(e: QueryExpr) -> dict:
     raise TypeError(f"not a query node: {e!r}")
 
 
-def _fold_args(op: str, obj: dict, node) -> QueryExpr:
+def _fold_args(op: str, obj: dict, node, path: str) -> QueryExpr:
     args = obj.get("args")
     if not isinstance(args, list) or len(args) < 2:
-        raise ParseError(f"{op!r} needs an args list of at least 2")
-    out = from_json(args[0])
-    for a in args[1:]:
-        out = node(out, from_json(a))
+        raise ParseError(f"{op!r} needs an args list of at least 2",
+                         path=path)
+    out = from_json(args[0], f"{path}.{op}.args[0]")
+    for i, a in enumerate(args[1:], start=1):
+        out = node(out, from_json(a, f"{path}.{op}.args[{i}]"))
     return out
 
 
-def _field(op: str, obj: dict, key: str):
+def _field(op: str, obj: dict, key: str, path: str):
     if key not in obj:
-        raise ParseError(f"{op!r} node lacks its {key!r} field")
+        raise ParseError(f"{op!r} node lacks its {key!r} field", path=path)
     return obj[key]
 
 
-def from_json(obj: dict) -> QueryExpr:
+def from_json(obj: dict, path: str = "query") -> QueryExpr:
+    """The expression a JSON node encodes; a malformed node raises a
+    `ParseError` located by its path, e.g. ``query.compose.args[1]``."""
     if not isinstance(obj, dict) or "op" not in obj:
-        raise ParseError("query node must be an object with an 'op' field")
+        raise ParseError("query node must be an object with an 'op' field",
+                         path=path)
     op = obj["op"]
     if op == "rel":
-        return RelRef(str(_field(op, obj, "name")))
+        return RelRef(str(_field(op, obj, "name", path)))
     if op == "compose":
-        return _fold_args(op, obj, Compose)
+        return _fold_args(op, obj, Compose, path)
     if op == "union":
-        return _fold_args(op, obj, UnionOp)
+        return _fold_args(op, obj, UnionOp, path)
     if op == "fork":
-        return _fold_args(op, obj, Fork)
+        return _fold_args(op, obj, Fork, path)
     if op == "converse":
-        return Converse(from_json(_field(op, obj, "arg")))
+        return Converse(from_json(_field(op, obj, "arg", path),
+                                  f"{path}.converse.arg"))
     if op == "kernel":
-        return Kernel(from_json(_field(op, obj, "arg")))
+        return Kernel(from_json(_field(op, obj, "arg", path),
+                                f"{path}.kernel.arg"))
     if op == "proj":
         attrs = obj.get("attrs")
         if not isinstance(attrs, list) or not attrs:
-            raise ParseError("'proj' needs a non-empty attrs list")
+            raise ParseError("'proj' needs a non-empty attrs list", path=path)
         if not all(isinstance(a, str) for a in attrs):
-            raise ParseError("'proj' attrs must all be strings")
-        return Proj(str(_field(op, obj, "scheme")), frozenset(attrs))
+            raise ParseError("'proj' attrs must all be strings", path=path)
+        return Proj(str(_field(op, obj, "scheme", path)), frozenset(attrs))
     if op == "pid":
-        return Pid(str(_field(op, obj, "table")))
-    raise ParseError(f"unknown query op {op!r}")
+        return Pid(str(_field(op, obj, "table", path)))
+    raise ParseError(f"unknown query op {op!r}", path=path)
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +247,50 @@ def _eval(e: QueryExpr, env: Env) -> Rel:
     if isinstance(e, Kernel):
         return rel.kernel(_eval(e.child, env))
     if isinstance(e, Compose):
-        return rel.compose(_eval(e.left, env), _eval(e.right, env))
+        factors: list[Rel] = []
+        for item in _flatten(e):
+            if isinstance(item, Kernel):
+                r = _eval(item.child, env)
+                factors += [rel.converse(r), r]
+            else:
+                factors.append(_eval(item, env))
+        return _eval_chain(factors)
     if isinstance(e, UnionOp):
         return rel.union(_eval(e.left, env), _eval(e.right, env))
     if isinstance(e, Fork):
         return rel.fork(_eval(e.left, env), _eval(e.right, env))
     raise TypeError(f"not a query node: {e!r}")
+
+
+def _eval_chain(factors: Sequence[Rel]) -> Rel:
+    """``factors[0] . factors[1] . ...`` composed in the association whose
+    estimated intermediate pair counts sum least; ties go to the leftmost
+    split.  The estimates read only pair counts and carrier sizes."""
+    n = len(factors)
+    size = {(i, i): float(len(r.pairs)) for i, r in enumerate(factors)}
+    cost = {(i, i): 0.0 for i in range(n)}
+    split: dict = {}
+    for span in range(1, n):
+        for i in range(n - span):
+            j = i + span
+            cap = len(factors[j].source) * len(factors[i].target)
+            options = []
+            for k in range(i, j):
+                mid = len(factors[k].source)
+                est = (min(size[i, k] * size[k + 1, j] / mid, cap)
+                       if mid else 0.0)
+                options.append((cost[i, k] + cost[k + 1, j] + est, k, est))
+            cost[i, j], split[i, j], size[i, j] = min(options)
+    return _compose_split(factors, split, 0, n - 1)
+
+
+def _compose_split(factors: Sequence[Rel], split: dict, i: int, j: int
+                   ) -> Rel:
+    if i == j:
+        return factors[i]
+    k = split[i, j]
+    return rel.compose(_compose_split(factors, split, i, k),
+                       _compose_split(factors, split, k + 1, j))
 
 
 # ---------------------------------------------------------------------------

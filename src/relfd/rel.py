@@ -41,9 +41,19 @@ class Unit:
 
 @dataclass(frozen=True)
 class Tup:
-    """An n-ary row value; rows of tables live in carriers as these."""
+    """An n-ary row value; rows of tables live in carriers as these.
+
+    The hash is computed once, at construction, as the generated one would
+    be: rows are hashed on every set and dict operation of the algebra.
+    """
 
     items: tuple["Value", ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.items,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Value = Union[Atom, Pair, Unit, Tup]

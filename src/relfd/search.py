@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import bitrel
 from .errors import InternalCheckError, ResourceLimitError, UnknownLawError
-from .fd import AttrFd, satisfies_oracle
+from .fd import AttrFd, fd_positions, satisfies_oracle, violating_pair
 from .infer import attr_closure, binary_scheme
 from .laws import LAW_REGISTRY, Law
 from .rel import Atom, Carrier, Tup
@@ -101,9 +101,11 @@ def search_tables(fds: Sequence[AttrFd], goal: AttrFd,
         raise ResourceLimitError(
             f"{candidates} candidate tables exceed the cap of "
             f"{scope.candidate_cap}")
+    axioms = [fd_positions(scheme, fd) for fd in fds]
+    goal_at = fd_positions(scheme, goal)
     for table in enumerate_tables(scheme, scope.max_rows):
-        if (all(satisfies_oracle(table, fd) for fd in fds)
-                and not satisfies_oracle(table, goal)):
+        if (all(violating_pair(table.rows, *at) is None for at in axioms)
+                and violating_pair(table.rows, *goal_at) is not None):
             return table
     return None
 

@@ -248,6 +248,31 @@ def test_optimize_malformed_query_node_is_input_error(tmp_path, capsys, node,
     assert repr(node["op"]) in err and named in err
 
 
+PID = {"op": "pid", "table": "movies"}
+
+
+@pytest.mark.parametrize("query, path", [
+    ({"op": "compose", "args": [PID, PID, {"op": "kernel"}]},
+     "query.compose.args[2]"),
+    ({"op": "union", "args": [PID, {"op": "converse", "arg": {
+        "op": "proj", "attrs": ["Title"]}}]},
+     "query.union.args[1].converse.arg"),
+    ({"op": "kernel", "arg": {"op": "fork", "args": [PID]}},
+     "query.kernel.arg"),
+    ({"op": "launch"}, "query"),
+])
+def test_optimize_malformed_query_names_the_node_path(tmp_path, capsys,
+                                                      query, path):
+    qfile = tmp_path / "bad.json"
+    qfile.write_text(json.dumps(query))
+    code, out, err = run(capsys, "optimize", "--query", qfile,
+                         "--fds", FIXTURES / "movies.fds",
+                         "--table", FIXTURES / "movies.csv")
+    assert code == 2
+    assert out == ""
+    assert f"error: at {path}: " in err
+
+
 def test_optimize_without_table_just_rewrites(capsys):
     code, payload, _ = run_json(
         capsys, "optimize", "--query", FIXTURES / "movies_query.json",

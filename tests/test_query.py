@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -12,7 +13,7 @@ from relfd.query import (Compose, Converse, Env, Fork, Kernel, Pid, Proj,
                          from_json, rewrite_selfjoin, to_json, type_check,
                          verify_equiv)
 from relfd.rel import Atom, Tup, identity
-from relfd.tables import Table, parse_table_csv, row_carrier
+from relfd.tables import Table, parse_table_csv, pid, proj_fn, row_carrier
 
 from conftest import FIXTURES, carrier
 
@@ -67,6 +68,25 @@ def test_json_rejects_malformed_nodes():
         from_json({"op": "launch"})
     with pytest.raises(ParseError):
         from_json(["not", "a", "node"])
+
+
+def test_json_errors_name_the_node_path():
+    leaf = {"op": "pid", "table": "m"}
+    cases = [
+        ({"op": "launch"}, "query"),
+        ({"op": "compose", "args": [leaf, leaf, {"op": "rel"}]},
+         "query.compose.args[2]"),
+        ({"op": "fork", "args": [leaf, {"op": "kernel", "arg": ["x"]}]},
+         "query.fork.args[1].kernel.arg"),
+        ({"op": "converse", "arg": {"op": "union", "args": [
+            leaf, {"op": "proj", "scheme": "m", "attrs": []}]}},
+         "query.converse.arg.union.args[1]"),
+    ]
+    for obj, path in cases:
+        with pytest.raises(ParseError) as err:
+            from_json(obj)
+        assert err.value.path == path
+        assert str(err.value).startswith(f"at {path}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +167,115 @@ def test_eval_agrees_with_comprehension_oracle_exhaustively():
             env = Env(tables={"movies": table})
             assert eval_query(q, env).pairs == frozenset(
                 _comprehension_oracle(table))
+
+
+def _chain(e):
+    if isinstance(e, Compose):
+        return _chain(e.left) + _chain(e.right)
+    return [e]
+
+
+def _left_fold(e, env):
+    """Reference evaluator: each composition chain folded from the left,
+    each kernel built whole by `rel.kernel`."""
+    if isinstance(e, Pid):
+        return pid(env.tables[e.table])
+    if isinstance(e, Proj):
+        return proj_fn(env.tables[e.scheme].scheme, e.attrs)
+    if isinstance(e, Converse):
+        return rel.converse(_left_fold(e.child, env))
+    if isinstance(e, Kernel):
+        return rel.kernel(_left_fold(e.child, env))
+    if isinstance(e, Compose):
+        return functools.reduce(rel.compose,
+                                [_left_fold(x, env) for x in _chain(e)])
+    op = {UnionOp: rel.union, Fork: rel.fork}[type(e)]
+    return op(_left_fold(e.left, env), _left_fold(e.right, env))
+
+
+MOVIE_ATTRS = ("Title", "Director", "Actor", "Studio")
+
+
+def _random_movies_table(rnd):
+    names = MOVIE_ATTRS[:rnd.choice((3, 4))]
+    dom = {a: tuple(f"{a[0].lower()}{v}" for v in range(rnd.randint(1, 3)))
+           for a in names}
+    universe = list(itertools.product(*(dom[a] for a in names)))
+    rows = rnd.sample(universe, rnd.randint(0, len(universe)))
+    csv_text = ",".join(names) + "\n" + "".join(",".join(r) + "\n"
+                                                 for r in rows)
+    return parse_table_csv(csv_text, dom)
+
+
+def _random_factor(rnd, src, attrs, depth):
+    """(expression, target) of a random factor whose source is `src`: the
+    string "U" for the row universe of table "m", a frozenset of attributes
+    for a sub-row carrier, or ("fork", a, b) for a pair carrier."""
+    def proj():
+        return Proj("m", frozenset(rnd.sample(attrs, rnd.randint(1, 2))))
+
+    if isinstance(src, tuple):
+        return Converse(Fork(Proj("m", src[1]), Proj("m", src[2]))), "U"
+    if src != "U":
+        if rnd.random() < 0.5:
+            return Kernel(Converse(Proj("m", src))), src
+        return Converse(Proj("m", src)), "U"
+    kind = rnd.choice(("pid", "proj", "kernel", "kernel", "union", "fork",
+                       "kernel_fork", "chain"))
+    if kind == "pid":
+        return Pid("m"), "U"
+    if kind == "kernel":
+        return Kernel(proj()), "U"
+    if kind == "fork":
+        left, right = proj(), proj()
+        return Fork(left, right), ("fork", left.attrs, right.attrs)
+    if kind == "kernel_fork":
+        return Kernel(Fork(proj(), proj())), "U"
+    if kind in ("union", "chain") and depth < 2:
+        inner, tgt = _random_chain(rnd, "U", attrs, depth + 1)
+        if kind == "chain":
+            return inner, tgt
+        for _ in range(10):
+            other, other_tgt = _random_chain(rnd, "U", attrs, depth + 1)
+            if other_tgt == tgt:
+                return UnionOp(inner, other), tgt
+        return UnionOp(inner, Compose(inner, Pid("m"))), tgt
+    p = proj()
+    return p, p.attrs
+
+
+def _random_chain(rnd, src, attrs, depth=0):
+    """A chain of 2-8 factors applied from `src` on, and its target; the
+    tree nests to the left, as `from_json` builds it."""
+    factors, at = [], src
+    for _ in range(rnd.randint(2, 8)):
+        item, at = _random_factor(rnd, at, attrs, depth)
+        factors.append(item)
+    return functools.reduce(Compose, reversed(factors)), at
+
+
+def test_chain_evaluation_agrees_with_the_left_fold():
+    rnd = random.Random(5)
+    g, f, h = ({"op": "proj", "scheme": "m", "attrs": [a]}
+               for a in ("Director", "Title", "Actor"))
+    p = {"op": "pid", "table": "m"}
+    bench_chain = from_json({"op": "compose", "args": [  # its `chain` shape
+        g, {"op": "converse", "arg": g}, g, p, {"op": "kernel", "arg": f}, p,
+        {"op": "converse", "arg": h}, h, p]})
+    empty_tables = kernels = 0
+    for _ in range(40):
+        table = _random_movies_table(rnd)
+        env = Env(tables={"m": table})
+        attrs = list(table.scheme.names)
+        exprs = [bench_chain] + [_random_chain(rnd, "U", attrs)[0]
+                                 for _ in range(8)]
+        empty_tables += not table.rows
+        for e in exprs:
+            kernels += "Kernel(" in repr(e)
+            got, want = eval_query(e, env), _left_fold(e, env)
+            assert (got.source, got.target) == (want.source, want.target)
+            assert got.pairs == want.pairs, e
+    assert empty_tables >= 2 and kernels >= 200
 
 
 # ---------------------------------------------------------------------------

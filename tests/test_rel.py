@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from relfd import rel
 from relfd.errors import CarrierMismatchError, SchemeError
-from relfd.rel import (Atom, Carrier, Pair, Rel, bang, compose, converse,
+from relfd.rel import (Atom, Carrier, Pair, Rel, Tup, bang, compose, converse,
                        empty, fork, identity, includes, intersect, is_entire,
                        is_function, is_injective, kernel, leq, pair_carrier,
                        product, proj1, proj2, top, union)
@@ -393,3 +393,14 @@ def test_equal_carriers_hash_equally_and_large_membership_works():
     assert Carrier("Other", big.elements) != big
     assert all(v in big for v in big.elements[::997])
     assert Atom("big100000") not in big and Atom("b0") not in big
+
+
+def test_equal_tups_built_apart_hash_equally():
+    items = (Atom("t1"), Pair(Atom("d1"), Tup((Atom("a1"),))))
+    row = Tup(items)
+    twin = Tup(tuple(list(items)))
+    assert twin is not row and twin == row and hash(twin) == hash(row)
+    assert hash(row) == hash((items,))
+    assert {row: 1}[twin] == 1
+    assert Tup(()) == Tup(()) and hash(Tup(())) == hash(((),))
+    assert Tup((Atom("t2"),) + items[1:]) != row

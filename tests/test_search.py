@@ -9,7 +9,8 @@ from relfd.errors import ResourceLimitError, UnknownLawError
 from relfd.fd import AttrFd, parse_fd, satisfies_oracle
 from relfd.infer import attr_closure, derive
 from relfd.laws import (LAW_REGISTRY, LAW_SUITE, _first_bit, _first_false,
-                        _firsts, _join_violation, search_law_bruteforce)
+                        _firsts, _join_violation, _trade_violation,
+                        search_law_bruteforce)
 from relfd.rel import Atom, Tup
 from relfd.search import Scope, search_law, search_tables, two_tuple_witness
 from relfd.tables import table_to_csv
@@ -320,6 +321,23 @@ def test_join_violation_prefers_the_first_witness_branch():
                            one(0b11), one(0b10)) == (0, 0, 0, 0)
     assert _join_violation(one(0b11), one(0b11),
                            one(0b11), one(0b11)) is None
+
+
+def test_trade_violation_hits_a_difference_on_either_side():
+    # (x, R) arrays of y-bitsets; the sides agree except at x=1, R=2, y=4
+    same = np.array([[0b001, 0b011, 0b101], [0b000, 0b110, 0b010]],
+                    dtype=np.int64)
+    more = same.copy()
+    more[1, 2] |= 1 << 4
+    assert _trade_violation(same, more) == (1, 4, 2)  # only rb has y=4
+    assert _trade_violation(more, same) == (1, 4, 2)  # only lb has y=4
+    assert _trade_violation(same, same.copy()) is None
+    # a y in rb alone before a y in lb alone: the first (x, y, R) wins
+    lb, rb = same.copy(), same.copy()
+    lb[1, 0] |= 1 << 3
+    rb[0, 2] |= 1 << 5
+    assert _trade_violation(lb, rb) == (0, 5, 2)
+    assert _trade_violation(rb, lb) == (0, 5, 2)
 
 
 def _unpack(bits, lead, nbits):
