@@ -28,6 +28,7 @@ comment.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -101,12 +102,17 @@ def fd_positions(scheme: Scheme, fd: AttrFd) -> tuple[list[int], list[int]]:
 def violating_pair(rows, xs: Sequence[int], ys: Sequence[int]
                    ) -> Optional[tuple[Tup, Tup]]:
     """First pair of `rows`, in their order, agreeing on the positions `xs`
-    but not on `ys`."""
-    for r1 in rows:
-        for r2 in rows:
-            if all(r1.items[i] == r2.items[i] for i in xs):
-                if not all(r1.items[i] == r2.items[i] for i in ys):
-                    return (r1, r2)
+    but not on `ys`.
+
+    Each unordered pair is compared once, r2 running over the rows after
+    r1.  That is the first pair of the full ordered double loop too: the
+    relation is symmetric and never holds for (r, r), so the first r1 with
+    a violating partner has no partner before it.
+    """
+    for r1, r2 in itertools.combinations(rows, 2):
+        if all(r1.items[p] == r2.items[p] for p in xs):
+            if not all(r1.items[p] == r2.items[p] for p in ys):
+                return (r1, r2)
     return None
 
 

@@ -1,18 +1,25 @@
 """Small-scope refutation: counterexample tables and law counter-models.
 
 `two_tuple_witness` builds the canonical two-row table refuting a
-non-derivable dependency; `search_tables` enumerates every table within a
-scope in a fixed canonical order (row count, then row content) and returns
-the first model separating the axioms from the goal.  `search_law` sweeps a
-registered algebraic law over all relation assignments at carrier sizes up
-to the scope bound.  `check_rule_soundness` validates an inference rule
-instance empirically as a table search for a model of its premises that
-violates its conclusion.  Every witness is re-verified by the corresponding
-pointwise oracle before being returned.
+non-derivable dependency.  `search_tables` returns the first table within a
+scope, in a fixed canonical order (row count, then row content), that
+separates the axioms from the goal.  FD satisfaction is closed under taking
+sub-tables and every table of 0 or 1 rows satisfies every FD, so if a
+table satisfies the axioms and rows r1, r2 break the goal, the table
+{r1, r2} does both too: the first witness always has exactly two rows, and
+when no two-row table is one, no table of any size is.  The search
+therefore enumerates tables of at most two rows, while its candidate cap
+still counts the tables of every size up to the scope's row bound.
+`search_law` sweeps a registered algebraic law over all relation
+assignments at carrier sizes up to the scope bound.  `check_rule_soundness`
+validates an inference rule instance empirically as a table search for a
+model of its premises that violates its conclusion.  Every witness is
+re-verified by the corresponding pointwise oracle before being returned.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -43,20 +50,22 @@ class Scope:
                 or self.candidate_cap < 1 or any(s < 1 for s in sizes)):
             raise ValueError("scope bounds must all be positive")
 
+    def sizes_for(self, attrs: Sequence[str]) -> tuple[int, ...]:
+        """Domain size of each of the attributes, in sorted name order."""
+        if isinstance(self.domain_sizes, tuple):
+            if len(self.domain_sizes) != len(attrs):
+                raise ValueError(
+                    f"{len(self.domain_sizes)} domain sizes for "
+                    f"{len(attrs)} attributes")
+            return self.domain_sizes
+        return (self.domain_sizes,) * len(attrs)
+
     def scheme_for(self, attrs: Sequence[str]) -> Scheme:
         """Scheme over the sorted attribute names with numeric atom domains."""
         names = sorted(attrs)
-        if isinstance(self.domain_sizes, tuple):
-            if len(self.domain_sizes) != len(names):
-                raise ValueError(
-                    f"{len(self.domain_sizes)} domain sizes for "
-                    f"{len(names)} attributes")
-            sizes = self.domain_sizes
-        else:
-            sizes = (self.domain_sizes,) * len(names)
         return Scheme(tuple(
             (name, Carrier(name, tuple(Atom(str(i)) for i in range(k))))
-            for name, k in zip(names, sizes)))
+            for name, k in zip(names, self.sizes_for(names))))
 
 
 def _universe_attrs(fds: Sequence[AttrFd], goal: AttrFd) -> list[str]:
@@ -93,17 +102,23 @@ def search_tables(fds: Sequence[AttrFd], goal: AttrFd,
     """First table within scope satisfying `fds` and violating `goal`.
 
     Enumeration order is canonical (row count, then lexicographic row
-    content), so the returned witness is deterministic.
+    content), so the returned witness is deterministic.  By the two-row
+    fact (module docstring) only tables of at most two rows are enumerated;
+    the result is that of enumerating every table in scope.  The candidate
+    cap is checked, before any carrier is built, against the number of
+    tables of every size up to `scope.max_rows`.
     """
-    scheme = scope.scheme_for(_universe_attrs(fds, goal))
-    candidates = count_tables(scheme, scope.max_rows)
+    attrs = _universe_attrs(fds, goal)
+    candidates = count_tables(math.prod(scope.sizes_for(attrs)),
+                              scope.max_rows, scope.candidate_cap)
     if candidates > scope.candidate_cap:
         raise ResourceLimitError(
             f"{candidates} candidate tables exceed the cap of "
             f"{scope.candidate_cap}")
+    scheme = scope.scheme_for(attrs)
     axioms = [fd_positions(scheme, fd) for fd in fds]
     goal_at = fd_positions(scheme, goal)
-    for table in enumerate_tables(scheme, scope.max_rows):
+    for table in enumerate_tables(scheme, min(scope.max_rows, 2)):
         if (all(violating_pair(table.rows, *at) is None for at in axioms)
                 and violating_pair(table.rows, *goal_at) is not None):
             return table
@@ -128,7 +143,9 @@ class SoundnessResult:
 def check_rule_soundness(instance: RuleInstance, max_rows: int = 4,
                          domain_size: int = 2,
                          cap: int = 10 ** 7) -> SoundnessResult:
-    """Enumerate all tables in scope; premises must entail the conclusion."""
+    """Search the tables in scope for a model of the premises violating
+    the conclusion; sound when there is none.  By the two-row fact this
+    enumerates the tables of at most two rows, under a cap counting all."""
     witness = search_tables(instance.premises, instance.conclusion,
                             Scope(max_rows=max_rows, domain_sizes=domain_size,
                                   candidate_cap=cap))

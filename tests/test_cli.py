@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -168,6 +169,20 @@ def test_cex_none_for_derivable_goal(capsys):
                                 "--goal", "Flight Date -> Pilot")
     assert code == 0
     assert payload["witness"] is None
+
+
+@pytest.mark.parametrize("scope", [
+    ("--scope-dom", str(10 ** 20)),
+    ("--scope-rows", str(10 ** 20), "--scope-dom", str(10 ** 6)),
+])
+def test_cex_over_cap_scope_fails_fast(capsys, scope):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cex", "--fds", FIXTURES / "pilots.fds",
+                         "--goal", "Pilot -> Flight", *scope)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.endswith("candidate tables exceed the cap of 10000000\n")
 
 
 def test_cex_witness_round_trips_via_json(capsys):

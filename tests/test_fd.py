@@ -5,12 +5,14 @@ import pytest
 
 from relfd import rel
 from relfd.errors import ParseError, SchemeError
-from relfd.fd import (AttrFd, fd_projections, fd_violation, mutual_dependency,
-                      oracle_violation, parse_fd, parse_fd_lines,
-                      satisfies_algebraic, satisfies_general_quantified,
-                      satisfies_oracle, satisfies_typed, stored_fd_projections,
-                      typecheck_join, typecheck_union)
-from relfd.rel import Atom, Carrier, Rel, Tup, bang, identity, kernel, top
+from relfd.fd import (AttrFd, fd_positions, fd_projections, fd_violation,
+                      mutual_dependency, oracle_violation, parse_fd,
+                      parse_fd_lines, satisfies_algebraic,
+                      satisfies_general_quantified, satisfies_oracle,
+                      satisfies_typed, stored_fd_projections, typecheck_join,
+                      typecheck_union, violating_pair)
+from relfd.rel import (Atom, Carrier, Rel, Tup, bang, identity, kernel,
+                       render_value, top)
 from relfd.tables import (Scheme, Table, parse_table_csv, pid, proj_fn,
                           row_carrier)
 
@@ -364,6 +366,33 @@ def test_satisfies_oracle_agrees_with_oracle_violation():
         assert o == (oracle_violation(t, fd) is None)
         verdicts[o] += 1
     assert min(verdicts.values()) >= 60
+
+
+def ordered_violation(rows, xs, ys):
+    """The full ordered double loop, (r, r) and both orders included."""
+    for r1 in rows:
+        for r2 in rows:
+            if (all(r1.items[p] == r2.items[p] for p in xs)
+                    and not all(r1.items[p] == r2.items[p] for p in ys)):
+                return (r1, r2)
+    return None
+
+
+def test_violating_pair_is_the_first_pair_of_the_ordered_double_loop():
+    s = pilot_scheme()
+    rnd = random.Random(8)
+    universe = row_carrier(s).elements
+    hits = 0
+    for _ in range(400):
+        rows = rnd.sample(universe, rnd.randint(0, 12))
+        fd = AttrFd(frozenset(rnd.sample(s.names, rnd.randint(1, 3))),
+                    frozenset(rnd.sample(s.names, rnd.randint(1, 2))))
+        at = fd_positions(s, fd)
+        for order in (rows, sorted(rows, key=render_value), frozenset(rows)):
+            pair = violating_pair(order, *at)
+            assert pair == ordered_violation(list(order), *at)
+            hits += pair is not None
+    assert 400 <= hits <= 800
 
 
 def test_stored_row_routes_agree_with_oracle_on_random_tables():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -13,7 +14,7 @@ from relfd.laws import (LAW_REGISTRY, LAW_SUITE, _first_bit, _first_false,
                         search_law_bruteforce)
 from relfd.rel import Atom, Tup
 from relfd.search import Scope, search_law, search_tables, two_tuple_witness
-from relfd.tables import table_to_csv
+from relfd.tables import enumerate_tables, table_to_csv
 
 CORRUPTED = ("galois_corrupted", "fork_lub_corrupted",
              "union_typing_corrupted", "join_converse_corrupted")
@@ -112,6 +113,67 @@ def test_search_tables_matches_two_tuple_existence_on_random_pairs():
         if by_search is not None:
             assert all(satisfies_oracle(by_search, fd) for fd in axioms)
             assert not satisfies_oracle(by_search, goal)
+
+
+def literal_search(axioms, goal, scope):
+    """Every table in scope, all sizes, canonical order: the first model."""
+    attrs = set(goal.antecedent | goal.consequent)
+    for fd in axioms:
+        attrs |= fd.antecedent | fd.consequent
+    scheme = scope.scheme_for(sorted(attrs))
+    for table in enumerate_tables(scheme, scope.max_rows):
+        if (all(satisfies_oracle(table, fd) for fd in axioms)
+                and not satisfies_oracle(table, goal)):
+            return table
+    return None
+
+
+DOM_SIZES = (1, 2, 2, 3, 3)
+
+
+def test_search_tables_matches_the_literal_all_sizes_search():
+    # universes of at most 16 rows at max_rows 4 (36 at 3) keep the literal
+    # search cheap; domain sizes are one int or a tuple, 1 in a fifth
+    rnd = random.Random(6)
+    names = ["A", "B", "C", "D"]
+    seen = {"refuted": 0, "derivable": 0, "dom1": 0, "tuple": 0}
+    witness_rows = set()
+
+    def side(pool):
+        return frozenset(rnd.sample(pool, rnd.randint(1, 2)))
+
+    for case in range(300):
+        pool = rnd.sample(names, rnd.randint(2, 4))
+        axioms = [AttrFd(side(pool), side(pool))
+                  for _ in range(rnd.randint(0, 2))]
+        goal = AttrFd(side(pool), side(pool))
+        n_attrs = len(set(goal.antecedent | goal.consequent).union(
+            *(fd.antecedent | fd.consequent for fd in axioms)))
+        max_rows = case % 4 + 1
+        limit = {1: 81, 2: 81, 3: 36, 4: 16}[max_rows]
+        as_tuple = rnd.random() < 0.5
+        while True:
+            sizes = (tuple(rnd.choice(DOM_SIZES) for _ in range(n_attrs))
+                     if as_tuple else (rnd.choice(DOM_SIZES),) * n_attrs)
+            if math.prod(sizes) <= limit:
+                break
+        scope = Scope(max_rows=max_rows,
+                      domain_sizes=sizes if as_tuple else sizes[0])
+        found = search_tables(axioms, goal, scope)
+        assert found == literal_search(axioms, goal, scope)
+        derivable = derive(axioms, goal) is not None
+        if derivable:
+            assert found is None
+        else:
+            assert found is None or len(found.rows) == 2
+        seen["derivable"] += derivable
+        if found is not None:
+            seen["refuted"] += 1
+            witness_rows.add(max_rows)
+        seen["dom1"] += 1 in sizes
+        seen["tuple"] += as_tuple
+    assert witness_rows == {2, 3, 4}
+    assert min(seen.values()) >= 20, seen
 
 
 def test_scope_validation():

@@ -217,8 +217,16 @@ def test_encode_pairs_needs_arity_two():
 def test_enumerate_tables_order_and_count():
     s = scheme("X")
     tables = list(enumerate_tables(s, 2))
-    assert count_tables(s, 2) == len(tables) == 4
+    assert count_tables(len(row_carrier(s)), 2) == len(tables) == 4
     assert [len(t.rows) for t in tables] == [0, 1, 1, 2]
+
+
+def test_count_tables_stops_once_past_the_cap():
+    assert count_tables(4, 10) == 16
+    assert count_tables(4, 10, cap=16) == 16
+    assert count_tables(4, 10, cap=5) == 1 + 4 + 6
+    huge = 10 ** 20
+    assert count_tables(huge, huge, cap=10 ** 7) == 1 + huge
 
 
 # ---------------------------------------------------------------------------
