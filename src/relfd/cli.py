@@ -11,10 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import fd, infer, query, search, tables
-from .errors import InternalCheckError, RelfdError
+from .errors import InternalCheckError, ParseError, RelfdError
 from .laws import LAW_SUITE
 from .rel import Atom, Value, rel_to_json, render_value
 
@@ -24,32 +23,17 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    table: str | None = None
-    schema: str | None = None
-    fds: str | None = None
-    attrs: str | None = None
-    goal: str | None = None
-    query: str | None = None
-    scope_rows: int = 2
-    scope_dom: int = 2
-    scope_carrier: int = 3
-    json_output: bool = False
-
-
-def _emit(config: RunConfig, payload: dict, text: str) -> None:
-    if config.json_output:
+def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
+    if args.json_output:
         print(json.dumps(payload, indent=2))
     elif text:
         print(text)
 
 
-def _load_fds(config: RunConfig) -> list[fd.AttrFd]:
-    if config.fds is None:
+def _load_fds(args: argparse.Namespace) -> list[fd.AttrFd]:
+    if args.fds is None:
         return []
-    with open(config.fds, encoding="utf-8") as fh:
+    with open(args.fds, encoding="utf-8") as fh:
         return fd.parse_fd_lines(fh.read())
 
 
@@ -63,9 +47,9 @@ def _value_json(v: Value):
 # Commands
 
 
-def cmd_check(config: RunConfig) -> int:
-    table = tables.load_table(config.table, config.schema)
-    fds = _load_fds(config)
+def cmd_check(args: argparse.Namespace) -> int:
+    table = tables.load_table(args.table, args.schema)
+    fds = _load_fds(args)
     results = []
     any_violation = False
     for item in fds:
@@ -95,58 +79,62 @@ def cmd_check(config: RunConfig) -> int:
                 "witness": [[_value_json(v) for v in r1.items],
                             [_value_json(v) for v in r2.items]],
             })
-    _emit(config, {"results": payload}, "\n".join(lines))
+    _emit(args, {"results": payload}, "\n".join(lines))
     return EXIT_REFUTED if any_violation else EXIT_OK
 
 
-def cmd_closure(config: RunConfig) -> int:
-    fds = _load_fds(config)
-    attrs = fd.parse_attr_list(config.attrs)
+def cmd_closure(args: argparse.Namespace) -> int:
+    fds = _load_fds(args)
+    attrs = fd.parse_attr_list(args.attrs)
     closure = sorted(infer.attr_closure(fds, attrs))
-    _emit(config, {"closure": closure}, " ".join(closure))
+    _emit(args, {"closure": closure}, " ".join(closure))
     return EXIT_OK
 
 
-def cmd_derive(config: RunConfig) -> int:
-    fds = _load_fds(config)
-    goal = fd.parse_fd(config.goal)
+def cmd_derive(args: argparse.Namespace) -> int:
+    fds = _load_fds(args)
+    goal = fd.parse_fd(args.goal)
     tree = infer.derive(fds, goal)
     if tree is None:
-        _emit(config, {"derivable": False, "derivation": None},
+        _emit(args, {"derivable": False, "derivation": None},
               "not derivable")
         return EXIT_REFUTED
     obj = infer.derivation_to_dict(tree)
-    _emit(config, {"derivable": True, "derivation": obj},
+    _emit(args, {"derivable": True, "derivation": obj},
           json.dumps(obj, indent=2))
     return EXIT_OK
 
 
-def cmd_cex(config: RunConfig) -> int:
-    fds = _load_fds(config)
-    goal = fd.parse_fd(config.goal)
-    scope = search.Scope(max_rows=config.scope_rows,
-                         domain_sizes=config.scope_dom)
+def cmd_cex(args: argparse.Namespace) -> int:
+    fds = _load_fds(args)
+    goal = fd.parse_fd(args.goal)
+    scope = search.Scope(max_rows=args.scope_rows,
+                         domain_sizes=args.scope_dom)
     witness = search.search_tables(fds, goal, scope)
     if witness is None:
-        _emit(config, {"witness": None}, "none")
+        _emit(args, {"witness": None}, "none")
         return EXIT_OK
     payload = {"witness": tables.table_to_json(witness)}
-    _emit(config, payload, tables.table_to_csv(witness).rstrip("\n"))
+    _emit(args, payload, tables.table_to_csv(witness).rstrip("\n"))
     return EXIT_REFUTED
 
 
-def cmd_optimize(config: RunConfig) -> int:
-    with open(config.query, encoding="utf-8") as fh:
-        expr = query.from_json(json.load(fh))
-    fds = _load_fds(config)
+def cmd_optimize(args: argparse.Namespace) -> int:
+    with open(args.query, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ParseError(query.TOO_DEEP, path="query") from None
+    expr = query.from_json(obj)
+    fds = _load_fds(args)
     rewritten = query.rewrite_selfjoin(expr, fds)
     out = query.to_json(rewritten)
 
     verification = None
     verdict_line = ""
     code = EXIT_OK
-    if config.table is not None:
-        table = tables.load_table(config.table, config.schema)
+    if args.table is not None:
+        table = tables.load_table(args.table, args.schema)
         names = _table_refs(rewritten) | _table_refs(expr)
         if len(names) != 1:
             raise RelfdError(
@@ -171,7 +159,7 @@ def cmd_optimize(config: RunConfig) -> int:
     text = json.dumps(out, indent=2)
     if verdict_line:
         text += "\n" + verdict_line
-    _emit(config, payload, text)
+    _emit(args, payload, text)
     return code
 
 
@@ -180,15 +168,11 @@ def _table_refs(e) -> set:
         return {e.table}
     if isinstance(e, query.Proj):
         return {e.scheme}
-    if isinstance(e, (query.Converse, query.Kernel)):
-        return _table_refs(e.child)
-    if isinstance(e, (query.Compose, query.UnionOp, query.Fork)):
-        return _table_refs(e.left) | _table_refs(e.right)
-    return set()
+    return set().union(*map(_table_refs, e.args))
 
 
-def cmd_laws(config: RunConfig) -> int:
-    scope = search.Scope(max_carrier=config.scope_carrier)
+def cmd_laws(args: argparse.Namespace) -> int:
+    scope = search.Scope(max_carrier=args.scope_carrier)
     lines = []
     payload = []
     refuted = False
@@ -205,7 +189,7 @@ def cmd_laws(config: RunConfig) -> int:
             lines.append(f"{law_id}: REFUTED {json.dumps(rendered)}")
             payload.append({"law": law_id, "refuted": True,
                             "witness": rendered})
-    _emit(config, {"laws": payload}, "\n".join(lines))
+    _emit(args, {"laws": payload}, "\n".join(lines))
     return EXIT_REFUTED if refuted else EXIT_OK
 
 
@@ -290,18 +274,14 @@ _REQUIRED = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    values = vars(args)
-    config = RunConfig(**{k: v for k, v in values.items()
-                          if k in RunConfig.__dataclass_fields__})
-    for field_name in _REQUIRED[config.command]:
-        if getattr(config, field_name) is None:
+    args = build_parser().parse_args(argv)
+    for field_name in _REQUIRED[args.command]:
+        if getattr(args, field_name) is None:
             print(f"error: --{field_name} is required for "
-                  f"{config.command}", file=sys.stderr)
+                  f"{args.command}", file=sys.stderr)
             return EXIT_INPUT
     try:
-        return _HANDLERS[config.command](config)
+        return _HANDLERS[args.command](args)
     except InternalCheckError as err:
         print(f"internal consistency failure: {err}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -17,8 +17,7 @@ from typing import Iterable, Optional, Sequence
 from . import rel
 from .errors import UnknownAttributeError
 from .fd import AttrFd, parse_fd, satisfies_typed
-from .rel import Atom, Carrier, Rel
-from .tables import Scheme
+from .rel import Rel
 
 # Unused here; kept because the benchmark's tracer test binds them by these
 # names (relfd.infer.satisfies_oracle, relfd.infer.enumerate_tables).
@@ -45,7 +44,8 @@ class Derivation:
     premises: tuple["Derivation", ...] = ()
 
 
-def _universe(fds: Iterable[AttrFd], attrs: Iterable[str]) -> frozenset:
+def mentioned_attrs(fds: Iterable[AttrFd], attrs: Iterable[str]) -> frozenset:
+    """`attrs` and every attribute the dependencies mention."""
     out = set(attrs)
     for fd in fds:
         out |= fd.antecedent | fd.consequent
@@ -55,7 +55,7 @@ def _universe(fds: Iterable[AttrFd], attrs: Iterable[str]) -> frozenset:
 def _check_universe(fds, attrs, universe) -> None:
     if universe is None:
         return
-    unknown = _universe(fds, attrs) - frozenset(universe)
+    unknown = mentioned_attrs(fds, attrs) - frozenset(universe)
     if unknown:
         raise UnknownAttributeError(
             f"attributes {sorted(unknown)} not in scheme")
@@ -163,13 +163,6 @@ def derivation_from_dict(obj: dict) -> Derivation:
         obj["rule"],
         tuple(derivation_from_dict(p) for p in obj.get("premises", ())),
     )
-
-
-def binary_scheme(attrs: Iterable[str], domain_size: int = 2) -> Scheme:
-    """Scheme over sorted attribute names with small numeric atom domains."""
-    values = tuple(Atom(str(i)) for i in range(domain_size))
-    return Scheme(tuple(
-        (name, Carrier(name, values)) for name in sorted(attrs)))
 
 
 def fd_trade(x: Rel, z: Rel, r: Rel, k: Rel, y: Rel) -> bool:

@@ -2,11 +2,14 @@
 
 Expressions are trees over composition, converse, kernel, union, fork,
 projection functions, partial identities of named tables, and references to
-named relations.  `eval_query` evaluates bottom-up against an environment of
-tables and relations; `rewrite_selfjoin` removes the classical
-"scan the same file twice through a kernel" shape whenever a supplied
-dependency set proves it redundant, and `verify_equiv` confirms a rewrite by
-evaluating both sides.
+named relations.  Every node has an `args` tuple holding its operands in
+wire order; the leaves `Proj`, `Pid` and `RelRef` have none.  A composition
+chain is one n-ary `Compose` node: building a `Compose` splices in any
+`Compose` among its factors.  `eval_query` evaluates bottom-up against an
+environment of tables and relations; `rewrite_selfjoin` removes the
+classical "scan the same file twice through a kernel" shape whenever a
+supplied dependency set proves it redundant, and `verify_equiv` confirms a
+rewrite by evaluating both sides.
 
 A composition chain is evaluated as one step.  Each kernel factor
 ``ker e`` is unfolded into the two factors ``e~ . e`` (the definition of
@@ -18,18 +21,25 @@ Composition is associative, so the result does not depend on the order.
 
 JSON wire form (one object per node):
 
-    {"op": "compose", "args": [e1, e2, ...]}     # >= 2 args, folded left
+    {"op": "compose", "args": [e1, e2, ...]}     # >= 2 args
     {"op": "converse", "arg": e}
     {"op": "kernel", "arg": e}
-    {"op": "union", "args": [e1, e2]}
-    {"op": "fork", "args": [e1, e2]}
+    {"op": "union", "args": [e1, e2, ...]}       # >= 2 args
+    {"op": "fork", "args": [e1, e2, ...]}        # >= 2 args
     {"op": "proj", "scheme": "movies", "attrs": ["Title"]}
     {"op": "pid", "table": "movies"}
     {"op": "rel", "name": "R"}
+
+A node of n args means the left fold of its binary operation, and
+`to_json` writes it in that left-nested binary form, as this wire form
+always has.  `from_json` rejects a query nested deeper than
+`MAX_QUERY_DEPTH` levels of that form, where a node of n args puts its
+first operand n - 1 levels down.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -40,32 +50,22 @@ from .infer import derive
 from .rel import Carrier, Rel, Value, render_value
 from .tables import Table
 
+# Nesting bound of `from_json`, well below the interpreter's recursion limit.
+MAX_QUERY_DEPTH = 100
+TOO_DEEP = f"query nests deeper than {MAX_QUERY_DEPTH} levels"
+
 
 @dataclass(frozen=True)
 class RelRef:
     name: str
-
-
-@dataclass(frozen=True)
-class Compose:
-    left: "QueryExpr"
-    right: "QueryExpr"
-
-
-@dataclass(frozen=True)
-class Converse:
-    child: "QueryExpr"
-
-
-@dataclass(frozen=True)
-class Kernel:
-    child: "QueryExpr"
+    args = ()
 
 
 @dataclass(frozen=True)
 class Proj:
     scheme: str  # name of the table whose scheme is projected
     attrs: frozenset
+    args = ()
 
     def __post_init__(self):
         object.__setattr__(self, "attrs", frozenset(self.attrs))
@@ -74,21 +74,51 @@ class Proj:
 @dataclass(frozen=True)
 class Pid:
     table: str
+    args = ()
 
 
-@dataclass(frozen=True)
-class UnionOp:
-    left: "QueryExpr"
-    right: "QueryExpr"
+@dataclass(frozen=True, init=False)
+class _Inner:
+    """An inner node: `op` names it on the wire, and `key` is the wire
+    field of its operands, ``"arg"`` for one or ``"args"`` for a list."""
+
+    args: tuple
+    key = "args"
+
+    def __init__(self, *args: "QueryExpr"):
+        object.__setattr__(self, "args", args)
 
 
-@dataclass(frozen=True)
-class Fork:
-    left: "QueryExpr"
-    right: "QueryExpr"
+class Converse(_Inner):
+    op, key = "converse", "arg"
+
+
+class Kernel(_Inner):
+    op, key = "kernel", "arg"
+
+
+class UnionOp(_Inner):
+    op = "union"
+
+
+class Fork(_Inner):
+    op = "fork"
+
+
+class Compose(_Inner):
+    """The chain ``args[0] . args[1] . ...``; the last factor applies
+    first.  Nested chains among the factors are spliced in."""
+
+    op = "compose"
+
+    def __init__(self, *factors: "QueryExpr"):
+        super().__init__(*(x for f in factors
+                           for x in (f.args if isinstance(f, Compose)
+                                     else (f,))))
 
 
 QueryExpr = Union[RelRef, Compose, Converse, Kernel, Proj, Pid, UnionOp, Fork]
+_INNER_TYPES = (Compose, Converse, Kernel, UnionOp, Fork)
 
 
 @dataclass
@@ -101,35 +131,23 @@ class Env:
 # JSON wire form
 
 
+def _arg_path(e, path: str, i: int) -> str:
+    if e.key == "arg":
+        return f"{path}.{e.op}.arg"
+    return f"{path}.{e.op}.args[{i}]"
+
+
 def to_json(e: QueryExpr) -> dict:
     if isinstance(e, RelRef):
         return {"op": "rel", "name": e.name}
-    if isinstance(e, Compose):
-        return {"op": "compose", "args": [to_json(e.left), to_json(e.right)]}
-    if isinstance(e, Converse):
-        return {"op": "converse", "arg": to_json(e.child)}
-    if isinstance(e, Kernel):
-        return {"op": "kernel", "arg": to_json(e.child)}
-    if isinstance(e, UnionOp):
-        return {"op": "union", "args": [to_json(e.left), to_json(e.right)]}
-    if isinstance(e, Fork):
-        return {"op": "fork", "args": [to_json(e.left), to_json(e.right)]}
     if isinstance(e, Proj):
         return {"op": "proj", "scheme": e.scheme, "attrs": sorted(e.attrs)}
     if isinstance(e, Pid):
         return {"op": "pid", "table": e.table}
-    raise TypeError(f"not a query node: {e!r}")
-
-
-def _fold_args(op: str, obj: dict, node, path: str) -> QueryExpr:
-    args = obj.get("args")
-    if not isinstance(args, list) or len(args) < 2:
-        raise ParseError(f"{op!r} needs an args list of at least 2",
-                         path=path)
-    out = from_json(args[0], f"{path}.{op}.args[0]")
-    for i, a in enumerate(args[1:], start=1):
-        out = node(out, from_json(a, f"{path}.{op}.args[{i}]"))
-    return out
+    kids = [to_json(a) for a in e.args]
+    if e.key == "arg":
+        return {"op": e.op, "arg": kids[0]}
+    return functools.reduce(lambda l, r: {"op": e.op, "args": [l, r]}, kids)
 
 
 def _field(op: str, obj: dict, key: str, path: str):
@@ -138,27 +156,16 @@ def _field(op: str, obj: dict, key: str, path: str):
     return obj[key]
 
 
-def from_json(obj: dict, path: str = "query") -> QueryExpr:
+def from_json(obj: dict, path: str = "query", depth: int = 0) -> QueryExpr:
     """The expression a JSON node encodes; a malformed node raises a
-    `ParseError` located by its path, e.g. ``query.compose.args[1]``."""
+    `ParseError` located by its path, e.g. ``query.compose.args[1]``.
+    `depth` is the node's level in the left-nested wire form."""
     if not isinstance(obj, dict) or "op" not in obj:
         raise ParseError("query node must be an object with an 'op' field",
                          path=path)
     op = obj["op"]
     if op == "rel":
         return RelRef(str(_field(op, obj, "name", path)))
-    if op == "compose":
-        return _fold_args(op, obj, Compose, path)
-    if op == "union":
-        return _fold_args(op, obj, UnionOp, path)
-    if op == "fork":
-        return _fold_args(op, obj, Fork, path)
-    if op == "converse":
-        return Converse(from_json(_field(op, obj, "arg", path),
-                                  f"{path}.converse.arg"))
-    if op == "kernel":
-        return Kernel(from_json(_field(op, obj, "arg", path),
-                                f"{path}.kernel.arg"))
     if op == "proj":
         attrs = obj.get("attrs")
         if not isinstance(attrs, list) or not attrs:
@@ -168,7 +175,21 @@ def from_json(obj: dict, path: str = "query") -> QueryExpr:
         return Proj(str(_field(op, obj, "scheme", path)), frozenset(attrs))
     if op == "pid":
         return Pid(str(_field(op, obj, "table", path)))
-    raise ParseError(f"unknown query op {op!r}", path=path)
+    node = next((c for c in _INNER_TYPES if c.op == op), None)
+    if node is None:
+        raise ParseError(f"unknown query op {op!r}", path=path)
+    if node.key == "arg":
+        args = [_field(op, obj, "arg", path)]
+    else:
+        args = obj.get("args")
+        if not isinstance(args, list) or len(args) < 2:
+            raise ParseError(f"{op!r} needs an args list of at least 2",
+                             path=path)
+    depth += max(len(args) - 1, 1)
+    if depth > MAX_QUERY_DEPTH:
+        raise ParseError(TOO_DEEP, path=path)
+    return node(*[from_json(a, _arg_path(node, path, i), depth)
+                  for i, a in enumerate(args)])
 
 
 # ---------------------------------------------------------------------------
@@ -199,34 +220,29 @@ def type_check(e: QueryExpr, env: Env, path: str = "query"
                     tables.sub_row_carrier(t.scheme, e.attrs))
         except Exception as err:
             raise QueryTypeError(str(err), path) from None
+    s, t = type_check(e.args[0], env, _arg_path(e, path, 0))
     if isinstance(e, Converse):
-        s, t = type_check(e.child, env, path + ".converse.arg")
         return t, s
     if isinstance(e, Kernel):
-        s, _ = type_check(e.child, env, path + ".kernel.arg")
         return s, s
-    if isinstance(e, Compose):
-        ls, lt = type_check(e.left, env, path + ".compose.args[0]")
-        rs, rt = type_check(e.right, env, path + ".compose.args[1]")
-        if rt != ls:
-            raise QueryTypeError(
-                f"compose needs matching middle carrier, got {rt.name!r} "
-                f"then {ls.name!r}", path)
-        return rs, lt
-    if isinstance(e, UnionOp):
-        ls, lt = type_check(e.left, env, path + ".union.args[0]")
-        rs, rt = type_check(e.right, env, path + ".union.args[1]")
-        if (ls, lt) != (rs, rt):
-            raise QueryTypeError("union operands over different carriers",
-                                 path)
-        return ls, lt
-    if isinstance(e, Fork):
-        ls, lt = type_check(e.left, env, path + ".fork.args[0]")
-        rs, rt = type_check(e.right, env, path + ".fork.args[1]")
-        if ls != rs:
-            raise QueryTypeError("fork operands over different sources", path)
-        return ls, rel.pair_carrier(lt, rt)
-    raise QueryTypeError(f"not a query node: {e!r}", path)
+    for i, a in enumerate(e.args[1:], start=1):
+        rs, rt = type_check(a, env, _arg_path(e, path, i))
+        if isinstance(e, Compose):
+            if rt != s:
+                raise QueryTypeError(
+                    f"compose needs matching middle carrier, got {rt.name!r} "
+                    f"then {s.name!r}", path)
+            s = rs
+        elif isinstance(e, UnionOp):
+            if (s, t) != (rs, rt):
+                raise QueryTypeError(
+                    "union operands over different carriers", path)
+        else:
+            if s != rs:
+                raise QueryTypeError("fork operands over different sources",
+                                     path)
+            t = rel.pair_carrier(t, rt)
+    return s, t
 
 
 def eval_query(e: QueryExpr, env: Env) -> Rel:
@@ -243,23 +259,20 @@ def _eval(e: QueryExpr, env: Env) -> Rel:
     if isinstance(e, Proj):
         return tables.proj_fn(env.tables[e.scheme].scheme, e.attrs)
     if isinstance(e, Converse):
-        return rel.converse(_eval(e.child, env))
+        return rel.converse(_eval(e.args[0], env))
     if isinstance(e, Kernel):
-        return rel.kernel(_eval(e.child, env))
+        return rel.kernel(_eval(e.args[0], env))
     if isinstance(e, Compose):
         factors: list[Rel] = []
-        for item in _flatten(e):
+        for item in e.args:
             if isinstance(item, Kernel):
-                r = _eval(item.child, env)
+                r = _eval(item.args[0], env)
                 factors += [rel.converse(r), r]
             else:
                 factors.append(_eval(item, env))
         return _eval_chain(factors)
-    if isinstance(e, UnionOp):
-        return rel.union(_eval(e.left, env), _eval(e.right, env))
-    if isinstance(e, Fork):
-        return rel.fork(_eval(e.left, env), _eval(e.right, env))
-    raise TypeError(f"not a query node: {e!r}")
+    op = rel.union if isinstance(e, UnionOp) else rel.fork
+    return functools.reduce(op, [_eval(a, env) for a in e.args])
 
 
 def _eval_chain(factors: Sequence[Rel]) -> Rel:
@@ -297,43 +310,20 @@ def _compose_split(factors: Sequence[Rel], split: dict, i: int, j: int
 # Self-join elimination
 
 
-def _flatten(e: QueryExpr) -> list[QueryExpr]:
-    if isinstance(e, Compose):
-        return _flatten(e.left) + _flatten(e.right)
-    return [e]
-
-
-def _rebuild(chain: Sequence[QueryExpr]) -> QueryExpr:
-    out = chain[0]
-    for item in chain[1:]:
-        out = Compose(out, item)
-    return out
-
-
 def _normalize(e: QueryExpr) -> QueryExpr:
     """Partial-identity identities: drop converses of pids and merge
     adjacent equal pids inside composition chains."""
-    if isinstance(e, Converse):
-        child = _normalize(e.child)
-        if isinstance(child, Pid):
-            return child
-        return Converse(child)
-    if isinstance(e, Kernel):
-        return Kernel(_normalize(e.child))
-    if isinstance(e, UnionOp):
-        return UnionOp(_normalize(e.left), _normalize(e.right))
-    if isinstance(e, Fork):
-        return Fork(_normalize(e.left), _normalize(e.right))
+    if not e.args:
+        return e
+    args = [_normalize(a) for a in e.args]
+    if isinstance(e, Converse) and isinstance(args[0], Pid):
+        return args[0]
     if isinstance(e, Compose):
-        chain = [_normalize(item) for item in _flatten(e)]
-        merged: list[QueryExpr] = []
-        for item in chain:
-            if (merged and isinstance(item, Pid)
-                    and merged[-1] == item):
-                continue
-            merged.append(item)
-        return _rebuild(merged)
-    return e
+        args = [a for i, a in enumerate(args)
+                if not (i and isinstance(a, Pid) and args[i - 1] == a)]
+        if len(args) == 1:
+            return args[0]
+    return type(e)(*args)
 
 
 def _match_window(chain: Sequence[QueryExpr], i: int,
@@ -343,12 +333,11 @@ def _match_window(chain: Sequence[QueryExpr], i: int,
         return None
     g, p1, kf, p2, hc = chain[i:i + 5]
     if not (isinstance(g, Proj) and isinstance(p1, Pid)
-            and isinstance(kf, Kernel) and isinstance(kf.child, Proj)
+            and isinstance(kf, Kernel) and isinstance(kf.args[0], Proj)
             and isinstance(p2, Pid) and isinstance(hc, Converse)
-            and isinstance(hc.child, Proj)):
+            and isinstance(hc.args[0], Proj)):
         return None
-    f = kf.child
-    h = hc.child
+    f, h = kf.args[0], hc.args[0]
     name = p1.table
     if (p2.table != name or g.scheme != name or f.scheme != name
             or h.scheme != name):
@@ -363,37 +352,21 @@ def _match_window(chain: Sequence[QueryExpr], i: int,
 def _rewrite_once(e: QueryExpr, fds: Sequence[AttrFd]
                   ) -> tuple[QueryExpr, bool]:
     """One leftmost-innermost pass; reports whether anything fired."""
-    if isinstance(e, Converse):
-        child, fired = _rewrite_once(e.child, fds)
-        return Converse(child), fired
-    if isinstance(e, Kernel):
-        child, fired = _rewrite_once(e.child, fds)
-        return Kernel(child), fired
-    if isinstance(e, UnionOp):
-        left, f1 = _rewrite_once(e.left, fds)
-        right, f2 = _rewrite_once(e.right, fds)
-        return UnionOp(left, right), f1 or f2
-    if isinstance(e, Fork):
-        left, f1 = _rewrite_once(e.left, fds)
-        right, f2 = _rewrite_once(e.right, fds)
-        return Fork(left, right), f1 or f2
+    if not e.args:
+        return e, False
+    done = [_rewrite_once(a, fds) for a in e.args]
+    args = [a for a, _ in done]
+    fired = any(f for _, f in done)
     if isinstance(e, Compose):
-        chain = []
-        fired = False
-        for item in _flatten(e):
-            sub, f = _rewrite_once(item, fds)
-            fired = fired or f
-            chain.append(sub)
         i = 0
-        while i < len(chain):
-            replacement = _match_window(chain, i, fds)
+        while i < len(args):
+            replacement = _match_window(args, i, fds)
             if replacement is not None:
-                chain[i:i + 5] = replacement
+                args[i:i + 5] = replacement
                 fired = True
             else:
                 i += 1
-        return _rebuild(chain), fired
-    return e, False
+    return type(e)(*args), fired
 
 
 REWRITE_STEP_CAP = 100
@@ -420,13 +393,7 @@ def rewrite_selfjoin(e: QueryExpr, fds: Sequence[AttrFd]) -> QueryExpr:
 
 
 def count_pid_nodes(e: QueryExpr) -> int:
-    if isinstance(e, Pid):
-        return 1
-    if isinstance(e, (Converse, Kernel)):
-        return count_pid_nodes(e.child)
-    if isinstance(e, (Compose, UnionOp, Fork)):
-        return count_pid_nodes(e.left) + count_pid_nodes(e.right)
-    return 0
+    return isinstance(e, Pid) + sum(count_pid_nodes(a) for a in e.args)
 
 
 # ---------------------------------------------------------------------------

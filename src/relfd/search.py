@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from . import bitrel
 from .errors import InternalCheckError, ResourceLimitError, UnknownLawError
 from .fd import AttrFd, fd_positions, satisfies_oracle, violating_pair
-from .infer import attr_closure, binary_scheme
+from .infer import attr_closure, mentioned_attrs
 from .laws import LAW_REGISTRY, Law
 from .rel import Atom, Carrier, Tup
 from .tables import Scheme, Table, count_tables, enumerate_tables
@@ -68,24 +68,17 @@ class Scope:
             for name, k in zip(names, self.sizes_for(names))))
 
 
-def _universe_attrs(fds: Sequence[AttrFd], goal: AttrFd) -> list[str]:
-    attrs = set(goal.antecedent) | set(goal.consequent)
-    for fd in fds:
-        attrs |= fd.antecedent | fd.consequent
-    return sorted(attrs)
-
-
 def two_tuple_witness(fds: Sequence[AttrFd], goal: AttrFd) -> Optional[Table]:
     """The canonical two-row refutation of `goal`, or None when derivable.
 
     Rows agree (value 0) exactly on the closure of the goal's antecedent and
     differ (0 vs 1) elsewhere, so every axiom holds and the goal fails.
     """
-    attrs = _universe_attrs(fds, goal)
+    attrs = sorted(mentioned_attrs(fds, goal.antecedent | goal.consequent))
     closure = attr_closure(list(fds), goal.antecedent)
     if goal.consequent <= closure:
         return None
-    scheme = binary_scheme(attrs)
+    scheme = Scope(domain_sizes=2).scheme_for(attrs)
     zero, one = Atom("0"), Atom("1")
     row_a = Tup(tuple(zero for _ in attrs))
     row_b = Tup(tuple(zero if name in closure else one for name in attrs))
@@ -108,7 +101,7 @@ def search_tables(fds: Sequence[AttrFd], goal: AttrFd,
     cap is checked, before any carrier is built, against the number of
     tables of every size up to `scope.max_rows`.
     """
-    attrs = _universe_attrs(fds, goal)
+    attrs = sorted(mentioned_attrs(fds, goal.antecedent | goal.consequent))
     candidates = count_tables(math.prod(scope.sizes_for(attrs)),
                               scope.max_rows, scope.candidate_cap)
     if candidates > scope.candidate_cap:

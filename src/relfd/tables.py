@@ -230,7 +230,7 @@ def load_schema_json(text: str) -> dict[str, tuple[str, ...]]:
     """Parse a sidecar declaring per-attribute domains as value lists."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ParseError(f"bad schema JSON: {e}") from None
     if not isinstance(obj, dict):
         raise ParseError("schema JSON must be an object of value lists")
@@ -245,11 +245,20 @@ def load_schema_json(text: str) -> dict[str, tuple[str, ...]]:
     return out
 
 
+def _records(reader):
+    """The reader's records; a CSV syntax error, such as a field past the
+    `csv` module's size limit, becomes a `ParseError` at its line."""
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise ParseError(f"bad CSV: {e}", line=reader.line_num) from None
+
+
 def parse_table_csv(text: str,
                     declared: dict[str, tuple[str, ...]] | None = None
                     ) -> Table:
     """Build a table from CSV text; first line holds the attribute names."""
-    reader = csv.reader(io.StringIO(text))
+    reader = _records(csv.reader(io.StringIO(text)))
     try:
         header = next(reader)
     except StopIteration:

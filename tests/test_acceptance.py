@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 from relfd.fd import (AttrFd, parse_fd, satisfies_algebraic,
                       satisfies_oracle, satisfies_typed)
-from relfd.infer import binary_scheme, derive
+from relfd.infer import derive
 from relfd.query import Env, count_pid_nodes, eval_query, from_json, \
     rewrite_selfjoin, verify_equiv
 from relfd.rel import Atom, Pair, Tup
@@ -42,7 +42,7 @@ def criterion(number: int, label: str, budget: float | None = None):
 def test_criterion_1_definition_equivalence():
     with criterion(1, "three dependency checkers agree on all 256 tables "
                       "x 49 FDs", budget=10.0):
-        scheme = binary_scheme(["A", "B", "C"])
+        scheme = Scope().scheme_for(["A", "B", "C"])
         universe = row_carrier(scheme).elements
         names = scheme.names
         subsets = [frozenset(n for i, n in enumerate(names) if bits >> i & 1)
@@ -108,7 +108,7 @@ def test_criterion_4_inference_soundness_randomized():
         for _ in range(1000):
             n_attrs = rnd.randint(2, 5)
             names = names_pool[:n_attrs]
-            scheme = binary_scheme(names)
+            scheme = Scope().scheme_for(names)
             universe = row_carrier(scheme).elements
             rows = rnd.sample(universe,
                               rnd.randint(0, min(20, len(universe))))

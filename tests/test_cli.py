@@ -5,6 +5,7 @@ import pytest
 
 from relfd import cli, fd, tables
 from relfd.cli import main
+from relfd.query import MAX_QUERY_DEPTH
 
 from conftest import FIXTURES
 
@@ -286,6 +287,56 @@ def test_optimize_malformed_query_names_the_node_path(tmp_path, capsys,
     assert code == 2
     assert out == ""
     assert f"error: at {path}: " in err
+
+
+@pytest.mark.parametrize("levels, code", [
+    (MAX_QUERY_DEPTH, 0),
+    (MAX_QUERY_DEPTH + 1, 2),
+    (5000, 2),  # past the JSON decoder's own recursion limit
+])
+def test_optimize_deep_query_keeps_the_exit_contract(tmp_path, capsys,
+                                                     levels, code):
+    qfile = tmp_path / "deep.json"
+    leaf = json.dumps({"op": "proj", "scheme": "movies", "attrs": ["Title"]})
+    qfile.write_text('{"op": "converse", "arg": ' * levels + leaf
+                     + "}" * levels)
+    got, out, err = run(capsys, "optimize", "--query", qfile,
+                        "--fds", FIXTURES / "movies.fds",
+                        "--table", FIXTURES / "movies.csv")
+    assert got == code
+    if code == 0:
+        assert out.endswith("verified\n") and err == ""
+    else:
+        assert out == ""
+        assert err.startswith("error: at query")
+        assert err.endswith(
+            f": query nests deeper than {MAX_QUERY_DEPTH} levels\n")
+
+
+@pytest.mark.parametrize("command", ["check", "optimize"])
+def test_oversized_csv_field_is_input_error(tmp_path, capsys, command):
+    table = tmp_path / "big.csv"
+    table.write_text("Title,Director,Actor\n" + "t" * 131073 + ",d,a\n")
+    if command == "check":
+        argv = ["check", "--table", table]
+    else:
+        argv = ["optimize", "--query", FIXTURES / "movies_query.json",
+                "--table", table]
+    code, out, err = run(capsys, *argv, "--fds", FIXTURES / "movies.fds")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: line 2: bad CSV: field larger than field limit "
+                   "(131072)\n")
+
+
+def test_deeply_nested_schema_is_input_error(tmp_path, capsys):
+    schema = tmp_path / "deep.schema.json"
+    schema.write_text("[" * 5000)
+    code, out, err = run(capsys, "check", "--table", FIXTURES / "movies.csv",
+                         "--schema", schema, "--fds", FIXTURES / "movies.fds")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad schema JSON: maximum recursion depth")
 
 
 def test_optimize_without_table_just_rewrites(capsys):

@@ -1,17 +1,23 @@
-"""Fuzz the CLI exit contract of `closure`, `derive` and `cex`.
+"""Fuzz the CLI exit contract of `closure`, `derive`, `cex`, `check` and
+`optimize`.
 
 Every input ends in exit code 0, 1 or 2 with no traceback: malformed FD
-files, attribute lists and goals, and scopes up to 10**20.  Generated
-scopes stay cheap: few attributes and small domains, or past the cap.
+files, attribute lists and goals, scopes up to 10**20, junk and oversized
+CSV and schema files, and malformed, ill-typed and deeply nested query
+trees.  Generated scopes stay cheap: few attributes and small domains, or
+past the cap; generated tables have at most three attributes of at most
+four values.
 """
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from relfd.cli import main
+from relfd.query import MAX_QUERY_DEPTH
 
 NAMES = st.sampled_from(["A", "B", "C", "Flight", "_x1"])
 JUNK = st.text(alphabet="AB ,->#\t\n-x1\u00e9\x00", max_size=10)
@@ -43,18 +49,10 @@ def fd_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "input.fds"
 
 
-@seed(6)
-@settings(max_examples=300, deadline=None, database=None)
-@given(command=COMMAND, fd_bytes=FD_FILE, as_json=st.booleans(),
-       missing_file=st.sampled_from([False] * 9 + [True]))
-def test_closure_derive_cex_keep_the_exit_contract(fd_path, command,
-                                                   fd_bytes, as_json,
-                                                   missing_file):
-    fd_path.write_bytes(fd_bytes)
-    argv = [*command, "--fds",
-            str(fd_path) + (".missing" if missing_file else "")]
-    if as_json:
-        argv.append("--json")
+def run_cli(argv):
+    """Run one CLI call and assert the exit contract: 0, 1 or 2, no
+    traceback, and `error:`/`usage:` on stderr exactly when the code is 2,
+    with nothing on stdout then."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -68,3 +66,150 @@ def test_closure_derive_cex_keep_the_exit_contract(fd_path, command,
         assert out.getvalue() == ""
     else:
         assert err.getvalue() == ""
+
+
+@seed(6)
+@settings(max_examples=300, deadline=None, database=None)
+@given(command=COMMAND, fd_bytes=FD_FILE, as_json=st.booleans(),
+       missing_file=st.sampled_from([False] * 9 + [True]))
+def test_closure_derive_cex_keep_the_exit_contract(fd_path, command,
+                                                   fd_bytes, as_json,
+                                                   missing_file):
+    fd_path.write_bytes(fd_bytes)
+    argv = [*command, "--fds",
+            str(fd_path) + (".missing" if missing_file else "")]
+    if as_json:
+        argv.append("--json")
+    run_cli(argv)
+
+
+# Each example has at most one faulty file, so that most reach the checks;
+# any faulty file may also be random bytes, often not UTF-8 (BINARY).
+# Tables over A, B, C with values 0, 1, x; junk ones, or past the csv
+# module's field limit.
+VALID_CSV = st.lists(st.lists(st.sampled_from(["0", "1", "x"]), min_size=3,
+                              max_size=3), max_size=6).map(
+    lambda rows: "A,B,C\n" + "".join(",".join(r) + "\n" for r in rows))
+JUNK_CSV = st.one_of(
+    st.builds("{}\n{}\n".format,
+              st.sampled_from(["A,B", "A,A", "A,,B", "", "A,B,C"]),
+              st.sampled_from(["0,1", "0,1,2,3", '"a,b",1,0', "", "\x00"])),
+    st.text(alphabet='AB,"\n\r\x00x', max_size=20),
+    st.sampled_from(["A,B,C\n" + "x" * 131073 + ",1,0\n",
+                     'A,B,C\n"open,1,0\n', 'A,B,C\n"a"b,1,0\n']))
+VALID_SCHEMA = st.none() | st.dictionaries(
+    st.sampled_from(["A", "B", "C"]),
+    st.sampled_from([["0", "1", "x"], ["x", "1", "0", "y"]]),
+    max_size=3).map(json.dumps)
+JUNK_SCHEMA = st.sampled_from([
+    "[]", '{"D": []}', '{"A": "01x"}', '{"A": [1]}', '{"A": ["0", "0"]}',
+    '{"A": ["0"]}', "{", "[" * 5000, "null"]) | st.text(max_size=8)
+TABLE_ATTRS = st.lists(st.sampled_from(["A", "B", "C"]), min_size=1,
+                       max_size=2).map(" ".join)
+VALID_FDS = st.lists(st.builds("{} -> {}".format, TABLE_ATTRS, TABLE_ATTRS),
+                     max_size=3).map("\n".join)
+JUNK_FDS = st.lists(FD_LINE, min_size=1, max_size=3).map("\n".join)
+
+
+# query trees over table "m": well-typed trees from rows to rows, and trees
+# mixing ill-typed and malformed nodes
+def node(op, *args):
+    return ({"op": op, "arg": args[0]} if op in ("converse", "kernel")
+            else {"op": op, "args": list(args)})
+
+
+def proj(attrs):
+    return {"op": "proj", "scheme": "m", "attrs": attrs}
+
+
+def nest(tree, levels):
+    """The tree's JSON text wrapped in that many converse nodes."""
+    return ('{"op": "converse", "arg": ' * levels + json.dumps(tree)
+            + "}" * levels)
+
+
+PID = {"op": "pid", "table": "m"}
+ATTRS = st.lists(st.sampled_from(["A", "B", "C"]), min_size=1, max_size=2,
+                 unique=True)
+WINDOW = st.builds(
+    lambda g, f, h: node("compose", node("converse", proj(g)), proj(g), PID,
+                         node("kernel", proj(f)), PID,
+                         node("converse", proj(h)), proj(h)),
+    ATTRS, ATTRS, ATTRS)
+TYPED = st.recursive(
+    st.one_of(st.just(PID), ATTRS.map(proj).map(lambda p: node("kernel", p)),
+              WINDOW),
+    lambda kids: st.one_of(
+        st.builds(node, st.sampled_from(["converse", "kernel"]), kids),
+        st.builds(lambda op, args: node(op, *args),
+                  st.sampled_from(["compose", "union"]),
+                  st.lists(kids, min_size=2, max_size=3)),
+        st.builds(lambda a, b: node("kernel", node("fork", a, b)), kids,
+                  kids)),
+    max_leaves=5)
+LEAF = st.one_of(ATTRS.map(proj), st.just(PID), st.sampled_from([
+    proj(["Z"]), {"op": "pid", "table": "other"}, {"op": "rel", "name": "R"},
+    {"op": "compose"}, {"op": "converse"}, {"op": "kernel", "args": []},
+    {"op": "launch"}, {"op": ["compose"]}, {"args": []},
+    {"op": "union", "args": {"a": 1}}, {"op": "fork", "args": "ab"},
+    proj([]), proj([1]), {"op": "proj"}, {"op": "rel"}, {"op": "pid"},
+    3, "pid", None, []]))
+UNTYPED = st.recursive(
+    LEAF | TYPED,
+    lambda kids: st.one_of(
+        st.builds(node, st.sampled_from(["converse", "kernel"]), kids),
+        st.builds(lambda op, args: {"op": op, "args": args},
+                  st.sampled_from(["compose", "union", "fork"]),
+                  st.lists(kids, min_size=1, max_size=4))),
+    max_leaves=8)
+VALID_QUERY = TYPED.map(json.dumps)
+# also nested up to the depth bound, past it, or past the JSON decoder's own
+# recursion limit
+JUNK_QUERY = st.one_of(
+    UNTYPED.map(json.dumps),
+    st.builds(nest, TYPED | UNTYPED,
+              st.sampled_from([MAX_QUERY_DEPTH - 3, MAX_QUERY_DEPTH + 1,
+                               5000])),
+    st.just("[" * 5000))
+
+
+BINARY = st.binary(max_size=12)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz_files")
+    return {k: base / f"input.{k}"
+            for k in ("csv", "schema", "fds", "query")}
+
+
+@seed(7)
+@settings(max_examples=250, deadline=None, database=None)
+@given(command=st.sampled_from(["check", "optimize", "optimize_table"]),
+       fault=st.sampled_from([None] * 4 + ["csv", "schema", "fds", "query"]),
+       csv=st.tuples(VALID_CSV, JUNK_CSV | BINARY),
+       schema=st.tuples(VALID_SCHEMA, JUNK_SCHEMA | BINARY),
+       fds=st.tuples(VALID_FDS, JUNK_FDS | BINARY),
+       query=st.tuples(VALID_QUERY, JUNK_QUERY | BINARY),
+       as_json=st.booleans())
+def test_check_optimize_keep_the_exit_contract(files, command, fault, csv,
+                                               schema, fds, query, as_json):
+    chosen = {k: pair[k == fault] for k, pair in (
+        ("csv", csv), ("schema", schema), ("fds", fds), ("query", query))}
+    for k, text in chosen.items():
+        if text is not None:
+            files[k].write_bytes(text if isinstance(text, bytes)
+                                 else text.encode())
+    table = ["--table", str(files["csv"])]
+    if chosen["schema"] is not None:
+        table += ["--schema", str(files["schema"])]
+    if command == "check":
+        argv = ["check", *table]
+    else:
+        argv = ["optimize", "--query", str(files["query"])]
+        if command == "optimize_table":
+            argv += table
+    argv += ["--fds", str(files["fds"])]
+    if as_json:
+        argv.append("--json")
+    run_cli(argv)

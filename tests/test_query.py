@@ -8,10 +8,10 @@ import pytest
 from relfd import rel
 from relfd.errors import CarrierMismatchError, ParseError, QueryTypeError
 from relfd.fd import parse_fd
-from relfd.query import (Compose, Converse, Env, Fork, Kernel, Pid, Proj,
-                         RelRef, UnionOp, count_pid_nodes, eval_query,
-                         from_json, rewrite_selfjoin, to_json, type_check,
-                         verify_equiv)
+from relfd.query import (MAX_QUERY_DEPTH, Compose, Converse, Env, Fork,
+                         Kernel, Pid, Proj, RelRef, UnionOp, count_pid_nodes,
+                         eval_query, from_json, rewrite_selfjoin, to_json,
+                         type_check, verify_equiv)
 from relfd.rel import Atom, Tup, identity
 from relfd.tables import Table, parse_table_csv, pid, proj_fn, row_carrier
 
@@ -57,6 +57,51 @@ def test_json_nary_compose_folds_left():
                                      {"op": "rel", "name": "c"}]}
     assert from_json(obj) == Compose(Compose(RelRef("a"), RelRef("b")),
                                      RelRef("c"))
+
+
+def test_compose_splices_nested_chains_and_writes_them_left_nested():
+    a, b, c, d = (RelRef(n) for n in "abcd")
+    chain = Compose(a, b, c, d)
+    assert chain.args == (a, b, c, d)
+    assert Compose(Compose(a, b), Compose(c, d)) == chain
+    assert Compose(a, Compose(b, Compose(c, d))) == chain
+    assert to_json(chain) == to_json(Compose(Compose(Compose(a, b), c), d))
+    assert Kernel(a) != Converse(a)
+    assert UnionOp(a, b) != Fork(a, b)
+
+
+def test_union_and_fork_keep_their_args_and_write_them_left_nested():
+    leaves = [{"op": "rel", "name": n} for n in "abc"]
+    for op, node in (("union", UnionOp), ("fork", Fork)):
+        e = from_json({"op": op, "args": leaves})
+        assert e == node(RelRef("a"), RelRef("b"), RelRef("c"))
+        assert to_json(e) == {"op": op, "args": [
+            {"op": op, "args": leaves[:2]}, leaves[2]]}
+
+
+def test_json_depth_bound_accepts_the_bound_and_rejects_one_past():
+    leaf = {"op": "pid", "table": "m"}
+
+    def nest(n):
+        obj = leaf
+        for _ in range(n):
+            obj = {"op": "converse", "arg": obj}
+        return obj
+
+    assert count_pid_nodes(from_json(nest(MAX_QUERY_DEPTH))) == 1
+    with pytest.raises(ParseError) as err:
+        from_json(nest(MAX_QUERY_DEPTH + 1))
+    path = "query" + ".converse.arg" * MAX_QUERY_DEPTH
+    assert err.value.path == path
+    assert str(err.value) == (f"at {path}: query nests deeper than "
+                              f"{MAX_QUERY_DEPTH} levels")
+    # a chain of n factors is n - 1 levels deep as `to_json` writes it
+    longest = [leaf] * (MAX_QUERY_DEPTH + 1)
+    chain = from_json({"op": "compose", "args": longest})
+    assert count_pid_nodes(chain) == MAX_QUERY_DEPTH + 1
+    with pytest.raises(ParseError) as err:
+        from_json({"op": "compose", "args": [leaf] * (MAX_QUERY_DEPTH + 2)})
+    assert err.value.path == "query"
 
 
 def test_json_rejects_malformed_nodes():
@@ -107,6 +152,23 @@ def test_type_check_reports_unbound_name_with_path():
         type_check(Compose(RelRef("nope"), Pid("movies")), Env())
     assert "compose.args[0]" in str(err.value)
     assert "nope" in str(err.value)
+
+
+def test_type_check_paths_inside_long_nodes_match_the_json():
+    env = movies_env()
+    pid, bad = {"op": "pid", "table": "movies"}, {"op": "rel", "name": "nope"}
+    cases = [
+        ({"op": "compose", "args": [pid, pid, bad]}, "query.compose.args[2]"),
+        ({"op": "compose", "args": [bad, pid, pid]}, "query.compose.args[0]"),
+        ({"op": "union", "args": [pid, pid, pid, bad]}, "query.union.args[3]"),
+        ({"op": "fork", "args": [pid, pid, {"op": "converse", "arg": bad}]},
+         "query.fork.args[2].converse.arg"),
+    ]
+    for obj, path in cases:
+        with pytest.raises(QueryTypeError) as err:
+            type_check(from_json(obj), env)
+        assert err.value.path == path
+        assert str(err.value) == f"at {path}: unbound relation 'nope'"
 
 
 def test_type_check_reports_carrier_mismatch_with_path():
@@ -171,7 +233,7 @@ def test_eval_agrees_with_comprehension_oracle_exhaustively():
 
 def _chain(e):
     if isinstance(e, Compose):
-        return _chain(e.left) + _chain(e.right)
+        return [x for a in e.args for x in _chain(a)]
     return [e]
 
 
@@ -183,14 +245,14 @@ def _left_fold(e, env):
     if isinstance(e, Proj):
         return proj_fn(env.tables[e.scheme].scheme, e.attrs)
     if isinstance(e, Converse):
-        return rel.converse(_left_fold(e.child, env))
+        return rel.converse(_left_fold(e.args[0], env))
     if isinstance(e, Kernel):
-        return rel.kernel(_left_fold(e.child, env))
+        return rel.kernel(_left_fold(e.args[0], env))
     if isinstance(e, Compose):
         return functools.reduce(rel.compose,
                                 [_left_fold(x, env) for x in _chain(e)])
     op = {UnionOp: rel.union, Fork: rel.fork}[type(e)]
-    return op(_left_fold(e.left, env), _left_fold(e.right, env))
+    return functools.reduce(op, [_left_fold(a, env) for a in e.args])
 
 
 MOVIE_ATTRS = ("Title", "Director", "Actor", "Studio")
