@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResourceLimitError
-from .rel import Atom, Carrier, Rel
+from .rel import Carrier, Rel
 
 MAX_SIZE = 3
 
@@ -34,7 +34,7 @@ def check_size(n: int) -> None:
 
 @lru_cache(maxsize=None)
 def canonical_carrier(n: int) -> Carrier:
-    return Carrier(f"U{n}", tuple(Atom(f"u{i}") for i in range(n)))
+    return Carrier(f"U{n}", tuple(f"u{i}" for i in range(n)))
 
 
 def mask_to_rel(mask: int, m: int, n: int) -> Rel:

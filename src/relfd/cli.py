@@ -15,7 +15,7 @@ import sys
 from . import fd, infer, query, search, tables
 from .errors import InternalCheckError, ParseError, RelfdError
 from .laws import LAW_SUITE
-from .rel import Atom, Value, rel_to_json, render_value
+from .rel import rel_to_json, render_value
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -35,12 +35,6 @@ def _load_fds(args: argparse.Namespace) -> list[fd.AttrFd]:
         return []
     with open(args.fds, encoding="utf-8") as fh:
         return fd.parse_fd_lines(fh.read())
-
-
-def _value_json(v: Value):
-    if isinstance(v, Atom):
-        return v.name
-    return render_value(v)
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +70,8 @@ def cmd_check(args: argparse.Namespace) -> int:
                          f"{render_value(r1)} / {render_value(r2)}")
             payload.append({
                 "fd": str(item), "holds": False,
-                "witness": [[_value_json(v) for v in r1.items],
-                            [_value_json(v) for v in r2.items]],
+                "witness": [[render_value(v) for v in r1],
+                            [render_value(v) for v in r2]],
             })
     _emit(args, {"results": payload}, "\n".join(lines))
     return EXIT_REFUTED if any_violation else EXIT_OK
@@ -149,7 +143,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             a, b = result.witness
             verification = {
                 "status": "counterexample",
-                "witness": [_value_json(a), _value_json(b)],
+                "witness": [render_value(a), render_value(b)],
             }
             verdict_line = (f"counterexample: {render_value(b)} <- "
                             f"{render_value(a)}")

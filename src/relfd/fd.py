@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 from . import rel
 from .errors import InternalCheckError, ParseError, SchemeError
-from .rel import Rel, Tup, Value, render_value
+from .rel import Rel, Value, render_value
 from .tables import pid  # noqa: F401  (callers bind relfd.fd.pid)
 from .tables import (Scheme, Table, proj_fn, stored_carrier,
                      stored_proj_fn)
@@ -100,7 +100,7 @@ def fd_positions(scheme: Scheme, fd: AttrFd) -> tuple[list[int], list[int]]:
 
 
 def violating_pair(rows, xs: Sequence[int], ys: Sequence[int]
-                   ) -> Optional[tuple[Tup, Tup]]:
+                   ) -> Optional[tuple[tuple, tuple]]:
     """First pair of `rows`, in their order, agreeing on the positions `xs`
     but not on `ys`.
 
@@ -110,13 +110,13 @@ def violating_pair(rows, xs: Sequence[int], ys: Sequence[int]
     a violating partner has no partner before it.
     """
     for r1, r2 in itertools.combinations(rows, 2):
-        if all(r1.items[p] == r2.items[p] for p in xs):
-            if not all(r1.items[p] == r2.items[p] for p in ys):
+        if all(r1[p] == r2[p] for p in xs):
+            if not all(r1[p] == r2[p] for p in ys):
                 return (r1, r2)
     return None
 
 
-def oracle_violation(t: Table, fd: AttrFd) -> Optional[tuple[Tup, Tup]]:
+def oracle_violation(t: Table, fd: AttrFd) -> Optional[tuple[tuple, tuple]]:
     """First row pair (sorted order) agreeing on x but not on y, if any."""
     return violating_pair(sorted(t.rows, key=render_value),
                           *fd_positions(t.scheme, fd))

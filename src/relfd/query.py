@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from . import rel, tables
-from .errors import CarrierMismatchError, ParseError, QueryTypeError
+from .errors import (CarrierMismatchError, ParseError, QueryTypeError,
+                     RelfdError)
 from .fd import AttrFd
 from .infer import derive
 from .rel import Carrier, Rel, Value, render_value
@@ -218,7 +219,7 @@ def type_check(e: QueryExpr, env: Env, path: str = "query"
         try:
             return (tables.row_carrier(t),
                     tables.sub_row_carrier(t.scheme, e.attrs))
-        except Exception as err:
+        except RelfdError as err:
             raise QueryTypeError(str(err), path) from None
     s, t = type_check(e.args[0], env, _arg_path(e, path, 0))
     if isinstance(e, Converse):

@@ -6,6 +6,10 @@ relations between explicit, named `Carrier`s.  A pair is stored as
 when ``(a, b) in r.pairs``; the debug rendering writes each pair the other
 way round, as ``b <- a``.
 
+Values are plain Python values: an atom is a `str` and an n-ary row is a
+`tuple` of values.  `Pair` and `Unit` are classes, so a pair never equals a
+two-value row.  `Atom` and `Tup` are aliases of `str` and `tuple`.
+
 All values are immutable and every operation is pure, so results can be
 shared freely.  Carriers are checked at every operation: combining relations
 over mismatched carriers raises instead of silently reinterpreting elements.
@@ -14,18 +18,11 @@ over mismatched carriers raises instead of silently reinterpreting elements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Union
 
 from .errors import CarrierMismatchError, SchemeError
-
-
-@dataclass(frozen=True)
-class Atom:
-    """An uninterpreted named value."""
-
-    name: str
 
 
 @dataclass(frozen=True)
@@ -39,33 +36,18 @@ class Unit:
     """The single inhabitant of the one-element carrier."""
 
 
-@dataclass(frozen=True)
-class Tup:
-    """An n-ary row value; rows of tables live in carriers as these.
-
-    The hash is computed once, at construction, as the generated one would
-    be: rows are hashed on every set and dict operation of the algebra.
-    """
-
-    items: tuple["Value", ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.items,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
-Value = Union[Atom, Pair, Unit, Tup]
+Value = Union[str, Pair, Unit, tuple]
+Atom = str    # an uninterpreted named value
+Tup = tuple   # an n-ary row value; rows of tables live in carriers as these
 
 
 def render_value(v: Value) -> str:
-    if isinstance(v, Atom):
-        return v.name
+    if isinstance(v, str):
+        return v
     if isinstance(v, Pair):
         return f"({render_value(v.left)},{render_value(v.right)})"
-    if isinstance(v, Tup):
-        return "(" + ",".join(render_value(x) for x in v.items) + ")"
+    if isinstance(v, tuple):
+        return "(" + ",".join(render_value(x) for x in v) + ")"
     return "()"
 
 
@@ -75,10 +57,14 @@ class Carrier:
 
     The element set and the hash are computed once, at construction: both
     would otherwise walk every element on each membership test or hash.
+    A carrier built by `pair_carrier` keeps its two component carriers in
+    `components`, which takes no part in equality.
     """
 
     name: str
     elements: tuple[Value, ...]
+    components: tuple["Carrier", "Carrier"] | None = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self):
         element_set = frozenset(self.elements)
@@ -105,20 +91,9 @@ UNIT_CARRIER = Carrier("1", (Unit(),))
 
 def pair_carrier(a: Carrier, b: Carrier) -> Carrier:
     """Carrier of pairs, in left-major order of the component carriers."""
-    return _pair_carrier(a, b)
-
-
-_PAIR_COMPONENTS: dict = {}
-
-
-@lru_cache(maxsize=None)
-def _pair_carrier(a: Carrier, b: Carrier) -> Carrier:
-    elems = tuple(Pair(x, y) for x in a.elements for y in b.elements)
-    c = Carrier(f"({a.name}*{b.name})", elems)
-    # first registration wins; equal carriers have equal components except
-    # in degenerate empty cases
-    _PAIR_COMPONENTS.setdefault(c, (a, b))
-    return c
+    return Carrier(f"({a.name}*{b.name})",
+                   tuple(Pair(x, y) for x in a.elements for y in b.elements),
+                   (a, b))
 
 
 @dataclass(frozen=True)
@@ -244,8 +219,8 @@ def _dedup(values: Iterable[Value]) -> tuple:
 def proj1(p: Carrier) -> Rel:
     """First-component projection out of a pair carrier."""
     _require_pairs(p)
-    if p in _PAIR_COMPONENTS:
-        tgt = _PAIR_COMPONENTS[p][0]
+    if p.components is not None:
+        tgt = p.components[0]
     else:
         tgt = Carrier(f"left({p.name})", _dedup(e.left for e in p.elements))
     return Rel(p, tgt, frozenset((e, e.left) for e in p.elements))
@@ -254,8 +229,8 @@ def proj1(p: Carrier) -> Rel:
 def proj2(p: Carrier) -> Rel:
     """Second-component projection out of a pair carrier."""
     _require_pairs(p)
-    if p in _PAIR_COMPONENTS:
-        tgt = _PAIR_COMPONENTS[p][1]
+    if p.components is not None:
+        tgt = p.components[1]
     else:
         tgt = Carrier(f"right({p.name})", _dedup(e.right for e in p.elements))
     return Rel(p, tgt, frozenset((e, e.right) for e in p.elements))
@@ -311,24 +286,24 @@ def apply_fn(f: Rel, v: Value) -> Value:
 
 
 def value_to_json(v: Value):
-    if isinstance(v, Atom):
-        return v.name
+    if isinstance(v, str):
+        return v
     if isinstance(v, Pair):
         return {"pair": [value_to_json(v.left), value_to_json(v.right)]}
-    if isinstance(v, Tup):
-        return {"row": [value_to_json(x) for x in v.items]}
+    if isinstance(v, tuple):
+        return {"row": [value_to_json(x) for x in v]}
     return {"unit": True}
 
 
 def value_from_json(obj) -> Value:
     if isinstance(obj, str):
-        return Atom(obj)
+        return obj
     if isinstance(obj, dict):
         if "pair" in obj:
             left, right = obj["pair"]
             return Pair(value_from_json(left), value_from_json(right))
         if "row" in obj:
-            return Tup(tuple(value_from_json(x) for x in obj["row"]))
+            return tuple(value_from_json(x) for x in obj["row"])
         if obj.get("unit"):
             return Unit()
     raise SchemeError(f"not a value encoding: {obj!r}")

@@ -28,7 +28,7 @@ from .errors import InternalCheckError, ResourceLimitError, UnknownLawError
 from .fd import AttrFd, fd_positions, satisfies_oracle, violating_pair
 from .infer import attr_closure, mentioned_attrs
 from .laws import LAW_REGISTRY, Law
-from .rel import Atom, Carrier, Tup
+from .rel import Carrier
 from .tables import Scheme, Table, count_tables, enumerate_tables
 
 DEFAULT_CANDIDATE_CAP = 10 ** 7
@@ -64,7 +64,7 @@ class Scope:
         """Scheme over the sorted attribute names with numeric atom domains."""
         names = sorted(attrs)
         return Scheme(tuple(
-            (name, Carrier(name, tuple(Atom(str(i)) for i in range(k))))
+            (name, Carrier(name, tuple(str(i) for i in range(k))))
             for name, k in zip(names, self.sizes_for(names))))
 
 
@@ -79,9 +79,8 @@ def two_tuple_witness(fds: Sequence[AttrFd], goal: AttrFd) -> Optional[Table]:
     if goal.consequent <= closure:
         return None
     scheme = Scope(domain_sizes=2).scheme_for(attrs)
-    zero, one = Atom("0"), Atom("1")
-    row_a = Tup(tuple(zero for _ in attrs))
-    row_b = Tup(tuple(zero if name in closure else one for name in attrs))
+    row_a = ("0",) * len(attrs)
+    row_b = tuple("0" if name in closure else "1" for name in attrs)
     table = Table.make(scheme, {row_a, row_b})
     if not all(satisfies_oracle(table, fd) for fd in fds):
         raise InternalCheckError("two-row witness fails an axiom")

@@ -16,9 +16,11 @@ holds just the stored rows, in row-universe lex order, and
 `stored_proj_fn(scheme, attrs, stored)` is `proj_fn` restricted to it, onto
 its image.  Both are as large as the table, not as the domain product.
 
-CSV ingestion reads every value as an atom string; an optional JSON sidecar
-declares per-attribute domains, otherwise the active domain (sorted values
-occurring in the column) is used.
+Values are those of `relfd.rel`: an atom is a `str` and a row is a `tuple`
+of values, in scheme order.  CSV ingestion reads every value as an atom, so
+a CSV row is the tuple of its fields; an optional JSON sidecar declares
+per-attribute domains, otherwise the active domain (sorted values occurring
+in the column) is used.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from typing import Iterable, Iterator, Union
 
 from .errors import (ParseError, ResourceLimitError, SchemeError,
                      UnknownAttributeError)
-from .rel import (Atom, Carrier, Pair, Rel, Tup, Value, pair_carrier,
-                  render_value, value_from_json, value_to_json)
+from .rel import (Carrier, Pair, Rel, Value, pair_carrier, render_value,
+                  value_from_json, value_to_json)
 
 log = logging.getLogger(__name__)
 
@@ -77,15 +79,15 @@ class Scheme:
 @dataclass(frozen=True)
 class Table:
     scheme: Scheme
-    rows: frozenset  # of Tup
+    rows: frozenset  # of row tuples
 
     @classmethod
-    def make(cls, scheme: Scheme, rows: Iterable[Tup]) -> "Table":
+    def make(cls, scheme: Scheme, rows: Iterable[tuple]) -> "Table":
         rs = frozenset(rows)
         for row in rs:
-            if not isinstance(row, Tup) or len(row.items) != scheme.arity():
+            if not isinstance(row, tuple) or len(row) != scheme.arity():
                 raise SchemeError(f"row {row!r} does not match scheme arity")
-            for v, (name, dom) in zip(row.items, scheme.attributes):
+            for v, (name, dom) in zip(row, scheme.attributes):
                 if v not in dom:
                     raise SchemeError(
                         f"value {render_value(v)} outside domain of {name!r}")
@@ -108,9 +110,7 @@ def _row_carrier(scheme: Scheme, limit: int) -> Carrier:
     if size > limit:
         raise ResourceLimitError(
             f"row universe has {size} rows, over the {limit} bound")
-    elements = tuple(
-        Tup(combo)
-        for combo in itertools.product(*(dom.elements
+    elements = tuple(itertools.product(*(dom.elements
                                          for _, dom in scheme.attributes)))
     return Carrier("rows(" + ",".join(scheme.names) + ")", elements)
 
@@ -125,12 +125,13 @@ def sub_row_carrier(scheme: Scheme, attrs: Iterable[str],
     return _row_carrier(_sub_scheme(scheme, attrs), limit)
 
 
-def _lex_carrier(name: str, scheme: Scheme, rows: Iterable[Tup]) -> Carrier:
+def _lex_carrier(name: str, scheme: Scheme, rows: Iterable[tuple]
+                 ) -> Carrier:
     """Carrier of the given rows of `scheme`, in its row-universe lex order."""
     index = [{v: i for i, v in enumerate(dom.elements)}
              for _, dom in scheme.attributes]
     ordered = sorted(rows, key=lambda row: [ix[v] for ix, v
-                                            in zip(index, row.items)])
+                                            in zip(index, row)])
     return Carrier(f"{name}({','.join(scheme.names)})", tuple(ordered))
 
 
@@ -175,7 +176,7 @@ def _project(scheme: Scheme, attrs: Iterable[str], src: Carrier
     restriction to it."""
     sub = _sub_scheme(scheme, attrs)
     positions = [scheme.names.index(n) for n in sub.names]
-    return sub, {row: Tup(tuple(row.items[i] for i in positions))
+    return sub, {row: tuple(row[i] for i in positions)
                  for row in src.elements}
 
 
@@ -193,8 +194,7 @@ def encode_pairs(table: Table) -> Rel:
             return values[0]
         return Pair(values[0], nest(values[1:]))
 
-    pairs = frozenset((row.items[0], nest(row.items[1:]))
-                      for row in table.rows)
+    pairs = frozenset((row[0], nest(row[1:])) for row in table.rows)
     return Rel(doms[0], tgt, pairs)
 
 
@@ -294,17 +294,12 @@ def parse_table_csv(text: str,
         if name in declared:
             values = declared[name]
         else:
-            values = tuple(sorted({row[i] for row in raw_rows}))
-        attributes.append((name, Carrier(name, tuple(Atom(v) for v in values))))
+            values = sorted({row[i] for row in raw_rows})
+        attributes.append((name, Carrier(name, tuple(values))))
     scheme = Scheme(tuple(attributes))
 
-    rows = set()
-    dropped = 0
-    for raw in raw_rows:
-        row = Tup(tuple(Atom(v) for v in raw))
-        if row in rows:
-            dropped += 1
-        rows.add(row)
+    rows = set(raw_rows)
+    dropped = len(raw_rows) - len(rows)
     if dropped:
         log.warning("dropped %d duplicate row(s) at load", dropped)
     return Table.make(scheme, rows)
@@ -325,7 +320,7 @@ def table_to_json(table: Table) -> dict:
         "attributes": [{"name": n, "domain": [value_to_json(v)
                                               for v in dom.elements]}
                        for n, dom in table.scheme.attributes],
-        "rows": sorted(([value_to_json(v) for v in row.items]
+        "rows": sorted(([value_to_json(v) for v in row]
                         for row in table.rows), key=str),
     }
 
@@ -335,8 +330,7 @@ def table_from_json(obj: dict) -> Table:
         (a["name"], Carrier(a["name"], tuple(value_from_json(v)
                                              for v in a["domain"])))
         for a in obj["attributes"]))
-    rows = {Tup(tuple(value_from_json(v) for v in row))
-            for row in obj["rows"]}
+    rows = {tuple(value_from_json(v) for v in row) for row in obj["rows"]}
     return Table.make(scheme, rows)
 
 
@@ -345,8 +339,6 @@ def table_to_csv(table: Table) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.scheme.names)
-    rendered = sorted(
-        ([v.name if isinstance(v, Atom) else render_value(v)
-          for v in row.items] for row in table.rows))
+    rendered = sorted([render_value(v) for v in row] for row in table.rows)
     writer.writerows(rendered)
     return buf.getvalue()

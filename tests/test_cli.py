@@ -99,8 +99,7 @@ def test_check_runs_over_stored_rows_past_the_universe_bound(tmp_path,
     loaded = tables.load_table(str(table), str(schema))
     assert len(loaded.rows) == 50
     r1, r2 = fd.oracle_violation(loaded, fd.parse_fd("A -> D"))
-    assert refuted["witness"] == [[v.name for v in r1.items],
-                                  [v.name for v in r2.items]]
+    assert refuted["witness"] == [list(r1), list(r2)]
 
 
 def test_checker_disagreement_is_internal_error(monkeypatch, capsys):

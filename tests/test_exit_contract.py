@@ -1,12 +1,13 @@
 """Fuzz the CLI exit contract of `closure`, `derive`, `cex`, `check` and
-`optimize`.
+`optimize`, and sweep it for `laws`.
 
 Every input ends in exit code 0, 1 or 2 with no traceback: malformed FD
 files, attribute lists and goals, scopes up to 10**20, junk and oversized
 CSV and schema files, and malformed, ill-typed and deeply nested query
 trees.  Generated scopes stay cheap: few attributes and small domains, or
 past the cap; generated tables have at most three attributes of at most
-four values.
+four values.  `laws` takes a single scope, so every listed value of it is
+run; carrier 3, the costliest, is left out.
 """
 
 import contextlib
@@ -213,3 +214,10 @@ def test_check_optimize_keep_the_exit_contract(files, command, fault, csv,
     if as_json:
         argv.append("--json")
     run_cli(argv)
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("carrier", ["1", "2", "0", "-1", "4", str(10 ** 20),
+                                     "", "x", "2.5"])
+def test_laws_keeps_the_exit_contract(carrier, as_json):
+    run_cli(["laws", "--scope-carrier", carrier] + ["--json"] * as_json)

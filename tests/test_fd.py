@@ -372,8 +372,8 @@ def ordered_violation(rows, xs, ys):
     """The full ordered double loop, (r, r) and both orders included."""
     for r1 in rows:
         for r2 in rows:
-            if (all(r1.items[p] == r2.items[p] for p in xs)
-                    and not all(r1.items[p] == r2.items[p] for p in ys)):
+            if (all(r1[p] == r2[p] for p in xs)
+                    and not all(r1[p] == r2[p] for p in ys)):
                 return (r1, r2)
     return None
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from relfd import rel
+from relfd import rel, tables
 from relfd.errors import CarrierMismatchError, ParseError, QueryTypeError
 from relfd.fd import parse_fd
 from relfd.query import (MAX_QUERY_DEPTH, Compose, Converse, Env, Fork,
@@ -171,6 +171,17 @@ def test_type_check_paths_inside_long_nodes_match_the_json():
         assert str(err.value) == f"at {path}: unbound relation 'nope'"
 
 
+def test_type_check_lets_a_fault_in_the_table_bridge_through(monkeypatch):
+    # only the bridge's input errors (an unknown attribute, a universe past
+    # its bound) are type errors of the query
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken bridge")
+
+    monkeypatch.setattr(tables, "sub_row_carrier", broken)
+    with pytest.raises(RuntimeError, match="broken bridge"):
+        type_check(Proj("movies", frozenset({"Title"})), movies_env())
+
+
 def test_type_check_reports_carrier_mismatch_with_path():
     a, b = carrier("A", 2), carrier("B", 2)
     env = Env(rels={"r": rel.top(a, b), "s": rel.top(a, b)})
@@ -213,8 +224,8 @@ def _comprehension_oracle(table):
     out = set()
     for t1 in table.rows:
         for t2 in table.rows:
-            if t1.items[0] == t2.items[0]:
-                out.add((sub(t2.items[2].name), sub(t1.items[1].name)))
+            if t1[0] == t2[0]:
+                out.add((sub(t2[2]), sub(t1[1])))
     return out
 
 

@@ -55,9 +55,9 @@ def test_two_tuple_agrees_on_values_inside_closure():
     w = two_tuple_witness(axioms, goal)
     closure = attr_closure(axioms, goal.antecedent)
     idx = {n: i for i, n in enumerate(w.scheme.names)}
-    r1, r2 = sorted(w.rows, key=lambda r: tuple(v.name for v in r.items))
+    r1, r2 = sorted(w.rows)
     for name in w.scheme.names:
-        agrees = r1.items[idx[name]] == r2.items[idx[name]]
+        agrees = r1[idx[name]] == r2[idx[name]]
         assert agrees == (name in closure)
 
 
