@@ -18,7 +18,6 @@ from .fd import (AttrFd, mutual_dependency, parse_fd, parse_fd_lines,
 from .infer import (Derivation, attr_closure, derivation_from_dict,
                     derivation_to_dict, derive, fd_trade,
                     validate_derivation)
-from .laws import LAW_REGISTRY, LAW_SUITE
 from .query import (Env, eval_query, from_json, rewrite_selfjoin, to_json,
                     type_check, verify_equiv)
 from .rel import (Atom, Carrier, Pair, Rel, Tup, Unit, Value, bang, compose,
@@ -31,3 +30,11 @@ from .tables import (Scheme, Table, encode_pairs, load_table, pid, proj_fn,
                      row_carrier)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # relfd.laws loads numpy, which only the law sweeps need: import it late
+    if name in ("LAW_REGISTRY", "LAW_SUITE"):
+        from . import laws
+        return getattr(laws, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,7 +14,6 @@ import sys
 
 from . import fd, infer, query, search, tables
 from .errors import InternalCheckError, ParseError, RelfdError
-from .laws import LAW_SUITE
 from .rel import rel_to_json, render_value
 
 EXIT_OK = 0
@@ -166,6 +165,7 @@ def _table_refs(e) -> set:
 
 
 def cmd_laws(args: argparse.Namespace) -> int:
+    from .laws import LAW_SUITE  # loads numpy; no other command needs it
     scope = search.Scope(max_carrier=args.scope_carrier)
     lines = []
     payload = []

@@ -211,14 +211,13 @@ def type_check(e: QueryExpr, env: Env, path: str = "query"
             raise QueryTypeError(f"unbound relation {e.name!r}", path)
         r = env.rels[e.name]
         return r.source, r.target
-    if isinstance(e, Pid):
-        c = tables.row_carrier(_table(env, e.table, path))
-        return c, c
-    if isinstance(e, Proj):
-        t = _table(env, e.scheme, path)
+    if isinstance(e, (Pid, Proj)):
+        t = _table(env, e.table if isinstance(e, Pid) else e.scheme, path)
         try:
-            return (tables.row_carrier(t),
-                    tables.sub_row_carrier(t.scheme, e.attrs))
+            c = tables.row_carrier(t)
+            if isinstance(e, Pid):
+                return c, c
+            return c, tables.sub_row_carrier(t.scheme, e.attrs)
         except RelfdError as err:
             raise QueryTypeError(str(err), path) from None
     s, t = type_check(e.args[0], env, _arg_path(e, path, 0))

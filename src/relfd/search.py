@@ -15,21 +15,24 @@ assignments at carrier sizes up to the scope bound.  `check_rule_soundness`
 validates an inference rule instance empirically as a table search for a
 model of its premises that violates its conclusion.  Every witness is
 re-verified by the corresponding pointwise oracle before being returned.
+The law functions import `relfd.laws` and `relfd.bitrel`, and with them
+numpy, when called: the table searches never load them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import bitrel
 from .errors import InternalCheckError, ResourceLimitError, UnknownLawError
 from .fd import AttrFd, fd_positions, satisfies_oracle, violating_pair
 from .infer import attr_closure, mentioned_attrs
-from .laws import LAW_REGISTRY, Law
 from .rel import Carrier
 from .tables import Scheme, Table, count_tables, enumerate_tables
+
+if TYPE_CHECKING:
+    from .laws import Law
 
 DEFAULT_CANDIDATE_CAP = 10 ** 7
 
@@ -107,10 +110,12 @@ def search_tables(fds: Sequence[AttrFd], goal: AttrFd,
         raise ResourceLimitError(
             f"{candidates} candidate tables exceed the cap of "
             f"{scope.candidate_cap}")
+    if scope.max_rows < 2:
+        return None  # no table of 0 or 1 rows violates any FD
     scheme = scope.scheme_for(attrs)
     axioms = [fd_positions(scheme, fd) for fd in fds]
     goal_at = fd_positions(scheme, goal)
-    for table in enumerate_tables(scheme, min(scope.max_rows, 2)):
+    for table in enumerate_tables(scheme, 2):
         if (all(violating_pair(table.rows, *at) is None for at in axioms)
                 and violating_pair(table.rows, *goal_at) is not None):
             return table
@@ -145,6 +150,7 @@ def check_rule_soundness(instance: RuleInstance, max_rows: int = 4,
 
 
 def get_law(law_id: str) -> Law:
+    from .laws import LAW_REGISTRY
     if law_id not in LAW_REGISTRY:
         raise UnknownLawError(f"unknown law {law_id!r}; known: "
                               + ", ".join(sorted(LAW_REGISTRY)))
@@ -158,6 +164,7 @@ def search_law(law_id: str, scope: Scope) -> Optional[dict]:
     scope.max_carrier; a found assignment is re-checked against the law's
     pointwise oracle before being reported.
     """
+    from . import bitrel
     law = get_law(law_id)
     bitrel.check_size(scope.max_carrier)
     for sizes in law.size_combos(scope.max_carrier):

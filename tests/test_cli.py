@@ -73,10 +73,9 @@ def test_check_missing_file_exit_code(capsys):
     assert code == 2
 
 
-def test_check_runs_over_stored_rows_past_the_universe_bound(tmp_path,
-                                                              capsys):
-    # 40 declared values for each of 4 attributes: a row universe of 2.56M,
-    # over ROW_CARRIER_LIMIT, holding 50 stored rows
+def _wide_table(tmp_path):
+    """A table of 50 stored rows whose 4 attributes declare 40 values each:
+    a row universe of 2.56M, over ROW_CARRIER_LIMIT."""
     names = ["A", "B", "C", "D"]
     values = [f"v{i}" for i in range(40)]
     assert len(values) ** len(names) > tables.ROW_CARRIER_LIMIT
@@ -88,6 +87,12 @@ def test_check_runs_over_stored_rows_past_the_universe_bound(tmp_path,
              for i in range(10)]  # A is no longer a key, A -> B still holds
     table = tmp_path / "wide.csv"
     table.write_text("\n".join(",".join(r) for r in [names] + rows) + "\n")
+    return table, schema
+
+
+def test_check_runs_over_stored_rows_past_the_universe_bound(tmp_path,
+                                                              capsys):
+    table, schema = _wide_table(tmp_path)
     fds_file = tmp_path / "wide.fds"
     fds_file.write_text("A -> B\nA -> D\n")
     code, payload, err = run_json(capsys, "check", "--table", table,
@@ -183,6 +188,19 @@ def test_cex_over_cap_scope_fails_fast(capsys, scope):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert err.endswith("candidate tables exceed the cap of 10000000\n")
+
+
+def test_cex_one_row_scope_is_none_without_the_row_universe(tmp_path,
+                                                            capsys):
+    # no table of 0 or 1 rows violates an FD; the 10**6-row universe of
+    # this scope is under the candidate cap and is never built
+    fds_file = tmp_path / "ab.fds"
+    fds_file.write_text("A -> B\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cex", "--fds", fds_file, "--goal", "B -> A",
+                         "--scope-rows", "1", "--scope-dom", "1000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (0, "none\n", "")
 
 
 def test_cex_witness_round_trips_via_json(capsys):
@@ -286,6 +304,22 @@ def test_optimize_malformed_query_names_the_node_path(tmp_path, capsys,
     assert code == 2
     assert out == ""
     assert f"error: at {path}: " in err
+
+
+def test_optimize_locates_a_pid_universe_past_the_bound(tmp_path, capsys):
+    table, schema = _wide_table(tmp_path)
+    pid = {"op": "pid", "table": "wide"}
+    qfile = tmp_path / "pids.json"
+    qfile.write_text(json.dumps({"op": "compose", "args": [pid, pid]}))
+    fds_file = tmp_path / "wide.fds"
+    fds_file.write_text("A -> B\n")
+    code, out, err = run(capsys, "optimize", "--query", qfile,
+                         "--fds", fds_file, "--table", table,
+                         "--schema", schema)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: at query.compose.args[0]: row universe has "
+                   "2560000 rows, over the 1000000 bound\n")
 
 
 @pytest.mark.parametrize("levels, code", [
