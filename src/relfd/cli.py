@@ -9,6 +9,7 @@ checking routes disagreed, which signals a bug rather than bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -43,19 +44,22 @@ def _load_fds(args: argparse.Namespace) -> list[fd.AttrFd]:
 def cmd_check(args: argparse.Namespace) -> int:
     table = tables.load_table(args.table, args.schema)
     fds = _load_fds(args)
+    rows = sorted(table.rows, key=render_value)
+    stored = tables.stored_carrier(table)
     results = []
     any_violation = False
     for item in fds:
-        witness = fd.oracle_violation(table, item)
-        oracle = witness is None
-        algebraic = fd.satisfies_algebraic(table, item)
-        typed = fd.satisfies_typed(*fd.stored_fd_projections(table, item))
-        if not (oracle == algebraic == typed):
+        at = fd.fd_positions(table.scheme, item)
+        witness = fd.scan_violation(rows, *at)
+        scan = witness is None
+        algebraic = fd.satisfies_shunted(stored, table.scheme, item)
+        typed = fd.satisfies_refinement(rows, *at)
+        if not (scan == algebraic == typed):
             raise InternalCheckError(
-                f"checkers disagree on {item}: oracle={oracle} "
+                f"checkers disagree on {item}: scan={scan} "
                 f"algebraic={algebraic} typed={typed}")
-        any_violation = any_violation or not oracle
-        results.append((item, oracle, witness))
+        any_violation = any_violation or not scan
+        results.append((item, scan, witness))
 
     lines = []
     payload = []
@@ -267,8 +271,15 @@ _REQUIRED = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call and reused by the next:
+    `parse_args` leaves it unchanged and returns a new namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     for field_name in _REQUIRED[args.command]:
         if getattr(args, field_name) is None:
             print(f"error: --{field_name} is required for "

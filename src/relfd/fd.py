@@ -1,23 +1,42 @@
-"""Functional-dependency satisfaction, in three interchangeable forms.
+"""Functional-dependency satisfaction, three ways at runtime and three as
+test oracles.
 
-`satisfies_oracle` is the ground truth: a literal double loop over stored
-rows ("rows agreeing on the antecedent agree on the consequent").  The other
-two routes are quantifier-free renderings over the relation algebra:
+`relfd check` runs three routes over the stored rows, each linear in them
+once the rows are sorted, and each written apart from the others:
 
+* `scan_violation(rows, xs, ys)`, the witness scan: one pass over the rows
+  sorted by `render_value`, grouping them into antecedent blocks, returns
+  the first violating pair, the one `oracle_violation` returns;
+* `satisfies_shunted(stored, scheme, fd)`, the algebraic route: with x, y
+  the projections restricted to the stored-row carrier S, the inclusion
+  ``ker x <= ker y`` shunts through the function y (the registry's
+  `shunt_function_left/right` laws) into "``y . x~`` is simple", a relation
+  with one pair per distinct (x, y) value pair, built by `rel.compose`;
+* `satisfies_refinement(rows, xs, ys)`, the typed route: ``x <= y`` under
+  the injectivity preorder says the partition of the rows by x refines the
+  one by y, that is ``|pi_X| = |pi_XY|`` (the FD test of TANE, Huhtala et
+  al., The Computer Journal 42(2), 1999); it uses no relation operation.
+
+The quadratic routes stay as the test oracles those three are compared
+against:
+
+* `satisfies_oracle` is the ground truth, a literal double loop over stored
+  rows ("rows agreeing on the antecedent agree on the consequent"), and
+  `oracle_violation` its first violating pair in sorted order;
 * `satisfies_algebraic(t, fd)` checks
   ``pid(t) . x~ . x . pid(t)~  included-in  y~ . y`` with x, y the projection
   functions of the two attribute sets (``~`` is converse);
 * `satisfies_typed(r, f, g)` is the general form for an arbitrary relation
   observed by functions: ``g <= f . r~`` under the injectivity preorder.
 
-On a table both algebraic routes run over the stored rows S alone, not over
+On a table both algebraic forms run over the stored rows S alone, not over
 the row universe.  The ``pid(t)`` on each side of the inclusion relates
 stored rows only, so its left side never leaves S and ``ker y`` is only ever
 read on pairs of stored rows.  Taking ``pid`` as the identity of S and x, y
 as the projections restricted to S therefore gives the same verdict, with
 relations as large as the table instead of the domain product.
 
-The three must agree on tables; the CLI treats any disagreement as an
+All routes must agree on tables; the CLI treats any disagreement as an
 internal bug.  `mutual_dependency`, `typecheck_union` and `typecheck_join`
 implement the merge/join typing rules on top of the same machinery.
 
@@ -29,13 +48,14 @@ comment.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import rel
 from .errors import InternalCheckError, ParseError, SchemeError
-from .rel import Rel, Value, render_value
+from .rel import Carrier, Rel, Value, render_value
 from .tables import pid  # noqa: F401  (callers bind relfd.fd.pid)
 from .tables import (Scheme, Table, proj_fn, stored_carrier,
                      stored_proj_fn)
@@ -139,6 +159,62 @@ def satisfies_algebraic(t: Table, fd: AttrFd) -> bool:
     lhs = rel.compose(p, rel.compose(rel.converse(x),
                                      rel.compose(x, rel.converse(p))))
     return rel.includes(rel.kernel(y), lhs)
+
+
+def _key(positions: Sequence[int]):
+    """The function from a row to its values at `positions`."""
+    if not positions:
+        return lambda row: ()
+    return operator.itemgetter(*positions)
+
+
+def scan_violation(rows: Sequence[tuple], xs: Sequence[int],
+                   ys: Sequence[int]) -> Optional[tuple[tuple, tuple]]:
+    """`violating_pair` of `rows` in one pass, for rows sorted by
+    `render_value`: `oracle_violation`'s pair.
+
+    The first row of a block of rows agreeing on `xs` has a later partner
+    in the block whenever the block holds two values at `ys`, so the pair
+    is the first row r1 of the earliest such block and the first later row
+    of that block disagreeing with r1 on `ys`.  Blocks keep the order of
+    their first rows.
+    """
+    kx, ky = _key(xs), _key(ys)
+    blocks: dict = {}  # x value -> [r1, y value of r1, r2 or None]
+    for row in rows:
+        x = kx(row)
+        block = blocks.get(x)
+        if block is None:
+            blocks[x] = [row, ky(row), None]
+        elif block[2] is None and ky(row) != block[1]:
+            block[2] = row
+    for r1, _, r2 in blocks.values():
+        if r2 is not None:
+            return (r1, r2)
+    return None
+
+
+def satisfies_shunted(stored: Carrier, scheme: Scheme, fd: AttrFd) -> bool:
+    """Linear algebraic route: ``y . x~`` is simple over the stored rows.
+
+    With x, y the projections restricted to the stored-row carrier S, the
+    quantifier-free inclusion ``x~ . x  included-in  y~ . y`` shunts
+    through the function y on the left and on the right into
+    ``(y . x~) . (y . x~)~  included-in  id``.  ``y . x~`` has a pair per
+    distinct (x, y) value pair, never more pairs than S has rows.
+    """
+    x = stored_proj_fn(scheme, fd.antecedent, stored)
+    y = stored_proj_fn(scheme, fd.consequent, stored)
+    return rel.is_simple(rel.compose(y, rel.converse(x)))
+
+
+def satisfies_refinement(rows, xs: Sequence[int], ys: Sequence[int]
+                         ) -> bool:
+    """Typed route as partition refinement: the partition of `rows` by
+    their values at `xs` refines the one by `ys` exactly when adding `ys`
+    splits no block, ``|pi_X| = |pi_XY|``."""
+    kx, kxy = _key(xs), _key(sorted(set(xs) | set(ys)))
+    return len({kx(r) for r in rows}) == len({kxy(r) for r in rows})
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,11 @@ def is_entire(r: Rel) -> bool:
     return len({a for a, _ in r.pairs}) == len(r.source)
 
 
+def is_simple(r: Rel) -> bool:
+    """At most one output per input."""
+    return len({a for a, _ in r.pairs}) == len(r.pairs)
+
+
 def is_function(r: Rel) -> bool:
     """Entire and simple: exactly one output per input."""
     inputs = {a for a, _ in r.pairs}

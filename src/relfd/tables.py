@@ -273,6 +273,7 @@ def parse_table_csv(text: str,
     for name in declared:
         if name not in names:
             raise ParseError(f"schema declares unknown attribute {name!r}")
+    allowed = {name: frozenset(values) for name, values in declared.items()}
 
     raw_rows: list[tuple[str, ...]] = []
     for lineno, record in enumerate(reader, start=2):
@@ -283,7 +284,7 @@ def parse_table_csv(text: str,
                 f"expected {len(names)} values, found {len(record)}",
                 line=lineno)
         for name, value in zip(names, record):
-            if name in declared and value not in declared[name]:
+            if name in allowed and value not in allowed[name]:
                 raise ParseError(
                     f"value {value!r} outside declared domain of {name!r}",
                     line=lineno)

@@ -1,5 +1,7 @@
+import gc
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -107,13 +109,94 @@ def test_check_runs_over_stored_rows_past_the_universe_bound(tmp_path,
     assert refuted["witness"] == [list(r1), list(r2)]
 
 
-def test_checker_disagreement_is_internal_error(monkeypatch, capsys):
-    monkeypatch.setattr(cli.fd, "satisfies_algebraic",
-                        lambda t, item: not fd.satisfies_oracle(t, item))
-    code, _, err = run(capsys, "check", "--table", FIXTURES / "pilots.csv",
+@pytest.mark.parametrize("table", ["pilots.csv", "pilots_double_booked.csv"])
+@pytest.mark.parametrize("route", ["scan_violation", "satisfies_shunted",
+                                   "satisfies_refinement"])
+def test_checker_disagreement_is_internal_error(route, table, monkeypatch,
+                                                capsys):
+    real = getattr(fd, route)
+    if route == "scan_violation":
+        def flipped(*args):
+            return None if real(*args) else (("x",), ("y",))
+    else:
+        def flipped(*args):
+            return not real(*args)
+    monkeypatch.setattr(cli.fd, route, flipped)
+    code, _, err = run(capsys, "check", "--table", FIXTURES / table,
                        "--fds", FIXTURES / "pilots.fds")
     assert code == 3
     assert "disagree" in err
+
+
+def _write_check(tmp_path, tag, rows, fds):
+    table = tmp_path / f"{tag}.csv"
+    table.write_text("\n".join(",".join(r) for r in [list("ABCDE")] + rows)
+                     + "\n")
+    fds_file = tmp_path / f"{tag}.fds"
+    fds_file.write_text(fds)
+    return table, fds_file
+
+
+def test_check_is_linear_at_20000_rows(tmp_path, capsys):
+    # B -> D holds (D is built from B); B -> C fails first on the B block
+    # of the first sorted row, a00000, at a00100
+    rows = [(f"a{i:05d}", f"b{i % 100:02d}", f"c{i % 7}", f"d{i % 10}",
+             f"e{i // 1000:02d}") for i in range(20000)]
+    table, fds_file = _write_check(tmp_path, "big", rows, "B -> D\nB -> C\n")
+    # a sidecar declaring every used value and one unused value per column
+    schema = tmp_path / "big.schema.json"
+    schema.write_text(json.dumps({
+        name: sorted({r[i] for r in rows}) + [f"{name.lower()}_unused"]
+        for i, name in enumerate("ABCDE")}))
+    start = time.perf_counter()
+    code, payload, err = run_json(capsys, "check", "--table", table,
+                                  "--schema", schema, "--fds", fds_file)
+    elapsed = time.perf_counter() - start
+    assert code == 1, err
+    assert payload["results"] == [
+        {"fd": "B -> D", "holds": True, "witness": None},
+        {"fd": "B -> C", "holds": False,
+         "witness": [list(rows[0]), list(rows[100])]}]
+    assert elapsed < 10.0, f"check took {elapsed:.1f} s at 20,000 rows"
+
+
+def test_check_retains_no_memory_across_tables(tmp_path, capsys):
+    # 100 distinct 300-row tables in one process; the quadratic routes
+    # would leave each table's kernels in rel.kernel's cache
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for k in range(1, 101):
+            rows = [(f"a{k}_{i}", f"b{k}_{i % 10}", f"c{k}_{i % 10 * 2 % 7}",
+                     f"d{k}_{i % 3}", f"e{k}_{i % 11}") for i in range(300)]
+            table, fds_file = _write_check(tmp_path, f"t{k}", rows,
+                                           "B -> C\nD -> E\n")
+            code, _, err = run(capsys, "check", "--table", table,
+                               "--fds", fds_file)
+            assert code == 1, err
+            if k in (10, 100):
+                gc.collect()
+                retained = tracemalloc.get_traced_memory()[0]
+                if k == 10:
+                    at_10 = retained
+    finally:
+        tracemalloc.stop()
+    growth_mb = (retained - at_10) / 2 ** 20
+    assert growth_mb < 3, f"retained memory grew {growth_mb:.1f} MB"
+
+
+def test_parser_is_reused_with_fresh_namespaces(capsys):
+    code, payload, _ = run_json(capsys, "closure",
+                                "--fds", FIXTURES / "pilots.fds",
+                                "--attrs", "Flight,Date")
+    assert code == 0 and payload["closure"] == ["Date", "Flight", "Pilot"]
+    code, out, _ = run(capsys, "check", "--table", FIXTURES / "pilots.csv",
+                       "--fds", FIXTURES / "pilots.fds")
+    assert code == 0
+    assert out == "Date Flight -> Pilot: holds\n"
+    assert cli._parser() is cli._parser()
+    args = cli._parser().parse_args(["laws"])
+    assert not args.json_output and not hasattr(args, "attrs")
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ from relfd.fd import (AttrFd, fd_positions, fd_projections, fd_violation,
                       mutual_dependency, oracle_violation, parse_fd,
                       parse_fd_lines, satisfies_algebraic,
                       satisfies_general_quantified, satisfies_oracle,
-                      satisfies_typed, stored_fd_projections, typecheck_join,
-                      typecheck_union, violating_pair)
+                      satisfies_refinement, satisfies_shunted,
+                      satisfies_typed, scan_violation, stored_fd_projections,
+                      typecheck_join, typecheck_union, violating_pair)
 from relfd.rel import (Atom, Carrier, Rel, Tup, bang, identity, kernel,
                        render_value, top)
 from relfd.tables import (Scheme, Table, parse_table_csv, pid, proj_fn,
-                          row_carrier)
+                          row_carrier, stored_carrier)
 
 from conftest import (all_functions, all_rels, carrier,
                       kernel_representatives)
@@ -422,6 +423,70 @@ def test_stored_row_routes_agree_with_oracle_on_random_tables():
             assert satisfies_typed(p, f, g) == o
             verdicts[o] += 1
     assert min(verdicts.values()) >= 100
+
+
+def _random_fd(rnd, names):
+    """An FD of one of four shapes: trivial (consequent inside the
+    antecedent, maybe empty), overlapping sides, disjoint sides, or an
+    empty antecedent."""
+    shape = rnd.choice(["trivial", "overlap", "disjoint", "empty"])
+    ante = set(rnd.sample(names, rnd.randint(1, len(names))))
+    if shape == "trivial":
+        cons = set(rnd.sample(sorted(ante), rnd.randint(0, len(ante))))
+    elif shape == "overlap":
+        cons = {rnd.choice(sorted(ante))} | set(
+            rnd.sample(names, rnd.randint(1, len(names))))
+    elif shape == "disjoint":
+        rest = [n for n in names if n not in ante] or names
+        cons = set(rnd.sample(rest, rnd.randint(1, len(rest))))
+        ante -= cons
+    else:
+        ante, cons = set(), set(rnd.sample(names, rnd.randint(1, 2)))
+    return AttrFd(ante, cons)
+
+
+def test_linear_routes_equal_the_oracles_on_random_tables():
+    # tables of 0-200 CSV rows, a third of them with repeated rows, from
+    # few enough values per attribute that both verdicts are common; half
+    # the tables declare domains with values the rows never use
+    rnd = random.Random(10)
+    seen = dict.fromkeys(["holds", "refuted", "trivial", "overlap",
+                          "empty antecedent", "duplicate rows",
+                          "unused domain values"], 0)
+    for _ in range(150):
+        names = ["A", "B", "C", "D", "E"][:rnd.randint(2, 5)]
+        used = {n: rnd.randint(1, 8) for n in names}
+        declared = None
+        if rnd.random() < 0.5:
+            declared = {n: [str(v) for v in range(used[n] + rnd.randint(1, 3))]
+                        for n in names}
+            seen["unused domain values"] += 1
+        rows = [[str(rnd.randrange(used[n])) for n in names]
+                for _ in range(rnd.randint(0, 200))]
+        if rnd.random() < 0.3:
+            rows = rnd.sample(rows, len(rows) // 2) * 2
+        csv = "\n".join(",".join(r) for r in [names] + rows) + "\n"
+        t = parse_table_csv(csv, declared)
+        seen["duplicate rows"] += len(t.rows) < len(rows)
+        ordered = sorted(t.rows, key=render_value)
+        stored = stored_carrier(t)
+        for _ in range(3):
+            fd = _random_fd(rnd, names)
+            at = fd_positions(t.scheme, fd)
+            witness = scan_violation(ordered, *at)
+            assert witness == oracle_violation(t, fd)
+            holds = satisfies_oracle(t, fd)
+            assert (witness is None) == holds
+            assert satisfies_shunted(stored, t.scheme, fd) == \
+                satisfies_algebraic(t, fd) == holds
+            assert satisfies_refinement(ordered, *at) == \
+                satisfies_typed(*stored_fd_projections(t, fd)) == holds
+            seen["holds" if holds else "refuted"] += 1
+            seen["trivial"] += fd.consequent <= fd.antecedent
+            seen["overlap"] += bool(fd.antecedent & fd.consequent
+                                    and fd.consequent - fd.antecedent)
+            seen["empty antecedent"] += not fd.antecedent
+    assert min(seen.values()) >= 40, seen
 
 
 def test_downward_closure_on_subtables():
