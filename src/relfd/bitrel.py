@@ -3,9 +3,14 @@
 A relation between carriers of sizes (m, n) is a mask in [0, 2^(m*n)):
 bit ``i*n + j`` is set iff source element i maps to target element j.  Mask
 order is therefore the canonical enumeration order of relation assignments.
+Row i of a mask, ``mask >> (i*n) & (2^n - 1)``, is the set of targets of i.
 Op tables are precomputed with numpy so that law sweeps reduce to integer
 gathers and bitwise comparisons; sizes are capped at MAX_SIZE because the
 tables grow as 4^(m*n).
+
+The two tables over pairs of relations, `compose_table` and
+`fork_kernel_table`, are built from rows with integer shifts, ORs and
+gathers, so no table holds more than one int32 per (r, s) pair.
 
 The honest construction matters: every table is derived from the pointwise
 definition of its operator (fork kernels in particular are computed from the
@@ -76,13 +81,32 @@ def pack(mat: np.ndarray, m: int, n: int) -> np.ndarray:
     return flat @ weights
 
 
+def _rows(m: int, n: int) -> list[np.ndarray]:
+    """Row i of every mask over m -> n, in mask order, for each i < m."""
+    masks = np.arange(1 << (m * n), dtype=np.int32)
+    return [masks >> (i * n) & ((1 << n) - 1) for i in range(m)]
+
+
 @lru_cache(maxsize=None)
 def compose_table(si: int, sm: int, so: int) -> np.ndarray:
-    """T[r, s] = mask of r.s for r: mid->out, s: in->mid (apply s first)."""
-    S = mats(si, sm)
-    R = mats(sm, so)
-    prod = np.einsum("sim,rmo->rsio", S, R)
-    return pack(prod > 0, si, so).astype(np.int32)
+    """T[r, s] = mask of r.s for r: mid->out, s: in->mid (apply s first).
+
+    Row i of r.s is the union of r's rows over the mids that s reaches from
+    i.  U[r, mids] holds that union for every set of mids, each column one
+    row of r ORed onto the column without its lowest mid; row i of the
+    result is then the gather U[:, row i of s].
+    """
+    for n in (si, sm, so):
+        check_size(n)
+    r_rows = _rows(sm, so)
+    unions = np.zeros((1 << (sm * so), 1 << sm), dtype=np.int32)
+    for mids in range(1, 1 << sm):
+        low = mids & -mids
+        unions[:, mids] = unions[:, mids ^ low] | r_rows[low.bit_length() - 1]
+    out = np.zeros((1 << (sm * so), 1 << (si * sm)), dtype=np.int32)
+    for i, s_row in enumerate(_rows(si, sm)):
+        out |= unions[:, s_row] << (i * so)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -128,14 +152,25 @@ def function_masks(m: int, n: int) -> np.ndarray:
 def fork_kernel_table(sc: int, sa: int, sb: int) -> np.ndarray:
     """T[r, s] = mask of ker(fork(r, s)) over sc -> sc.
 
-    Computed from the fork itself: F[(x,y), c] = r[c,x] and s[c,y], then the
-    kernel contraction over the paired outputs.
+    Computed from the fork itself: row c of fork(r, s) is the pair bitset
+    F_c = outer[row c of r, row c of s], bit ``x*sb + y`` set iff x is in
+    the first set and y in the second, and bit (c, d) of the kernel is set
+    iff F_c & F_d != 0.  Never as ker r & ker s: the law sweep
+    `fork_least_upper_bound` would then check that shortcut against itself.
     """
-    R = mats(sc, sa)
-    S = mats(sc, sb)
-    F = np.einsum("rcx,scy->rscxy", R, S)
-    K = np.einsum("rscxy,rsdxy->rscd", F, F)  # counts <= 9, uint8 is safe
-    return pack(K > 0, sc, sc).astype(np.int32)
+    for n in (sc, sa, sb):
+        check_size(n)
+    a_sets = np.arange(1 << sa, dtype=np.int32)[:, None]
+    b_sets = np.arange(1 << sb, dtype=np.int32)[None, :]
+    outer = np.zeros((1 << sa, 1 << sb), dtype=np.int32)
+    for x in range(sa):
+        outer |= np.where(a_sets >> x & 1, b_sets << (x * sb), 0)
+    forks = [outer[r[:, None], s[None, :]]
+             for r, s in zip(_rows(sc, sa), _rows(sc, sb))]
+    out = np.zeros(forks[0].shape, dtype=np.int32)
+    for c, d in itertools.product(range(sc), repeat=2):
+        out |= ((forks[c] & forks[d]) != 0).astype(np.int32) << (c * sc + d)
+    return out
 
 
 def all_masks(m: int, n: int) -> np.ndarray:

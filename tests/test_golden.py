@@ -1,4 +1,4 @@
-"""Golden CLI outputs: stdout and exit code of 20 in-process calls over the
+"""Golden CLI outputs: stdout and exit code of 22 in-process calls over the
 fixtures, compared byte for byte.
 
 `fixtures/golden/` holds one `<call>.stdout` file per call and
@@ -43,6 +43,7 @@ _BASE = {
                             "--table", _fixture(f"{stem}.csv")]
        for stem in ("movies", "movies_violating")},
     "laws_2": ["laws", "--scope-carrier", "2"],
+    "laws_3": ["laws", "--scope-carrier", "3"],
 }
 CALLS = {**_BASE, **{f"{name}_json": [*argv, "--json"]
                      for name, argv in _BASE.items()}}
