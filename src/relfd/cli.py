@@ -45,29 +45,24 @@ def cmd_check(args: argparse.Namespace) -> int:
     table = tables.load_table(args.table, args.schema)
     fds = _load_fds(args)
     rows = sorted(table.rows, key=render_value)
-    stored = tables.stored_carrier(table)
-    results = []
+    lines = []
+    payload = []
     any_violation = False
     for item in fds:
         at = fd.fd_positions(table.scheme, item)
         witness = fd.scan_violation(rows, *at)
         scan = witness is None
-        algebraic = fd.satisfies_shunted(stored, table.scheme, item)
+        algebraic = fd.satisfies_shunted(rows, *at)
         typed = fd.satisfies_refinement(rows, *at)
         if not (scan == algebraic == typed):
             raise InternalCheckError(
                 f"checkers disagree on {item}: scan={scan} "
                 f"algebraic={algebraic} typed={typed}")
-        any_violation = any_violation or not scan
-        results.append((item, scan, witness))
-
-    lines = []
-    payload = []
-    for item, holds, witness in results:
-        if holds:
+        if scan:
             lines.append(f"{item}: holds")
             payload.append({"fd": str(item), "holds": True, "witness": None})
         else:
+            any_violation = True
             r1, r2 = witness
             lines.append(f"{item}: violated by rows "
                          f"{render_value(r1)} / {render_value(r2)}")

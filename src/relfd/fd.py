@@ -7,8 +7,8 @@ once the rows are sorted, and each written apart from the others:
 * `scan_violation(rows, xs, ys)`, the witness scan: one pass over the rows
   sorted by `render_value`, grouping them into antecedent blocks, returns
   the first violating pair, the one `oracle_violation` returns;
-* `satisfies_shunted(stored, scheme, fd)`, the algebraic route: with x, y
-  the projections restricted to the stored-row carrier S, the inclusion
+* `satisfies_shunted(rows, xs, ys)`, the algebraic route: with x, y the
+  projections restricted to the carrier S of the stored rows, the inclusion
   ``ker x <= ker y`` shunts through the function y (the registry's
   `shunt_function_left/right` laws) into "``y . x~`` is simple", a relation
   with one pair per distinct (x, y) value pair, built by `rel.compose`;
@@ -57,8 +57,7 @@ from . import rel
 from .errors import InternalCheckError, ParseError, SchemeError
 from .rel import Carrier, Rel, Value, render_value
 from .tables import pid  # noqa: F401  (callers bind relfd.fd.pid)
-from .tables import (Scheme, Table, proj_fn, stored_carrier,
-                     stored_proj_fn)
+from .tables import Scheme, Table, proj_fn
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -194,17 +193,30 @@ def scan_violation(rows: Sequence[tuple], xs: Sequence[int],
     return None
 
 
-def satisfies_shunted(stored: Carrier, scheme: Scheme, fd: AttrFd) -> bool:
+def _stored_proj(stored: Carrier, positions: Sequence[int]) -> Rel:
+    """`proj_fn` onto the attributes at `positions`, restricted to the rows
+    of `stored`, onto its image in order of first occurrence."""
+    # `_key`, but a 1-tuple at a single position, as `proj_fn` gives
+    sub_row = (_key(positions) if len(positions) != 1
+               else lambda row, i=positions[0]: (row[i],))
+    pairs = dict(zip(stored.elements, map(sub_row, stored.elements)))
+    image = Carrier("image", tuple(dict.fromkeys(pairs.values())))
+    return Rel(stored, image, frozenset(pairs.items()))
+
+
+def satisfies_shunted(rows: Sequence[tuple], xs: Sequence[int],
+                      ys: Sequence[int]) -> bool:
     """Linear algebraic route: ``y . x~`` is simple over the stored rows.
 
-    With x, y the projections restricted to the stored-row carrier S, the
-    quantifier-free inclusion ``x~ . x  included-in  y~ . y`` shunts
-    through the function y on the left and on the right into
-    ``(y . x~) . (y . x~)~  included-in  id``.  ``y . x~`` has a pair per
-    distinct (x, y) value pair, never more pairs than S has rows.
+    With x, y the projections onto the positions `xs`, `ys` restricted to
+    the carrier S of `rows`, the quantifier-free inclusion
+    ``x~ . x  included-in  y~ . y`` shunts through the function y on the
+    left and on the right into ``(y . x~) . (y . x~)~  included-in  id``.
+    ``y . x~`` has a pair per distinct (x, y) value pair, never more pairs
+    than S has rows.
     """
-    x = stored_proj_fn(scheme, fd.antecedent, stored)
-    y = stored_proj_fn(scheme, fd.consequent, stored)
+    stored = Carrier("stored", tuple(rows))
+    x, y = _stored_proj(stored, xs), _stored_proj(stored, ys)
     return rel.is_simple(rel.compose(y, rel.converse(x)))
 
 
@@ -357,8 +369,8 @@ def fd_projections(t: Table, fd: AttrFd) -> tuple[Rel, Rel]:
 
 
 def stored_fd_projections(t: Table, fd: AttrFd) -> tuple[Rel, Rel, Rel]:
-    """The identity of the stored-row carrier S and the antecedent and
-    consequent projections restricted to S."""
-    s = stored_carrier(t)
-    return (rel.identity(s), stored_proj_fn(t.scheme, fd.antecedent, s),
-            stored_proj_fn(t.scheme, fd.consequent, s))
+    """The identity of the carrier S of the stored rows, in `render_value`
+    order, and the antecedent and consequent projections restricted to S."""
+    s = Carrier("stored", tuple(sorted(t.rows, key=render_value)))
+    xs, ys = fd_positions(t.scheme, fd)
+    return rel.identity(s), _stored_proj(s, xs), _stored_proj(s, ys)

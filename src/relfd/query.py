@@ -381,7 +381,7 @@ def rewrite_selfjoin(e: QueryExpr, fds: Sequence[AttrFd]) -> QueryExpr:
     `fds`.  Matching runs modulo the partial-identity normalizations, to a
     fixpoint, leftmost-innermost.
     """
-    current = _normalize(e)
+    current = e
     fired_ever = False
     for _ in range(REWRITE_STEP_CAP):
         current = _normalize(current)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Union
 
 from .errors import CarrierMismatchError, SchemeError
@@ -174,7 +173,6 @@ def includes(r: Rel, s: Rel) -> bool:
     return s.pairs <= r.pairs
 
 
-@lru_cache(maxsize=8192)
 def kernel(r: Rel) -> Rel:
     """converse(r) composed with r: relates inputs sharing some output."""
     return compose(converse(r), r)

@@ -10,12 +10,6 @@ order):
 * `encode_pairs(table)` — the classical rendering of an n-ary table as a
   binary relation from the first attribute to right-nested pairs of the rest.
 
-FD checks read the universe only through ``pid``, which keeps the stored rows
-alone, so they run on the stored-row carrier instead: `stored_carrier(table)`
-holds just the stored rows, in row-universe lex order, and
-`stored_proj_fn(scheme, attrs, stored)` is `proj_fn` restricted to it, onto
-its image.  Both are as large as the table, not as the domain product.
-
 Values are those of `relfd.rel`: an atom is a `str` and a row is a `tuple`
 of values, in scheme order.  CSV ingestion reads every value as an atom, so
 a CSV row is the tuple of its fields; an optional JSON sidecar declares
@@ -97,19 +91,18 @@ class Table:
         return f"Table({','.join(self.scheme.names)}; {len(self.rows)} rows)"
 
 
-def row_carrier(obj: Union[Table, Scheme],
-                limit: int = ROW_CARRIER_LIMIT) -> Carrier:
+def row_carrier(obj: Union[Table, Scheme]) -> Carrier:
     """Carrier of all rows of the full domain product, in lex order."""
     scheme = obj.scheme if isinstance(obj, Table) else obj
-    return _row_carrier(scheme, limit)
+    return _row_carrier(scheme)
 
 
 @lru_cache(maxsize=None)
-def _row_carrier(scheme: Scheme, limit: int) -> Carrier:
+def _row_carrier(scheme: Scheme) -> Carrier:
     size = math.prod(len(dom) for _, dom in scheme.attributes)
-    if size > limit:
-        raise ResourceLimitError(
-            f"row universe has {size} rows, over the {limit} bound")
+    if size > ROW_CARRIER_LIMIT:
+        raise ResourceLimitError(f"row universe has {size} rows, "
+                                 f"over the {ROW_CARRIER_LIMIT} bound")
     elements = tuple(itertools.product(*(dom.elements
                                          for _, dom in scheme.attributes)))
     return Carrier("rows(" + ",".join(scheme.names) + ")", elements)
@@ -119,25 +112,9 @@ def _sub_scheme(scheme: Scheme, attrs: Iterable[str]) -> Scheme:
     return Scheme(tuple((n, scheme.domain(n)) for n in scheme.select(attrs)))
 
 
-def sub_row_carrier(scheme: Scheme, attrs: Iterable[str],
-                    limit: int = ROW_CARRIER_LIMIT) -> Carrier:
+def sub_row_carrier(scheme: Scheme, attrs: Iterable[str]) -> Carrier:
     """Row carrier of the sub-scheme given by `attrs`, in scheme order."""
-    return _row_carrier(_sub_scheme(scheme, attrs), limit)
-
-
-def _lex_carrier(name: str, scheme: Scheme, rows: Iterable[tuple]
-                 ) -> Carrier:
-    """Carrier of the given rows of `scheme`, in its row-universe lex order."""
-    index = [{v: i for i, v in enumerate(dom.elements)}
-             for _, dom in scheme.attributes]
-    ordered = sorted(rows, key=lambda row: [ix[v] for ix, v
-                                            in zip(index, row)])
-    return Carrier(f"{name}({','.join(scheme.names)})", tuple(ordered))
-
-
-def stored_carrier(table: Table) -> Carrier:
-    """Carrier of the stored rows only, in row-universe lex order."""
-    return _lex_carrier("stored", table.scheme, table.rows)
+    return _row_carrier(_sub_scheme(scheme, attrs))
 
 
 def pid(table: Table) -> Rel:
@@ -154,30 +131,11 @@ def proj_fn(scheme: Scheme, attrs: Iterable[str]) -> Rel:
 @lru_cache(maxsize=None)
 def _proj_fn(scheme: Scheme, attrs: frozenset) -> Rel:
     src = row_carrier(scheme)
-    sub, restrict = _project(scheme, attrs, src)
-    return Rel(src, _row_carrier(sub, ROW_CARRIER_LIMIT),
-               frozenset(restrict.items()))
-
-
-def stored_proj_fn(scheme: Scheme, attrs: Iterable[str],
-                   stored: Carrier) -> Rel:
-    """`proj_fn` restricted to the rows of `stored`, onto their image.
-
-    The image is in sub-universe lex order, like `sub_row_carrier`.
-    """
-    sub, restrict = _project(scheme, attrs, stored)
-    return Rel(stored, _lex_carrier("image", sub, set(restrict.values())),
-               frozenset(restrict.items()))
-
-
-def _project(scheme: Scheme, attrs: Iterable[str], src: Carrier
-             ) -> tuple[Scheme, dict]:
-    """The sub-scheme of `attrs`, and each row of `src` mapped to its
-    restriction to it."""
     sub = _sub_scheme(scheme, attrs)
     positions = [scheme.names.index(n) for n in sub.names]
-    return sub, {row: tuple(row[i] for i in positions)
-                 for row in src.elements}
+    return Rel(src, _row_carrier(sub),
+               frozenset((row, tuple(row[i] for i in positions))
+                         for row in src.elements))
 
 
 def encode_pairs(table: Table) -> Rel:

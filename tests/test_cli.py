@@ -161,8 +161,8 @@ def test_check_is_linear_at_20000_rows(tmp_path, capsys):
 
 
 def test_check_retains_no_memory_across_tables(tmp_path, capsys):
-    # 100 distinct 300-row tables in one process; the quadratic routes
-    # would leave each table's kernels in rel.kernel's cache
+    # 100 distinct 300-row tables in one process; nothing built for one
+    # table, such as a relation or a carrier of its rows, may outlive it
     gc.collect()
     tracemalloc.start()
     try:

@@ -15,7 +15,7 @@ from relfd.fd import (AttrFd, fd_positions, fd_projections, fd_violation,
 from relfd.rel import (Atom, Carrier, Rel, Tup, bang, identity, kernel,
                        render_value, top)
 from relfd.tables import (Scheme, Table, parse_table_csv, pid, proj_fn,
-                          row_carrier, stored_carrier)
+                          row_carrier)
 
 from conftest import (all_functions, all_rels, carrier,
                       kernel_representatives)
@@ -396,6 +396,25 @@ def test_violating_pair_is_the_first_pair_of_the_ordered_double_loop():
     assert 400 <= hits <= 800
 
 
+def test_stored_projections_are_proj_fn_restricted_to_the_stored_rows():
+    # domains listed out of value order
+    s = Scheme(tuple((n, Carrier(n, (Atom("1"), Atom("0"), Atom("2"))))
+                     for n in ("X", "Y", "Z")))
+    universe = row_carrier(s).elements
+    t = Table.make(s, set(universe[3::4]))
+    # the sides {Z, X}, {Y} and an empty antecedent
+    for fd in (AttrFd({"Z", "X"}, {"Y"}), AttrFd(set(), {"Z", "X"})):
+        p, x, y = stored_fd_projections(t, fd)
+        stored = p.source
+        assert p == identity(stored)
+        assert len(stored) == len(t.rows) and set(stored.elements) == t.rows
+        for f, attrs in ((x, fd.antecedent), (y, fd.consequent)):
+            assert f.source == stored and rel.is_function(f)
+            assert f.pairs == {(a, b) for a, b in proj_fn(s, attrs).pairs
+                               if a in t.rows}
+            assert set(f.target.elements) == {b for _, b in f.pairs}
+
+
 def test_stored_row_routes_agree_with_oracle_on_random_tables():
     # sidecar domains declare values the rows never use, so the stored rows
     # are a small part of the universe; rows draw from few values, so both
@@ -450,6 +469,7 @@ def test_linear_routes_equal_the_oracles_on_random_tables():
     # few enough values per attribute that both verdicts are common; half
     # the tables declare domains with values the rows never use
     rnd = random.Random(10)
+    shuffle = random.Random(0)
     seen = dict.fromkeys(["holds", "refuted", "trivial", "overlap",
                           "empty antecedent", "duplicate rows",
                           "unused domain values"], 0)
@@ -469,7 +489,7 @@ def test_linear_routes_equal_the_oracles_on_random_tables():
         t = parse_table_csv(csv, declared)
         seen["duplicate rows"] += len(t.rows) < len(rows)
         ordered = sorted(t.rows, key=render_value)
-        stored = stored_carrier(t)
+        shuffled = shuffle.sample(ordered, len(ordered))
         for _ in range(3):
             fd = _random_fd(rnd, names)
             at = fd_positions(t.scheme, fd)
@@ -477,7 +497,8 @@ def test_linear_routes_equal_the_oracles_on_random_tables():
             assert witness == oracle_violation(t, fd)
             holds = satisfies_oracle(t, fd)
             assert (witness is None) == holds
-            assert satisfies_shunted(stored, t.scheme, fd) == \
+            assert satisfies_shunted(ordered, *at) == \
+                satisfies_shunted(shuffled, *at) == \
                 satisfies_algebraic(t, fd) == holds
             assert satisfies_refinement(ordered, *at) == \
                 satisfies_typed(*stored_fd_projections(t, fd)) == holds

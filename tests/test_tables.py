@@ -8,8 +8,8 @@ from relfd.errors import (ParseError, ResourceLimitError, SchemeError,
 from relfd.rel import Atom, Carrier, Pair, Tup, identity, kernel, top
 from relfd.tables import (Scheme, Table, count_tables, encode_pairs,
                           enumerate_tables, load_schema_json, parse_table_csv,
-                          pid, proj_fn, row_carrier, stored_carrier,
-                          stored_proj_fn, sub_row_carrier, table_to_csv)
+                          pid, proj_fn, row_carrier, sub_row_carrier,
+                          table_to_csv)
 
 from conftest import FIXTURES
 
@@ -143,24 +143,6 @@ def test_proj_is_order_insensitive():
 def test_proj_unknown_attribute():
     with pytest.raises(UnknownAttributeError):
         proj_fn(scheme("X"), {"Nope"})
-
-
-def test_stored_projection_is_proj_fn_restricted_to_the_stored_rows():
-    # domains listed out of value order, so lex order is the declared one
-    s = Scheme(tuple((n, Carrier(n, (Atom("1"), Atom("0"), Atom("2"))))
-                     for n in ("X", "Y", "Z")))
-    universe = row_carrier(s).elements
-    t = Table.make(s, set(universe[3::4]))
-    stored = stored_carrier(t)
-    assert stored.elements == tuple(r for r in universe if r in t.rows)
-    for attrs in ({"Z", "X"}, {"Y"}, set()):
-        p = stored_proj_fn(s, attrs, stored)
-        full = proj_fn(s, attrs)
-        assert p.source == stored and rel.is_function(p)
-        assert p.pairs == {(a, b) for a, b in full.pairs if a in t.rows}
-        image = {b for _, b in p.pairs}
-        assert p.target.elements == tuple(
-            v for v in sub_row_carrier(s, attrs).elements if v in image)
 
 
 # ---------------------------------------------------------------------------
