@@ -148,9 +148,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             code = EXIT_REFUTED
 
     payload = {"query": out, "verification": verification}
-    text = json.dumps(out, indent=2)
-    if verdict_line:
-        text += "\n" + verdict_line
+    text = ""
+    if not args.json_output:  # the JSON form prints `payload` alone
+        text = json.dumps(out, indent=2)
+        if verdict_line:
+            text += "\n" + verdict_line
     _emit(args, payload, text)
     return code
 

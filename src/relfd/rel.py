@@ -11,14 +11,19 @@ Values are plain Python values: an atom is a `str` and an n-ary row is a
 two-value row.  `Atom` and `Tup` are aliases of `str` and `tuple`.
 
 All values are immutable and every operation is pure, so results can be
-shared freely.  Carriers are checked at every operation: combining relations
-over mismatched carriers raises instead of silently reinterpreting elements.
+shared freely.  For the same reason a `Rel` computes its input index (the
+outputs of each input) and its converse at most once and keeps them: a
+relation reused as the left operand of many compositions, such as a cached
+projection, pays for neither again.  Neither takes part in equality, hash or
+repr.  Carriers are checked at every operation: combining relations over
+mismatched carriers raises instead of silently reinterpreting elements.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Union
 
 from .errors import CarrierMismatchError, SchemeError
@@ -120,6 +125,20 @@ class Rel:
                     f"output {render_value(b)} not in carrier {target.name!r}")
         return cls(source, target, ps)
 
+    @cached_property
+    def _by_input(self) -> dict:
+        # the outputs of each input; shared by every call, so never mutated
+        index: dict = {}
+        for a, b in self.pairs:
+            index.setdefault(a, []).append(b)
+        return index
+
+    @cached_property
+    def _converse(self) -> "Rel":
+        # a fresh relation: its own converse is built again, not `self`
+        return Rel(self.target, self.source,
+                   frozenset((b, a) for a, b in self.pairs))
+
     def render(self) -> str:
         """Debug form, one sorted ``output <- input`` line per pair."""
         lines = sorted(f"{render_value(b)} <- {render_value(a)}"
@@ -140,9 +159,7 @@ def _require_same(c1: Carrier, c2: Carrier, what: str) -> None:
 def compose(r: Rel, s: Rel) -> Rel:
     """r . s — apply `s` first, then `r`; needs s.target = r.source."""
     _require_same(s.target, r.source, "compose")
-    by_input: dict = {}
-    for a, b in r.pairs:
-        by_input.setdefault(a, []).append(b)
+    by_input = r._by_input
     out = set()
     for c, a in s.pairs:
         for b in by_input.get(a, ()):
@@ -151,7 +168,7 @@ def compose(r: Rel, s: Rel) -> Rel:
 
 
 def converse(r: Rel) -> Rel:
-    return Rel(r.target, r.source, frozenset((b, a) for a, b in r.pairs))
+    return r._converse
 
 
 def union(r: Rel, s: Rel) -> Rel:
@@ -238,9 +255,7 @@ def fork(r: Rel, s: Rel) -> Rel:
     """Pair the outputs of r and s over their shared source."""
     _require_same(r.source, s.source, "fork")
     tgt = pair_carrier(r.target, s.target)
-    s_by_input: dict = {}
-    for c, b in s.pairs:
-        s_by_input.setdefault(c, []).append(b)
+    s_by_input = s._by_input
     out = set()
     for c, a in r.pairs:
         for b in s_by_input.get(c, ()):

@@ -10,6 +10,11 @@ order):
 * `encode_pairs(table)` — the classical rendering of an n-ary table as a
   binary relation from the first attribute to right-nested pairs of the rest.
 
+Row carriers and projection functions are cached by scheme, in LRU caches of
+`CACHE_SIZE` entries each: the queries on one table reuse them, and the bound
+keeps a long-lived process from pinning the row universe of every scheme it
+has seen, with the index and converse each cached `Rel` keeps.
+
 Values are those of `relfd.rel`: an atom is a `str` and a row is a `tuple`
 of values, in scheme order.  CSV ingestion reads every value as an atom, so
 a CSV row is the tuple of its fields; an optional JSON sidecar declares
@@ -37,6 +42,7 @@ from .rel import (Carrier, Pair, Rel, Value, pair_carrier, render_value,
 log = logging.getLogger(__name__)
 
 ROW_CARRIER_LIMIT = 10 ** 6
+CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,7 @@ def row_carrier(obj: Union[Table, Scheme]) -> Carrier:
     return _row_carrier(scheme)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _row_carrier(scheme: Scheme) -> Carrier:
     size = math.prod(len(dom) for _, dom in scheme.attributes)
     if size > ROW_CARRIER_LIMIT:
@@ -128,7 +134,7 @@ def proj_fn(scheme: Scheme, attrs: Iterable[str]) -> Rel:
     return _proj_fn(scheme, frozenset(attrs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _proj_fn(scheme: Scheme, attrs: frozenset) -> Rel:
     src = row_carrier(scheme)
     sub = _sub_scheme(scheme, attrs)
@@ -261,7 +267,9 @@ def parse_table_csv(text: str,
     dropped = len(raw_rows) - len(rows)
     if dropped:
         log.warning("dropped %d duplicate row(s) at load", dropped)
-    return Table.make(scheme, rows)
+    # every row was checked above against the arity and the declared
+    # domains, and an undeclared domain is built from its column
+    return Table(scheme, frozenset(rows))
 
 
 def load_table(path: str, schema_path: str | None = None) -> Table:

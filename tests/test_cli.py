@@ -69,6 +69,20 @@ def test_check_parse_error_exit_code(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_check_value_outside_declared_domain_exits_2_at_its_line(tmp_path,
+                                                                 capsys):
+    table = tmp_path / "t.csv"
+    table.write_text("A,B\n0,x\n1,x\n2,y\n")
+    schema = tmp_path / "t.schema.json"
+    schema.write_text('{"A": ["0", "1"]}')
+    fds = tmp_path / "t.fds"
+    fds.write_text("A -> B\n")
+    code, out, err = run(capsys, "check", "--table", table, "--schema",
+                         schema, "--fds", fds)
+    assert (code, out) == (2, "")
+    assert err == "error: line 4: value '2' outside declared domain of 'A'\n"
+
+
 def test_check_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "check", "--table", "/nonexistent.csv",
                        "--fds", FIXTURES / "pilots.fds")
@@ -174,6 +188,45 @@ def test_check_retains_no_memory_across_tables(tmp_path, capsys):
             code, _, err = run(capsys, "check", "--table", table,
                                "--fds", fds_file)
             assert code == 1, err
+            if k in (10, 100):
+                gc.collect()
+                retained = tracemalloc.get_traced_memory()[0]
+                if k == 10:
+                    at_10 = retained
+    finally:
+        tracemalloc.stop()
+    growth_mb = (retained - at_10) / 2 ** 20
+    assert growth_mb < 3, f"retained memory grew {growth_mb:.1f} MB"
+
+
+def test_optimize_retains_no_memory_across_tables(tmp_path, capsys):
+    # 100 distinct tables of universe 420 in one process; the scheme-keyed
+    # caches are bounded, so what one table builds does not outlive the
+    # next few: its row universe, projections, their indexes and converses
+    query = tmp_path / "q.json"
+    query.write_text(json.dumps({"op": "compose", "args": [
+        {"op": "proj", "scheme": "t", "attrs": ["D"]},
+        {"op": "pid", "table": "t"},
+        {"op": "kernel", "arg": {"op": "proj", "scheme": "t",
+                                 "attrs": ["T"]}},
+        {"op": "pid", "table": "t"},
+        {"op": "converse", "arg": {"op": "proj", "scheme": "t",
+                                   "attrs": ["A"]}}]}))
+    fds = tmp_path / "t.fds"
+    fds.write_text("T -> D\n")
+    table = tmp_path / "t.csv"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for k in range(1, 101):
+            rows = [(f"t{k}_{i % 7}", f"d{k}_{i % 7 % 6}", f"a{k}_{i % 10}")
+                    for i in range(70)]
+            table.write_text("\n".join(",".join(r) for r in [("T", "D", "A")]
+                                       + rows) + "\n")
+            code, out, err = run(capsys, "optimize", "--query", query,
+                                 "--fds", fds, "--table", table, "--json")
+            assert code == 0, err
+            assert json.loads(out)["verification"]["status"] == "verified"
             if k in (10, 100):
                 gc.collect()
                 retained = tracemalloc.get_traced_memory()[0]

@@ -109,6 +109,45 @@ def test_converse_antidistributes_over_compose(data):
     assert converse(compose(r, s)) == compose(converse(s), converse(r))
 
 
+def _random_rel(rnd, src, tgt):
+    density = rnd.random()
+    return Rel(src, tgt, frozenset((a, b) for a in src.elements
+                                   for b in tgt.elements
+                                   if rnd.random() < density))
+
+
+def test_cached_index_and_converse_match_set_comprehensions():
+    # each r is the left operand of many compositions, so all but the first
+    # read its cached index; its converse and kernel are also asked twice
+    rnd = random.Random(1302)
+    for _ in range(40):
+        a, b, c = (carrier(n, rnd.randint(1, 6)) for n in "ABC")
+        r = _random_rel(rnd, b, c)
+        for _ in range(2):
+            assert converse(r).pairs == {(y, x) for x, y in r.pairs}
+            assert kernel(r).pairs == {(x, z) for x, y in r.pairs
+                                       for z, w in r.pairs if y == w}
+        assert converse(r) is converse(r)
+        for _ in range(12):
+            s = _random_rel(rnd, a, b)
+            assert compose(r, s).pairs == {(x, z) for x, y in s.pairs
+                                           for w, z in r.pairs if y == w}
+        assert "_by_input" in vars(r)
+
+
+def test_cached_index_and_converse_stay_outside_equality_and_hash():
+    rnd = random.Random(7)
+    r = _random_rel(rnd, carrier("A", 5), carrier("B", 4))
+    twin = Rel(r.source, r.target, frozenset(r.pairs))
+    compose(r, identity(r.source))
+    again = converse(converse(r))
+    assert {"_by_input", "_converse"} <= vars(r).keys()
+    assert not {"_by_input", "_converse"} & vars(twin).keys()
+    assert r == twin and hash(r) == hash(twin) and repr(r) == repr(twin)
+    # the converse of a converse is built afresh, not handed back
+    assert again == r and again is not r and again.pairs is not r.pairs
+
+
 # ---------------------------------------------------------------------------
 # union / intersect / includes
 

@@ -280,3 +280,12 @@ def test_table_json_round_trip_is_lossless():
         '{"A": ["0", "1", "2"], "B": ["x", "y"]}')
     t = parse_table_csv("A,B\n0,x\n2,y\n", declared)
     assert table_from_json(table_to_json(t)) == t
+
+
+def test_table_from_json_rejects_a_value_outside_its_domain():
+    from relfd.tables import table_from_json
+    obj = {"attributes": [{"name": "A", "domain": ["0", "1"]},
+                          {"name": "B", "domain": ["x"]}],
+           "rows": [["0", "x"], ["2", "x"]]}
+    with pytest.raises(SchemeError, match="value 2 outside domain of 'A'"):
+        table_from_json(obj)
