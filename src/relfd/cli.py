@@ -4,6 +4,8 @@ Subcommands: `check`, `closure`, `derive`, `cex`, `optimize`, `laws`.
 Exit codes: 0 success / property holds, 1 dependency or law refuted (a
 witness is printed), 2 input error, 3 internal-consistency failure (two
 checking routes disagreed, which signals a bug rather than bad input).
+Each command imports the modules it runs, so start-up loads only `fd`,
+`tables` and the modules under them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import functools
 import json
 import sys
 
-from . import fd, infer, query, search, tables
+from . import fd, tables
 from .errors import InternalCheckError, ParseError, RelfdError
 from .rel import rel_to_json, render_value
 
@@ -76,6 +78,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_closure(args: argparse.Namespace) -> int:
+    from . import infer
     fds = _load_fds(args)
     attrs = fd.parse_attr_list(args.attrs)
     closure = sorted(infer.attr_closure(fds, attrs))
@@ -84,6 +87,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
+    from . import infer
     fds = _load_fds(args)
     goal = fd.parse_fd(args.goal)
     tree = infer.derive(fds, goal)
@@ -92,12 +96,14 @@ def cmd_derive(args: argparse.Namespace) -> int:
               "not derivable")
         return EXIT_REFUTED
     obj = infer.derivation_to_dict(tree)
-    _emit(args, {"derivable": True, "derivation": obj},
-          json.dumps(obj, indent=2))
+    # the JSON form prints the payload alone
+    text = "" if args.json_output else json.dumps(obj, indent=2)
+    _emit(args, {"derivable": True, "derivation": obj}, text)
     return EXIT_OK
 
 
 def cmd_cex(args: argparse.Namespace) -> int:
+    from . import search
     fds = _load_fds(args)
     goal = fd.parse_fd(args.goal)
     scope = search.Scope(max_rows=args.scope_rows,
@@ -112,6 +118,7 @@ def cmd_cex(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    from . import query
     with open(args.query, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
@@ -158,6 +165,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _table_refs(e) -> set:
+    from . import query
     if isinstance(e, query.Pid):
         return {e.table}
     if isinstance(e, query.Proj):
@@ -166,6 +174,7 @@ def _table_refs(e) -> set:
 
 
 def cmd_laws(args: argparse.Namespace) -> int:
+    from . import search
     from .laws import LAW_SUITE  # loads numpy; no other command needs it
     scope = search.Scope(max_carrier=args.scope_carrier)
     lines = []

