@@ -33,6 +33,16 @@ the first witness from those bitsets in the same C order as `_first_false`
 on the unpacked boolean array, so every sweep keeps its nesting order and
 its first witness.
 
+Likewise each sweep judges each distinct computed term once: a function
+whose rows of computed terms (say ker(f.R~) for every R) are byte-equal to
+an earlier one's gets the same judgement, so `_distinct` keeps the first
+of each class and the nesting order and first witness stay.  A skip needs
+computed rows that are byte-equal; an algebraic identity ("ker(f.R~)
+depends only on ker f") must never justify one, the same caution as
+`bitrel.fork_kernel_table`'s: the identity holds of the true tables, so
+resting on it would hide a wrong table from the sweep that is meant to
+expose it.
+
 `search_law_bruteforce` is a slow pointwise mirror of the sweep machinery
 used by the tests to cross-validate the vectorized engine.
 """
@@ -41,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -103,9 +113,15 @@ def _first_false(ok: np.ndarray) -> Optional[tuple[int, ...]]:
     return tuple(int(i) for i in np.unravel_index(flat, ok.shape))
 
 
-def _firsts(keys: np.ndarray) -> np.ndarray:
-    """Indices of the first occurrence of each distinct key, ascending."""
-    return np.sort(np.unique(keys, return_index=True)[1])
+def _distinct(*terms: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first row, along axis 0, of each distinct
+    tuple of rows of `terms`; rows are compared byte for byte."""
+    rows = np.concatenate([np.ascontiguousarray(t).reshape(len(t), -1)
+                           .view(np.uint8) for t in terms], axis=1)
+    first: dict = {}
+    for i, row in enumerate(rows):
+        first.setdefault(row.tobytes(), i)
+    return np.fromiter(first.values(), dtype=np.intp, count=len(first))
 
 
 def _low_bit(x: int) -> int:
@@ -266,7 +282,9 @@ def _trade_violation(lb: np.ndarray, rb: np.ndarray
 def _sweep_fd_trading(sz: dict) -> Optional[dict]:
     """The y axis is packed into bitsets: lb[x, m] holds the y for which
     x -> y holds on m = z.R.k~, tabulated over every K -> Z mask m, and
-    rb[k, x, R] the y for which ker(x.k.R~) is in ker(y.z), per z."""
+    rb[x, k, R] the y for which k2[x, k, R] = ker(x.k.R~) is in ker(y.z),
+    per z.  An x whose lb and k2 rows equal an earlier x's is judged as
+    that x, and every k of one z is judged in one array operation."""
     a, kk, b, zz = sz["A"], sz["K"], sz["B"], sz["Z"]
     cx, cy = sz["CX"], sz["CY"]
     zf = B.function_masks(b, zz)
@@ -275,25 +293,29 @@ def _sweep_fd_trading(sz: dict) -> Optional[dict]:
     yf = B.function_masks(zz, cy)
     ct_zr = B.compose_table(a, b, zz)
     ct_zrck = B.compose_table(kk, a, zz)
-    conv_k = B.converse_table(a, kk)
+    conv_k = B.converse_table(a, kk)[kf][:, None]
     conv_kz = B.converse_table(kk, zz)
     ct_x_cm = B.compose_table(zz, kk, cx)
     lb = B.fit_table(zz, B.kernel_table(zz, cy)[yf])[
         B.kernel_table(zz, cx)[ct_x_cm[xf[:, None], conv_kz[None, :]]]]
-    xk = B.compose_table(a, kk, cx)[xf[None, :], kf[:, None]]
+    xk = B.compose_table(a, kk, cx)[xf[:, None], kf[None, :]]
+    xk, at = np.unique(xk, return_inverse=True)  # x.k: at most CX^A values
     k2 = B.kernel_table(b, cx)[B.compose_table(b, a, cx)[
-        xk[:, :, None], B.converse_table(a, b)]]
+        xk[:, None], B.converse_table(a, b)]][at.reshape(len(xf), len(kf))]
+    xs = _distinct(lb, k2)
+    lb, k2 = lb[xs], k2[xs].astype(np.intp)  # take() is slow with int32
     ct_yz = B.compose_table(b, zz, cy)
     kyz_tab = B.kernel_table(b, cy)
     for z in zf:
-        rb = B.fit_table(b, kyz_tab[ct_yz[yf, z]])[k2]
-        for ki, k in enumerate(kf):
-            m = ct_zrck[ct_zr[z, :], conv_k[k]]
-            hit = _trade_violation(lb.take(m, axis=1), rb[ki])
-            if hit is not None:
-                xi, yi, ri = hit
-                return {"x": int(xf[xi]), "z": int(z), "R": ri,
-                        "k": int(k), "y": int(yf[yi])}
+        m = ct_zrck[ct_zr[z, :][None, :], conv_k]
+        lbm = lb.take(m, axis=1)
+        rb = B.fit_table(b, kyz_tab[ct_yz[yf, z]]).take(k2)
+        hits = np.flatnonzero((lbm != rb).any(axis=(0, 2)))
+        if hits.size:
+            ki = hits[0]
+            xi, yi, ri = _trade_violation(lbm[:, ki], rb[:, ki])
+            return {"x": int(xf[xs[xi]]), "z": int(z), "R": ri,
+                    "k": int(kf[ki]), "y": int(yf[yi])}
     return None
 
 
@@ -315,7 +337,7 @@ def _sweep_union_injectivity(sz: dict) -> Optional[dict]:
                                    np.arange(n, dtype=np.int64)[None, :]]
     masks = np.arange(n, dtype=np.int64)
     ku = ker_ab[masks[:, None] | masks[None, :]]
-    for xi in _firsts(ker_ab):
+    for xi in _distinct(ker_ab):
         kx = int(ker_ab[xi])
         lhs = B.subset(ku, kx)
         single = B.subset(ker_ab, kx)
@@ -339,7 +361,7 @@ def _sweep_fork_lub(sz: dict, corrupted: bool = False) -> Optional[dict]:
     ker_t = B.kernel_table(c, d)
     ker_r = B.kernel_table(c, a)
     ker_s = B.kernel_table(c, b)
-    for ti in _firsts(ker_t):
+    for ti in _distinct(ker_t):
         kt = int(ker_t[ti])
         lhs = B.subset(kt, fk)
         rhs = B.subset(kt, ker_r)[:, None]
@@ -369,8 +391,9 @@ def _sweep_consequent_pairing(sz: dict) -> Optional[dict]:
     fk = B.fork_kernel_table(b, gg, hh)[np.ix_(funcs_g, funcs_h)]
     kg = B.kernel_table(b, gg)[funcs_g]
     kh = B.kernel_table(b, hh)[funcs_h]
-    for fi, f in enumerate(funcs_f):
-        kfr = ker_bf[ct_f_cr[f, conv_ab]]
+    kfrs = ker_bf[ct_f_cr[funcs_f[:, None], conv_ab[None, :]]]
+    for fi in _distinct(kfrs):
+        f, kfr = funcs_f[fi], kfrs[fi]
         lhs = B.subset(kfr[:, None, None], fk[None, :, :])
         okg = B.subset(kfr[:, None], kg[None, :])
         okh = B.subset(kfr[:, None], kh[None, :])
@@ -401,7 +424,8 @@ def _union_terms(sz: dict):
     Returns the g masks, their kernels, the table composing R after a
     relation B -> A, and an iterator that yields, per function f, its mask,
     ker(f.R~) for every R and ker(f).S~ for every S.  f -> g holds on R when
-    ker(f.R~) is in ker g, and mutually on (R, S) when R.ker(f).S~ is.
+    ker(f.R~) is in ker g, and mutually on (R, S) when R.ker(f).S~ is.  An f
+    whose two rows equal an earlier f's is not yielded.
     """
     a, b, c, d = sz["A"], sz["B"], sz["C"], sz["D"]
     funcs_g = B.function_masks(b, d)
@@ -409,10 +433,11 @@ def _union_terms(sz: dict):
     ct_f_cu = B.compose_table(b, a, c)
     ker_bc = B.kernel_table(b, c)
     ker_ac = B.kernel_table(a, c)
-    ct_kf_cs = B.compose_table(b, a, a)
-    per_f = ((int(f), ker_bc[ct_f_cu[f, conv_ab]],
-              ct_kf_cs[int(ker_ac[f]), conv_ab])
-             for f in B.function_masks(a, c))
+    funcs_f = B.function_masks(a, c)
+    kfus = ker_bc[ct_f_cu[funcs_f[:, None], conv_ab[None, :]]]
+    m1s = B.compose_table(b, a, a)[ker_ac[funcs_f][:, None], conv_ab[None, :]]
+    per_f = ((int(funcs_f[fi]), kfus[fi], m1s[fi])
+             for fi in _distinct(kfus, m1s))
     return (funcs_g, B.kernel_table(b, d)[funcs_g],
             B.compose_table(b, a, b), per_f)
 
@@ -487,13 +512,23 @@ def _join_violation(prem1, prem2, conc1, conc2):
     return (*hit, _low_bit(p1), _low_bit(p2 & ~c2))
 
 
+@lru_cache(maxsize=None)
+def _domains(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct domain masks of the relations m -> n, and the index of
+    each relation's domain among them."""
+    return np.unique(B.domain_table(m, n), return_inverse=True)
+
+
 def _sweep_join_fd_typing(sz: dict,
                           corrupted: bool = False) -> Optional[dict]:
     """Premises p1[R] = {g : f -> g on R} and p2[S] = {h : f -> h on S};
     the conclusion f -> gxh on fork(R,S) is factored as ok1[R,S] (over g)
-    and ok2[R,S] (over h).  All four are bitsets and depend on f only
-    through ker f, so each kernel is judged once, at its first f.  The
-    corrupted rule swaps premises and conclusion."""
+    and ok2[R,S] (over h).  All four are bitsets; the conclusion reads f
+    only through ker f, so an f whose p1, p2 and ker f rows equal an
+    earlier f's is judged as that f.  ok1 reads S only through its domain
+    mask, so l1 is built per distinct domain mask (at most 2^A of them) and
+    spread back over S; likewise ok2 over R.  The corrupted rule swaps
+    premises and conclusion."""
     a, b, c = sz["A"], sz["B"], sz["C"]
     ff, gg, hh = sz["F"], sz["G"], sz["H"]
     funcs_f = B.function_masks(a, ff)
@@ -501,38 +536,35 @@ def _sweep_join_fd_typing(sz: dict,
     funcs_h = B.function_masks(c, hh)
     conv_ab = B.converse_table(a, b)
     conv_ac = B.converse_table(a, c)
-    ct_f_cr = B.compose_table(b, a, ff)
-    ct_f_cs = B.compose_table(c, a, ff)
-    ker_bf = B.kernel_table(b, ff)
-    ker_cf = B.kernel_table(c, ff)
     fits_g = B.fit_table(b, B.kernel_table(b, gg)[funcs_g])
     fits_h = B.fit_table(c, B.kernel_table(c, hh)[funcs_h])
-    dom_ab = B.domain_table(a, b)
-    dom_ac = B.domain_table(a, c)
-    ker_af = B.kernel_table(a, ff)
+    p1s = fits_g[B.kernel_table(b, ff)[
+        B.compose_table(b, a, ff)[funcs_f[:, None], conv_ab[None, :]]]]
+    p2s = fits_h[B.kernel_table(c, ff)[
+        B.compose_table(c, a, ff)[funcs_f[:, None], conv_ac[None, :]]]]
+    kfs = B.kernel_table(a, ff)[funcs_f]
     ct_aaa = B.compose_table(a, a, a)
     ct_r_mid = B.compose_table(a, a, b)
     ct_rm_cr = B.compose_table(b, a, b)
     ct_s_mid = B.compose_table(a, a, c)
     ct_sm_cs = B.compose_table(c, a, c)
-    rm = np.arange(1 << (a * b), dtype=np.int64)
-    sm = np.arange(1 << (a * c), dtype=np.int64)
-    for f in funcs_f[_firsts(ker_af[funcs_f])]:
-        kf = int(ker_af[f])
-        p1 = fits_g[ker_bf[ct_f_cr[f, conv_ab]]][:, None]
-        p2 = fits_h[ker_cf[ct_f_cs[f, conv_ac]]][None, :]
+    rm = np.arange(1 << (a * b), dtype=np.int64)[:, None]
+    sm = np.arange(1 << (a * c), dtype=np.int64)[None, :]
+    dom_ac, at1 = _domains(a, c)
+    dom_ab, at2 = _domains(a, b)
+    for fi in _distinct(p1s, p2s, kfs):
+        kf = int(kfs[fi])
+        p1, p2 = p1s[fi][:, None], p2s[fi][None, :]
         mid1 = ct_aaa[ct_aaa[dom_ac, kf], dom_ac]
-        l1 = ct_rm_cr[ct_r_mid[rm[:, None], mid1[None, :]],
-                      conv_ab[rm][:, None]]
+        l1 = ct_rm_cr[ct_r_mid[rm, mid1[None, :]], conv_ab[:, None]]
         mid2 = ct_aaa[ct_aaa[dom_ab, kf], dom_ab]
-        l2 = ct_sm_cs[ct_s_mid[sm[None, :], mid2[:, None]],
-                      conv_ac[sm][None, :]]
-        ok1, ok2 = fits_g[l1], fits_h[l2]
+        l2 = ct_sm_cs[ct_s_mid[sm, mid2[:, None]], conv_ac[None, :]]
+        ok1, ok2 = fits_g[l1][:, at1], fits_h[l2][at2, :]
         terms = (ok1, ok2, p1, p2) if corrupted else (p1, p2, ok1, ok2)
         hit = _join_violation(*terms)
         if hit is not None:
             ri, si, gi, hi = hit
-            return {"R": ri, "S": si, "f": int(f),
+            return {"R": ri, "S": si, "f": int(funcs_f[fi]),
                     "g": int(funcs_g[gi]), "h": int(funcs_h[hi])}
     return None
 

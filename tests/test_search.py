@@ -9,8 +9,8 @@ from relfd import bitrel, rel
 from relfd.errors import ResourceLimitError, UnknownLawError
 from relfd.fd import AttrFd, parse_fd, satisfies_oracle
 from relfd.infer import attr_closure, derive
-from relfd.laws import (LAW_REGISTRY, LAW_SUITE, _first_bit, _first_false,
-                        _firsts, _join_violation, _trade_violation,
+from relfd.laws import (LAW_REGISTRY, LAW_SUITE, _distinct, _first_bit,
+                        _first_false, _join_violation, _trade_violation,
                         search_law_bruteforce)
 from relfd.rel import Atom, Tup
 from relfd.search import Scope, search_law, search_tables, two_tuple_witness
@@ -444,12 +444,21 @@ def test_first_bit_matches_first_false_on_the_unpacked_array():
     assert last_bit_hits >= 50
 
 
-def test_firsts_are_the_first_occurrence_of_each_key():
+def test_distinct_rows_are_the_first_occurrence_of_each_key():
     rnd = random.Random(14)
     for _ in range(200):
         keys = np.array([rnd.randrange(6) for _ in range(rnd.randint(1, 30))])
         plain = [i for i, k in enumerate(keys) if k not in keys[:i]]
-        assert list(_firsts(keys)) == plain
+        assert list(_distinct(keys)) == plain
+        # a tuple of rows: an int32 matrix and an int64 vector, few values
+        # so that rows repeat
+        n = rnd.randint(1, 30)
+        rows = np.array([[rnd.randrange(2) for _ in range(3)]
+                         for _ in range(n)], dtype=np.int32)
+        cols = np.array([rnd.randrange(2) for _ in range(n)], dtype=np.int64)
+        pairs = [(tuple(r), c) for r, c in zip(rows.tolist(), cols.tolist())]
+        plain = [i for i, p in enumerate(pairs) if p not in pairs[:i]]
+        assert list(_distinct(rows, cols)) == plain
 
 
 def test_law_witness_json_round_trip():
