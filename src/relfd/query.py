@@ -8,8 +8,14 @@ chain is one n-ary `Compose` node: building a `Compose` splices in any
 `Compose` among its factors.  `eval_query` evaluates bottom-up against an
 environment of tables and relations; `rewrite_selfjoin` removes the
 classical "scan the same file twice through a kernel" shape whenever a
-supplied dependency set proves it redundant, and `verify_equiv` confirms a
-rewrite by evaluating both sides.
+supplied dependency set proves it redundant.
+
+A rewrite is confirmed on a table by typing first.  Each fired window is
+enabled by an FD, ``f -> g`` or ``f -> h``; when one of the two holds on
+the stored rows (`discharged`, one linear pass per FD), the window equals
+its rewrite there, and so does the whole query.  Only when typing cannot
+settle it does `verify_equiv` evaluate both sides; it alone reports a
+counterexample, the first differing pair.
 
 A composition chain is evaluated as one step.  Each kernel factor
 ``ker e`` is unfolded into the two factors ``e~ . e`` (the definition of
@@ -46,7 +52,7 @@ from typing import Optional, Sequence, Union
 from . import rel, tables
 from .errors import (CarrierMismatchError, ParseError, QueryTypeError,
                      RelfdError)
-from .fd import AttrFd
+from .fd import AttrFd, fd_positions, satisfies_refinement
 from .infer import derive
 from .rel import Carrier, Rel, Value, render_value
 from .tables import Table
@@ -203,12 +209,25 @@ def _table(env: Env, name: str, path: str) -> Table:
     return env.tables[name]
 
 
+def _unbound(e: RelRef, path: str) -> QueryTypeError:
+    return QueryTypeError(f"unbound relation {e.name!r}", path)
+
+
+def reject_relations(e: QueryExpr, path: str = "query") -> None:
+    """Raise the error `type_check` gives the first `rel` node, in its
+    order, in an environment that binds no relation."""
+    if isinstance(e, RelRef):
+        raise _unbound(e, path)
+    for i, a in enumerate(e.args):
+        reject_relations(a, _arg_path(e, path, i))
+
+
 def type_check(e: QueryExpr, env: Env, path: str = "query"
                ) -> tuple[Carrier, Carrier]:
     """Source and target carriers of the expression, or a located error."""
     if isinstance(e, RelRef):
         if e.name not in env.rels:
-            raise QueryTypeError(f"unbound relation {e.name!r}", path)
+            raise _unbound(e, path)
         r = env.rels[e.name]
         return r.source, r.target
     if isinstance(e, (Pid, Proj)):
@@ -327,8 +346,11 @@ def _normalize(e: QueryExpr) -> QueryExpr:
 
 
 def _match_window(chain: Sequence[QueryExpr], i: int,
-                  fds: Sequence[AttrFd]) -> Optional[list[QueryExpr]]:
-    """Replacement for chain[i:i+5] when it is an eliminable self-join."""
+                  fds: Sequence[AttrFd], fired: list
+                  ) -> Optional[list[QueryExpr]]:
+    """Replacement for chain[i:i+5] when it is an eliminable self-join; a
+    fired window is appended to `fired` as ``(table, f, g, h)``, the
+    attribute sets of its projections."""
     if i + 5 > len(chain):
         return None
     g, p1, kf, p2, hc = chain[i:i + 5]
@@ -346,50 +368,51 @@ def _match_window(chain: Sequence[QueryExpr], i: int,
                or derive(list(fds), AttrFd(f.attrs, h.attrs)) is not None)
     if not enabled:
         return None
+    fired.append((name, f.attrs, g.attrs, h.attrs))
     return [g, p1, hc]
 
 
-def _rewrite_once(e: QueryExpr, fds: Sequence[AttrFd]
-                  ) -> tuple[QueryExpr, bool]:
-    """One leftmost-innermost pass; reports whether anything fired."""
+def _rewrite_once(e: QueryExpr, fds: Sequence[AttrFd], fired: list
+                  ) -> QueryExpr:
+    """One leftmost-innermost pass; appends what fired to `fired`."""
     if not e.args:
-        return e, False
-    done = [_rewrite_once(a, fds) for a in e.args]
-    args = [a for a, _ in done]
-    fired = any(f for _, f in done)
+        return e
+    args = [_rewrite_once(a, fds, fired) for a in e.args]
     if isinstance(e, Compose):
         i = 0
         while i < len(args):
-            replacement = _match_window(args, i, fds)
+            replacement = _match_window(args, i, fds, fired)
             if replacement is not None:
                 args[i:i + 5] = replacement
-                fired = True
             else:
                 i += 1
-    return type(e)(*args), fired
+    return type(e)(*args)
 
 
 REWRITE_STEP_CAP = 100
 
 
-def rewrite_selfjoin(e: QueryExpr, fds: Sequence[AttrFd]) -> QueryExpr:
+def rewrite_selfjoin(e: QueryExpr, fds: Sequence[AttrFd],
+                     fired: Optional[list] = None) -> QueryExpr:
     """Eliminate dependency-redundant self-joins; unchanged when none match.
 
     A composition window ``g . pid(M) . kernel(f) . pid(M) . h~`` over one
     table, with f, g, h projections of that table's scheme, collapses to
     ``g . pid(M) . h~`` whenever ``f -> g`` or ``f -> h`` is derivable from
     `fds`.  Matching runs modulo the partial-identity normalizations, to a
-    fixpoint, leftmost-innermost.
+    fixpoint, leftmost-innermost.  Each window that fires is appended to
+    `fired`, when given, as ``(table, f, g, h)``: the table's name and the
+    attribute sets of the three projections.
     """
+    fired = [] if fired is None else fired
+    start = len(fired)
     current = e
-    fired_ever = False
     for _ in range(REWRITE_STEP_CAP):
-        current = _normalize(current)
-        current, fired = _rewrite_once(current, fds)
-        fired_ever = fired_ever or fired
-        if not fired:
+        before = len(fired)
+        current = _rewrite_once(_normalize(current), fds, fired)
+        if len(fired) == before:
             break
-    return current if fired_ever else e
+    return current if len(fired) > start else e
 
 
 def count_pid_nodes(e: QueryExpr) -> int:
@@ -409,14 +432,43 @@ class EquivResult:
         return self.equal
 
 
-def verify_equiv(e1: QueryExpr, e2: QueryExpr, env: Env) -> EquivResult:
-    """Evaluate both expressions; report the first differing pair if any."""
+def type_check_pair(e1: QueryExpr, e2: QueryExpr, env: Env
+                    ) -> tuple[Carrier, Carrier]:
+    """The carriers both expressions type to; a `QueryTypeError` locates
+    an ill-typed one, and a `CarrierMismatchError` reports two types."""
     c1 = type_check(e1, env)
     c2 = type_check(e2, env)
     if c1 != c2:
         raise CarrierMismatchError(
             f"expressions type to different carriers: "
             f"({c1[0].name} -> {c1[1].name}) vs ({c2[0].name} -> {c2[1].name})")
+    return c1
+
+
+def discharged(fired: Sequence[tuple], env: Env) -> bool:
+    """Whether every fired window's rewrite holds on its table by typing:
+    ``f -> g`` or ``f -> h`` holds on the stored rows.
+
+    The window ``g . pid . ker f . pid . h~`` relates ``h(r2)`` to
+    ``g(r1)`` for stored rows r1, r2 with ``f(r1) = f(r2)``.  Either FD
+    makes each such pair come from one row, so the window equals
+    ``g . pid . h~`` on that table; every operator maps equal arguments to
+    equal results, so the whole query equals its rewrite.  False means
+    only that typing cannot settle it.  The query must type-check in `env`
+    first: then f, g and h are attributes of the table's scheme.
+    """
+    for name, f, g, h in fired:
+        table = env.tables[name]
+        if not any(satisfies_refinement(
+                table.rows, *fd_positions(table.scheme, AttrFd(f, y)))
+                for y in (g, h)):
+            return False
+    return True
+
+
+def verify_equiv(e1: QueryExpr, e2: QueryExpr, env: Env) -> EquivResult:
+    """Evaluate both expressions; report the first differing pair if any."""
+    type_check_pair(e1, e2, env)
     r1 = _eval(e1, env)
     r2 = _eval(e2, env)
     if r1.pairs == r2.pairs:

@@ -1,11 +1,12 @@
 import gc
 import json
+import random
 import time
 import tracemalloc
 
 import pytest
 
-from relfd import cli, fd, tables
+from relfd import cli, fd, query, tables
 from relfd.cli import main
 from relfd.query import MAX_QUERY_DEPTH
 
@@ -371,7 +372,15 @@ def test_optimize_rewrites_and_verifies(capsys):
     assert query.to_json(rewritten) == payload["query"]
 
 
-def test_optimize_flags_violating_table(capsys):
+def test_optimize_flags_violating_table(capsys, monkeypatch):
+    calls = []
+    verify = query.verify_equiv
+
+    def counted(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(query, "verify_equiv", counted)
     code, payload, _ = run_json(
         capsys, "optimize", "--query", FIXTURES / "movies_query.json",
         "--fds", FIXTURES / "movies.fds",
@@ -379,6 +388,7 @@ def test_optimize_flags_violating_table(capsys):
     assert code == 1
     assert payload["verification"]["status"] == "counterexample"
     assert payload["verification"]["witness"] == ["(a2)", "(d1)"]
+    assert len(calls) == 1  # the witness comes from evaluation
 
 
 def test_optimize_table_flag_needs_single_reference(tmp_path, capsys):
@@ -506,6 +516,116 @@ def test_deeply_nested_schema_is_input_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: bad schema JSON: maximum recursion depth")
+
+
+def test_optimize_verifies_by_typing_without_evaluating(tmp_path, capsys,
+                                                         monkeypatch):
+    def no_evaluation(*args):
+        raise AssertionError("verify_equiv called")
+
+    monkeypatch.setattr(query, "verify_equiv", no_evaluation)
+    no_window = tmp_path / "none.fds"
+    no_window.write_text("Director -> Actor\n")
+    for fds in (FIXTURES / "movies.fds", no_window):
+        code, out, err = run(capsys, "optimize",
+                             "--query", FIXTURES / "movies_query.json",
+                             "--fds", fds, "--table", FIXTURES / "movies.csv")
+        assert (code, err) == (0, "")
+        assert out.endswith("\nverified\n")
+
+
+def test_optimize_fd_through_an_outside_attribute(tmp_path, capsys,
+                                                  monkeypatch):
+    # Title -> Director is derived through X, which the table lacks; the
+    # window's own FD is tested on the rows, never the file's
+    fds = tmp_path / "outside.fds"
+    fds.write_text("Title -> X\nX -> Director\n")
+    for csv_name, want in (("movies.csv", 0), ("movies_violating.csv", 1)):
+        argv = ["optimize", "--query", FIXTURES / "movies_query.json",
+                "--fds", fds, "--table", FIXTURES / csv_name]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (want, "")
+        assert out.count('"Director"') == 1  # the window fired
+        with monkeypatch.context() as m:
+            m.setattr(query, "discharged", lambda *a: False)
+            assert run(capsys, *argv) == (code, out, err)
+
+
+def _generated_requests(tmp_path):
+    """Movies-shaped tables, each queried with the bench's five shapes under
+    FD files that enable the rewrite through f -> g, through f -> h, through
+    an attribute outside the table, or not at all."""
+    rnd = random.Random(1601)
+    names = ["Title", "Director", "Actor"]
+    f, g, h = ({"op": "proj", "scheme": "m", "attrs": [a]} for a in names)
+    p = {"op": "pid", "table": "m"}
+    window = [g, p, {"op": "kernel", "arg": f}, p, {"op": "converse", "arg": h}]
+    short = {"op": "compose", "args": [g, p, {"op": "converse", "arg": h}]}
+    alone = {"op": "compose", "args": window}
+    shapes = [alone,
+              {"op": "compose", "args": [g, {"op": "converse", "arg": g},
+                                         *window, h, p]},
+              {"op": "union", "args": [alone, short]},
+              {"op": "fork", "args": [alone, short]},
+              {"op": "converse", "arg": alone}]
+    fd_texts = ["Title -> Director\n", "Title -> Actor\n",
+                "Title -> X\nX -> Director\n", "Director -> Title\n"]
+    for i in range(12):
+        table = tmp_path / f"t{i}.csv"
+        director = {t: rnd.choice("xy") for t in "abc"}
+        rows = {(t, director[t] if i % 3 else rnd.choice("xy"),
+                 rnd.choice("pqr")) for t in rnd.choices("abc", k=6)}
+        table.write_text("Title,Director,Actor\n" + "".join(
+            ",".join(r) + "\n" for r in sorted(rows)))
+        for j, shape in enumerate(shapes):
+            qfile = tmp_path / f"q{i}_{j}.json"
+            qfile.write_text(json.dumps(shape))
+            fds = tmp_path / f"f{i}_{j}.fds"
+            fds.write_text(fd_texts[(i + j) % len(fd_texts)])
+            yield (["optimize", "--query", qfile, "--fds", fds,
+                    "--table", table] + ["--json"] * (j % 2))
+
+
+def test_optimize_typed_path_prints_what_evaluation_prints(tmp_path, capsys,
+                                                           monkeypatch):
+    codes, verdicts = set(), set()
+    discharge = query.discharged
+
+    def recorded(fired, env):
+        verdicts.add((bool(fired), discharge(fired, env)))
+        return discharge(fired, env)
+
+    for argv in _generated_requests(tmp_path):
+        with monkeypatch.context() as m:
+            m.setattr(query, "discharged", recorded)
+            typed = run(capsys, *argv)
+        with monkeypatch.context() as m:
+            m.setattr(query, "discharged", lambda *a: False)
+            assert run(capsys, *argv) == typed, argv
+        codes.add(typed[0])
+    assert codes == {0, 1}
+    # no window fired; a window discharged; one left to evaluation
+    assert verdicts == {(False, True), (True, True), (True, False)}
+
+
+@pytest.mark.parametrize("node, path", [
+    ({"op": "compose", "args": [PID, {"op": "rel", "name": "R"}]},
+     "query.compose.args[1]"),
+    ({"op": "union", "args": [PID, {"op": "converse", "arg": {
+        "op": "rel", "name": "S"}}, {"op": "rel", "name": "R"}]},
+     "query.union.args[1].converse.arg"),
+])
+def test_optimize_rejects_rel_nodes_with_or_without_a_table(tmp_path, capsys,
+                                                            node, path):
+    # the CLI binds no relation, so a `rel` node is an input error either
+    # way, with the message and path `type_check` gives it
+    qfile = tmp_path / "rel.json"
+    qfile.write_text(json.dumps(node))
+    argv = ["optimize", "--query", qfile, "--fds", FIXTURES / "movies.fds"]
+    bare = run(capsys, *argv)
+    assert bare == run(capsys, *argv, "--table", FIXTURES / "movies.csv")
+    assert bare[:2] == (2, "")
+    assert bare[2].startswith(f"error: at {path}: unbound relation ")
 
 
 def test_optimize_without_table_just_rewrites(capsys):

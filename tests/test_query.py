@@ -7,11 +7,11 @@ import pytest
 
 from relfd import rel, tables
 from relfd.errors import CarrierMismatchError, ParseError, QueryTypeError
-from relfd.fd import parse_fd
+from relfd.fd import AttrFd, parse_fd
 from relfd.query import (MAX_QUERY_DEPTH, Compose, Converse, Env, Fork,
                          Kernel, Pid, Proj, RelRef, UnionOp, count_pid_nodes,
-                         eval_query, from_json, rewrite_selfjoin, to_json,
-                         type_check, verify_equiv)
+                         discharged, eval_query, from_json, rewrite_selfjoin,
+                         to_json, type_check, type_check_pair, verify_equiv)
 from relfd.rel import Atom, Tup, identity
 from relfd.tables import Table, parse_table_csv, pid, proj_fn, row_carrier
 
@@ -491,3 +491,133 @@ def test_rewrite_soundness_randomized_1000():
         env = Env(tables={"movies": table})
         out = rewrite_selfjoin(q, TITLE_DIRECTOR)
         assert verify_equiv(q, out, env)
+
+
+# ---------------------------------------------------------------------------
+# discharge by typing
+
+
+def test_rewrite_records_each_fired_window():
+    q = movies_query()
+    fired = []
+    out = rewrite_selfjoin(q, TITLE_DIRECTOR, fired)
+    assert out == rewrite_selfjoin(q, TITLE_DIRECTOR) == optimized_query()
+    window = ("movies", frozenset({"Title"}), frozenset({"Director"}),
+              frozenset({"Actor"}))
+    assert fired == [window]
+    fired = []
+    assert rewrite_selfjoin(UnionOp(q, q), TITLE_DIRECTOR, fired) == UnionOp(
+        optimized_query(), optimized_query())
+    assert fired == [window, window]
+    fired = []
+    assert rewrite_selfjoin(q, [], fired) is q and fired == []
+
+
+def test_discharge_needs_a_window_fd_on_the_stored_rows():
+    q = movies_query()
+    fired = []
+    rewrite_selfjoin(q, TITLE_DIRECTOR, fired)
+    assert discharged(fired, movies_env())
+    assert not discharged(fired, movies_env("movies_violating.csv"))
+    assert discharged([], movies_env("movies_violating.csv"))
+    # enabled through `f -> h`: Title -> Actor holds on these rows
+    one_actor = parse_table_csv("Title,Director,Actor\nt1,d1,a1\nt1,d2,a1\n")
+    assert discharged(fired, Env(tables={"movies": one_actor}))
+
+
+def _template(kind, f, g, h, k):
+    """The bench's query shapes around the window `g . pid . ker f . pid .
+    h~` over table "m"."""
+    w = Compose(Proj("m", g), Pid("m"), Kernel(Proj("m", f)), Pid("m"),
+                Converse(Proj("m", h)))
+    if kind == "alone":
+        return w
+    if kind == "chain":
+        return Compose(Proj("m", g), Converse(Proj("m", g)), w,
+                       Proj("m", h), Pid("m"))
+    if kind == "union":
+        return UnionOp(w, Compose(Proj("m", g), Pid("m"),
+                                  Converse(Proj("m", h))))
+    if kind == "fork":
+        return Fork(w, Compose(Proj("m", k), Pid("m"),
+                               Converse(Proj("m", h))))
+    return Converse(w)
+
+
+TEMPLATES = ("alone", "chain", "union", "fork", "converse")
+
+
+def _movies_table(rnd, kind):
+    """(table, g, k) of a movies-shaped table "m": Title -> g holds
+    ("holds"), is broken so that the bare window differs from its rewrite
+    ("differs"), or is broken while, per title, the rows are every
+    combination of its g values and its actors, so the window equals its
+    rewrite although neither Title -> g nor Title -> Actor holds
+    ("equal")."""
+    names = MOVIE_ATTRS[:rnd.choice((3, 4))]
+    dom = {a: tuple(f"{a[0].lower()}{v}" for v in range(3)) for a in names}
+    g = ("Director", "Studio")[:rnd.choice((1, 2)) if len(names) == 4 else 1]
+    free = [a for a in names if a not in g + ("Title", "Actor")]
+    rows = set()
+    for t in dom["Title"][:rnd.randint(1, 3)]:
+        n_g, n_a = {"holds": (1, rnd.randint(1, 3)), "differs": (1, 2),
+                    "equal": (rnd.randint(1, 2), rnd.randint(1, 3))}[kind]
+        if kind == "equal" and t == "t0":
+            n_g, n_a = 2, 2  # breaks both FDs
+        gs = rnd.sample(list(itertools.product(*(dom[a] for a in g))), n_g)
+        actors = rnd.sample(dom["Actor"], n_a)
+        for gv in gs:
+            for a in actors:
+                vals = {"Title": t, "Actor": a, **dict(zip(g, gv))}
+                vals.update((b, rnd.choice(dom[b])) for b in free)
+                rows.add(tuple(vals[b] for b in names))
+    if kind == "differs":
+        # a second g value for one of t0's two actors, on no other row: the
+        # window pairs it with t0's other actor, the rewrite does not
+        row = dict(zip(names, sorted(r for r in rows if r[0] == "t0")[0]))
+        row[g[0]] = "only"
+        dom[g[0]] += ("only",)
+        rows.add(tuple(row[b] for b in names))
+    csv_text = ",".join(names) + "\n" + "".join(",".join(r) + "\n"
+                                                 for r in sorted(rows))
+    k = ("Studio",) if "Studio" in names else ("Director",)
+    return parse_table_csv(csv_text, dom), frozenset(g), frozenset(k)
+
+
+def test_discharge_implies_equal_evaluation():
+    # the typed verdict against `verify_equiv`, the evaluating oracle, on
+    # the bench's query shapes and on random chains after the window
+    rnd = random.Random(16)
+    f, h = frozenset({"Title"}), frozenset({"Actor"})
+    seen = dict.fromkeys(("holds", "differs", "equal"), 0)
+    random_discharged = 0
+    for i in range(48):
+        kind = ("holds", "differs", "equal")[i % 3]
+        table, g, k = _movies_table(rnd, kind)
+        env = Env(tables={"m": table})
+        attrs = list(table.scheme.names)
+        queries = [_template(t, f, g, h, k) for t in TEMPLATES]
+        queries += [_random_chain(rnd, "U", attrs)[0],
+                    Compose(_random_chain(rnd, g, attrs)[0],
+                            _template("alone", f, g, h, k))]
+        for fds in ([AttrFd(f, g)], [AttrFd(f, h)]):
+            for q in queries:
+                fired = []
+                out = rewrite_selfjoin(q, fds, fired)
+                assert type_check_pair(q, out, env) == type_check(q, env)
+                typed = discharged(fired, env)
+                if not fired:
+                    assert typed and out is q
+                    continue
+                equal = verify_equiv(q, out, env).equal
+                if typed:
+                    assert equal, (kind, q)
+                    random_discharged += q not in queries[:5]
+                if q in queries[:5]:
+                    seen[kind] += 1
+                    # typing settles the holding tables only; evaluation
+                    # tells the broken ones apart
+                    assert typed == (kind == "holds"), q
+                    assert equal == (kind != "differs"), q
+    assert min(seen.values()) >= 100, seen
+    assert random_discharged >= 10, random_discharged
