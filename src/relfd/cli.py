@@ -33,8 +33,6 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
 
 
 def _load_fds(args: argparse.Namespace) -> list[fd.AttrFd]:
-    if args.fds is None:
-        return []
     with open(args.fds, encoding="utf-8") as fh:
         return fd.parse_fd_lines(fh.read())
 
@@ -137,19 +135,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         query.reject_relations(expr)
     else:
         table = tables.load_table(args.table, args.schema)
-        names = _table_refs(rewritten) | _table_refs(expr)
-        if len(names) != 1:
-            raise RelfdError(
-                f"--table binds exactly one referenced table, query uses "
-                f"{sorted(names)}")
-        env = query.Env(tables={names.pop(): table})
-        # typing settles the rewrite when each fired window's FD holds on
-        # the stored rows; evaluation is the fallback and finds witnesses
-        query.type_check_pair(expr, rewritten, env)
-        if query.discharged(fired, env):
-            result = query.EquivResult(True)
-        else:
-            result = query.verify_equiv(expr, rewritten, env)
+        result = query.verify_rewrite(expr, rewritten, fired, table)
         if result:
             verification = {"status": "verified", "witness": None}
             verdict_line = "verified"
@@ -171,15 +157,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             text += "\n" + verdict_line
     _emit(args, payload, text)
     return code
-
-
-def _table_refs(e) -> set:
-    from . import query
-    if isinstance(e, query.Pid):
-        return {e.table}
-    if isinstance(e, query.Proj):
-        return {e.scheme}
-    return set().union(*map(_table_refs, e.args))
 
 
 def cmd_laws(args: argparse.Namespace) -> int:
@@ -218,14 +195,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "dependencies, and optimize queries.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, table=False, fds=False, attrs=False, goal=False,
+    def common(p, *, table=None, fds=False, attrs=False, goal=False,
                query_file=False, scope=False, carrier=False):
-        if table:
-            p.add_argument("--table", help="CSV table (header row of names)")
+        # `table` is None for no --table, else whether it is required
+        if table is not None:
+            p.add_argument("--table", required=table,
+                           help="CSV table (header row of names)")
             p.add_argument("--schema",
                            help="JSON sidecar declaring attribute domains")
         if fds:
-            p.add_argument("--fds", help="dependency file, one FD per line")
+            p.add_argument("--fds", required=True,
+                           help="dependency file, one FD per line")
         if attrs:
             p.add_argument("--attrs", required=True,
                            help="attribute list, e.g. 'Flight,Date'")
@@ -259,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, fds=True, goal=True, scope=True)
 
     p = sub.add_parser("optimize", help="rewrite a query under FDs")
-    common(p, table=True, fds=True, query_file=True)
+    common(p, table=False, fds=True, query_file=True)
 
     p = sub.add_parser("laws", help="sweep the registered law suite")
     common(p, carrier=True)
@@ -276,15 +256,6 @@ _HANDLERS = {
     "laws": cmd_laws,
 }
 
-_REQUIRED = {
-    "check": ("table", "fds"),
-    "closure": ("fds",),
-    "derive": ("fds",),
-    "cex": ("fds",),
-    "optimize": ("query", "fds"),
-    "laws": (),
-}
-
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
@@ -294,12 +265,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    for field_name in _REQUIRED[args.command]:
-        if getattr(args, field_name) is None:
-            print(f"error: --{field_name} is required for "
-                  f"{args.command}", file=sys.stderr)
-            return EXIT_INPUT
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exit_:  # a usage error (2) or --help (0)
+        return exit_.code
     try:
         return _HANDLERS[args.command](args)
     except InternalCheckError as err:

@@ -8,14 +8,14 @@ chain is one n-ary `Compose` node: building a `Compose` splices in any
 `Compose` among its factors.  `eval_query` evaluates bottom-up against an
 environment of tables and relations; `rewrite_selfjoin` removes the
 classical "scan the same file twice through a kernel" shape whenever a
-supplied dependency set proves it redundant.
+supplied dependency set proves it redundant, in one pass.
 
-A rewrite is confirmed on a table by typing first.  Each fired window is
-enabled by an FD, ``f -> g`` or ``f -> h``; when one of the two holds on
-the stored rows (`discharged`, one linear pass per FD), the window equals
-its rewrite there, and so does the whole query.  Only when typing cannot
-settle it does `verify_equiv` evaluate both sides; it alone reports a
-counterexample, the first differing pair.
+`verify_rewrite` confirms a rewrite on a table by typing first.  Each
+fired window is enabled by an FD, ``f -> g`` or ``f -> h``; when one holds
+on the stored rows (`discharged`, one linear pass per FD), the window
+equals its rewrite there, and so does the whole query.  Only when typing
+cannot settle it does `verify_equiv` evaluate both sides; it alone reports
+a counterexample, the first differing pair.
 
 A composition chain is evaluated as one step.  Each kernel factor
 ``ker e`` is unfolded into the two factors ``e~ . e`` (the definition of
@@ -389,9 +389,6 @@ def _rewrite_once(e: QueryExpr, fds: Sequence[AttrFd], fired: list
     return type(e)(*args)
 
 
-REWRITE_STEP_CAP = 100
-
-
 def rewrite_selfjoin(e: QueryExpr, fds: Sequence[AttrFd],
                      fired: Optional[list] = None) -> QueryExpr:
     """Eliminate dependency-redundant self-joins; unchanged when none match.
@@ -399,24 +396,35 @@ def rewrite_selfjoin(e: QueryExpr, fds: Sequence[AttrFd],
     A composition window ``g . pid(M) . kernel(f) . pid(M) . h~`` over one
     table, with f, g, h projections of that table's scheme, collapses to
     ``g . pid(M) . h~`` whenever ``f -> g`` or ``f -> h`` is derivable from
-    `fds`.  Matching runs modulo the partial-identity normalizations, to a
-    fixpoint, leftmost-innermost.  Each window that fires is appended to
+    `fds`.  Matching runs modulo the partial-identity normalizations, in
+    one leftmost-innermost pass.  Each window that fires is appended to
     `fired`, when given, as ``(table, f, g, h)``: the table's name and the
     attribute sets of the three projections.
+
+    One pass is the fixpoint.  A collapsed window starts, as before, with
+    the bare projection g, and a window starting 1-4 places earlier would
+    need a pid, kernel, pid or converse in g's place; the scan resumes at
+    g, and operands are rewritten before their parent.  A collapse makes
+    no adjacent equal pids, no converse of a pid and no one-factor chain,
+    so normalizing again would change nothing either.
     """
     fired = [] if fired is None else fired
     start = len(fired)
-    current = e
-    for _ in range(REWRITE_STEP_CAP):
-        before = len(fired)
-        current = _rewrite_once(_normalize(current), fds, fired)
-        if len(fired) == before:
-            break
-    return current if len(fired) > start else e
+    out = _rewrite_once(_normalize(e), fds, fired)
+    return out if len(fired) > start else e
 
 
 def count_pid_nodes(e: QueryExpr) -> int:
     return isinstance(e, Pid) + sum(count_pid_nodes(a) for a in e.args)
+
+
+def table_refs(e: QueryExpr) -> set:
+    """Names of the tables the expression's pids and projections read."""
+    if isinstance(e, Pid):
+        return {e.table}
+    if isinstance(e, Proj):
+        return {e.scheme}
+    return set().union(*map(table_refs, e.args))
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +462,13 @@ def discharged(fired: Sequence[tuple], env: Env) -> bool:
     makes each such pair come from one row, so the window equals
     ``g . pid . h~`` on that table; every operator maps equal arguments to
     equal results, so the whole query equals its rewrite.  False means
-    only that typing cannot settle it.  The query must type-check in `env`
-    first: then f, g and h are attributes of the table's scheme.
+    only that typing cannot settle it, as for a window naming an attribute
+    outside the table's scheme: `type_check` locates that error.
     """
     for name, f, g, h in fired:
         table = env.tables[name]
+        if not (f | g | h).issubset(table.scheme.names):
+            return False
         if not any(satisfies_refinement(
                 table.rows, *fd_positions(table.scheme, AttrFd(f, y)))
                 for y in (g, h)):
@@ -476,3 +486,20 @@ def verify_equiv(e1: QueryExpr, e2: QueryExpr, env: Env) -> EquivResult:
     diff = r1.pairs ^ r2.pairs
     witness = min(diff, key=lambda p: (render_value(p[1]), render_value(p[0])))
     return EquivResult(False, witness)
+
+
+def verify_rewrite(e: QueryExpr, rewritten: QueryExpr, fired: Sequence[tuple],
+                   table: Table) -> EquivResult:
+    """Whether `rewritten`, which fired `fired`, equals `e` on `table`,
+    bound to the one table name `e` reads (a rewrite only removes leaves).
+    Typing settles it when `discharged` holds, else `verify_equiv`
+    evaluates both sides; either way each side is type-checked once."""
+    names = table_refs(e)
+    if len(names) != 1:
+        raise RelfdError(f"--table binds exactly one referenced table, "
+                         f"query uses {sorted(names)}")
+    env = Env(tables={names.pop(): table})
+    if discharged(fired, env):
+        type_check_pair(e, rewritten, env)
+        return EquivResult(True)
+    return verify_equiv(e, rewritten, env)

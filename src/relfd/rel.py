@@ -224,20 +224,14 @@ def _require_pairs(p: Carrier) -> None:
         raise SchemeError(f"carrier {p.name!r} is not a pair carrier")
 
 
-def _dedup(values: Iterable[Value]) -> tuple:
-    seen: dict = {}
-    for v in values:
-        seen.setdefault(v, None)
-    return tuple(seen)
-
-
 def proj1(p: Carrier) -> Rel:
     """First-component projection out of a pair carrier."""
     _require_pairs(p)
     if p.components is not None:
         tgt = p.components[0]
     else:
-        tgt = Carrier(f"left({p.name})", _dedup(e.left for e in p.elements))
+        tgt = Carrier(f"left({p.name})", tuple(dict.fromkeys(
+            e.left for e in p.elements)))
     return Rel(p, tgt, frozenset((e, e.left) for e in p.elements))
 
 
@@ -247,7 +241,8 @@ def proj2(p: Carrier) -> Rel:
     if p.components is not None:
         tgt = p.components[1]
     else:
-        tgt = Carrier(f"right({p.name})", _dedup(e.right for e in p.elements))
+        tgt = Carrier(f"right({p.name})", tuple(dict.fromkeys(
+            e.right for e in p.elements)))
     return Rel(p, tgt, frozenset((e, e.right) for e in p.elements))
 
 

@@ -628,6 +628,63 @@ def test_optimize_rejects_rel_nodes_with_or_without_a_table(tmp_path, capsys,
     assert bare[2].startswith(f"error: at {path}: unbound relation ")
 
 
+def test_optimize_types_each_side_once(tmp_path, capsys, monkeypatch):
+    # top-level `type_check` calls (path "query"): one per side, whether
+    # typing settles the rewrite or evaluation does
+    type_check, verify_equiv = query.type_check, query.verify_equiv
+    calls = []
+
+    def counted(e, env, path="query"):
+        calls.append(path)
+        return type_check(e, env, path)
+
+    def evaluated(*args):
+        calls.append("verify_equiv")
+        return verify_equiv(*args)
+
+    monkeypatch.setattr(query, "type_check", counted)
+    monkeypatch.setattr(query, "verify_equiv", evaluated)
+    no_window = tmp_path / "none.fds"
+    no_window.write_text("Director -> Actor\n")
+    for fds, csv_name, want, evaluations in (
+            (FIXTURES / "movies.fds", "movies.csv", 0, 0),
+            (no_window, "movies.csv", 0, 0),
+            (FIXTURES / "movies.fds", "movies_violating.csv", 1, 1)):
+        calls.clear()
+        code, _, err = run(capsys, "optimize",
+                           "--query", FIXTURES / "movies_query.json",
+                           "--fds", fds, "--table", FIXTURES / csv_name)
+        assert (code, err) == (want, "")
+        assert calls.count("query") == 2
+        assert calls.count("verify_equiv") == evaluations
+
+
+def test_optimize_window_outside_the_scheme_is_a_located_error(tmp_path,
+                                                               capsys):
+    # the window fires through `Title -> Bogus`; typing, not the discharge,
+    # reports the attribute, located at its node
+    qfile = tmp_path / "bogus.json"
+    obj = json.loads((FIXTURES / "movies_query.json").read_text())
+    obj["args"][0]["attrs"] = ["Bogus"]
+    qfile.write_text(json.dumps(obj))
+    fds = tmp_path / "bogus.fds"
+    fds.write_text("Title -> Bogus\n")
+    assert run(capsys, "optimize", "--query", qfile, "--fds", fds,
+               "--table", FIXTURES / "movies.csv") == (
+        2, "", "error: at query.compose.args[0]: unknown attribute 'Bogus'\n")
+
+
+def test_optimize_table_binds_exactly_one_table(tmp_path, capsys):
+    qfile = tmp_path / "two.json"
+    qfile.write_text(json.dumps({"op": "compose", "args": [
+        PID, {"op": "pid", "table": "other"}]}))
+    assert run(capsys, "optimize", "--query", qfile,
+               "--fds", FIXTURES / "movies.fds",
+               "--table", FIXTURES / "movies.csv") == (
+        2, "", "error: --table binds exactly one referenced table, query "
+               "uses ['movies', 'other']\n")
+
+
 def test_optimize_without_table_just_rewrites(capsys):
     code, payload, _ = run_json(
         capsys, "optimize", "--query", FIXTURES / "movies_query.json",
@@ -652,3 +709,16 @@ def test_missing_required_flag_is_input_error(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "--fds" in captured.err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["check", "--fds", FIXTURES / "pilots.fds"], "--table"),
+    (["check", "--table", FIXTURES / "pilots.csv"], "--fds"),
+    (["optimize", "--query", FIXTURES / "movies_query.json"], "--fds"),
+])
+def test_missing_table_or_fds_is_a_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: relfd ")
+    assert err.endswith(f"error: the following arguments are required: "
+                        f"{flag}\n")

@@ -9,9 +9,10 @@ from relfd import rel, tables
 from relfd.errors import CarrierMismatchError, ParseError, QueryTypeError
 from relfd.fd import AttrFd, parse_fd
 from relfd.query import (MAX_QUERY_DEPTH, Compose, Converse, Env, Fork,
-                         Kernel, Pid, Proj, RelRef, UnionOp, count_pid_nodes,
-                         discharged, eval_query, from_json, rewrite_selfjoin,
-                         to_json, type_check, type_check_pair, verify_equiv)
+                         Kernel, Pid, Proj, RelRef, UnionOp, _normalize,
+                         _rewrite_once, count_pid_nodes, discharged,
+                         eval_query, from_json, rewrite_selfjoin, to_json,
+                         type_check, type_check_pair, verify_equiv)
 from relfd.rel import Atom, Tup, identity
 from relfd.tables import Table, parse_table_csv, pid, proj_fn, row_carrier
 
@@ -413,6 +414,87 @@ def test_rewrite_requires_matching_table_names():
     chain = Compose(q, Converse(Pid("other")))
     out = rewrite_selfjoin(chain, TITLE_DIRECTOR)
     assert count_pid_nodes(out) == 2  # inner window still fires
+
+
+def _rewrite_to_fixpoint(e, fds, fired):
+    """The rewriter as a loop: normalize and rewrite until a pass fires
+    nothing, at most 100 passes.  The oracle of the one-pass rewriter."""
+    start = len(fired)
+    current = e
+    for _ in range(100):
+        before = len(fired)
+        current = _rewrite_once(_normalize(current), fds, fired)
+        if len(fired) == before:
+            break
+    return current if len(fired) > start else e
+
+
+def _random_ir(rnd, depth=0):
+    """A random query tree over tables "m" and "n", not necessarily well
+    typed: chains rich in self-join windows, their pids written as
+    ``pid``, ``pid~``, ``pid . pid`` or ``pid~ . pid``, nested under union,
+    fork, kernel and converse nodes."""
+    t = rnd.choice("mmn")
+
+    def proj(table=t):
+        return Proj(table, frozenset(rnd.sample("ABC", rnd.randint(1, 2))))
+
+    def pid():
+        p = Pid(t if rnd.random() < 0.9 else "mn"[t == "m"])
+        return rnd.choice((p, p, Converse(p), Compose(p, p),
+                           Compose(Converse(p), p)))
+
+    if depth < 3 and rnd.random() < 0.3:
+        node = rnd.choice((UnionOp, Fork, Kernel, Converse))
+        n = 1 if node in (Kernel, Converse) else rnd.randint(2, 3)
+        return node(*(_random_ir(rnd, depth + 1) for _ in range(n)))
+    factors = []
+    for _ in range(rnd.randint(1, 4)):
+        r = rnd.random()
+        if r < 0.45:
+            factors += [proj(), pid(), Kernel(proj()), pid(),
+                        Converse(proj())]
+        elif r < 0.6:
+            factors.append(pid())
+        elif r < 0.75:
+            factors.append(proj(rnd.choice("mn")))
+        elif r < 0.85 or depth == 3:
+            factors.append(Converse(proj()))
+        else:
+            factors.append(_random_ir(rnd, depth + 1))
+    return Compose(*factors) if len(factors) > 1 else factors[0]
+
+
+FIXPOINT_FDS = {  # beyond reflexivity, a window fires through ...
+    "f -> g": [parse_fd("A -> B")],
+    "f -> h": [parse_fd("A -> C")],
+    "derived": [parse_fd("A -> X"), parse_fd("X -> B C")],
+    "nothing": [parse_fd("D -> A")],
+}
+
+
+def test_one_rewrite_pass_is_the_fixpoint():
+    rnd = random.Random(17)
+    by_fd = dict.fromkeys(FIXPOINT_FDS, 0)  # windows fired, not reflexively
+    normalized = 0
+    for _ in range(3000):
+        e = _random_ir(rnd)
+        kind = rnd.choice(list(FIXPOINT_FDS))
+        fds = FIXPOINT_FDS[kind]
+        fired, want_fired = [], []
+        out = rewrite_selfjoin(e, fds, fired)
+        assert out == _rewrite_to_fixpoint(e, fds, want_fired)
+        assert fired == want_fired
+        again = []
+        assert rewrite_selfjoin(out, fds, again) is out and again == []
+        if fired:
+            by_fd[kind] += sum(not (g <= f or h <= f) for _, f, g, h in fired)
+            normalized += _normalize(e) != e
+        else:
+            assert out is e
+    assert by_fd["nothing"] == 0
+    assert min(by_fd[k] for k in ("f -> g", "f -> h", "derived")) >= 100
+    assert normalized >= 100, (by_fd, normalized)
 
 
 # ---------------------------------------------------------------------------
