@@ -17,7 +17,7 @@ import sys
 
 from . import fd, tables
 from .errors import InternalCheckError, ParseError, RelfdError
-from .rel import rel_to_json, render_value
+from .rel import Carrier, rel_to_json, render_value
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -45,6 +45,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     table = tables.load_table(args.table, args.schema)
     fds = _load_fds(args)
     rows = sorted(table.rows, key=render_value)
+    stored = Carrier("stored", tuple(rows))  # S, for the shunted route
     lines = []
     payload = []
     any_violation = False
@@ -52,7 +53,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         at = fd.fd_positions(table.scheme, item)
         witness = fd.scan_violation(rows, *at)
         scan = witness is None
-        algebraic = fd.satisfies_shunted(rows, *at)
+        algebraic = fd.satisfies_shunted(stored, *at)
         typed = fd.satisfies_refinement(rows, *at)
         if not (scan == algebraic == typed):
             raise InternalCheckError(
@@ -116,6 +117,9 @@ def cmd_cex(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    if args.schema is not None and args.table is None:
+        raise RelfdError("--schema declares the domains of --table; "
+                         "give --table with it")
     from . import query
     with open(args.query, encoding="utf-8") as fh:
         try:

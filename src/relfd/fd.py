@@ -7,7 +7,7 @@ once the rows are sorted, and each written apart from the others:
 * `scan_violation(rows, xs, ys)`, the witness scan: one pass over the rows
   sorted by `render_value`, grouping them into antecedent blocks, returns
   the first violating pair, the one `oracle_violation` returns;
-* `satisfies_shunted(rows, xs, ys)`, the algebraic route: with x, y the
+* `satisfies_shunted(stored, xs, ys)`, the algebraic route: with x, y the
   projections restricted to the carrier S of the stored rows, the inclusion
   ``ker x <= ker y`` shunts through the function y (the registry's
   `shunt_function_left/right` laws) into "``y . x~`` is simple", a relation
@@ -43,6 +43,18 @@ implement the merge/join typing rules on top of the same machinery.
 FD text grammar: one ``attrs -> attrs`` per line, attribute names matching
 ``[A-Za-z_][A-Za-z0-9_]*`` separated by commas or whitespace, ``#`` starts a
 comment.
+
+`parse_fd_lines` reads a plain file in one pass.  A plain file holds only
+ASCII letters, digits, underscores, spaces, tabs, commas, ``-``, ``>`` and
+line feeds (one `str.translate` checks that), and each of its lines is
+blank or ``attrs -> attrs`` with both sides non-empty and every name
+passing `str.isidentifier`, which on ASCII text is exactly the name
+pattern.  Any other text goes whole to the per-line parser
+`parse_fd_lines_per_line`: a comment, a carriage return, a form feed or
+other control character, anything outside ASCII, a second arrow, a stray
+``-`` or ``>``, an empty side.  That parser raises every `ParseError` with
+its line number, and on a plain file it returns the same FDs, so it is
+also the fast path's test oracle.
 """
 
 from __future__ import annotations
@@ -97,8 +109,39 @@ def parse_fd(text: str, line: int | None = None) -> AttrFd:
                   parse_attr_list(parts[1], line))
 
 
+# The characters of a plain FD file, as a `str.translate` table deleting
+# them: a text is made of them alone when nothing is left.
+_PLAIN = dict.fromkeys(map(ord, "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                                "abcdefghijklmnopqrstuvwxyz"
+                                "0123456789_ \t,\n->"))
+
+
 def parse_fd_lines(text: str) -> list[AttrFd]:
-    """Parse a dependency file: one FD per line, '#' comments allowed."""
+    """Parse a dependency file: one FD per line, '#' comments allowed.
+
+    A plain file (see the module docstring) is read in one pass; any other
+    text, and so every malformed one, by `parse_fd_lines_per_line`.
+    """
+    if text.translate(_PLAIN):
+        return parse_fd_lines_per_line(text)
+    fds = []
+    for line in text.split("\n"):
+        left, arrow, right = line.partition("->")
+        if not arrow:
+            if line.strip(" \t"):
+                return parse_fd_lines_per_line(text)
+            continue
+        ante = left.replace(",", " ").split()
+        cons = right.replace(",", " ").split()
+        if not (ante and cons and all(map(str.isidentifier, ante + cons))):
+            return parse_fd_lines_per_line(text)
+        fds.append(AttrFd(frozenset(ante), frozenset(cons)))
+    return fds
+
+
+def parse_fd_lines_per_line(text: str) -> list[AttrFd]:
+    """`parse_fd_lines` line by line, through `parse_fd`: its error path
+    and its test oracle."""
     fds = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -204,18 +247,18 @@ def _stored_proj(stored: Carrier, positions: Sequence[int]) -> Rel:
     return Rel(stored, image, frozenset(pairs.items()))
 
 
-def satisfies_shunted(rows: Sequence[tuple], xs: Sequence[int],
+def satisfies_shunted(stored: Carrier, xs: Sequence[int],
                       ys: Sequence[int]) -> bool:
     """Linear algebraic route: ``y . x~`` is simple over the stored rows.
 
     With x, y the projections onto the positions `xs`, `ys` restricted to
-    the carrier S of `rows`, the quantifier-free inclusion
-    ``x~ . x  included-in  y~ . y`` shunts through the function y on the
-    left and on the right into ``(y . x~) . (y . x~)~  included-in  id``.
-    ``y . x~`` has a pair per distinct (x, y) value pair, never more pairs
-    than S has rows.
+    the carrier S of the stored rows, `stored`, the quantifier-free
+    inclusion ``x~ . x  included-in  y~ . y`` shunts through the function y
+    on the left and on the right into ``(y . x~) . (y . x~)~  included-in
+    id``.  ``y . x~`` has a pair per distinct (x, y) value pair, never more
+    pairs than S has rows.  S depends on the table alone, so a caller
+    checking several FDs builds it once.
     """
-    stored = Carrier("stored", tuple(rows))
     x, y = _stored_proj(stored, xs), _stored_proj(stored, ys)
     return rel.is_simple(rel.compose(y, rel.converse(x)))
 

@@ -9,6 +9,7 @@ import pytest
 from relfd import cli, fd, query, tables
 from relfd.cli import main
 from relfd.query import MAX_QUERY_DEPTH
+from relfd.rel import Carrier
 
 from conftest import FIXTURES
 
@@ -141,6 +142,27 @@ def test_checker_disagreement_is_internal_error(route, table, monkeypatch,
                        "--fds", FIXTURES / "pilots.fds")
     assert code == 3
     assert "disagree" in err
+
+
+def test_check_builds_the_stored_carrier_once_per_table(tmp_path, capsys,
+                                                        monkeypatch):
+    built = []
+    real = Carrier.__post_init__
+
+    def counted(self):
+        built.append(self.name)
+        real(self)
+
+    monkeypatch.setattr(Carrier, "__post_init__", counted)
+    fds_file = tmp_path / "three.fds"
+    fds_file.write_text("Flight Date -> Pilot\nPilot -> Departs\n"
+                        "Flight -> Date\n")
+    code, out, err = run(capsys, "check", "--table",
+                         FIXTURES / "pilots_double_booked.csv",
+                         "--fds", fds_file)
+    assert code == 1, err
+    assert out.count("\n") == 3
+    assert built.count("stored") == 1
 
 
 def _write_check(tmp_path, tag, rows, fds):
@@ -683,6 +705,16 @@ def test_optimize_table_binds_exactly_one_table(tmp_path, capsys):
                "--table", FIXTURES / "movies.csv") == (
         2, "", "error: --table binds exactly one referenced table, query "
                "uses ['movies', 'other']\n")
+
+
+def test_optimize_schema_without_table_is_input_error(capsys):
+    code, out, err = run(capsys, "optimize",
+                         "--query", FIXTURES / "movies_query.json",
+                         "--fds", FIXTURES / "movies.fds",
+                         "--schema", FIXTURES / "movies.schema.json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--schema" in err and "--table" in err
 
 
 def test_optimize_without_table_just_rewrites(capsys):

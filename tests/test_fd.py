@@ -2,12 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from relfd import rel
+from relfd import fd as fd_module, rel
 from relfd.errors import ParseError, SchemeError
 from relfd.fd import (AttrFd, fd_positions, fd_projections, fd_violation,
                       mutual_dependency, oracle_violation, parse_fd,
-                      parse_fd_lines, satisfies_algebraic,
+                      parse_fd_lines, parse_fd_lines_per_line,
+                      satisfies_algebraic,
                       satisfies_general_quantified, satisfies_oracle,
                       satisfies_refinement, satisfies_shunted,
                       satisfies_typed, scan_violation, stored_fd_projections,
@@ -57,6 +59,74 @@ def test_parse_fd_lines_with_comments_and_errors():
         parse_fd("A -> B -> C")
     with pytest.raises(ParseError):
         parse_fd("9A -> B")
+
+
+# Every fragment the two parsers could read differently: names good and
+# bad, the separators, arrows whole and split, every line break
+# `str.splitlines` knows and `str.split` does not, Unicode blanks, comments.
+FD_TOKENS = st.sampled_from(["A", "_x1", "9A", "\u00e9", " ", "\t", ",", "->",
+                             "-", ">", "\n", "\r\n", "\r", "\x0b", "\x0c",
+                             "\x1c", "\x1f", "\u00a0", "\u2028", "#"])
+PLAIN_NAMES = st.lists(st.sampled_from(["A", "_x1", "Flight", "b2"]),
+                       min_size=1, max_size=3)
+PLAIN_SEP = st.sampled_from([" ", ",", "\t", ", ", "  "])
+PLAIN_LINE = st.one_of(
+    st.builds(lambda lhs, rhs, sep, pad: pad + sep.join(lhs) + pad + "->"
+              + pad + sep.join(rhs) + pad,
+              PLAIN_NAMES, PLAIN_NAMES, PLAIN_SEP, st.sampled_from(["", " "])),
+    st.sampled_from(["", " ", "\t"]))
+PLAIN_TEXT = st.lists(PLAIN_LINE, max_size=5).map("\n".join)
+
+
+def _splice(text, at, token):
+    at %= len(text) + 1
+    return text[:at] + token + text[at:]
+
+
+# plain files, plain files with one token spliced in, and token soups
+FD_TEXT = st.one_of(
+    PLAIN_TEXT,
+    st.builds(_splice, PLAIN_TEXT, st.integers(0, 200), FD_TOKENS),
+    st.lists(FD_TOKENS, max_size=24).map("".join))
+
+
+def _parse_or_error(parse, text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return f"ParseError: {err}"
+
+
+@seed(18)
+@settings(max_examples=1500, deadline=None, database=None)
+@given(text=FD_TEXT)
+def test_parse_fd_lines_equals_the_per_line_parser(text):
+    # the same list of FDs, or the same error message with its line number
+    assert _parse_or_error(parse_fd_lines, text) == \
+        _parse_or_error(parse_fd_lines_per_line, text)
+
+
+def test_plain_fd_files_take_the_one_pass_path(monkeypatch):
+    # shaped like the benchmark's 500-attribute sets, with the separators
+    # and blank lines a plain file may also hold
+    rnd = random.Random(18)
+    want, lines = [], []
+    for i in range(800):
+        lhs = rnd.sample([f"A{n}" for n in range(500)], rnd.randint(1, 3))
+        rhs = [f"A{rnd.randrange(500)}"]
+        want.append(AttrFd(lhs, rhs))
+        sep = (" ", ",", ", ", "\t")[i % 4]
+        lines.append(sep.join(lhs) + " -> " + " ".join(rhs))
+        if i % 100 == 0:
+            lines.append(" \t")
+    text = "\n".join(lines) + "\n"
+    assert parse_fd_lines_per_line(text) == want
+
+    def per_line(*args, **kwargs):
+        raise AssertionError("the per-line parser ran on a plain file")
+
+    monkeypatch.setattr(fd_module, "parse_fd", per_line)
+    assert parse_fd_lines(text) == want
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +567,10 @@ def test_linear_routes_equal_the_oracles_on_random_tables():
             assert witness == oracle_violation(t, fd)
             holds = satisfies_oracle(t, fd)
             assert (witness is None) == holds
-            assert satisfies_shunted(ordered, *at) == \
-                satisfies_shunted(shuffled, *at) == \
+            assert satisfies_shunted(Carrier("stored", tuple(ordered)),
+                                     *at) == \
+                satisfies_shunted(Carrier("stored", tuple(shuffled)),
+                                  *at) == \
                 satisfies_algebraic(t, fd) == holds
             assert satisfies_refinement(ordered, *at) == \
                 satisfies_typed(*stored_fd_projections(t, fd)) == holds

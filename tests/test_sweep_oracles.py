@@ -1,10 +1,16 @@
-"""The deduplicating law sweeps against per-function loop oracles, also
-under corrupted op tables.
+"""The law sweeps against loop oracles, also under corrupted op tables.
 
 `fd_trading`, `fd_consequent_pairing`, `union_fd_typing`,
 `mutual_dependency_self` and `join_fd_typing` judge each distinct computed
-term once.  The oracles here are the earlier form of those sweeps: one loop
-iteration per function (per f, or per z and k), judging every one of them.
+term once.  Their oracles here are the earlier form of those sweeps: one
+loop iteration per function (per f, or per z and k), judging every one of
+them.  `converse_of_compose`, `shunt_function_left`, `shunt_function_right`
+and `union_injectivity` get per-assignment oracles, each assignment judged
+from its own table entries in the law's nesting order: a Python loop over
+every (R, S) for `converse_of_compose`, over every (f, R) with S a numpy
+axis for the shunting rules, and over every X with R and S numpy axes for
+`union_injectivity`, whose sweep judges one X per distinct kernel.  The
+numpy axes keep each oracle under a second at carrier 3.
 On sound tables a skip can agree with the oracle because the law holds; a
 skip justified by an algebraic identity of the tables, rather than by
 byte-equal computed rows, shows up only when a table is wrong.  So each
@@ -167,7 +173,74 @@ def join_fd_typing_oracle(sz):
     return None
 
 
+def converse_compose_oracle(sz):
+    a, b, c = sz["A"], sz["B"], sz["C"]
+    r_s = B.compose_table(a, b, c).tolist()  # [R][S]: R.S, A -> C
+    cs_cr = B.compose_table(c, b, a).tolist()  # [S~][R~]: S~.R~, C -> A
+    conv_ac = B.converse_table(a, c).tolist()
+    conv_ab = B.converse_table(a, b).tolist()
+    conv_bc = B.converse_table(b, c).tolist()
+    for r, row in enumerate(r_s):
+        for s, rs in enumerate(row):
+            if conv_ac[rs] != cs_cr[conv_ab[s]][conv_bc[r]]:
+                return {"R": r, "S": s}
+    return None
+
+
+def shunt_left_oracle(sz):
+    a, b, c = sz["A"], sz["B"], sz["C"]
+    s_all = B.all_masks(a, c)
+    ct_fr = B.compose_table(a, b, c)
+    ct_cfs = B.compose_table(a, c, b)
+    conv_f = B.converse_table(b, c)
+    for f in B.function_masks(b, c):
+        cfs = ct_cfs[conv_f[f]]  # f~.S for every S
+        for r in range(1 << (a * b)):
+            hit = _first_false(B.subset(ct_fr[f, r], s_all)
+                               == B.subset(r, cfs))
+            if hit is not None:
+                return {"f": int(f), "R": r, "S": hit[0]}
+    return None
+
+
+def shunt_right_oracle(sz):
+    x, y, w = sz["X"], sz["Y"], sz["W"]
+    s_all = B.all_masks(y, w)
+    ct_rcf = B.compose_table(y, x, w)
+    ct_sf = B.compose_table(x, y, w)
+    conv_f = B.converse_table(x, y)
+    for f in B.function_masks(x, y):
+        sf = ct_sf[:, f]  # S.f for every S
+        for r in range(1 << (x * w)):
+            hit = _first_false(B.subset(ct_rcf[r, conv_f[f]], s_all)
+                               == B.subset(r, sf))
+            if hit is not None:
+                return {"f": int(f), "R": r, "S": hit[0]}
+    return None
+
+
+def union_injectivity_oracle(sz):
+    a, b = sz["A"], sz["B"]
+    masks = np.arange(1 << (a * b), dtype=np.int64)
+    ker = B.kernel_table(a, b)
+    ker_union = ker[masks[:, None] | masks[None, :]]  # [R, S]: ker(R|S)
+    cross = B.compose_table(a, b, a)[B.converse_table(a, b)[:, None],
+                                     masks[None, :]]  # [R, S]: R~.S
+    for xi, kx in enumerate(ker.tolist()):
+        single = B.subset(ker, kx)  # X <= R for every R
+        hit = _first_false(B.subset(ker_union, kx)
+                           == (single[:, None] & single[None, :]
+                               & B.subset(cross, kx)))
+        if hit is not None:
+            return {"X": xi, "R": hit[0], "S": hit[1]}
+    return None
+
+
 ORACLES = {
+    "converse_of_compose": converse_compose_oracle,
+    "shunt_function_left": shunt_left_oracle,
+    "shunt_function_right": shunt_right_oracle,
+    "union_injectivity": union_injectivity_oracle,
     "fd_trading": fd_trading_oracle,
     "fd_consequent_pairing": consequent_pairing_oracle,
     "union_fd_typing": union_fd_typing_oracle,
