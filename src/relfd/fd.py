@@ -62,28 +62,30 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import rel
 from .errors import InternalCheckError, ParseError, SchemeError
-from .rel import Carrier, Rel, Value, render_value
+from .rel import Carrier, Frozen, Rel, Value, render_value
 from .tables import pid  # noqa: F401  (callers bind relfd.fd.pid)
 from .tables import Scheme, Table, proj_fn
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# An attribute name; compiled on first use by `re`'s own cache, since only
+# the per-line parser reads it.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*\Z"
 
 
-@dataclass(frozen=True)
-class AttrFd:
+class AttrFd(Frozen):
     """An attribute-level dependency: antecedent determines consequent."""
 
-    antecedent: frozenset
-    consequent: frozenset
+    __slots__ = _fields = ("antecedent", "consequent")
 
-    def __post_init__(self):
-        object.__setattr__(self, "antecedent", frozenset(self.antecedent))
-        object.__setattr__(self, "consequent", frozenset(self.consequent))
+    def __init__(self, antecedent: frozenset, consequent: frozenset):
+        object.__setattr__(self, "antecedent", frozenset(antecedent))
+        object.__setattr__(self, "consequent", frozenset(consequent))
+
+    def _key(self) -> tuple:
+        return (self.antecedent, self.consequent)
 
     def __str__(self) -> str:
         return (" ".join(sorted(self.antecedent)) + " -> "
@@ -95,7 +97,7 @@ def parse_attr_list(text: str, line: int | None = None) -> frozenset:
     if not names:
         raise ParseError("empty attribute list", line=line)
     for n in names:
-        if not _NAME.match(n):
+        if not re.match(_NAME, n):
             raise ParseError(f"bad attribute name {n!r}", line=line)
     return frozenset(names)
 
@@ -339,15 +341,20 @@ def fd_violation(r: Rel, s: Rel, f: Rel, g: Rel
     return None
 
 
-@dataclass(frozen=True)
-class UnionTypeReport:
+class UnionTypeReport(Frozen):
     """Decomposition of an FD check on a merged relation."""
 
-    union_holds: bool
-    left_holds: bool
-    right_holds: bool
-    mutual_holds: bool
-    witness: Optional[tuple] = None
+    __slots__ = _fields = ("union_holds", "left_holds", "right_holds",
+                           "mutual_holds", "witness")
+
+    def __init__(self, union_holds: bool, left_holds: bool,
+                 right_holds: bool, mutual_holds: bool,
+                 witness: Optional[tuple] = None):
+        object.__setattr__(self, "union_holds", union_holds)
+        object.__setattr__(self, "left_holds", left_holds)
+        object.__setattr__(self, "right_holds", right_holds)
+        object.__setattr__(self, "mutual_holds", mutual_holds)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def failed(self) -> tuple[str, ...]:

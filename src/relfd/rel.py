@@ -22,22 +22,73 @@ mismatched carriers raises instead of silently reinterpreting elements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Union
 
 from .errors import CarrierMismatchError, SchemeError
 
 
-@dataclass(frozen=True)
-class Pair:
-    left: "Value"
-    right: "Value"
+class Frozen:
+    """Base of the immutable value classes of `rel`, `tables` and `fd`.
+
+    Each behaves as ``@dataclass(frozen=True)`` would, without importing
+    `dataclasses` (and the `inspect` it loads) at start-up.  A subclass lists
+    in `_fields` the attributes that take part in equality, hash and repr,
+    and its `__init__` sets its attributes with `object.__setattr__`.  An
+    instance equals only an instance of its own class, hashes as the tuple
+    of its fields and shows as ``Name(field=value, ...)``; assigning or
+    deleting an attribute raises `AttributeError`.  A class whose equality
+    or hash is hot writes `_key`, or those methods, out.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:  # the fields, as one tuple
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle call the class again
+        return self.__class__, self._key()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class Unit:
+class Pair(Frozen):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Value, right: Value):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
+
+
+class Unit(Frozen):
     """The single inhabitant of the one-element carrier."""
+
+    __slots__ = ()
 
 
 Value = Union[str, Pair, Unit, tuple]
@@ -55,8 +106,7 @@ def render_value(v: Value) -> str:
     return "()"
 
 
-@dataclass(frozen=True)
-class Carrier:
+class Carrier(Frozen):
     """A named finite ordered set of values; the order is canonical.
 
     The element set and the hash are computed once, at construction: both
@@ -65,20 +115,29 @@ class Carrier:
     `components`, which takes no part in equality.
     """
 
-    name: str
-    elements: tuple[Value, ...]
-    components: tuple["Carrier", "Carrier"] | None = field(
-        default=None, compare=False, repr=False)
+    __slots__ = ("name", "elements", "components", "_element_set", "_hash")
 
-    def __post_init__(self):
-        element_set = frozenset(self.elements)
-        if len(element_set) != len(self.elements):
-            raise SchemeError(f"carrier {self.name!r} has duplicate elements")
+    def __init__(self, name: str, elements: tuple[Value, ...],
+                 components: tuple[Carrier, Carrier] | None = None):
+        element_set = frozenset(elements)
+        if len(element_set) != len(elements):
+            raise SchemeError(f"carrier {name!r} has duplicate elements")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "components", components)
         object.__setattr__(self, "_element_set", element_set)
-        object.__setattr__(self, "_hash", hash((self.name, self.elements)))
+        object.__setattr__(self, "_hash", hash((name, elements)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.elements) == (other.name, other.elements)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        return Carrier, (self.name, self.elements, self.components)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -100,17 +159,21 @@ def pair_carrier(a: Carrier, b: Carrier) -> Carrier:
                    (a, b))
 
 
-@dataclass(frozen=True)
-class Rel:
+class Rel(Frozen):
     """A finite binary relation from `source` to `target`.
 
     Algebra operations construct results directly; use `Rel.make` at input
-    boundaries to get membership validation.
+    boundaries to get membership validation.  The instance `__dict__` holds
+    the two cached properties only.
     """
 
-    source: Carrier
-    target: Carrier
-    pairs: frozenset  # of (input, output) Value pairs
+    __slots__ = ("source", "target", "pairs", "__dict__")
+    _fields = ("source", "target", "pairs")
+
+    def __init__(self, source: Carrier, target: Carrier, pairs: frozenset):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "pairs", pairs)  # of (input, output) pairs
 
     @classmethod
     def make(cls, source: Carrier, target: Carrier,

@@ -29,31 +29,36 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Union
 
 from .errors import (ParseError, ResourceLimitError, SchemeError,
                      UnknownAttributeError)
-from .rel import (Carrier, Pair, Rel, Value, pair_carrier, render_value,
-                  value_from_json, value_to_json)
+from .rel import (Carrier, Frozen, Pair, Rel, Value, pair_carrier,
+                  render_value, value_from_json, value_to_json)
 
 ROW_CARRIER_LIMIT = 10 ** 6
 CACHE_SIZE = 8
 
 
-@dataclass(frozen=True)
-class Scheme:
-    """Ordered attribute declarations: (name, domain carrier) pairs."""
+class Scheme(Frozen):
+    """Ordered attribute declarations: (name, domain carrier) pairs.
 
-    attributes: tuple[tuple[str, Carrier], ...]
-    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    `names`, the attribute names in order, takes no part in eq, hash or repr.
+    """
 
-    def __post_init__(self):
-        names = tuple(n for n, _ in self.attributes)
+    __slots__ = ("attributes", "names")
+    _fields = ("attributes",)
+
+    def __init__(self, attributes: tuple[tuple[str, Carrier], ...]):
+        names = tuple(n for n, _ in attributes)
         if len(set(names)) != len(names):
             raise SchemeError("duplicate attribute names in scheme")
+        object.__setattr__(self, "attributes", attributes)
         object.__setattr__(self, "names", names)
+
+    def _key(self) -> tuple:  # schemes key the bridge's caches
+        return (self.attributes,)
 
     def domain(self, name: str) -> Carrier:
         for n, dom in self.attributes:
@@ -73,10 +78,12 @@ class Scheme:
         return len(self.attributes)
 
 
-@dataclass(frozen=True)
-class Table:
-    scheme: Scheme
-    rows: frozenset  # of row tuples
+class Table(Frozen):
+    __slots__ = _fields = ("scheme", "rows")
+
+    def __init__(self, scheme: Scheme, rows: frozenset):
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "rows", rows)  # of row tuples
 
     @classmethod
     def make(cls, scheme: Scheme, rows: Iterable[tuple]) -> "Table":

@@ -147,13 +147,13 @@ def test_checker_disagreement_is_internal_error(route, table, monkeypatch,
 def test_check_builds_the_stored_carrier_once_per_table(tmp_path, capsys,
                                                         monkeypatch):
     built = []
-    real = Carrier.__post_init__
+    real = Carrier.__init__
 
-    def counted(self):
-        built.append(self.name)
-        real(self)
+    def counted(self, name, *args):
+        built.append(name)
+        real(self, name, *args)
 
-    monkeypatch.setattr(Carrier, "__post_init__", counted)
+    monkeypatch.setattr(Carrier, "__init__", counted)
     fds_file = tmp_path / "three.fds"
     fds_file.write_text("Flight Date -> Pilot\nPilot -> Departs\n"
                         "Flight -> Date\n")

@@ -4,8 +4,10 @@
 inference engine, the query IR and the counterexample search load when a
 command runs them; numpy, the law registry (`relfd.laws`) and its bitset
 tables (`relfd.bitrel`) only for `laws`; `logging` only to warn about
-duplicate rows.  Each call runs in a fresh interpreter, since this test
-process has loaded them all already.
+duplicate rows.  `dataclasses`, with the `inspect` it imports, loads only
+with the first module that declares a dataclass (`infer`, `query`,
+`search`, `laws`), so `check` runs without it.  Each call runs in a fresh
+interpreter, since this test process has loaded them all already.
 """
 
 import importlib
@@ -32,11 +34,14 @@ if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(argv)
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("relfd.")
-                        or m in ("numpy", "logging"))))
+                        or m in ("numpy", "logging", "dataclasses",
+                                 "inspect"))))
 """
 
 START = {"relfd.cli", "relfd.errors", "relfd.fd", "relfd.rel", "relfd.tables"}
-INFER = START | {"relfd.infer"}
+# `infer.Derivation` is a dataclass, so every command that imports `infer`
+# loads `dataclasses` and `inspect` with it
+INFER = START | {"relfd.infer", "dataclasses", "inspect"}
 LAZY = {"numpy", "relfd.laws", "relfd.bitrel"}
 
 # The names `relfd` has exported since 0.1.0, each from its own module.
@@ -60,9 +65,9 @@ LAW_REGISTRY LAW_SUITE
 
 
 def loaded_after(argv: list[str]) -> set[str]:
-    """The `relfd.*` modules, numpy and logging loaded by a fresh
-    interpreter after `import relfd.cli` and, for a non-empty argv,
-    `cli.main(argv)`."""
+    """The `relfd.*` modules, numpy, logging, dataclasses and inspect
+    loaded by a fresh interpreter after `import relfd.cli` and, for a
+    non-empty argv, `cli.main(argv)`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)],
@@ -71,7 +76,8 @@ def loaded_after(argv: list[str]) -> set[str]:
     return set(json.loads(done.stdout))
 
 
-# The modules each command loads, numpy (the `LAZY` set) left out of all.
+# The modules each command loads, numpy (the `LAZY` set) left out of all;
+# a bare import and `check` load no dataclasses either.
 LOADS = {
     None: START,
     "check_pilots": START,
