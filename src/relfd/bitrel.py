@@ -184,12 +184,27 @@ def subset(x, y):
     return (x & ~y) == 0
 
 
+@lru_cache(maxsize=None)
+def subset_table(m: int, n: int) -> np.ndarray:
+    """T[x, y] = subset(x, y) for every pair of masks over m -> n, built
+    from the mask bits alone: row 0 is all true, and row x | 1 << i, for
+    x < 2^i, is row x and bit i of y."""
+    masks = all_masks(m, n)
+    out = np.ones((1, len(masks)), dtype=bool)
+    for i in range(m * n):
+        out = np.concatenate([out, out & (masks >> i & 1).astype(bool)])
+    return out
+
+
 def fit_table(n: int, kernels: np.ndarray) -> np.ndarray:
-    """T[m] = int64 bitset of the j with subset(m, kernels[j]), for every
-    mask m over n -> n; kernels are masks over n -> n."""
+    """T[m] = bitset of the j with subset(m, kernels[j]), for every mask m
+    over n -> n; kernels are masks over n -> n.  The bitsets are int32 for
+    up to 31 kernels (every function list at carrier sizes up to 3), else
+    int64."""
     if len(kernels) > 62:
         raise ResourceLimitError(
             f"kernel bitsets hold at most 62 kernels, got {len(kernels)}")
+    dtype = np.int32 if len(kernels) < 32 else np.int64
     ok = subset(all_masks(n, n)[:, None], kernels[None, :])
-    return ok.astype(np.int64) @ np.left_shift(
-        1, np.arange(len(kernels), dtype=np.int64))
+    return ok.astype(dtype) @ np.left_shift(
+        1, np.arange(len(kernels), dtype=dtype))

@@ -11,13 +11,12 @@ equivalence on concrete relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import rel
 from .errors import UnknownAttributeError
 from .fd import AttrFd, parse_fd, satisfies_typed
-from .rel import Rel
+from .rel import Frozen, Rel
 
 # Unused here; kept because the benchmark's tracer test binds them by these
 # names (relfd.infer.satisfies_oracle, relfd.infer.enumerate_tables).
@@ -35,13 +34,16 @@ RULES = (REFLEXIVITY, COMPOSITION, CONSEQUENCE, ADDITIVITY, PROJECTIVITY,
          AXIOM)
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Frozen):
     """A proof tree; each node's conclusion follows from its premises."""
 
-    conclusion: AttrFd
-    rule: str
-    premises: tuple["Derivation", ...] = ()
+    __slots__ = _fields = ("conclusion", "rule", "premises")
+
+    def __init__(self, conclusion: AttrFd, rule: str,
+                 premises: tuple[Derivation, ...] = ()):
+        object.__setattr__(self, "conclusion", conclusion)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "premises", premises)
 
 
 def mentioned_attrs(fds: Iterable[AttrFd], attrs: Iterable[str]) -> frozenset:

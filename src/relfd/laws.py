@@ -27,11 +27,11 @@ assignment only through one mask (often a kernel: a 3x3 relation has 18
 distinct kernels out of 512) is computed per distinct value and looked up
 per assignment: a law whose sides read T or f only through its kernel skips
 a T or f whose kernel is already judged, and "m is in ker g" for all g at
-once is an int64 bitset over g (`bitrel.fit_table`), tabulated over every
-mask m, so one xor compares both sides for every g.  `_first_bit` reads
-the first witness from those bitsets in the same C order as `_first_false`
-on the unpacked boolean array, so every sweep keeps its nesting order and
-its first witness.
+once is a bitset over g (`bitrel.fit_table`), tabulated over every mask m,
+so one comparison covers both sides for every g.  `_first_bit` reads the
+first witness from those bitsets in the same C order as `_first_false` on
+the unpacked boolean array, so every sweep keeps its nesting order and its
+first witness.
 
 Likewise each sweep judges each distinct computed term once: a function
 whose rows of computed terms (say ker(f.R~) for every R) are byte-equal to
@@ -42,6 +42,19 @@ depends only on ker f") must never justify one, the same caution as
 `bitrel.fork_kernel_table`'s: the identity holds of the true tables, so
 resting on it would hide a wrong table from the sweep that is meant to
 expose it.
+
+A sweep judges on the smallest form of its computed terms and spreads
+back only to locate a witness.  Where a side reads a variable only
+through computed values, the judgement is made once per class of equal
+values (the R and S of `injectivity_galois`) or per class of a mask that
+side reads (`join_fd_typing`'s domain classes, judged by
+`_join_violation`), and only a class that fails is spread back over its
+members, as booleans.  Each sweep tests "no witness" first (a whole
+comparison, say `np.array_equal`) and searches for the first witness only
+when there is one.  A table cached across calls is tabulated from mask
+bits alone (`bitrel.subset_table`); nothing derived from `compose_table`
+or `kernel_table` is kept between calls, so a wrong op table always
+reaches the sweep that reads it.
 
 `search_law_bruteforce` is a slow pointwise mirror of the sweep machinery
 used by the tests to cross-validate the vectorized engine.
@@ -91,11 +104,11 @@ class Law:
 
     def size_combos(self, max_carrier: int) -> Iterator[dict]:
         """Size assignments, smallest first; non-varying slots at the bound."""
-        varying = self.iterated_slots()
+        slots, varying = self.slots(), self.iterated_slots()
         for sizes in itertools.product(range(1, max_carrier + 1),
                                        repeat=len(varying)):
-            combo = {s: max_carrier for s in self.slots()}
-            combo.update(dict(zip(varying, sizes)))
+            combo = dict.fromkeys(slots, max_carrier)
+            combo.update(zip(varying, sizes))
             yield combo
 
     def assignment_from_masks(self, sizes: dict, masks: dict) -> dict:
@@ -113,15 +126,36 @@ def _first_false(ok: np.ndarray) -> Optional[tuple[int, ...]]:
     return tuple(int(i) for i in np.unravel_index(flat, ok.shape))
 
 
+def _rows(terms: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Row i holds the bytes of row i, along axis 0, of every term."""
+    return np.concatenate([np.ascontiguousarray(t).reshape(len(t), -1)
+                           .view(np.uint8) for t in terms], axis=1)
+
+
 def _distinct(*terms: np.ndarray) -> np.ndarray:
     """Ascending indices of the first row, along axis 0, of each distinct
     tuple of rows of `terms`; rows are compared byte for byte."""
-    rows = np.concatenate([np.ascontiguousarray(t).reshape(len(t), -1)
-                           .view(np.uint8) for t in terms], axis=1)
     first: dict = {}
-    for i, row in enumerate(rows):
+    for i, row in enumerate(_rows(terms)):
         first.setdefault(row.tobytes(), i)
     return np.fromiter(first.values(), dtype=np.intp, count=len(first))
+
+
+def _firsts(term: np.ndarray) -> np.ndarray:
+    """For each i, the first index whose row of `term`, along axis 0,
+    equals row i byte for byte, as `_distinct` compares rows."""
+    first: dict = {}
+    return np.array([first.setdefault(row.tobytes(), i)
+                     for i, row in enumerate(_rows((term,)))], dtype=np.intp)
+
+
+def _classes(high: np.ndarray, low: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct pairs of masks (high, low), broadcast together, as
+    their highs and their lows, and the index of each pair among them."""
+    key = high.astype(np.int64) << 32 | low
+    pairs, at = np.unique(key, return_inverse=True)
+    return pairs >> 32, pairs & 0xFFFFFFFF, at.reshape(key.shape)
 
 
 def _low_bit(x: int) -> int:
@@ -130,7 +164,7 @@ def _low_bit(x: int) -> int:
 
 def _first_bit(bits: np.ndarray, lead: int = 0) -> Optional[tuple[int, ...]]:
     """First set position, in C order, of the boolean array that unpacks
-    each int64 bitset of `bits` into a new axis after its first `lead`
+    each bitset of `bits` into a new axis after its first `lead`
     axes; the bit index sits in that place of the returned index."""
     rows = bits.reshape(int(np.prod(bits.shape[:lead])), -1)
     hits = np.flatnonzero(rows.any(axis=1))
@@ -197,11 +231,10 @@ def _sweep_shunt_left(sz: dict) -> Optional[dict]:
     ct_fr = B.compose_table(a, b, c)
     ct_cfs = B.compose_table(a, c, b)
     r_all = B.all_masks(a, b)
-    s_all = B.all_masks(a, c)
-    for fi, f in enumerate(funcs):
-        fr = ct_fr[f]
+    sub = B.subset_table(a, c)
+    for f in funcs:
         cfs = ct_cfs[conv_f[f]]
-        lhs = B.subset(fr[:, None], s_all[None, :])
+        lhs = sub.take(ct_fr[f], axis=0)  # f.R in S, row f.R of the table
         rhs = B.subset(r_all[:, None], cfs[None, :])
         hit = _first_false(lhs == rhs)
         if hit is not None:
@@ -222,11 +255,10 @@ def _sweep_shunt_right(sz: dict) -> Optional[dict]:
     ct_rcf = B.compose_table(y, x, w)
     ct_sf = B.compose_table(x, y, w)
     r_all = B.all_masks(x, w)
-    s_all = B.all_masks(y, w)
-    for fi, f in enumerate(funcs):
-        rcf = ct_rcf[:, conv_f[f]]
+    sub = B.subset_table(y, w)
+    for f in funcs:
         sf = ct_sf[:, f]
-        lhs = B.subset(rcf[:, None], s_all[None, :])
+        lhs = sub.take(ct_rcf[:, conv_f[f]], axis=0)  # R.f~ in S
         rhs = B.subset(r_all[:, None], sf[None, :])
         hit = _first_false(lhs == rhs)
         if hit is not None:
@@ -246,26 +278,34 @@ def _holds_galois(a: dict, corrupted: bool = False) -> bool:
 
 
 def _sweep_galois(sz: dict, corrupted: bool = False) -> Optional[dict]:
-    """The corrupted rule composes S with f instead of f~, so f: A -> A."""
+    """The corrupted rule composes S with f instead of f~, so f: A -> A.
+
+    The law reads R only through the pair (ker(R.f), ker R) and S only
+    through (ker S, ker(S.f~)), so it is judged once per class of equal
+    pairs, over every f at once: bad[u, v] for R-class u and S-class v,
+    and f fails when one of its R is in a u and one of its S in a v with
+    bad[u, v]."""
     a, c, d = sz["A"], sz["C"], sz["D"]
     b = a if corrupted else sz["B"]
     funcs = B.function_masks(a, b)
     backs = funcs if corrupted else B.converse_table(a, b)[funcs]
-    ct_rf = B.compose_table(a, b, c)
-    ct_sf = B.compose_table(b, a, d)
-    ker_rf = B.kernel_table(a, c)
-    ker_r = B.kernel_table(b, c)
-    ker_s = B.kernel_table(a, d)
-    ker_sf = B.kernel_table(b, d)
-    for f, back in zip(funcs, backs):
-        krf = ker_rf[ct_rf[:, f]]
-        ksf = ker_sf[ct_sf[:, back]]
-        lhs = B.subset(ker_s[None, :], krf[:, None])
-        rhs = B.subset(ksf[None, :], ker_r[:, None])
-        hit = _first_false(lhs == rhs)
-        if hit is not None:
-            return {"f": int(f), "R": hit[0], "S": hit[1]}
-    return None
+    krf = B.kernel_table(a, c)[B.compose_table(a, b, c)[:, funcs].T]
+    ksf = B.kernel_table(b, d)[B.compose_table(b, a, d)[:, backs].T]
+    krf_u, kr_u, r_at = _classes(krf, B.kernel_table(b, c))  # [f, R]
+    ks_u, ksf_u, s_at = _classes(B.kernel_table(a, d), ksf)  # [f, S]
+    bad = B.subset(ks_u, krf_u[:, None]) != B.subset(ksf_u, kr_u[:, None])
+    at_f = np.arange(len(funcs))[:, None]
+    r_in = np.zeros((len(funcs), len(krf_u)), dtype=bool)
+    r_in[at_f, r_at] = True
+    s_in = np.zeros((len(funcs), len(ks_u)), dtype=bool)
+    s_in[at_f, s_at] = True
+    fails = np.flatnonzero((r_in @ bad & s_in).any(axis=1))
+    if not fails.size:
+        return None
+    fi = fails[0]
+    ri = int(np.argmax((bad @ s_in[fi])[r_at[fi]]))
+    si = int(np.argmax(bad[r_at[fi, ri], s_at[fi]]))
+    return {"f": int(funcs[fi]), "R": ri, "S": si}
 
 
 def _holds_fd_trading(a: dict) -> bool:
@@ -284,39 +324,53 @@ def _sweep_fd_trading(sz: dict) -> Optional[dict]:
     x -> y holds on m = z.R.k~, tabulated over every K -> Z mask m, and
     rb[x, k, R] the y for which k2[x, k, R] = ker(x.k.R~) is in ker(y.z),
     per z.  An x whose lb and k2 rows equal an earlier x's is judged as
-    that x, and every k of one z is judged in one array operation."""
+    that x, and every k of one z is judged in one array operation.  lb is
+    gathered once over every w = z.R (lbw), and rb once per distinct list
+    of kernels ker(y.z); each z is tested for equality first, and the
+    first z that fails is searched for its witness."""
     a, kk, b, zz = sz["A"], sz["K"], sz["B"], sz["Z"]
     cx, cy = sz["CX"], sz["CY"]
     zf = B.function_masks(b, zz)
     kf = B.function_masks(a, kk)
     xf = B.function_masks(kk, cx)
     yf = B.function_masks(zz, cy)
-    ct_zr = B.compose_table(a, b, zz)
-    ct_zrck = B.compose_table(kk, a, zz)
-    conv_k = B.converse_table(a, kk)[kf][:, None]
     conv_kz = B.converse_table(kk, zz)
     ct_x_cm = B.compose_table(zz, kk, cx)
     lb = B.fit_table(zz, B.kernel_table(zz, cy)[yf])[
         B.kernel_table(zz, cx)[ct_x_cm[xf[:, None], conv_kz[None, :]]]]
     xk = B.compose_table(a, kk, cx)[xf[:, None], kf[None, :]]
     xk, at = np.unique(xk, return_inverse=True)  # x.k: at most CX^A values
-    k2 = B.kernel_table(b, cx)[B.compose_table(b, a, cx)[
-        xk[:, None], B.converse_table(a, b)]][at.reshape(len(xf), len(kf))]
-    xs = _distinct(lb, k2)
-    lb, k2 = lb[xs], k2[xs].astype(np.intp)  # take() is slow with int32
-    ct_yz = B.compose_table(b, zz, cy)
-    kyz_tab = B.kernel_table(b, cy)
-    for z in zf:
-        m = ct_zrck[ct_zr[z, :][None, :], conv_k]
-        lbm = lb.take(m, axis=1)
-        rb = B.fit_table(b, kyz_tab[ct_yz[yf, z]]).take(k2)
-        hits = np.flatnonzero((lbm != rb).any(axis=(0, 2)))
-        if hits.size:
-            ki = hits[0]
-            xi, yi, ri = _trade_violation(lbm[:, ki], rb[:, ki])
-            return {"x": int(xf[xs[xi]]), "z": int(z), "R": ri,
-                    "k": int(kf[ki]), "y": int(yf[yi])}
-    return None
+    at = at.reshape(len(xf), len(kf))
+    k2s = B.kernel_table(b, cx)[B.compose_table(b, a, cx)[
+        xk[:, None], B.converse_table(a, b)]]
+    # k2[x] is k2s[at[x]]: equal rows of k2s share their first index
+    xs = _distinct(lb, _firsts(k2s)[at])
+    lb, k2 = lb[xs], k2s.astype(np.intp)[at[xs]]  # take() is slow with int32
+    # lbw[x, k, w] = lb[x, w.k~] for every w: A -> Z; z.R is such a w
+    lbw = lb.take(B.compose_table(kk, a, zz)[
+        :, B.converse_table(a, kk)[kf]].T, axis=1)
+    zr = B.compose_table(a, b, zz)[zf]
+    kyz = B.kernel_table(b, cy)[B.compose_table(b, zz, cy)[
+        yf[None, :], zf[:, None]]]
+    groups: dict = {}
+    for zi, row in enumerate(kyz):
+        groups.setdefault(row.tobytes(), []).append(zi)
+    failed = []  # the first failing z of each kernel list
+    for zis in groups.values():
+        rb = B.fit_table(b, kyz[zis[0]]).take(k2)
+        for zi in zis:
+            if not np.array_equal(lbw.take(zr[zi], axis=2), rb):
+                failed.append(zi)
+                break
+    if not failed:
+        return None
+    zi = min(failed)
+    lbm = lbw.take(zr[zi], axis=2)
+    rb = B.fit_table(b, kyz[zi]).take(k2)
+    ki = np.flatnonzero((lbm != rb).any(axis=(0, 2)))[0]
+    xi, yi, ri = _trade_violation(lbm[:, ki], rb[:, ki])
+    return {"x": int(xf[xs[xi]]), "z": int(zf[zi]), "R": ri,
+            "k": int(kf[ki]), "y": int(yf[yi])}
 
 
 def _holds_union_injectivity(a: dict) -> bool:
@@ -329,22 +383,23 @@ def _holds_union_injectivity(a: dict) -> bool:
 
 
 def _sweep_union_injectivity(sz: dict) -> Optional[dict]:
+    """X is judged once per distinct kernel, and 31 kernels at a time: each
+    judgement is an int32 bitset over them (`bitrel.fit_table`)."""
     a, b = sz["A"], sz["B"]
-    n = 1 << (a * b)
     ker_ab = B.kernel_table(a, b)
-    conv_ab = B.converse_table(a, b)
-    crs = B.compose_table(a, b, a)[conv_ab[:, None],
-                                   np.arange(n, dtype=np.int64)[None, :]]
-    masks = np.arange(n, dtype=np.int64)
-    ku = ker_ab[masks[:, None] | masks[None, :]]
-    for xi in _distinct(ker_ab):
-        kx = int(ker_ab[xi])
-        lhs = B.subset(ku, kx)
-        single = B.subset(ker_ab, kx)
-        rhs = single[:, None] & single[None, :] & B.subset(crs, kx)
-        hit = _first_false(lhs == rhs)
-        if hit is not None:
-            return {"X": int(xi), "R": hit[0], "S": hit[1]}
+    crs = B.compose_table(a, b, a)[B.converse_table(a, b)]  # [R, S]: R~.S
+    masks = np.arange(1 << (a * b), dtype=np.int64)
+    ku = ker_ab.take(masks[:, None] | masks[None, :])  # [R, S]: ker(R|S)
+    xs = _distinct(ker_ab)
+    for start in range(0, len(xs), 31):
+        chunk = xs[start:start + 31]
+        fits = B.fit_table(a, ker_ab[chunk])
+        single = fits[ker_ab]
+        lhs = fits.take(ku)
+        rhs = single[:, None] & single[None, :] & fits.take(crs)
+        if not np.array_equal(lhs, rhs):
+            xi, ri, si = _first_bit(lhs ^ rhs)
+            return {"X": int(chunk[xi]), "R": ri, "S": si}
     return None
 
 
@@ -444,22 +499,25 @@ def _union_terms(sz: dict):
 
 def _sweep_union_fd_typing(sz: dict,
                            corrupted: bool = False) -> Optional[dict]:
-    """The corrupted rule drops the mutual conjunct.  Each judgement is an
-    int64 bitset over g, so one comparison per f covers every g."""
+    """The corrupted rule drops the mutual conjunct.  Each judgement is a
+    bitset over g, so one comparison per f covers every g; the bitsets of
+    R.m for every R and every B -> A mask m are gathered once, not per f,
+    and each f is tested for equality before its witness is searched."""
     masks = np.arange(1 << (sz["A"] * sz["B"]), dtype=np.int64)
     un = masks[:, None] | masks[None, :]
     funcs_g, kg_all, ct_r_mid, per_f = _union_terms(sz)
     fits = B.fit_table(sz["B"], kg_all)
+    fits_mid = None if corrupted else fits[ct_r_mid]  # [R, m]
     for f, kfu, m1 in per_f:
         single = fits[kfu]
         rhs = single[:, None] & single[None, :]
         if not corrupted:
-            # take() keeps C order; ct_r_mid[:, m1] is F order, and mixing
+            # take() keeps C order; fits_mid[:, m1] is F order, and mixing
             # the two orders makes the elementwise ops several times slower
-            rhs &= fits[ct_r_mid.take(m1, axis=1)]
-        hit = _first_bit(single[un] ^ rhs)
-        if hit is not None:
-            gi, ri, si = hit
+            rhs &= fits_mid.take(m1, axis=1)
+        lhs = single[un]
+        if not np.array_equal(lhs, rhs):
+            gi, ri, si = _first_bit(lhs ^ rhs)
             return {"R": ri, "S": si, "f": f, "g": int(funcs_g[gi])}
     return None
 
@@ -490,33 +548,54 @@ def _holds_join_fd_typing(a: dict, corrupted: bool = False) -> bool:
     return not premises or conclusion
 
 
-def _join_violation(prem1, prem2, conc1, conc2):
-    """First (R, S, g, h), R and S outermost, with g in prem1[R,S] and h in
-    prem2[R,S] but not both g in conc1[R,S] and h in conc2[R,S], or None.
+def _join_violation(prem1, prem2, conc1, conc2, in_s, at_r):
+    """First (R, S, g, h), R and S outermost, with g in prem1 and h in
+    prem2 but not both g in conc1 and h in conc2 at (R, S), or None.
 
-    Each argument is an int64 bitset array over g (prem1, conc1) or over h
-    (prem2, conc2), shaped (R|1, S|1); an axis of length 1 broadcasts.
-    Among the (g, h) of the first violated (R, S), the first g breaking
-    conc1 is preferred, paired with the first h meeting prem2; failing
-    that, the first g meeting prem1 with the first h breaking conc2.
+    The arguments are bitsets in compressed form.  prem1 and conc1 (over g)
+    are given per (R, class of S), shaped (R|1, class|1), and prem2 and
+    conc2 (over h) per (class of R, S), shaped (class|1, S|1); an axis of
+    length 1 broadcasts.  S is in class c when in_s[S, c], and R in class
+    at_r[R].  Booleans are judged on these forms: R is violated when, for
+    a class c of S, a g breaks conc1 at (R, c) and an S in c has an h in
+    prem2, or the same with the two sides swapped.  Only the first
+    violated R is spread back over S.  Among the (g, h) of the first
+    violated (R, S), the first g breaking conc1 is preferred, paired with
+    the first h meeting prem2; failing that, the first g meeting prem1
+    with the first h breaking conc2.
     """
-    viol = ((((prem1 & ~conc1) != 0) & (prem2 != 0))
-            | (((prem2 & ~conc2) != 0) & (prem1 != 0)))
-    hit = _first_false(~viol)
-    if hit is None:
+    breaks1, meets1 = (prem1 & ~conc1) != 0, prem1 != 0
+    breaks2, meets2 = (prem2 & ~conc2) != 0, prem2 != 0
+
+    def by_class(t):  # [R, c]: an S in class c has t[class of R, S]
+        t = t @ in_s if t.shape[1] > 1 else t
+        return t[at_r] if len(t) > 1 else t
+
+    viol = breaks1 & by_class(meets2) | meets1 & by_class(breaks2)
+    rows = np.flatnonzero(viol.any(axis=1))
+    if not rows.size:
         return None
-    p1, p2, c1, c2 = (int(np.broadcast_to(t, viol.shape)[hit])
-                      for t in (prem1, prem2, conc1, conc2))
+    ri = int(rows[0])
+    # row ri spread over S: the g-side through S's class, the h-side as is
+    at_s = in_s.argmax(axis=1)
+    b1, m1, p1, c1 = (np.broadcast_to(t, (len(at_r), in_s.shape[1]))[
+        ri, at_s] for t in (breaks1, meets1, prem1, conc1))
+    b2, m2, p2, c2 = (np.broadcast_to(t, (at_r.max() + 1, len(at_s)))[
+        at_r[ri]] for t in (breaks2, meets2, prem2, conc2))
+    si = int(np.argmax(b1 & m2 | m1 & b2))
+    p1, c1, p2, c2 = (int(t[si]) for t in (p1, c1, p2, c2))
     if p1 & ~c1 and p2:
-        return (*hit, _low_bit(p1 & ~c1), _low_bit(p2))
-    return (*hit, _low_bit(p1), _low_bit(p2 & ~c2))
+        return ri, si, _low_bit(p1 & ~c1), _low_bit(p2)
+    return ri, si, _low_bit(p1), _low_bit(p2 & ~c2)
 
 
 @lru_cache(maxsize=None)
-def _domains(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct domain masks of the relations m -> n, and the index of
-    each relation's domain among them."""
-    return np.unique(B.domain_table(m, n), return_inverse=True)
+def _domains(m: int, n: int) -> tuple[np.ndarray, ...]:
+    """The distinct domain masks of the relations m -> n, the index of each
+    relation's domain among them, and the same as a boolean matrix:
+    [r, c] is true when relation r has the c-th domain."""
+    dom, at = np.unique(B.domain_table(m, n), return_inverse=True)
+    return dom, at, at[:, None] == np.arange(len(dom))
 
 
 def _sweep_join_fd_typing(sz: dict,
@@ -527,8 +606,8 @@ def _sweep_join_fd_typing(sz: dict,
     only through ker f, so an f whose p1, p2 and ker f rows equal an
     earlier f's is judged as that f.  ok1 reads S only through its domain
     mask, so l1 is built per distinct domain mask (at most 2^A of them) and
-    spread back over S; likewise ok2 over R.  The corrupted rule swaps
-    premises and conclusion."""
+    judged in that form by `_join_violation`; likewise ok2 over R.  The
+    corrupted rule swaps premises and conclusion."""
     a, b, c = sz["A"], sz["B"], sz["C"]
     ff, gg, hh = sz["F"], sz["G"], sz["H"]
     funcs_f = B.function_masks(a, ff)
@@ -550,8 +629,8 @@ def _sweep_join_fd_typing(sz: dict,
     ct_sm_cs = B.compose_table(c, a, c)
     rm = np.arange(1 << (a * b), dtype=np.int64)[:, None]
     sm = np.arange(1 << (a * c), dtype=np.int64)[None, :]
-    dom_ac, at1 = _domains(a, c)
-    dom_ab, at2 = _domains(a, b)
+    dom_ac, _, in_s = _domains(a, c)
+    dom_ab, at_r, _ = _domains(a, b)
     for fi in _distinct(p1s, p2s, kfs):
         kf = int(kfs[fi])
         p1, p2 = p1s[fi][:, None], p2s[fi][None, :]
@@ -559,9 +638,9 @@ def _sweep_join_fd_typing(sz: dict,
         l1 = ct_rm_cr[ct_r_mid[rm, mid1[None, :]], conv_ab[:, None]]
         mid2 = ct_aaa[ct_aaa[dom_ab, kf], dom_ab]
         l2 = ct_sm_cs[ct_s_mid[sm, mid2[:, None]], conv_ac[None, :]]
-        ok1, ok2 = fits_g[l1][:, at1], fits_h[l2][at2, :]
+        ok1, ok2 = fits_g[l1], fits_h[l2]
         terms = (ok1, ok2, p1, p2) if corrupted else (p1, p2, ok1, ok2)
-        hit = _join_violation(*terms)
+        hit = _join_violation(*terms, in_s, at_r)
         if hit is not None:
             ri, si, gi, hi = hit
             return {"R": ri, "S": si, "f": int(funcs_f[fi]),

@@ -1,5 +1,5 @@
 """The bitmask op tables against their `einsum` oracles, their size bound
-and their memory.
+and their memory; the subset table against the elementwise subset test.
 
 `compose_table` and `fork_kernel_table` are built from rows with integer
 bit arithmetic.  The oracles here build the same tables the literal way:
@@ -54,6 +54,14 @@ def test_op_tables_equal_their_einsum_oracles(sizes):
         assert np.array_equal(got, oracle(*sizes)), table.__name__
     m, n = sizes[:2]
     assert np.array_equal(bitrel.kernel_table(m, n), kernel_oracle(m, n))
+
+
+@pytest.mark.parametrize("m, n", list(itertools.product((1, 2, 3), repeat=2)))
+def test_subset_table_equals_subset_on_every_pair_of_masks(m, n):
+    masks = bitrel.all_masks(m, n)
+    table = bitrel.subset_table(m, n)
+    assert table.shape == (len(masks), len(masks)) and table.dtype == bool
+    assert np.array_equal(table, bitrel.subset(masks[:, None], masks[None, :]))
 
 
 @pytest.mark.parametrize("table", [bitrel.compose_table,

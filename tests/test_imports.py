@@ -5,9 +5,10 @@ inference engine, the query IR and the counterexample search load when a
 command runs them; numpy, the law registry (`relfd.laws`) and its bitset
 tables (`relfd.bitrel`) only for `laws`; `logging` only to warn about
 duplicate rows.  `dataclasses`, with the `inspect` it imports, loads only
-with the first module that declares a dataclass (`infer`, `query`,
-`search`, `laws`), so `check` runs without it.  Each call runs in a fresh
-interpreter, since this test process has loaded them all already.
+with the first module that declares a dataclass (`query`, `search`,
+`laws`), so `check`, `closure` and `derive` run without it.  Each call
+runs in a fresh interpreter, since this test process has loaded them all
+already.
 """
 
 import importlib
@@ -39,9 +40,9 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("relfd.")
 """
 
 START = {"relfd.cli", "relfd.errors", "relfd.fd", "relfd.rel", "relfd.tables"}
-# `infer.Derivation` is a dataclass, so every command that imports `infer`
-# loads `dataclasses` and `inspect` with it
-INFER = START | {"relfd.infer", "dataclasses", "inspect"}
+# `search` and `query` declare dataclasses, so the commands that import
+# them load `dataclasses` and `inspect` with them
+DATACLASSES = {"dataclasses", "inspect"}
 LAZY = {"numpy", "relfd.laws", "relfd.bitrel"}
 
 # The names `relfd` has exported since 0.1.0, each from its own module.
@@ -77,14 +78,14 @@ def loaded_after(argv: list[str]) -> set[str]:
 
 
 # The modules each command loads, numpy (the `LAZY` set) left out of all;
-# a bare import and `check` load no dataclasses either.
+# a bare import, `check`, `closure` and `derive` load no dataclasses either.
 LOADS = {
     None: START,
     "check_pilots": START,
-    "closure_pilots": INFER,
-    "derive_pilots": INFER,
-    "cex_pilots": INFER | {"relfd.search"},
-    "optimize_movies": INFER | {"relfd.query"},
+    "closure_pilots": START | {"relfd.infer"},
+    "derive_pilots": START | {"relfd.infer"},
+    "cex_pilots": START | {"relfd.infer", "relfd.search"} | DATACLASSES,
+    "optimize_movies": START | {"relfd.infer", "relfd.query"} | DATACLASSES,
 }
 
 
@@ -95,7 +96,7 @@ def test_commands_but_laws_start_without_numpy(call):
 
 def test_laws_command_loads_the_law_sweeps():
     assert (loaded_after(["laws", "--scope-carrier", "1"])
-            == INFER | {"relfd.search"} | LAZY)
+            == START | {"relfd.infer", "relfd.search"} | DATACLASSES | LAZY)
 
 
 def test_logging_loads_only_to_warn_about_duplicate_rows(tmp_path):

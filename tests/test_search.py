@@ -392,13 +392,15 @@ def test_join_violation_prefers_the_first_witness_branch():
     def one(bits):
         return np.array([[bits]], dtype=np.int64)
 
-    assert _join_violation(one(0b11), one(0b11),
-                           one(0b01), one(0b10)) == (0, 0, 1, 0)
+    # one R and one S, each alone in its class
+    in_s, at_r = np.ones((1, 1), dtype=bool), np.zeros(1, dtype=np.intp)
+    assert _join_violation(one(0b11), one(0b11), one(0b01), one(0b10),
+                           in_s, at_r) == (0, 0, 1, 0)
     # no g breaks conc1: the second branch names h0
-    assert _join_violation(one(0b11), one(0b11),
-                           one(0b11), one(0b10)) == (0, 0, 0, 0)
-    assert _join_violation(one(0b11), one(0b11),
-                           one(0b11), one(0b11)) is None
+    assert _join_violation(one(0b11), one(0b11), one(0b11), one(0b10),
+                           in_s, at_r) == (0, 0, 0, 0)
+    assert _join_violation(one(0b11), one(0b11), one(0b11), one(0b11),
+                           in_s, at_r) is None
 
 
 def test_trade_violation_hits_a_difference_on_either_side():

@@ -1,8 +1,10 @@
-"""The value classes of `rel`, `tables` and `fd` against their dataclass forms.
+"""The value classes of `rel`, `tables`, `fd` and `infer` against their
+dataclass forms.
 
-`Pair`, `Unit`, `Carrier`, `Rel`, `Scheme`, `Table`, `AttrFd` and
-`UnionTypeReport` are plain classes on `rel.Frozen`, so that start-up loads
-no `dataclasses`.  Each was a ``@dataclass(frozen=True)``; that form is kept
+`Pair`, `Unit`, `Carrier`, `Rel`, `Scheme`, `Table`, `AttrFd`,
+`UnionTypeReport` and `Derivation` are plain classes on `rel.Frozen`, so
+that start-up, `closure` and `derive` load no `dataclasses`.  Each was a
+``@dataclass(frozen=True)``; that form is kept
 below as its twin, under the same name.  On generated values each class must
 show, compare and hash as its twin does, stay immutable, and keep its
 excluded fields (`Carrier.components`, `Scheme.names`) out of equality.
@@ -21,7 +23,7 @@ from unittest.mock import ANY
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relfd import fd, rel, tables
+from relfd import fd, infer, rel, tables
 from relfd.errors import SchemeError
 
 
@@ -107,12 +109,20 @@ class UnionTypeReport:
     witness: Optional[tuple] = None
 
 
+@dataclass(frozen=True)
+class Derivation:
+    conclusion: AttrFd
+    rule: str
+    premises: tuple = ()
+
+
 OLD = SimpleNamespace(**{c.__name__: c for c in (
-    Pair, Unit, Carrier, Rel, Scheme, Table, AttrFd, UnionTypeReport)})
+    Pair, Unit, Carrier, Rel, Scheme, Table, AttrFd, UnionTypeReport,
+    Derivation)})
 NEW = SimpleNamespace(
     Pair=rel.Pair, Unit=rel.Unit, Carrier=rel.Carrier, Rel=rel.Rel,
     Scheme=tables.Scheme, Table=tables.Table, AttrFd=fd.AttrFd,
-    UnionTypeReport=fd.UnionTypeReport)
+    UnionTypeReport=fd.UnionTypeReport, Derivation=infer.Derivation)
 
 
 # Plain descriptions of values, built into either family by `build`: an atom
@@ -164,6 +174,23 @@ def table(plain, ns):
     return ns.Table(s, frozenset(rows))
 
 
+def derivation(plain, ns):
+    """A leaf leaves `premises` to its default; a node passes them by name."""
+    (ante, cons), rule, premises = plain
+    conclusion = ns.AttrFd(sorted(ante), tuple(cons))
+    if not premises:
+        return ns.Derivation(conclusion, rule)
+    return ns.Derivation(conclusion, rule, premises=tuple(
+        derivation(p, ns) for p in premises))
+
+
+DERIVATIONS = st.recursive(
+    st.tuples(st.tuples(NAMES, NAMES), st.sampled_from(["Axiom"]),
+              st.just(())),
+    lambda kids: st.tuples(st.tuples(NAMES, NAMES),
+                           st.sampled_from(["Composition", "Consequence"]),
+                           st.lists(kids, min_size=1, max_size=2)),
+    max_leaves=4)
 SCHEMES = st.lists(st.tuples(st.sampled_from(["A", "B", "C"]), CARRIERS),
                    max_size=3, unique_by=lambda a: a[0])
 KINDS = {
@@ -186,6 +213,7 @@ KINDS = {
         lambda p, ns: ns.UnionTypeReport(
             *p[0], *([] if p[1] is None
                      else [tuple(build(v, ns) for v in p[1])]))),
+    "Derivation": (DERIVATIONS, derivation),
 }
 
 
