@@ -350,11 +350,8 @@ class UnionTypeReport(Frozen):
     def __init__(self, union_holds: bool, left_holds: bool,
                  right_holds: bool, mutual_holds: bool,
                  witness: Optional[tuple] = None):
-        object.__setattr__(self, "union_holds", union_holds)
-        object.__setattr__(self, "left_holds", left_holds)
-        object.__setattr__(self, "right_holds", right_holds)
-        object.__setattr__(self, "mutual_holds", mutual_holds)
-        object.__setattr__(self, "witness", witness)
+        super().__init__(union_holds, left_holds, right_holds, mutual_holds,
+                         witness)
 
     @property
     def failed(self) -> tuple[str, ...]:

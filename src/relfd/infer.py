@@ -41,9 +41,7 @@ class Derivation(Frozen):
 
     def __init__(self, conclusion: AttrFd, rule: str,
                  premises: tuple[Derivation, ...] = ()):
-        object.__setattr__(self, "conclusion", conclusion)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "premises", premises)
+        super().__init__(conclusion, rule, premises)
 
 
 def mentioned_attrs(fds: Iterable[AttrFd], attrs: Iterable[str]) -> frozenset:

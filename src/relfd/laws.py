@@ -75,14 +75,16 @@ from .fd import mutual_dependency, satisfies_typed
 from .infer import fd_trade
 
 
-@dataclass(frozen=True)
-class LawVariable:
-    name: str
-    source: str
-    target: str
-    function: bool = False
+class LawVariable(rel.Frozen):
+    __slots__ = _fields = ("name", "source", "target", "function")
+
+    def __init__(self, name: str, source: str, target: str,
+                 function: bool = False):
+        super().__init__(name, source, target, function)
 
 
+# The one dataclass of relfd: bench/tracer.py wraps each registered law's
+# `holds` and `sweep` through `dataclasses.replace`.
 @dataclass(frozen=True)
 class Law:
     law_id: str
@@ -657,103 +659,89 @@ def _law(law_id, summary, variables, holds, sweep) -> Law:
                holds, sweep)
 
 
-LAW_REGISTRY: dict[str, Law] = {
-    law.law_id: law
-    for law in (
-        _law("converse_of_compose",
-             "(R.S)~ = S~.R~",
-             [("R", "B", "C"), ("S", "A", "B")],
-             _holds_converse_compose, _sweep_converse_compose),
-        _law("converse_involution",
-             "(R~)~ = R",
-             [("R", "A", "B")],
-             _holds_converse_involution, _sweep_converse_involution),
-        _law("shunt_function_left",
-             "f.R included in S  iff  R included in f~.S",
-             [("f", "B", "C", True), ("R", "A", "B"), ("S", "A", "C")],
-             _holds_shunt_left, _sweep_shunt_left),
-        _law("shunt_function_right",
-             "R.f~ included in S  iff  R included in S.f",
-             [("f", "X", "Y", True), ("R", "X", "W"), ("S", "Y", "W")],
-             _holds_shunt_right, _sweep_shunt_right),
-        _law("injectivity_galois",
-             "R.f <= S  iff  R <= S.f~",
-             [("f", "A", "B", True), ("R", "B", "C"), ("S", "A", "D")],
-             _holds_galois, _sweep_galois),
-        _law("fd_trading",
-             "x -> y on z.R.k~  iff  x.k -> y.z on R",
-             [("z", "B", "Z", True), ("k", "A", "K", True),
-              ("x", "K", "CX", True), ("y", "Z", "CY", True),
-              ("R", "A", "B")],
-             _holds_fd_trading, _sweep_fd_trading),
-        _law("union_injectivity",
-             "X <= R|S  iff  X <= R and X <= S and R~.S in ker X",
-             [("X", "A", "B"), ("R", "A", "B"), ("S", "A", "B")],
-             _holds_union_injectivity, _sweep_union_injectivity),
-        _law("fork_least_upper_bound",
-             "fork(R,S) <= T  iff  R <= T and S <= T",
-             [("R", "C", "A"), ("S", "C", "B"), ("T", "C", "D")],
-             _holds_fork_lub, _sweep_fork_lub),
-        _law("fd_consequent_pairing",
-             "f -> fork(g,h) on R  iff  f -> g and f -> h on R",
-             [("f", "A", "F", True), ("g", "B", "G", True),
-              ("h", "B", "H", True), ("R", "A", "B")],
-             _holds_consequent_pairing, _sweep_consequent_pairing),
-        _law("union_fd_typing",
-             "f -> g on R|S  iff  on R, on S, and mutually on (R,S)",
-             [("f", "A", "C", True), ("g", "B", "D", True),
-              ("R", "A", "B"), ("S", "A", "B")],
-             _holds_union_fd_typing, _sweep_union_fd_typing),
-        _law("mutual_dependency_self",
-             "mutual dependency of R with itself is the plain dependency",
-             [("f", "A", "C", True), ("g", "B", "D", True),
-              ("R", "A", "B")],
-             _holds_mutual_self, _sweep_mutual_self),
-        _law("join_fd_typing",
-             "f -> g on R and f -> h on S  imply  f -> gxh on fork(R,S)",
-             [("f", "A", "F", True), ("g", "B", "G", True),
-              ("h", "C", "H", True), ("R", "A", "B"), ("S", "A", "C")],
-             _holds_join_fd_typing, _sweep_join_fd_typing),
-        _law("galois_corrupted",
-             "deliberately broken galois rule (converse dropped)",
-             [("f", "A", "A", True), ("R", "A", "C"), ("S", "A", "D")],
-             partial(_holds_galois, corrupted=True),
-             partial(_sweep_galois, corrupted=True)),
-        _law("fork_lub_corrupted",
-             "deliberately broken bound rule (one conjunct dropped)",
-             [("R", "C", "A"), ("S", "C", "B"), ("T", "C", "D")],
-             partial(_holds_fork_lub, corrupted=True),
-             partial(_sweep_fork_lub, corrupted=True)),
-        _law("union_typing_corrupted",
-             "deliberately broken merge rule (mutual conjunct dropped)",
-             [("f", "A", "C", True), ("g", "B", "D", True),
-              ("R", "A", "B"), ("S", "A", "B")],
-             partial(_holds_union_fd_typing, corrupted=True),
-             partial(_sweep_union_fd_typing, corrupted=True)),
-        _law("join_converse_corrupted",
-             "deliberately reversed join rule (conclusion implies premises)",
-             [("f", "A", "F", True), ("g", "B", "G", True),
-              ("h", "C", "H", True), ("R", "A", "B"), ("S", "A", "C")],
-             partial(_holds_join_fd_typing, corrupted=True),
-             partial(_sweep_join_fd_typing, corrupted=True)),
-    )
-}
-
-# The sound laws, in report order; the corrupted laws stay out of the suite.
-LAW_SUITE: tuple[str, ...] = (
-    "converse_of_compose",
-    "converse_involution",
-    "shunt_function_left",
-    "shunt_function_right",
-    "injectivity_galois",
-    "fd_trading",
-    "union_injectivity",
-    "fork_least_upper_bound",
-    "fd_consequent_pairing",
-    "union_fd_typing",
-    "mutual_dependency_self",
-    "join_fd_typing",
+# The sound laws, in report order: the suite.  The corrupted laws after
+# them are registered, to show that the sweeps refute, but not run.
+_SOUND = (
+    _law("converse_of_compose",
+         "(R.S)~ = S~.R~",
+         [("R", "B", "C"), ("S", "A", "B")],
+         _holds_converse_compose, _sweep_converse_compose),
+    _law("converse_involution",
+         "(R~)~ = R",
+         [("R", "A", "B")],
+         _holds_converse_involution, _sweep_converse_involution),
+    _law("shunt_function_left",
+         "f.R included in S  iff  R included in f~.S",
+         [("f", "B", "C", True), ("R", "A", "B"), ("S", "A", "C")],
+         _holds_shunt_left, _sweep_shunt_left),
+    _law("shunt_function_right",
+         "R.f~ included in S  iff  R included in S.f",
+         [("f", "X", "Y", True), ("R", "X", "W"), ("S", "Y", "W")],
+         _holds_shunt_right, _sweep_shunt_right),
+    _law("injectivity_galois",
+         "R.f <= S  iff  R <= S.f~",
+         [("f", "A", "B", True), ("R", "B", "C"), ("S", "A", "D")],
+         _holds_galois, _sweep_galois),
+    _law("fd_trading",
+         "x -> y on z.R.k~  iff  x.k -> y.z on R",
+         [("z", "B", "Z", True), ("k", "A", "K", True),
+          ("x", "K", "CX", True), ("y", "Z", "CY", True),
+          ("R", "A", "B")],
+         _holds_fd_trading, _sweep_fd_trading),
+    _law("union_injectivity",
+         "X <= R|S  iff  X <= R and X <= S and R~.S in ker X",
+         [("X", "A", "B"), ("R", "A", "B"), ("S", "A", "B")],
+         _holds_union_injectivity, _sweep_union_injectivity),
+    _law("fork_least_upper_bound",
+         "fork(R,S) <= T  iff  R <= T and S <= T",
+         [("R", "C", "A"), ("S", "C", "B"), ("T", "C", "D")],
+         _holds_fork_lub, _sweep_fork_lub),
+    _law("fd_consequent_pairing",
+         "f -> fork(g,h) on R  iff  f -> g and f -> h on R",
+         [("f", "A", "F", True), ("g", "B", "G", True),
+          ("h", "B", "H", True), ("R", "A", "B")],
+         _holds_consequent_pairing, _sweep_consequent_pairing),
+    _law("union_fd_typing",
+         "f -> g on R|S  iff  on R, on S, and mutually on (R,S)",
+         [("f", "A", "C", True), ("g", "B", "D", True),
+          ("R", "A", "B"), ("S", "A", "B")],
+         _holds_union_fd_typing, _sweep_union_fd_typing),
+    _law("mutual_dependency_self",
+         "mutual dependency of R with itself is the plain dependency",
+         [("f", "A", "C", True), ("g", "B", "D", True),
+          ("R", "A", "B")],
+         _holds_mutual_self, _sweep_mutual_self),
+    _law("join_fd_typing",
+         "f -> g on R and f -> h on S  imply  f -> gxh on fork(R,S)",
+         [("f", "A", "F", True), ("g", "B", "G", True),
+          ("h", "C", "H", True), ("R", "A", "B"), ("S", "A", "C")],
+         _holds_join_fd_typing, _sweep_join_fd_typing),
 )
+LAW_SUITE: tuple[str, ...] = tuple(law.law_id for law in _SOUND)
+LAW_REGISTRY: dict[str, Law] = {law.law_id: law for law in _SOUND + (
+    _law("galois_corrupted",
+         "deliberately broken galois rule (converse dropped)",
+         [("f", "A", "A", True), ("R", "A", "C"), ("S", "A", "D")],
+         partial(_holds_galois, corrupted=True),
+         partial(_sweep_galois, corrupted=True)),
+    _law("fork_lub_corrupted",
+         "deliberately broken bound rule (one conjunct dropped)",
+         [("R", "C", "A"), ("S", "C", "B"), ("T", "C", "D")],
+         partial(_holds_fork_lub, corrupted=True),
+         partial(_sweep_fork_lub, corrupted=True)),
+    _law("union_typing_corrupted",
+         "deliberately broken merge rule (mutual conjunct dropped)",
+         [("f", "A", "C", True), ("g", "B", "D", True),
+          ("R", "A", "B"), ("S", "A", "B")],
+         partial(_holds_union_fd_typing, corrupted=True),
+         partial(_sweep_union_fd_typing, corrupted=True)),
+    _law("join_converse_corrupted",
+         "deliberately reversed join rule (conclusion implies premises)",
+         [("f", "A", "F", True), ("g", "B", "G", True),
+          ("h", "C", "H", True), ("R", "A", "B"), ("S", "A", "C")],
+         partial(_holds_join_fd_typing, corrupted=True),
+         partial(_sweep_join_fd_typing, corrupted=True)),
+)}
 
 
 def law_variable_masks(law: Law, sizes: dict) -> list[np.ndarray]:

@@ -46,7 +46,6 @@ first operand n - 1 levels down.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from . import rel, tables
@@ -54,7 +53,7 @@ from .errors import (CarrierMismatchError, ParseError, QueryTypeError,
                      RelfdError)
 from .fd import AttrFd, fd_positions, satisfies_refinement
 from .infer import derive
-from .rel import Carrier, Rel, Value, render_value
+from .rel import Carrier, Frozen, Rel, Value, render_value
 from .tables import Table
 
 # Nesting bound of `from_json`, well below the interpreter's recursion limit.
@@ -62,38 +61,36 @@ MAX_QUERY_DEPTH = 100
 TOO_DEEP = f"query nests deeper than {MAX_QUERY_DEPTH} levels"
 
 
-@dataclass(frozen=True)
-class RelRef:
-    name: str
+class RelRef(Frozen):
+    __slots__ = _fields = ("name",)
     args = ()
 
 
-@dataclass(frozen=True)
-class Proj:
-    scheme: str  # name of the table whose scheme is projected
-    attrs: frozenset
+class Proj(Frozen):  # `scheme` names the table whose scheme is projected
+    __slots__ = _fields = ("scheme", "attrs")
     args = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "attrs", frozenset(self.attrs))
+    def __init__(self, scheme: str, attrs: frozenset):
+        super().__init__(scheme, frozenset(attrs))
 
 
-@dataclass(frozen=True)
-class Pid:
-    table: str
+class Pid(Frozen):
+    __slots__ = _fields = ("table",)
     args = ()
 
 
-@dataclass(frozen=True, init=False)
-class _Inner:
+class _Inner(Frozen):
     """An inner node: `op` names it on the wire, and `key` is the wire
     field of its operands, ``"arg"`` for one or ``"args"`` for a list."""
 
-    args: tuple
+    __slots__ = _fields = ("args",)
     key = "args"
 
     def __init__(self, *args: "QueryExpr"):
         object.__setattr__(self, "args", args)
+
+    def __reduce__(self):  # the operands are passed one by one
+        return self.__class__, self.args
 
 
 class Converse(_Inner):
@@ -128,10 +125,13 @@ QueryExpr = Union[RelRef, Compose, Converse, Kernel, Proj, Pid, UnionOp, Fork]
 _INNER_TYPES = (Compose, Converse, Kernel, UnionOp, Fork)
 
 
-@dataclass
-class Env:
-    tables: dict = field(default_factory=dict)
-    rels: dict = field(default_factory=dict)
+class Env(Frozen):
+    __slots__ = _fields = ("tables", "rels")
+    __hash__ = None  # its dicts are not hashable
+
+    def __init__(self, tables: dict | None = None, rels: dict | None = None):
+        super().__init__({} if tables is None else tables,
+                         {} if rels is None else rels)
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +431,12 @@ def table_refs(e: QueryExpr) -> set:
 # Rewrite verification
 
 
-@dataclass(frozen=True)
-class EquivResult:
-    equal: bool
-    witness: Optional[tuple[Value, Value]] = None
+class EquivResult(Frozen):
+    __slots__ = _fields = ("equal", "witness")
+
+    def __init__(self, equal: bool,
+                 witness: Optional[tuple[Value, Value]] = None):
+        super().__init__(equal, witness)
 
     def __bool__(self) -> bool:
         return self.equal

@@ -29,20 +29,33 @@ from .errors import CarrierMismatchError, SchemeError
 
 
 class Frozen:
-    """Base of the immutable value classes of `rel`, `tables` and `fd`.
+    """Base of every relfd value class but `laws.Law`.
 
     Each behaves as ``@dataclass(frozen=True)`` would, without importing
-    `dataclasses` (and the `inspect` it loads) at start-up.  A subclass lists
-    in `_fields` the attributes that take part in equality, hash and repr,
-    and its `__init__` sets its attributes with `object.__setattr__`.  An
-    instance equals only an instance of its own class, hashes as the tuple
-    of its fields and shows as ``Name(field=value, ...)``; assigning or
-    deleting an attribute raises `AttributeError`.  A class whose equality
-    or hash is hot writes `_key`, or those methods, out.
+    `dataclasses` (and the `inspect` it loads).  A subclass lists in
+    `_fields` the attributes that take part in equality, hash and repr; the
+    base `__init__` takes them in that order, by position or by name, and a
+    subclass with a default or a coercion calls it from its own signature.
+    A hot class (`Pair`, `Carrier`, `Rel`, `Scheme`, `Table`, `AttrFd`)
+    writes its `__init__` out, and its `_key` or equality and hash where
+    they are hot.  An instance equals only an instance of its own class,
+    hashes as the tuple of its fields and shows as ``Name(field=value,
+    ...)``; assigning or deleting an attribute raises `AttributeError`.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named:
+            values += tuple(named.pop(f) for f in fields[len(values):]
+                            if f in named)
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields "
+                            f"({', '.join(fields)})")
+        for f, v in zip(fields, values):
+            object.__setattr__(self, f, v)
 
     def _key(self) -> tuple:  # the fields, as one tuple
         return tuple([getattr(self, f) for f in self._fields])

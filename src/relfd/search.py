@@ -22,13 +22,12 @@ numpy, when called: the table searches never load them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import InternalCheckError, ResourceLimitError, UnknownLawError
 from .fd import AttrFd, fd_positions, satisfies_oracle, violating_pair
 from .infer import attr_closure, mentioned_attrs
-from .rel import Carrier
+from .rel import Carrier, Frozen
 from .tables import Scheme, Table, count_tables, enumerate_tables
 
 if TYPE_CHECKING:
@@ -37,21 +36,21 @@ if TYPE_CHECKING:
 DEFAULT_CANDIDATE_CAP = 10 ** 7
 
 
-@dataclass(frozen=True)
-class Scope:
+class Scope(Frozen):
     """Size bounds for refutation searches."""
 
-    max_rows: int = 2
-    domain_sizes: "int | tuple[int, ...]" = 2
-    max_carrier: int = 3
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP
+    __slots__ = _fields = ("max_rows", "domain_sizes", "max_carrier",
+                           "candidate_cap")
 
-    def __post_init__(self):
-        sizes = (self.domain_sizes if isinstance(self.domain_sizes, tuple)
-                 else (self.domain_sizes,))
-        if (self.max_rows < 1 or self.max_carrier < 1
-                or self.candidate_cap < 1 or any(s < 1 for s in sizes)):
+    def __init__(self, max_rows: int = 2,
+                 domain_sizes: int | tuple[int, ...] = 2, max_carrier: int = 3,
+                 candidate_cap: int = DEFAULT_CANDIDATE_CAP):
+        sizes = (domain_sizes if isinstance(domain_sizes, tuple)
+                 else (domain_sizes,))
+        if (max_rows < 1 or max_carrier < 1
+                or candidate_cap < 1 or any(s < 1 for s in sizes)):
             raise ValueError("scope bounds must all be positive")
+        super().__init__(max_rows, domain_sizes, max_carrier, candidate_cap)
 
     def sizes_for(self, attrs: Sequence[str]) -> tuple[int, ...]:
         """Domain size of each of the attributes, in sorted name order."""
@@ -122,16 +121,15 @@ def search_tables(fds: Sequence[AttrFd], goal: AttrFd,
     return None
 
 
-@dataclass(frozen=True)
-class RuleInstance:
-    premises: tuple[AttrFd, ...]
-    conclusion: AttrFd
+class RuleInstance(Frozen):
+    __slots__ = _fields = ("premises", "conclusion")  # tuple[AttrFd], AttrFd
 
 
-@dataclass(frozen=True)
-class SoundnessResult:
-    ok: bool
-    witness: Optional[Table] = None
+class SoundnessResult(Frozen):
+    __slots__ = _fields = ("ok", "witness")
+
+    def __init__(self, ok: bool, witness: Optional[Table] = None):
+        super().__init__(ok, witness)
 
     def __bool__(self) -> bool:
         return self.ok

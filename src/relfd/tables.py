@@ -67,12 +67,14 @@ class Scheme(Frozen):
         raise UnknownAttributeError(f"unknown attribute {name!r}")
 
     def select(self, attrs: Iterable[str]) -> tuple[str, ...]:
-        """The requested attributes, reordered into scheme order."""
+        """The requested attributes in scheme order; an unknown one raises,
+        the least by name first."""
         wanted = set(attrs)
-        for a in wanted:
-            if a not in self.names:
-                raise UnknownAttributeError(f"unknown attribute {a!r}")
-        return tuple(n for n in self.names if n in wanted)
+        picked = tuple(n for n in self.names if n in wanted)
+        if len(picked) != len(wanted):
+            unknown = min(wanted.difference(self.names))
+            raise UnknownAttributeError(f"unknown attribute {unknown!r}")
+        return picked
 
     def arity(self) -> int:
         return len(self.attributes)

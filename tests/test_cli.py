@@ -1,8 +1,12 @@
 import gc
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +93,32 @@ def test_check_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "check", "--table", "/nonexistent.csv",
                        "--fds", FIXTURES / "pilots.fds")
     assert code == 2
+
+
+def test_unknown_attribute_message_does_not_depend_on_the_hash_seed(
+        tmp_path):
+    """The least unknown name is reported, whatever order a set has."""
+    fds = tmp_path / "unknown.fds"
+    fds.write_text("Zc Xb Wd -> Pilot\n", encoding="utf-8")
+    q = tmp_path / "unknown.json"
+    q.write_text(json.dumps({"op": "proj", "scheme": "movies",
+                             "attrs": ["Zq", "Xq", "Yq"]}), encoding="utf-8")
+    calls = {
+        "error: unknown attribute 'Wd'\n": [
+            "check", "--table", FIXTURES / "pilots.csv", "--fds", fds],
+        "error: at query: unknown attribute 'Xq'\n": [
+            "optimize", "--query", q, "--fds", FIXTURES / "movies.fds",
+            "--table", FIXTURES / "movies.csv"]}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for want, argv in calls.items():
+        for hash_seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run(
+                [sys.executable, "-m", "relfd.cli", *map(str, argv)],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert (done.returncode, done.stderr) == (2, want), hash_seed
 
 
 def _wide_table(tmp_path):

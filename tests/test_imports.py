@@ -4,11 +4,11 @@
 inference engine, the query IR and the counterexample search load when a
 command runs them; numpy, the law registry (`relfd.laws`) and its bitset
 tables (`relfd.bitrel`) only for `laws`; `logging` only to warn about
-duplicate rows.  `dataclasses`, with the `inspect` it imports, loads only
-with the first module that declares a dataclass (`query`, `search`,
-`laws`), so `check`, `closure` and `derive` run without it.  Each call
-runs in a fresh interpreter, since this test process has loaded them all
-already.
+duplicate rows.  Every value class but `laws.Law` is a plain class on
+`rel.Frozen`, so `dataclasses`, with the `inspect` it imports, loads only
+with the law registry: every command but `laws` runs without it.  Each
+call runs in a fresh interpreter, since this test process has loaded them
+all already.
 """
 
 import importlib
@@ -40,8 +40,7 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("relfd.")
 """
 
 START = {"relfd.cli", "relfd.errors", "relfd.fd", "relfd.rel", "relfd.tables"}
-# `search` and `query` declare dataclasses, so the commands that import
-# them load `dataclasses` and `inspect` with them
+# `laws.Law` is the one dataclass, so only `laws` loads these
 DATACLASSES = {"dataclasses", "inspect"}
 LAZY = {"numpy", "relfd.laws", "relfd.bitrel"}
 
@@ -78,14 +77,14 @@ def loaded_after(argv: list[str]) -> set[str]:
 
 
 # The modules each command loads, numpy (the `LAZY` set) left out of all;
-# a bare import, `check`, `closure` and `derive` load no dataclasses either.
+# none of them loads dataclasses either.
 LOADS = {
     None: START,
     "check_pilots": START,
     "closure_pilots": START | {"relfd.infer"},
     "derive_pilots": START | {"relfd.infer"},
-    "cex_pilots": START | {"relfd.infer", "relfd.search"} | DATACLASSES,
-    "optimize_movies": START | {"relfd.infer", "relfd.query"} | DATACLASSES,
+    "cex_pilots": START | {"relfd.infer", "relfd.search"},
+    "optimize_movies": START | {"relfd.infer", "relfd.query"},
 }
 
 
