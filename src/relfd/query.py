@@ -209,25 +209,12 @@ def _table(env: Env, name: str, path: str) -> Table:
     return env.tables[name]
 
 
-def _unbound(e: RelRef, path: str) -> QueryTypeError:
-    return QueryTypeError(f"unbound relation {e.name!r}", path)
-
-
-def reject_relations(e: QueryExpr, path: str = "query") -> None:
-    """Raise the error `type_check` gives the first `rel` node, in its
-    order, in an environment that binds no relation."""
-    if isinstance(e, RelRef):
-        raise _unbound(e, path)
-    for i, a in enumerate(e.args):
-        reject_relations(a, _arg_path(e, path, i))
-
-
 def type_check(e: QueryExpr, env: Env, path: str = "query"
                ) -> tuple[Carrier, Carrier]:
     """Source and target carriers of the expression, or a located error."""
     if isinstance(e, RelRef):
         if e.name not in env.rels:
-            raise _unbound(e, path)
+            raise QueryTypeError(f"unbound relation {e.name!r}", path)
         r = env.rels[e.name]
         return r.source, r.target
     if isinstance(e, (Pid, Proj)):
@@ -425,6 +412,13 @@ def table_refs(e: QueryExpr) -> set:
     if isinstance(e, Proj):
         return {e.scheme}
     return set().union(*map(table_refs, e.args))
+
+
+def proj_attrs(e: QueryExpr) -> set:
+    """The attributes the expression's projections name."""
+    if isinstance(e, Proj):
+        return set(e.attrs)
+    return set().union(*map(proj_attrs, e.args))
 
 
 # ---------------------------------------------------------------------------

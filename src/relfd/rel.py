@@ -36,11 +36,11 @@ class Frozen:
     `_fields` the attributes that take part in equality, hash and repr; the
     base `__init__` takes them in that order, by position or by name, and a
     subclass with a default or a coercion calls it from its own signature.
-    A hot class (`Pair`, `Carrier`, `Rel`, `Scheme`, `Table`, `AttrFd`)
-    writes its `__init__` out, and its `_key` or equality and hash where
-    they are hot.  An instance equals only an instance of its own class,
-    hashes as the tuple of its fields and shows as ``Name(field=value,
-    ...)``; assigning or deleting an attribute raises `AttributeError`.
+    A hot class (`Pair`, `Carrier`, `Rel`, `Scheme`, `AttrFd`) writes its
+    `__init__` out, and its `_key` or equality and hash where they are hot.
+    An instance equals only an instance of its own class, hashes as the
+    tuple of its fields and shows as ``Name(field=value, ...)``; assigning
+    or deleting an attribute raises `AttributeError`.
     """
 
     __slots__ = ()

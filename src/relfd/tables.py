@@ -81,11 +81,7 @@ class Scheme(Frozen):
 
 
 class Table(Frozen):
-    __slots__ = _fields = ("scheme", "rows")
-
-    def __init__(self, scheme: Scheme, rows: frozenset):
-        object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "rows", rows)  # of row tuples
+    __slots__ = _fields = ("scheme", "rows")  # Scheme, frozenset of rows
 
     @classmethod
     def make(cls, scheme: Scheme, rows: Iterable[tuple]) -> "Table":
@@ -185,7 +181,8 @@ def count_tables(universe: int, max_rows: int,
 
 
 def enumerate_tables(scheme: Scheme, max_rows: int) -> Iterator[Table]:
-    """All tables with at most `max_rows` rows, by row count then row lex."""
+    """All tables with at most `max_rows` rows, by row count then row lex:
+    the literal enumeration the table search is tested against."""
     universe = row_carrier(scheme).elements
     for k in range(0, min(max_rows, len(universe)) + 1):
         for combo in itertools.combinations(universe, k):

@@ -680,6 +680,108 @@ def test_optimize_rejects_rel_nodes_with_or_without_a_table(tmp_path, capsys,
     assert bare[2].startswith(f"error: at {path}: unbound relation ")
 
 
+def test_optimize_types_an_ill_typed_query_with_or_without_a_table(
+        tmp_path, capsys):
+    # proj Title . proj Title: the left factor's source is the row carrier,
+    # not rows(Title); without --table the table holds the attributes the
+    # projections and the FD file name, in name order
+    title = {"op": "proj", "scheme": "movies", "attrs": ["Title"]}
+    qfile = tmp_path / "titles.json"
+    qfile.write_text(json.dumps({"op": "compose", "args": [title, title]}))
+    argv = ["optimize", "--query", qfile, "--fds", FIXTURES / "movies.fds"]
+    for extra, rows in (([], "Director,Title"),
+                        (["--table", FIXTURES / "movies.csv"],
+                         "Title,Director,Actor")):
+        assert run(capsys, *argv, *extra) == (
+            2, "", "error: at query: compose needs matching middle carrier, "
+                   f"got 'rows(Title)' then 'rows({rows})'\n")
+
+
+def _named(node) -> set:
+    """The attributes a JSON query's projections name."""
+    if isinstance(node, dict):
+        return set(node.get("attrs", ())).union(*map(_named, node.values()))
+    if isinstance(node, list):
+        return set().union(*map(_named, node))
+    return set()
+
+
+def test_optimize_without_a_table_types_on_the_header_only_table(tmp_path,
+                                                                 capsys):
+    # the generated requests, and three ill-typed shapes over their table,
+    # exit and fail without --table as with a CSV holding only the header
+    # of the names the query and the FD file mention, sorted
+    g, h = ({"op": "proj", "scheme": "m", "attrs": [a]}
+            for a in ("Director", "Actor"))
+    p = {"op": "pid", "table": "m"}
+    backwards = {"op": "compose", "args": [h, p, {"op": "converse", "arg": g}]}
+    forwards = {"op": "compose", "args": [g, p, {"op": "converse", "arg": h}]}
+    ill_typed = [{"op": "compose", "args": [g, g]},
+                 {"op": "union", "args": [forwards, backwards]},
+                 {"op": "fork", "args": [forwards,
+                                         {"op": "converse", "arg": g}]}]
+    requests = list(_generated_requests(tmp_path))
+    for i, shape in enumerate(ill_typed):
+        qfile = tmp_path / f"ill{i}.json"
+        qfile.write_text(json.dumps(shape))
+        requests.append(["optimize", "--query", qfile,
+                         "--fds", FIXTURES / "movies.fds",
+                         "--table", FIXTURES / "movies.csv"])
+    codes = set()
+    for argv in requests:
+        at = argv.index("--table")
+        bare = argv[:at] + argv[at + 2:]
+        names = _named(json.loads(Path(argv[2]).read_text())).union(*(
+            item.antecedent | item.consequent
+            for item in fd.parse_fd_lines(Path(argv[4]).read_text())))
+        header = tmp_path / "header.csv"
+        header.write_text(",".join(sorted(names)) + "\n")
+        code, _, err = run(capsys, *bare)
+        assert (code, err) == run(capsys, *bare, "--table", header)[::2], argv
+        codes.add(code)
+    assert codes == {0, 2}
+
+
+def _random_query(rnd, depth):
+    if depth == 0 or rnd.random() < 0.3:
+        if rnd.random() < 0.3:
+            return {"op": "pid", "table": "m"}
+        return {"op": "proj", "scheme": "m",
+                "attrs": rnd.sample("ABC", rnd.randint(1, 3))}
+    op = rnd.choice(["converse", "kernel", "compose", "compose", "union",
+                     "fork"])
+    if op in ("converse", "kernel"):
+        return {"op": op, "arg": _random_query(rnd, depth - 1)}
+    return {"op": op, "args": [_random_query(rnd, depth - 1)
+                               for _ in range(rnd.randint(2, 3))]}
+
+
+def test_optimize_without_a_table_types_what_a_wider_table_types(tmp_path,
+                                                                 capsys):
+    # a query typing on a table whose header holds every name the query and
+    # the FD file mention, and more, in another order, types without --table;
+    # one row keeps the carriers of nested forks small
+    rnd = random.Random(2207)
+    wide = tables.parse_table_csv("E,C,A,D,B\n1,2,3,4,5\n")
+    typed = 0
+    for _ in range(600):
+        obj = _random_query(rnd, 3)
+        expr = query.from_json(obj)
+        try:
+            query.type_check(expr, query.Env({"m": wide}))
+        except query.QueryTypeError:
+            continue
+        typed += 1
+        qfile = tmp_path / "q.json"
+        qfile.write_text(json.dumps(obj))
+        fds = tmp_path / "f.fds"
+        fds.write_text(rnd.choice(["", "A -> B\n", "B C -> D\n"]))
+        code, _, err = run(capsys, "optimize", "--query", qfile,
+                           "--fds", fds)
+        assert (code, err) == (0, ""), obj
+    assert typed >= 50
+
+
 def test_optimize_types_each_side_once(tmp_path, capsys, monkeypatch):
     # top-level `type_check` calls (path "query"): one per side, whether
     # typing settles the rewrite or evaluation does

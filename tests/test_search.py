@@ -7,14 +7,15 @@ import pytest
 
 from relfd import bitrel, rel
 from relfd.errors import ResourceLimitError, UnknownLawError
-from relfd.fd import AttrFd, parse_fd, satisfies_oracle
-from relfd.infer import attr_closure, derive
+from relfd.fd import (AttrFd, fd_positions, parse_fd, satisfies_oracle,
+                      violating_pair)
+from relfd.infer import attr_closure, derive, mentioned_attrs
 from relfd.laws import (LAW_REGISTRY, LAW_SUITE, _distinct, _first_bit,
                         _first_false, _join_violation, _trade_violation,
                         search_law_bruteforce)
 from relfd.rel import Atom, Tup
 from relfd.search import Scope, search_law, search_tables, two_tuple_witness
-from relfd.tables import enumerate_tables, table_to_csv
+from relfd.tables import Table, count_tables, enumerate_tables, table_to_csv
 
 CORRUPTED = ("galois_corrupted", "fork_lub_corrupted",
              "union_typing_corrupted", "join_converse_corrupted")
@@ -174,6 +175,102 @@ def test_search_tables_matches_the_literal_all_sizes_search():
         seen["tuple"] += as_tuple
     assert witness_rows == {2, 3, 4}
     assert min(seen.values()) >= 20, seen
+
+
+def test_search_tables_builds_only_the_witness(monkeypatch):
+    built = []
+    init = Table.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Table, "__init__", counted)
+    for axioms, goal, scope in (
+            (fds("A -> B"), "B -> A", Scope(max_rows=4, domain_sizes=3)),
+            (fds("A -> B", "B -> C"), "A -> C", Scope(max_rows=3,
+                                                      domain_sizes=3)),
+            (fds("C -> A"), "A -> C", Scope(max_rows=2, domain_sizes=4)),
+            (fds(), "A -> B", Scope(max_rows=1))):
+        built.clear()
+        found = search_tables(axioms, parse_fd(goal), scope)
+        assert len(built) == (found is not None), goal
+        if found is not None:
+            assert built[0][0] is found.scheme
+
+
+def table_walk_search(axioms, goal, scope):
+    """The table walk the pair walk replaced: every table of at most two
+    rows, by row count then row content, each judged by `violating_pair`
+    on its rows."""
+    attrs = sorted(mentioned_attrs(axioms, goal.antecedent | goal.consequent))
+    candidates = count_tables(math.prod(scope.sizes_for(attrs)),
+                              scope.max_rows, scope.candidate_cap)
+    if candidates > scope.candidate_cap:
+        raise ResourceLimitError(
+            f"{candidates} candidate tables exceed the cap of "
+            f"{scope.candidate_cap}")
+    if scope.max_rows < 2:
+        return None
+    scheme = scope.scheme_for(attrs)
+    axioms_at = [fd_positions(scheme, fd) for fd in axioms]
+    goal_at = fd_positions(scheme, goal)
+    for table in enumerate_tables(scheme, 2):
+        if (all(violating_pair(table.rows, *at) is None for at in axioms_at)
+                and violating_pair(table.rows, *goal_at) is not None):
+            return table
+    return None
+
+
+def _outcome(search, axioms, goal, scope):
+    try:
+        return search(axioms, goal, scope)
+    except ResourceLimitError as e:
+        return str(e)
+
+
+def test_search_tables_matches_the_table_walk_on_large_universes():
+    # bench-shaped FD sets: a chain a -> b (-> c) and a group of the other
+    # attributes determining one chain member; the goal is the chain read
+    # forwards (derivable) or backwards (refutable).  Universes of 100-1,000
+    # rows; a derivable goal walks every pair, so its universe stays under
+    # 200.  Half the scopes lift the candidate cap, so that three- and
+    # four-row bounds reach the walk.
+    rnd = random.Random(2210)
+    seen = {"witness": 0, "none_walked": 0, "capped": 0, "one_row": 0}
+    for case in range(32):
+        names = sorted(rnd.sample("ABCDEF", rnd.randint(4, 6)))
+        chain = rnd.sample(names, rnd.randint(2, 3))
+        rest = [n for n in names if n not in chain]
+        axioms = [AttrFd(frozenset([x]), frozenset([y]))
+                  for x, y in zip(chain, chain[1:])]
+        if rest:
+            axioms.append(AttrFd(frozenset(rest),
+                                 frozenset([rnd.choice(chain)])))
+        derivable = case % 2 == 0
+        a, z = (chain[0], chain[-1]) if derivable else (chain[-1], chain[0])
+        goal = AttrFd(frozenset([a]), frozenset([z]))
+        assert (derive(axioms, goal) is not None) == derivable
+        top = 200 if derivable else 1000
+        while True:
+            sizes = tuple(rnd.randint(2, 6) for _ in names)
+            if 100 <= math.prod(sizes) <= top:
+                break
+        max_rows = case // 2 % 4 + 1
+        scope = Scope(max_rows=max_rows, domain_sizes=sizes,
+                      candidate_cap=10 ** 7 if case % 16 < 8 else 10 ** 15)
+        found = _outcome(search_tables, axioms, goal, scope)
+        assert found == _outcome(table_walk_search, axioms, goal, scope)
+        if isinstance(found, str):
+            seen["capped"] += 1
+        elif max_rows == 1:
+            seen["one_row"] += 1
+        elif found is None:
+            seen["none_walked"] += 1
+        else:
+            assert not derivable and len(found.rows) == 2
+            seen["witness"] += 1
+    assert min(seen.values()) >= 3, seen
 
 
 def test_scope_validation():

@@ -3,8 +3,8 @@
 The value classes of `rel`, `tables`, `fd`, `infer`, `query`, `search` and
 `laws` (`LawVariable`) are plain classes on `rel.Frozen`, so that no
 command but `laws` loads `dataclasses`.  The hot ones (`Pair`, `Carrier`,
-`Rel`, `Scheme`, `Table`, `AttrFd`) write their `__init__` out; the rest
-call the base's.  Each was a dataclass; that form is kept below as its
+`Rel`, `Scheme`, `AttrFd`) write their `__init__` out; the rest call the
+base's.  Each was a dataclass; that form is kept below as its
 twin, under the same name.  On generated values each class must show,
 compare and hash as its twin does, survive copy and pickle, stay immutable,
 and keep its excluded fields (`Carrier.components`, `Scheme.names`) out of
