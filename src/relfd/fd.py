@@ -158,9 +158,14 @@ def parse_fd_lines_per_line(text: str) -> list[AttrFd]:
 
 
 def fd_positions(scheme: Scheme, fd: AttrFd) -> tuple[list[int], list[int]]:
-    """Row positions of the FD's antecedent and consequent attributes."""
-    return ([scheme.names.index(n) for n in scheme.select(fd.antecedent)],
-            [scheme.names.index(n) for n in scheme.select(fd.consequent)])
+    """Row positions of the FD's antecedent and consequent attributes, in
+    scheme order; an unknown name raises `Scheme.select`'s error."""
+    at = scheme.positions
+    if not (at.keys() >= fd.antecedent and at.keys() >= fd.consequent):
+        scheme.select(fd.antecedent)
+        scheme.select(fd.consequent)
+    return (sorted([at[n] for n in fd.antecedent]),
+            sorted([at[n] for n in fd.consequent]))
 
 
 def violating_pair(rows, xs: Sequence[int], ys: Sequence[int]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from . import rel
-from .errors import UnknownAttributeError
+from .errors import ResourceLimitError, UnknownAttributeError
 from .fd import AttrFd, parse_fd, satisfies_typed
 from .rel import Frozen, Rel
 
@@ -32,6 +32,9 @@ AXIOM = "Axiom"
 
 RULES = (REFLEXIVITY, COMPOSITION, CONSEQUENCE, ADDITIVITY, PROJECTIVITY,
          AXIOM)
+
+# Most fds one derivation may fire; see `derive`.
+FIRING_LIMIT = 200
 
 
 class Derivation(Frozen):
@@ -80,33 +83,50 @@ def derive(fds: Sequence[AttrFd], goal: AttrFd,
            universe: Iterable[str] | None = None) -> Optional[Derivation]:
     """A proof of `goal` from `fds`, or None when it is not derivable.
 
-    The tree mirrors a closure run: fds fire in list order, each firing
-    contributes an Axiom leaf joined in by Consequence, Composition and
-    Additivity steps; the result is a certificate, not a minimal proof.
+    The tree mirrors a closure run: fds fire in list order, and each firing
+    of X -> Y on the attributes C covered so far proves C -> C | Y as
+    Additivity(Reflexivity C -> C, Composition(C -> X, Axiom X -> Y)), with
+    C -> X by Consequence from that Reflexivity unless X == C.  The first
+    firing's step is the tree; each later one joins the tree by one
+    Composition, so a proof has at most 7 nodes per firing (counting a
+    shared leaf at each use) and is as deep as its firings.  A final
+    Consequence narrows the tree to the goal.  The result is a certificate,
+    not a minimal proof.  A derivable goal whose run fires more than
+    `FIRING_LIMIT` fds raises `ResourceLimitError`: a deeper tree would
+    outgrow the recursion limit of the walkers that print and replay it.
     """
     _check_universe(fds, goal.antecedent | goal.consequent, universe)
-    base = goal.antecedent
-    covered = frozenset(base)
-    tree = Derivation(AttrFd(base, covered), REFLEXIVITY)
+    base = covered = goal.antecedent
+    fired = []  # (covered before the firing, fd)
     changed = True
     while changed:
         changed = False
         for fd in fds:
             if fd.antecedent <= covered and not fd.consequent <= covered:
-                axiom = Derivation(fd, AXIOM)
-                if fd.antecedent == covered:
-                    ante = tree
-                else:
-                    ante = Derivation(AttrFd(base, fd.antecedent),
-                                      CONSEQUENCE, (tree,))
-                step = Derivation(AttrFd(base, fd.consequent),
-                                  COMPOSITION, (ante, axiom))
+                fired.append((covered, fd))
                 covered = covered | fd.consequent
-                tree = Derivation(AttrFd(base, covered),
-                                  ADDITIVITY, (tree, step))
                 changed = True
     if not goal.consequent <= covered:
         return None
+    if len(fired) > FIRING_LIMIT:
+        raise ResourceLimitError(
+            f"derivation of {goal} fires {len(fired)} fds, "
+            f"over the {FIRING_LIMIT}-firing bound")
+    tree = None
+    for c, fd in fired:
+        refl = Derivation(AttrFd(c, c), REFLEXIVITY)
+        if fd.antecedent == c:
+            ante = refl
+        else:
+            ante = Derivation(AttrFd(c, fd.antecedent), CONSEQUENCE, (refl,))
+        step = Derivation(AttrFd(c, fd.consequent), COMPOSITION,
+                          (ante, Derivation(fd, AXIOM)))
+        ext = Derivation(AttrFd(c, c | fd.consequent), ADDITIVITY,
+                         (refl, step))
+        tree = ext if tree is None else Derivation(
+            AttrFd(base, ext.conclusion.consequent), COMPOSITION, (tree, ext))
+    if tree is None:
+        tree = Derivation(AttrFd(base, base), REFLEXIVITY)
     if tree.conclusion != goal:
         tree = Derivation(goal, CONSEQUENCE, (tree,))
     return tree

@@ -44,18 +44,21 @@ CACHE_SIZE = 8
 class Scheme(Frozen):
     """Ordered attribute declarations: (name, domain carrier) pairs.
 
-    `names`, the attribute names in order, takes no part in eq, hash or repr.
+    `names`, the attribute names in order, and `positions`, each name's
+    index in them, take no part in eq, hash or repr.
     """
 
-    __slots__ = ("attributes", "names")
+    __slots__ = ("attributes", "names", "positions")
     _fields = ("attributes",)
 
     def __init__(self, attributes: tuple[tuple[str, Carrier], ...]):
         names = tuple(n for n, _ in attributes)
-        if len(set(names)) != len(names):
+        positions = {n: i for i, n in enumerate(names)}
+        if len(positions) != len(names):
             raise SchemeError("duplicate attribute names in scheme")
         object.__setattr__(self, "attributes", attributes)
         object.__setattr__(self, "names", names)
+        object.__setattr__(self, "positions", positions)
 
     def _key(self) -> tuple:  # schemes key the bridge's caches
         return (self.attributes,)
@@ -140,7 +143,7 @@ def proj_fn(scheme: Scheme, attrs: Iterable[str]) -> Rel:
 def _proj_fn(scheme: Scheme, attrs: frozenset) -> Rel:
     src = row_carrier(scheme)
     sub = _sub_scheme(scheme, attrs)
-    positions = [scheme.names.index(n) for n in sub.names]
+    positions = [scheme.positions[n] for n in sub.names]
     return Rel(src, _row_carrier(sub),
                frozenset((row, tuple(row[i] for i in positions))
                          for row in src.elements))

@@ -520,6 +520,31 @@ def test_optimize_locates_a_pid_universe_past_the_bound(tmp_path, capsys):
                    "2560000 rows, over the 1000000 bound\n")
 
 
+def test_optimize_fails_fast_on_a_fork_target_past_the_bound(tmp_path,
+                                                             capsys):
+    # 5 binary attributes: a 32-row universe, so the outer fork's target
+    # would hold 1024 * 1024 pairs
+    table = tmp_path / "t.csv"
+    table.write_text("A,B,C,D,E\n0,0,0,0,0\n1,1,1,1,1\n")
+    pid = {"op": "pid", "table": "t"}
+    inner = {"op": "fork", "args": [pid, pid]}
+    qfile = tmp_path / "forks.json"
+    qfile.write_text(json.dumps({"op": "fork", "args": [inner, inner]}))
+    fds_file = tmp_path / "none.fds"
+    fds_file.write_text("")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "optimize", "--query", qfile,
+                         "--fds", fds_file, "--table", table)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == ("error: at query: fork target has 1048576 pairs, "
+                   "over the 1000000 bound\n")
+    # one fork level less types, verifies and prints the query
+    qfile.write_text(json.dumps(inner))
+    assert run(capsys, "optimize", "--query", qfile, "--fds", fds_file,
+               "--table", table)[::2] == (0, "")
+
+
 @pytest.mark.parametrize("levels, code", [
     (MAX_QUERY_DEPTH, 0),
     (MAX_QUERY_DEPTH + 1, 2),

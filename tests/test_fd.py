@@ -466,6 +466,32 @@ def test_violating_pair_is_the_first_pair_of_the_ordered_double_loop():
     assert 400 <= hits <= 800
 
 
+def _fd_positions_by_select(scheme, fd):
+    """`fd_positions` as it was, through `Scheme.select` and `names.index`:
+    the oracle of the position-map route."""
+    return ([scheme.names.index(n) for n in scheme.select(fd.antecedent)],
+            [scheme.names.index(n) for n in scheme.select(fd.consequent)])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.sampled_from("ABCDEFG"), unique=True, max_size=6),
+       st.sets(st.sampled_from("ABCDEFGH"), max_size=4),
+       st.sets(st.sampled_from("ABCDEFGH"), max_size=4))
+def test_fd_positions_equal_the_select_route(names, ante, cons):
+    # "H" is in no scheme, and a scheme lacks the letters it did not draw
+    c = Carrier("D", (Atom("d"),))
+    scheme = Scheme(tuple((n, c) for n in names))
+    fd = AttrFd(frozenset(ante), frozenset(cons))
+    try:
+        expected = _fd_positions_by_select(scheme, fd)
+    except Exception as err:  # the same error, message and all
+        with pytest.raises(type(err)) as got:
+            fd_positions(scheme, fd)
+        assert str(got.value) == str(err)
+    else:
+        assert fd_positions(scheme, fd) == expected
+
+
 def test_stored_projections_are_proj_fn_restricted_to_the_stored_rows():
     # domains listed out of value order
     s = Scheme(tuple((n, Carrier(n, (Atom("1"), Atom("0"), Atom("2"))))

@@ -8,6 +8,7 @@ import pytest
 from relfd import rel, tables
 from relfd.errors import CarrierMismatchError, ParseError, QueryTypeError
 from relfd.fd import AttrFd, parse_fd
+from relfd.infer import FIRING_LIMIT
 from relfd.query import (MAX_QUERY_DEPTH, Compose, Converse, Env, Fork,
                          Kernel, Pid, Proj, RelRef, UnionOp, _normalize,
                          _rewrite_once, count_pid_nodes, discharged,
@@ -375,6 +376,16 @@ def test_rewrite_symmetric_enablement():
         "Title,Director,Actor\nt1,d1,a1\nt2,d2,a1\nt2,d2,a2\n")
     env = Env(tables={"movies": table})
     assert verify_equiv(movies_query(), out, env)
+
+
+def test_rewrite_enabled_through_a_chain_past_the_firing_bound():
+    # enabling asks derivability only, so no proof's firing bound applies
+    n = FIRING_LIMIT + 5
+    fds = ([parse_fd("Title -> X0")]
+           + [parse_fd(f"X{i} -> X{i + 1}") for i in range(n)]
+           + [parse_fd(f"X{n} -> Director")])
+    assert rewrite_selfjoin(movies_query(), fds) == optimized_query()
+    assert rewrite_selfjoin(movies_query(), fds[1:]) == movies_query()
 
 
 def test_rewrite_is_idempotent_and_never_adds_pids():
