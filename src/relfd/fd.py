@@ -49,7 +49,10 @@ ASCII letters, digits, underscores, spaces, tabs, commas, ``-``, ``>`` and
 line feeds (one `str.translate` checks that), and each of its lines is
 blank or ``attrs -> attrs`` with both sides non-empty and every name
 passing `str.isidentifier`, which on ASCII text is exactly the name
-pattern.  Any other text goes whole to the per-line parser
+pattern.  It replaces the commas once over the whole text, makes one loop
+over the lines that only cuts each at its arrow, splits and freezes the
+sides with `map`, and checks each distinct name once, over their union.
+Any other text goes whole to the per-line parser
 `parse_fd_lines_per_line`: a comment, a carriage return, a form feed or
 other control character, anything outside ASCII, a second arrow, a stray
 ``-`` or ``>``, an empty side.  That parser raises every `ParseError` with
@@ -81,8 +84,8 @@ class AttrFd(Frozen):
     __slots__ = _fields = ("antecedent", "consequent")
 
     def __init__(self, antecedent: frozenset, consequent: frozenset):
-        object.__setattr__(self, "antecedent", frozenset(antecedent))
-        object.__setattr__(self, "consequent", frozenset(consequent))
+        _set_antecedent(self, frozenset(antecedent))
+        _set_consequent(self, frozenset(consequent))
 
     def _key(self) -> tuple:
         return (self.antecedent, self.consequent)
@@ -90,6 +93,12 @@ class AttrFd(Frozen):
     def __str__(self) -> str:
         return (" ".join(sorted(self.antecedent)) + " -> "
                 + " ".join(sorted(self.consequent))).strip()
+
+
+# The slots' own setters, which `Frozen.__setattr__` does not stand in front
+# of: cheaper than `object.__setattr__` by name.
+_set_antecedent = AttrFd.antecedent.__set__
+_set_consequent = AttrFd.consequent.__set__
 
 
 def parse_attr_list(text: str, line: int | None = None) -> frozenset:
@@ -117,6 +126,11 @@ _PLAIN = dict.fromkeys(map(ord, "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
                                 "abcdefghijklmnopqrstuvwxyz"
                                 "0123456789_ \t,\n->"))
 
+# What a comma becomes in the one-pass parser: a character `str.split()`
+# splits at, as it does at blanks, but that `str.strip(" \t")` keeps, so a
+# line of commas alone is not blank; a plain file holds none of it.
+_COMMA = "\x1f"
+
 
 def parse_fd_lines(text: str) -> list[AttrFd]:
     """Parse a dependency file: one FD per line, '#' comments allowed.
@@ -126,19 +140,20 @@ def parse_fd_lines(text: str) -> list[AttrFd]:
     """
     if text.translate(_PLAIN):
         return parse_fd_lines_per_line(text)
-    fds = []
-    for line in text.split("\n"):
+    lefts, rights = [], []
+    for line in text.replace(",", _COMMA).split("\n"):
         left, arrow, right = line.partition("->")
-        if not arrow:
-            if line.strip(" \t"):
-                return parse_fd_lines_per_line(text)
-            continue
-        ante = left.replace(",", " ").split()
-        cons = right.replace(",", " ").split()
-        if not (ante and cons and all(map(str.isidentifier, ante + cons))):
+        if arrow:
+            lefts.append(left)
+            rights.append(right)
+        elif line.strip(" \t"):
             return parse_fd_lines_per_line(text)
-        fds.append(AttrFd(frozenset(ante), frozenset(cons)))
-    return fds
+    antes = list(map(frozenset, map(str.split, lefts)))
+    conss = list(map(frozenset, map(str.split, rights)))
+    if not (all(antes) and all(conss) and all(map(
+            str.isidentifier, frozenset().union(*antes, *conss)))):
+        return parse_fd_lines_per_line(text)
+    return list(map(AttrFd, antes, conss))
 
 
 def parse_fd_lines_per_line(text: str) -> list[AttrFd]:

@@ -83,8 +83,9 @@ def derive(fds: Sequence[AttrFd], goal: AttrFd,
            universe: Iterable[str] | None = None) -> Optional[Derivation]:
     """A proof of `goal` from `fds`, or None when it is not derivable.
 
-    The tree mirrors a closure run: fds fire in list order, and each firing
-    of X -> Y on the attributes C covered so far proves C -> C | Y as
+    The tree mirrors a closure run that stops once the goal's consequent is
+    covered: fds fire in list order, and each firing of X -> Y on the
+    attributes C covered so far proves C -> C | Y as
     Additivity(Reflexivity C -> C, Composition(C -> X, Axiom X -> Y)), with
     C -> X by Consequence from that Reflexivity unless X == C.  The first
     firing's step is the tree; each later one joins the tree by one
@@ -98,16 +99,16 @@ def derive(fds: Sequence[AttrFd], goal: AttrFd,
     _check_universe(fds, goal.antecedent | goal.consequent, universe)
     base = covered = goal.antecedent
     fired = []  # (covered before the firing, fd)
-    changed = True
-    while changed:
-        changed = False
+    while not goal.consequent <= covered:
+        before = len(fired)
         for fd in fds:
             if fd.antecedent <= covered and not fd.consequent <= covered:
                 fired.append((covered, fd))
                 covered = covered | fd.consequent
-                changed = True
-    if not goal.consequent <= covered:
-        return None
+                if goal.consequent <= covered:
+                    break
+        if len(fired) == before:
+            return None
     if len(fired) > FIRING_LIMIT:
         raise ResourceLimitError(
             f"derivation of {goal} fires {len(fired)} fds, "

@@ -10,7 +10,11 @@ table {r1, r2} does both too: the first witness always has exactly two
 rows, and when no pair of rows is one, no table of any size is.  The
 search therefore walks the pairs of the row universe in order and builds
 a table for the witness alone; its candidate cap still counts the tables
-of every size up to the scope's row bound.  `search_law` sweeps a
+of every size up to the scope's row bound.  Two rows break X -> Y exactly
+when they agree on X and not on Y, so a pair is judged by the set of
+positions where its rows disagree, an int bitmask D: it is a witness when
+D misses the goal's X and meets its Y, and for each axiom misses Y or
+meets X.  Each distinct D is judged once.  `search_law` sweeps a
 registered algebraic law over all relation assignments at carrier sizes
 up to the scope bound.  `check_rule_soundness` validates an inference rule
 instance empirically as a table search for a model of its premises that
@@ -27,7 +31,7 @@ import math
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import InternalCheckError, ResourceLimitError, UnknownLawError
-from .fd import AttrFd, fd_positions, satisfies_oracle, violating_pair
+from .fd import AttrFd, fd_positions, satisfies_oracle
 from .infer import attr_closure, mentioned_attrs
 from .rel import Carrier, Frozen
 from .tables import Scheme, Table, count_tables, row_carrier
@@ -97,6 +101,24 @@ def two_tuple_witness(fds: Sequence[AttrFd], goal: AttrFd) -> Optional[Table]:
     return table
 
 
+def _row_codes(scheme: Scheme) -> tuple[list[int], int]:
+    """The rows of `row_carrier(scheme)`, in its order, as ints, and the
+    width `w` of their fields.
+
+    A row's code holds the index of its value at scheme position k in the
+    k-th field of `w` bits, whose top bit no index reaches.  With `high`
+    the top bits of all fields and `low` every bit below them, a field of
+    ``(c1 ^ c2) + low`` carries into its top bit exactly when it is not
+    zero, and never past it: ``((c1 ^ c2) + low) & high`` is the set of
+    positions where the two rows disagree, one top bit per position.
+    """
+    sizes = [len(dom) for _, dom in scheme.attributes]
+    w = max([(s - 1).bit_length() for s in sizes], default=0) + 1
+    codes = list(map(sum, itertools.product(*[
+        range(0, s << k * w, 1 << k * w) for k, s in enumerate(sizes)])))
+    return codes, w
+
+
 def search_tables(fds: Sequence[AttrFd], goal: AttrFd,
                   scope: Scope) -> Optional[Table]:
     """First table within scope satisfying `fds` and violating `goal`.
@@ -107,6 +129,9 @@ def search_tables(fds: Sequence[AttrFd], goal: AttrFd,
     goal and no axiom.  The candidate cap is checked, before any carrier is
     built, against the number of tables of every size up to
     `scope.max_rows`.
+
+    Pairs are judged by their disagreement masks (module docstring,
+    `_row_codes`), and the witness is re-checked by `satisfies_oracle`.
     """
     attrs = sorted(mentioned_attrs(fds, goal.antecedent | goal.consequent))
     candidates = count_tables(math.prod(scope.sizes_for(attrs)),
@@ -118,12 +143,32 @@ def search_tables(fds: Sequence[AttrFd], goal: AttrFd,
     if scope.max_rows < 2:
         return None  # too few rows for a witness (module docstring)
     scheme = scope.scheme_for(attrs)
-    axioms = [fd_positions(scheme, fd) for fd in fds]
-    goal_at = fd_positions(scheme, goal)
-    for pair in itertools.combinations(row_carrier(scheme).elements, 2):
-        if (violating_pair(pair, *goal_at) is not None
-                and all(violating_pair(pair, *at) is None for at in axioms)):
-            return Table(scheme, frozenset(pair))
+    rows = row_carrier(scheme).elements
+    codes, w = _row_codes(scheme)
+
+    def mask(positions):  # the top bits of the fields at `positions`
+        return sum(1 << p * w + w - 1 for p in positions)
+
+    high = mask(range(len(attrs)))
+    low = high - (high >> w - 1)
+    gx, gy = map(mask, fd_positions(scheme, goal))
+    axioms = [tuple(map(mask, fd_positions(scheme, fd))) for fd in fds]
+    judged = set()  # disagreement masks that make no witness
+    for c1, c2 in itertools.combinations(codes, 2):
+        d = ((c1 ^ c2) + low) & high
+        if d in judged:
+            continue
+        if (not d & gx and d & gy
+                and all(d & x or not d & y for x, y in axioms)):
+            table = Table(scheme, frozenset(
+                (rows[codes.index(c1)], rows[codes.index(c2)])))
+            if (satisfies_oracle(table, goal)
+                    or not all(satisfies_oracle(table, fd) for fd in fds)):
+                raise InternalCheckError(
+                    "table search witness does not separate the axioms "
+                    "from the goal")
+            return table
+        judged.add(d)
     return None
 
 

@@ -30,6 +30,7 @@ import itertools
 import json
 import math
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
 from .errors import (ParseError, ResourceLimitError, SchemeError,
@@ -131,7 +132,7 @@ def sub_row_carrier(scheme: Scheme, attrs: Iterable[str]) -> Carrier:
 def pid(table: Table) -> Rel:
     """Partial identity over the row universe holding exactly the rows."""
     c = row_carrier(table)
-    return Rel(c, c, frozenset((r, r) for r in table.rows))
+    return Rel(c, c, frozenset(zip(table.rows, table.rows)))
 
 
 def proj_fn(scheme: Scheme, attrs: Iterable[str]) -> Rel:
@@ -143,10 +144,11 @@ def proj_fn(scheme: Scheme, attrs: Iterable[str]) -> Rel:
 def _proj_fn(scheme: Scheme, attrs: frozenset) -> Rel:
     src = row_carrier(scheme)
     sub = _sub_scheme(scheme, attrs)
-    positions = [scheme.positions[n] for n in sub.names]
-    return Rel(src, _row_carrier(sub),
-               frozenset((row, tuple(row[i] for i in positions))
-                         for row in src.elements))
+    rows = src.elements
+    images = (zip(*[map(itemgetter(scheme.positions[n]), rows)
+                    for n in sub.names])
+              if sub.names else [()] * len(rows))
+    return Rel(src, _row_carrier(sub), frozenset(zip(rows, images)))
 
 
 def encode_pairs(table: Table) -> Rel:

@@ -106,6 +106,70 @@ def test_parse_fd_lines_equals_the_per_line_parser(text):
         _parse_or_error(parse_fd_lines_per_line, text)
 
 
+# Whole files of plain lines, names repeated across lines, with commas
+# against the arrows, tabs and blank or whitespace-only lines, and at most
+# one bad line: a bad name among good ones, a line of commas, a second
+# arrow, an empty side or a stray - or >.
+GOOD_NAMES = st.lists(st.sampled_from(["A", "B", "_x1", "Flight"]),
+                      min_size=1, max_size=3)
+BAD_NAME = st.sampled_from(["9A", "a-b", "x>y", "-", ">", "\u00e9"])
+FILE_SEP = st.sampled_from([" ", ",", "\t", ", ", " ,", ",,", "\t,"])
+FILE_ARROW = st.sampled_from(["->", " -> ", ",->", "->,", " ,-> ",
+                              "\t->\t"])
+
+
+def _fd_line(lhs, rhs, sep, arrow):
+    return sep.join(lhs) + arrow + sep.join(rhs)
+
+
+GOOD_LINE = st.one_of(
+    st.builds(_fd_line, GOOD_NAMES, GOOD_NAMES, FILE_SEP, FILE_ARROW),
+    st.sampled_from(["", " ", "\t", " \t "]))
+BAD_LINE = st.one_of(
+    st.builds(lambda lhs, bad, at, rhs, sep, arrow: _fd_line(
+        lhs[:at] + [bad] + lhs[at:], rhs, sep, arrow),
+        GOOD_NAMES, BAD_NAME, st.integers(0, 3), GOOD_NAMES, FILE_SEP,
+        FILE_ARROW),
+    st.builds(lambda lhs, rhs, sep, arrow, empty: _fd_line(
+        *((lhs, []) if empty else ([], rhs)), sep, arrow),
+        GOOD_NAMES, GOOD_NAMES, FILE_SEP, FILE_ARROW, st.booleans()),
+    st.sampled_from([",", " , ", ",\t,", "A->B->C", "A -> B ->", "->",
+                     " , -> C", "C -> , ", "C - > D", "A ->> B"]))
+FILE_TEXT = st.builds(
+    lambda good, bad, at, end: "\n".join(
+        good if bad is None else good[:at] + [bad] + good[at:]) + end,
+    st.lists(GOOD_LINE, min_size=1, max_size=12), st.none() | BAD_LINE,
+    st.integers(0, 12), st.sampled_from(["", "\n"]))
+
+
+@seed(24)
+@settings(max_examples=200, deadline=None, database=None)
+@given(text=FILE_TEXT)
+def test_parse_fd_files_equal_the_per_line_parser(text):
+    assert _parse_or_error(parse_fd_lines, text) == \
+        _parse_or_error(parse_fd_lines_per_line, text)
+
+
+@pytest.mark.parametrize("text", [
+    "A -> B\nB C -> A\nA, C -> B\n",  # names repeated across lines
+    "A -> B\nB C -> 9A\nA -> C\n",  # one bad name among good ones
+    "A,->B\nB->,C\nA ,-> , B\n",  # commas against the arrows
+    "A\t->\tB\n\tC,\tD -> A\n",  # tabs
+    "\nA -> B\n \n\t\n  \t \nB -> C",  # blank and whitespace-only lines
+    "A -> B\n,\nB -> C\n",  # lines of commas
+    "A -> B\n , , \n",
+    "A -> B\nA->B->C\n",  # a second arrow
+    "A -> B\n -> C\n",  # empty sides
+    "A -> B\nC ->\n",
+    "A -> B\n , -> C\n",
+    "A -> B\nC -> , \n",
+    "A -> B\nC - > D\n",  # a stray - and >
+])
+def test_parse_fd_file_edge_cases(text):
+    assert _parse_or_error(parse_fd_lines, text) == \
+        _parse_or_error(parse_fd_lines_per_line, text)
+
+
 def test_plain_fd_files_take_the_one_pass_path(monkeypatch):
     # shaped like the benchmark's 500-attribute sets, with the separators
     # and blank lines a plain file may also hold

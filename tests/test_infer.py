@@ -11,9 +11,9 @@ from relfd.cli import main
 from relfd.errors import ResourceLimitError, UnknownAttributeError
 from relfd.fd import AttrFd, parse_fd, satisfies_oracle
 from relfd.infer import (AXIOM, COMPOSITION, CONSEQUENCE, FIRING_LIMIT,
-                         Derivation, attr_closure, derivation_from_dict,
-                         derivation_to_dict, derive, fd_trade,
-                         mentioned_attrs, validate_derivation)
+                         REFLEXIVITY, Derivation, attr_closure,
+                         derivation_from_dict, derivation_to_dict, derive,
+                         fd_trade, mentioned_attrs, validate_derivation)
 from relfd.rel import Rel
 from relfd.search import RuleInstance, check_rule_soundness
 
@@ -301,19 +301,39 @@ def test_derive_at_and_past_the_firing_bound(tmp_path, capsys):
     assert err == "" and out.startswith("{")
     assert main([*at, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["derivable"]
-    # the whole closure run fires, whatever the goal
-    past = ["derive", "--fds", str(past_file), "--goal", "A0 -> A1"]
+    far = f"A0 -> A{FIRING_LIMIT + 1}"
+    past = ["derive", "--fds", str(past_file), "--goal", far]
     for argv in (past, [*past, "--json"]):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
-        assert err == (f"error: derivation of A0 -> A1 fires "
+        assert err == (f"error: derivation of {far} fires "
                        f"{FIRING_LIMIT + 1} fds, over the "
                        f"{FIRING_LIMIT}-firing bound\n")
     # a goal the run does not reach stays not derivable past the bound
     assert main(["derive", "--fds", str(past_file), "--goal", "A0 -> B"]) == 1
     with pytest.raises(ResourceLimitError, match=f"{FIRING_LIMIT}-firing"):
-        derive(chain(FIRING_LIMIT + 1), parse_fd("A0 -> A1"))
+        derive(chain(FIRING_LIMIT + 1), parse_fd(far))
+
+
+def test_derive_stops_firing_at_its_goal(tmp_path, capsys):
+    # the run stops once the goal is covered, so a near goal on a chain
+    # past the firing bound takes one firing
+    past_file = tmp_path / "past.fds"
+    past_file.write_text("".join(f"{fd}\n"
+                                 for fd in chain(FIRING_LIMIT + 1)))
+    argv = ["derive", "--fds", str(past_file), "--goal", "A0 -> A1", "--json"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    tree = json.loads(out)["derivation"]
+    assert err == "" and count_rule(tree, AXIOM) == 1
+    assert tree == derivation_to_dict(derive(fds("A0 -> A1"),
+                                             parse_fd("A0 -> A1")))
+    # a goal covered before any firing is proved by no firing
+    tree = derive(chain(FIRING_LIMIT + 1), parse_fd("A0 A5 -> A5"))
+    assert tree == Derivation(parse_fd("A0 A5 -> A5"), CONSEQUENCE,
+                              (Derivation(parse_fd("A0 A5 -> A0 A5"),
+                                          REFLEXIVITY),))
 
 
 def test_walkers_run_at_the_firing_bound():

@@ -4,9 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from relfd import bitrel, rel
-from relfd.errors import ResourceLimitError, UnknownLawError
+from relfd import bitrel, rel, search
+from relfd.errors import (InternalCheckError, ResourceLimitError,
+                          UnknownLawError)
 from relfd.fd import (AttrFd, fd_positions, parse_fd, satisfies_oracle,
                       violating_pair)
 from relfd.infer import attr_closure, derive, mentioned_attrs
@@ -271,6 +273,45 @@ def test_search_tables_matches_the_table_walk_on_large_universes():
             assert not derivable and len(found.rows) == 2
             seen["witness"] += 1
     assert min(seen.values()) >= 3, seen
+
+
+SIDES = st.sets(st.sampled_from("ABCD"), max_size=2)
+DOMAIN = st.sampled_from([2, 3, 1])
+SCOPES = st.tuples(
+    st.sampled_from([2, 3, 4, 1]),                            # max_rows
+    DOMAIN | st.lists(DOMAIN, min_size=4, max_size=4).map(tuple),
+    st.sampled_from([search.DEFAULT_CANDIDATE_CAP, 1000, 100, 10, 1]))
+
+
+@seed(24)
+@settings(max_examples=250, deadline=None, database=None)
+@given(axioms=st.lists(st.tuples(SIDES, SIDES), max_size=3),
+       goal=st.tuples(SIDES, st.sets(st.sampled_from("ABCD"), min_size=1,
+                                     max_size=2)),
+       scope=SCOPES)
+def test_mask_search_matches_the_literal_searches(axioms, goal, scope):
+    # the first witness, None or the cap error, as the pair walk judged by
+    # `violating_pair` gives them, and as the all-sizes literal search does
+    # where it is cheap; sides may be empty, domains of size 1
+    axioms = [AttrFd(x, y) for x, y in axioms]
+    goal = AttrFd(*goal)
+    max_rows, sizes, cap = scope
+    n_attrs = len(mentioned_attrs(axioms, goal.antecedent | goal.consequent))
+    if isinstance(sizes, tuple):
+        sizes = sizes[:n_attrs]  # four drawn, for at most four attributes
+    scope = Scope(max_rows=max_rows, domain_sizes=sizes, candidate_cap=cap)
+    found = _outcome(search_tables, axioms, goal, scope)
+    assert found == _outcome(table_walk_search, axioms, goal, scope)
+    universe = math.prod(scope.sizes_for(range(n_attrs)))
+    if not isinstance(found, str) and count_tables(universe, max_rows) < 3000:
+        assert found == literal_search(axioms, goal, scope)
+
+
+def test_mask_search_witness_is_rechecked(monkeypatch):
+    monkeypatch.setattr(search, "satisfies_oracle", lambda t, fd: True)
+    with pytest.raises(InternalCheckError, match="does not separate"):
+        search_tables(fds("A -> B"), parse_fd("B -> A"), Scope())
+    assert search_tables(fds("A -> B"), parse_fd("A -> B"), Scope()) is None
 
 
 def test_scope_validation():

@@ -8,8 +8,10 @@ base's.  Each was a dataclass; that form is kept below as its
 twin, under the same name.  On generated values each class must show,
 compare and hash as its twin does, survive copy and pickle, stay immutable,
 and keep its excluded fields (`Carrier.components`, `Scheme.names`) out of
-equality.  `query.Env` was the one mutable dataclass: it keeps equality,
-repr, its unhashability and a fresh dict per default, and is now frozen.
+equality; an `AttrFd` is built by its constructor or by the one-pass path
+of `fd.parse_fd_lines`.  `query.Env` was the one mutable dataclass: it
+keeps equality, repr, its unhashability and a fresh dict per default, and
+is now frozen.
 `laws.Law` stays a dataclass, since the bench tracer rebuilds registry
 entries with `dataclasses.replace`; a test pins that no other module
 imports `dataclasses`.
@@ -360,6 +362,16 @@ SCHEMES = st.lists(st.tuples(st.sampled_from(["A", "B", "C"]), CARRIERS),
 TABLES = st.tuples(SCHEMES, st.lists(st.lists(st.integers(0, 3),
                                               min_size=3, max_size=3),
                                      max_size=4))
+
+
+def attr_fd(plain, ns):
+    ante, cons, parsed = sorted(plain[0]), tuple(plain[1]), plain[2]
+    if parsed and ns is NEW and ante and cons:
+        # through the one-pass parser, names in the same order
+        return fd.parse_fd_lines(" ".join(ante) + " -> " + ",".join(cons))[0]
+    return ns.AttrFd(ante, cons)
+
+
 KINDS = {
     "Pair": (st.tuples(VALUES, VALUES),
              lambda p, ns: ns.Pair(build(p[0], ns), build(p[1], ns))),
@@ -369,8 +381,7 @@ KINDS = {
             relation),
     "Scheme": (SCHEMES, scheme),
     "Table": (TABLES, table),
-    "AttrFd": (st.tuples(NAMES, NAMES),
-               lambda p, ns: ns.AttrFd(sorted(p[0]), tuple(p[1]))),
+    "AttrFd": (st.tuples(NAMES, NAMES, st.booleans()), attr_fd),
     "UnionTypeReport": (
         st.tuples(st.lists(st.booleans(), min_size=4, max_size=4),
                   st.none() | st.tuples(VALUES, VALUES)),
