@@ -44,7 +44,7 @@ def _load_fds(args: argparse.Namespace) -> list[fd.AttrFd]:
 def cmd_check(args: argparse.Namespace) -> int:
     table = tables.load_table(args.table, args.schema)
     fds = _load_fds(args)
-    rows = sorted(table.rows, key=render_value)
+    rows = fd.stored_order(table.rows)
     stored = Carrier("stored", tuple(rows))  # S, for the shunted route
     lines = []
     payload = []

@@ -5,7 +5,7 @@ test oracles.
 once the rows are sorted, and each written apart from the others:
 
 * `scan_violation(rows, xs, ys)`, the witness scan: one pass over the rows
-  sorted by `render_value`, grouping them into antecedent blocks, returns
+  in `stored_order`, grouping them into antecedent blocks, returns
   the first violating pair, the one `oracle_violation` returns;
 * `satisfies_shunted(stored, xs, ys)`, the algebraic route: with x, y the
   projections restricted to the carrier S of the stored rows, the inclusion
@@ -200,10 +200,19 @@ def violating_pair(rows, xs: Sequence[int], ys: Sequence[int]
     return None
 
 
+def stored_order(rows) -> list:
+    """`rows` sorted by `render_value`, and where two render alike, such as
+    ("x,y", "z") and ("x", "y,z"), by `repr` too, not by a set's hash order
+    (pairs have no order of their own)."""
+    keyed = dict(zip(map(render_value, rows), rows))
+    if len(keyed) == len(rows):
+        return list(map(keyed.__getitem__, sorted(keyed)))
+    return sorted(rows, key=lambda row: (render_value(row), repr(row)))
+
+
 def oracle_violation(t: Table, fd: AttrFd) -> Optional[tuple[tuple, tuple]]:
-    """First row pair (sorted order) agreeing on x but not on y, if any."""
-    return violating_pair(sorted(t.rows, key=render_value),
-                          *fd_positions(t.scheme, fd))
+    """First row pair (`stored_order`) agreeing on x but not on y, if any."""
+    return violating_pair(stored_order(t.rows), *fd_positions(t.scheme, fd))
 
 
 def satisfies_oracle(t: Table, fd: AttrFd) -> bool:
@@ -234,8 +243,8 @@ def _key(positions: Sequence[int]):
 
 def scan_violation(rows: Sequence[tuple], xs: Sequence[int],
                    ys: Sequence[int]) -> Optional[tuple[tuple, tuple]]:
-    """`violating_pair` of `rows` in one pass, for rows sorted by
-    `render_value`: `oracle_violation`'s pair.
+    """`violating_pair` of `rows` in one pass, for rows in `stored_order`:
+    `oracle_violation`'s pair.
 
     The first row of a block of rows agreeing on `xs` has a later partner
     in the block whenever the block holds two values at `ys`, so the pair
@@ -315,23 +324,10 @@ def satisfies_general_quantified(r: Rel, f: Rel, g: Rel) -> bool:
     """Literal nested-quantifier reading; the oracle for satisfies_typed.
 
     Inputs indistinguishable by f may lead through r only to outputs
-    indistinguishable by g.
+    indistinguishable by g: no two pairs of r are an `fd_violation`.
     """
     _check_observers(r, f, g)
-    fmap = dict(f.pairs)
-    gmap = dict(g.pairs)
-    outputs: dict = {}
-    for a, b in r.pairs:
-        outputs.setdefault(a, []).append(b)
-    for a in r.source.elements:
-        for a2 in r.source.elements:
-            if fmap[a] != fmap[a2]:
-                continue
-            for b in outputs.get(a, ()):
-                for b2 in outputs.get(a2, ()):
-                    if gmap[b] != gmap[b2]:
-                        return False
-    return True
+    return fd_violation(r, r, f, g) is None
 
 
 def mutual_dependency(r: Rel, s: Rel, f: Rel, g: Rel) -> bool:
@@ -350,11 +346,8 @@ def fd_violation(r: Rel, s: Rel, f: Rel, g: Rel
     f while the outputs disagree under g; None when no such pair exists."""
     fmap = dict(f.pairs)
     gmap = dict(g.pairs)
-    r_sorted = sorted(r.pairs, key=lambda p: (render_value(p[0]),
-                                              render_value(p[1])))
-    s_sorted = sorted(s.pairs, key=lambda p: (render_value(p[0]),
-                                              render_value(p[1])))
-    for a, b in r_sorted:
+    s_sorted = stored_order(s.pairs)
+    for a, b in stored_order(r.pairs):
         for a2, c in s_sorted:
             if fmap[a] == fmap[a2] and gmap[b] != gmap[c]:
                 return ((a, b), (a2, c))
@@ -436,8 +429,8 @@ def fd_projections(t: Table, fd: AttrFd) -> tuple[Rel, Rel]:
 
 
 def stored_fd_projections(t: Table, fd: AttrFd) -> tuple[Rel, Rel, Rel]:
-    """The identity of the carrier S of the stored rows, in `render_value`
-    order, and the antecedent and consequent projections restricted to S."""
-    s = Carrier("stored", tuple(sorted(t.rows, key=render_value)))
+    """The identity of the carrier S of the stored rows, in `stored_order`,
+    and the antecedent and consequent projections restricted to S."""
+    s = Carrier("stored", tuple(stored_order(t.rows)))
     xs, ys = fd_positions(t.scheme, fd)
     return rel.identity(s), _stored_proj(s, xs), _stored_proj(s, ys)

@@ -3,30 +3,31 @@
 `two_tuple_witness` builds the canonical two-row table refuting a
 non-derivable dependency.  `search_tables` returns the first table within a
 scope, in a fixed canonical order (row count, then row content), that
-separates the axioms from the goal.  An FD holds on a table when it holds
-on each two of its rows, so every table of 0 or 1 rows satisfies every FD,
-and if a table satisfies the axioms and rows r1, r2 break the goal, the
-table {r1, r2} does both too: the first witness always has exactly two
-rows, and when no pair of rows is one, no table of any size is.  The
-search therefore walks the pairs of the row universe in order and builds
-a table for the witness alone; its candidate cap still counts the tables
-of every size up to the scope's row bound.  Two rows break X -> Y exactly
-when they agree on X and not on Y, so a pair is judged by the set of
-positions where its rows disagree, an int bitmask D: it is a witness when
-D misses the goal's X and meets its Y, and for each axiom misses Y or
-meets X.  Each distinct D is judged once.  `search_law` sweeps a
-registered algebraic law over all relation assignments at carrier sizes
-up to the scope bound.  `check_rule_soundness` validates an inference rule
-instance empirically as a table search for a model of its premises that
-violates its conclusion.  Every witness is re-verified by the
-corresponding pointwise oracle before being returned.  The law functions
-import `relfd.laws` and `relfd.bitrel`, and with them numpy, when called:
-the table searches never load them.
+separates the axioms from the goal.  Two rows break X -> Y exactly when the
+set D of positions where they disagree (the complement of their agree set,
+Beeri, Dowd, Fagin and Statman, J. ACM 31(1), 1984) misses X and meets Y.
+Call D qualifying when it breaks the goal and no axiom.  An FD holds on a
+table when it holds on each two of its rows, so no table of 0 or 1 rows is
+a witness, and a witness of any size holds a pair with a qualifying D that
+alone is one: the first witness has two rows.  Each position of D has two
+values or more, so with row 0 the row of first values and r_D the row of
+second values on D and first values elsewhere, {row 0, r_D} is a witness
+too.  In the lexicographic order of rows the pairs with row 0 come first,
+r_D is the first row whose disagreement set with row 0 is D, and r_D
+precedes r_D' exactly when D is less than D' read as a binary number with
+position 0 as its top bit.  So the first witness is {row 0, r_D} for the
+least qualifying D, and when no D qualifies no table of any size is a
+witness.  `search_law` sweeps a registered algebraic law over all relation
+assignments at carrier sizes up to the scope bound.  `check_rule_soundness`
+validates an inference rule instance empirically as a table search for a
+model of its premises that violates its conclusion.  Every witness is
+re-verified by the corresponding pointwise oracle before being returned.
+The law functions import `relfd.laws` and `relfd.bitrel`, and with them
+numpy, when called: the table searches never load them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -34,7 +35,7 @@ from .errors import InternalCheckError, ResourceLimitError, UnknownLawError
 from .fd import AttrFd, fd_positions, satisfies_oracle
 from .infer import attr_closure, mentioned_attrs
 from .rel import Carrier, Frozen
-from .tables import Scheme, Table, count_tables, row_carrier
+from .tables import Scheme, Table, count_tables
 
 # Unused here; kept because the benchmark's tracer test binds it by this
 # name (relfd.search.enumerate_tables).
@@ -101,37 +102,17 @@ def two_tuple_witness(fds: Sequence[AttrFd], goal: AttrFd) -> Optional[Table]:
     return table
 
 
-def _row_codes(scheme: Scheme) -> tuple[list[int], int]:
-    """The rows of `row_carrier(scheme)`, in its order, as ints, and the
-    width `w` of their fields.
-
-    A row's code holds the index of its value at scheme position k in the
-    k-th field of `w` bits, whose top bit no index reaches.  With `high`
-    the top bits of all fields and `low` every bit below them, a field of
-    ``(c1 ^ c2) + low`` carries into its top bit exactly when it is not
-    zero, and never past it: ``((c1 ^ c2) + low) & high`` is the set of
-    positions where the two rows disagree, one top bit per position.
-    """
-    sizes = [len(dom) for _, dom in scheme.attributes]
-    w = max([(s - 1).bit_length() for s in sizes], default=0) + 1
-    codes = list(map(sum, itertools.product(*[
-        range(0, s << k * w, 1 << k * w) for k, s in enumerate(sizes)])))
-    return codes, w
-
-
 def search_tables(fds: Sequence[AttrFd], goal: AttrFd,
                   scope: Scope) -> Optional[Table]:
     """First table within scope satisfying `fds` and violating `goal`.
 
-    The order is canonical (row count, then lexicographic row content), so
-    the witness is deterministic; by the two-row fact (module docstring)
-    it is the first pair of the row universe, in its order, that breaks the
-    goal and no axiom.  The candidate cap is checked, before any carrier is
-    built, against the number of tables of every size up to
-    `scope.max_rows`.
-
-    Pairs are judged by their disagreement masks (module docstring,
-    `_row_codes`), and the witness is re-checked by `satisfies_oracle`.
+    By the fact of the module docstring the first table in canonical order
+    is row 0 and r_D for the least qualifying D, found by walking the
+    subsets of `free`, the positions with two values or more, in increasing
+    order (``(d - free) & free``) with position p at bit ``n-1-p``.  The
+    candidate cap is checked first, against the tables of every size up to
+    `scope.max_rows`: it bounds the U rows of the universe, and the walk
+    takes at most U steps.  The witness is re-checked by `satisfies_oracle`.
     """
     attrs = sorted(mentioned_attrs(fds, goal.antecedent | goal.consequent))
     candidates = count_tables(math.prod(scope.sizes_for(attrs)),
@@ -143,32 +124,28 @@ def search_tables(fds: Sequence[AttrFd], goal: AttrFd,
     if scope.max_rows < 2:
         return None  # too few rows for a witness (module docstring)
     scheme = scope.scheme_for(attrs)
-    rows = row_carrier(scheme).elements
-    codes, w = _row_codes(scheme)
+    doms = [dom.elements for _, dom in scheme.attributes]
+    top = len(doms) - 1
 
-    def mask(positions):  # the top bits of the fields at `positions`
-        return sum(1 << p * w + w - 1 for p in positions)
+    def mask(positions):
+        return sum(1 << top - p for p in positions)
 
-    high = mask(range(len(attrs)))
-    low = high - (high >> w - 1)
+    free = mask(p for p, dom in enumerate(doms) if len(dom) > 1)
     gx, gy = map(mask, fd_positions(scheme, goal))
     axioms = [tuple(map(mask, fd_positions(scheme, fd))) for fd in fds]
-    judged = set()  # disagreement masks that make no witness
-    for c1, c2 in itertools.combinations(codes, 2):
-        d = ((c1 ^ c2) + low) & high
-        if d in judged:
-            continue
+    d = 0
+    while d := (d - free) & free:
         if (not d & gx and d & gy
                 and all(d & x or not d & y for x, y in axioms)):
-            table = Table(scheme, frozenset(
-                (rows[codes.index(c1)], rows[codes.index(c2)])))
+            table = Table(scheme, frozenset((
+                tuple(dom[0] for dom in doms),
+                tuple(dom[d >> top - p & 1] for p, dom in enumerate(doms)))))
             if (satisfies_oracle(table, goal)
                     or not all(satisfies_oracle(table, fd) for fd in fds)):
                 raise InternalCheckError(
                     "table search witness does not separate the axioms "
                     "from the goal")
             return table
-        judged.add(d)
     return None
 
 

@@ -109,16 +109,35 @@ def test_unknown_attribute_message_does_not_depend_on_the_hash_seed(
         "error: at query: unknown attribute 'Xq'\n": [
             "optimize", "--query", q, "--fds", FIXTURES / "movies.fds",
             "--table", FIXTURES / "movies.csv"]}
-    src = str(Path(__file__).resolve().parents[1] / "src")
     for want, argv in calls.items():
         for hash_seed in range(6):
-            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
-                       PYTHONPATH=os.pathsep.join(
-                           filter(None, [src, os.environ.get("PYTHONPATH")])))
-            done = subprocess.run(
-                [sys.executable, "-m", "relfd.cli", *map(str, argv)],
-                env=env, capture_output=True, text=True, timeout=60)
+            done = _run_with_hash_seed(argv, hash_seed)
             assert (done.returncode, done.stderr) == (2, want), hash_seed
+
+
+def _run_with_hash_seed(argv, hash_seed):
+    """`relfd` with `argv` in a fresh interpreter under PYTHONHASHSEED."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "relfd.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_check_witness_does_not_depend_on_the_hash_seed(tmp_path):
+    """Both rows render (x,y,z,1): their repr orders them."""
+    table = tmp_path / "tie.csv"
+    table.write_text('A,B,C\n"x,y",z,1\nx,"y,z",1\n')
+    fds_file = tmp_path / "tie.fds"
+    fds_file.write_text("C -> A\n")
+    want = [["x", "y,z", "1"], ["x,y", "z", "1"]]
+    for hash_seed in range(8):
+        done = _run_with_hash_seed(["check", "--table", table, "--fds",
+                                    fds_file, "--json"], hash_seed)
+        assert done.returncode == 1, done.stderr
+        assert json.loads(done.stdout)["results"][0]["witness"] == want
 
 
 def _wide_table(tmp_path):

@@ -556,6 +556,21 @@ def test_fd_positions_equal_the_select_route(names, ante, cons):
         assert fd_positions(scheme, fd) == expected
 
 
+def test_stored_order_breaks_render_ties_whatever_the_input_order():
+    # rows that render alike go by their repr, pairs (which have no order)
+    # among them
+    rows = [("x,y", "z", "1"), ("x", "y,z", "1"), ("a", "b")]
+    pairs = [(rel.Pair("x", "y,z"), "1"), (rel.Pair("x,y", "z"), "1"),
+             ("(x,y,z)", "1"), ("(x,y,z)", "0")]
+    for values, want in (
+            (rows, [("a", "b"), ("x", "y,z", "1"), ("x,y", "z", "1")]),
+            (pairs, [("(x,y,z)", "0"), ("(x,y,z)", "1"),
+                     (rel.Pair("x", "y,z"), "1"),
+                     (rel.Pair("x,y", "z"), "1")])):
+        for order in itertools.permutations(values):
+            assert fd_module.stored_order(order) == want
+
+
 def test_stored_projections_are_proj_fn_restricted_to_the_stored_rows():
     # domains listed out of value order
     s = Scheme(tuple((n, Carrier(n, (Atom("1"), Atom("0"), Atom("2"))))

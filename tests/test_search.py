@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from relfd import bitrel, rel, search
+from relfd import bitrel, rel, search, tables
 from relfd.errors import (InternalCheckError, ResourceLimitError,
                           UnknownLawError)
 from relfd.fd import (AttrFd, fd_positions, parse_fd, satisfies_oracle,
@@ -17,7 +17,8 @@ from relfd.laws import (LAW_REGISTRY, LAW_SUITE, _distinct, _first_bit,
                         search_law_bruteforce)
 from relfd.rel import Atom, Tup
 from relfd.search import Scope, search_law, search_tables, two_tuple_witness
-from relfd.tables import Table, count_tables, enumerate_tables, table_to_csv
+from relfd.tables import (Table, count_tables, enumerate_tables, row_carrier,
+                          table_to_csv)
 
 CORRUPTED = ("galois_corrupted", "fork_lub_corrupted",
              "union_typing_corrupted", "join_converse_corrupted")
@@ -305,6 +306,55 @@ def test_mask_search_matches_the_literal_searches(axioms, goal, scope):
     universe = math.prod(scope.sizes_for(range(n_attrs)))
     if not isinstance(found, str) and count_tables(universe, max_rows) < 3000:
         assert found == literal_search(axioms, goal, scope)
+
+
+@seed(25)
+@settings(max_examples=250, deadline=None, database=None)
+@given(axioms=st.lists(st.tuples(SIDES, SIDES), max_size=3),
+       goal=st.tuples(SIDES, st.sets(st.sampled_from("ABCD"), min_size=1,
+                                     max_size=2)),
+       scope=SCOPES)
+def test_first_witness_is_row_0_and_a_0_1_row(axioms, goal, scope):
+    # the fact `search_tables` rests on, checked on the table walk: the
+    # first witness holds row 0, and the other row takes each domain's
+    # second value where it differs from row 0
+    axioms = [AttrFd(x, y) for x, y in axioms]
+    goal = AttrFd(*goal)
+    max_rows, sizes, cap = scope
+    n_attrs = len(mentioned_attrs(axioms, goal.antecedent | goal.consequent))
+    if isinstance(sizes, tuple):
+        sizes = sizes[:n_attrs]
+    scope = Scope(max_rows=max_rows, domain_sizes=sizes, candidate_cap=cap)
+    found = _outcome(table_walk_search, axioms, goal, scope)
+    if found is None or isinstance(found, str):
+        return
+    row0 = row_carrier(found.scheme).elements[0]
+    assert row0 in found.rows
+    (other,) = found.rows - {row0}
+    doms = [dom.elements for _, dom in found.scheme.attributes]
+    assert other == tuple(dom[v != v0]
+                          for v, v0, dom in zip(other, row0, doms))
+
+
+def test_search_tables_near_the_cap_builds_no_row_universe(monkeypatch):
+    # a 12-attribute chain at domain size 2: 4,096 rows, 8.4M candidate
+    # tables, under the default cap; the walk visits at most 4,096 masks
+    names = [f"A{i:02d}" for i in range(12)]
+    axioms = [AttrFd(frozenset([x]), frozenset([y]))
+              for x, y in zip(names, names[1:])]
+    scope = Scope(max_rows=2, domain_sizes=2)
+    assert count_tables(2 ** 12, 2) <= scope.candidate_cap
+
+    def no_universe(scheme):
+        raise AssertionError("the search built a row universe")
+
+    monkeypatch.setattr(tables, "_row_carrier", no_universe)
+    derivable = AttrFd(frozenset([names[0]]), frozenset([names[-1]]))
+    assert search_tables(axioms, derivable, scope) is None
+    # backwards, the least qualifying disagreement set is {A00}
+    found = search_tables(axioms, AttrFd(frozenset([names[-1]]),
+                                         frozenset([names[0]])), scope)
+    assert found.rows == {("0",) * 12, ("1",) + ("0",) * 11}
 
 
 def test_mask_search_witness_is_rechecked(monkeypatch):
