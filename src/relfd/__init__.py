@@ -2,10 +2,10 @@
 
 The package bundles a small executable kernel of binary relation algebra
 (`relfd.rel`), n-ary tables bridged into it (`relfd.tables`), dependency
-satisfaction in oracle, algebraic and typed forms (`relfd.fd`), an
-inference engine producing proof trees (`relfd.infer`), a query IR with an
-FD-driven self-join eliminator (`relfd.query`), and small-scope
-counterexample search for dependencies and algebraic laws (`relfd.search`).
+satisfaction on tables (`relfd.fd`), FDs as types of relations and their
+typing rules (`relfd.typed`), an inference engine with proof trees
+(`relfd.infer`), a query IR with an FD-driven self-join eliminator
+(`relfd.query`), and small-scope counterexample search (`relfd.search`).
 
 The public names below resolve on first access: `from relfd import derive`
 loads `relfd.infer` and what it needs, and nothing else.  So a CLI command
@@ -20,11 +20,11 @@ _EXPORTS = {
     "errors": """CarrierMismatchError InternalCheckError ParseError
         QueryTypeError RelfdError ResourceLimitError SchemeError
         UnknownAttributeError UnknownLawError""",
-    "fd": """AttrFd mutual_dependency parse_fd parse_fd_lines
-        satisfies_algebraic satisfies_general_quantified satisfies_oracle
-        satisfies_typed typecheck_join typecheck_union""",
+    "fd": "AttrFd parse_fd parse_fd_lines satisfies_oracle satisfies_typed",
+    "typed": """fd_trade mutual_dependency satisfies_algebraic
+        satisfies_general_quantified typecheck_join typecheck_union""",
     "infer": """Derivation attr_closure derivation_from_dict
-        derivation_to_dict derive fd_trade validate_derivation""",
+        derivation_to_dict derive validate_derivation""",
     "query": """Env eval_query from_json rewrite_selfjoin to_json type_check
         verify_equiv""",
     "rel": """Atom Carrier Pair Rel Tup Unit Value bang compose converse

@@ -37,6 +37,12 @@ def _load_fds(args: argparse.Namespace) -> list[fd.AttrFd]:
         return fd.parse_fd_lines(fh.read())
 
 
+def _row_text(row: tuple) -> str:
+    """`render_value` of a row, each atom holding ``,()"`` as a JSON string."""
+    return "(" + ",".join(json.dumps(v) if any(c in v for c in ',()"')
+                          else v for v in row) + ")"
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -66,7 +72,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             any_violation = True
             r1, r2 = witness
             lines.append(f"{item}: violated by rows "
-                         f"{render_value(r1)} / {render_value(r2)}")
+                         f"{_row_text(r1)} / {_row_text(r2)}")
             payload.append({
                 "fd": str(item), "holds": False,
                 "witness": [[render_value(v) for v in r1],

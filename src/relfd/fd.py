@@ -1,5 +1,5 @@
-"""Functional-dependency satisfaction, three ways at runtime and three as
-test oracles.
+"""Functional-dependency satisfaction, three ways at runtime, and the test
+oracles they are compared against.
 
 `relfd check` runs three routes over the stored rows, each linear in them
 once the rows are sorted, and each written apart from the others:
@@ -17,28 +17,13 @@ once the rows are sorted, and each written apart from the others:
   one by y, that is ``|pi_X| = |pi_XY|`` (the FD test of TANE, Huhtala et
   al., The Computer Journal 42(2), 1999); it uses no relation operation.
 
-The quadratic routes stay as the test oracles those three are compared
-against:
-
-* `satisfies_oracle` is the ground truth, a literal double loop over stored
-  rows ("rows agreeing on the antecedent agree on the consequent"), and
-  `oracle_violation` its first violating pair in sorted order;
-* `satisfies_algebraic(t, fd)` checks
-  ``pid(t) . x~ . x . pid(t)~  included-in  y~ . y`` with x, y the projection
-  functions of the two attribute sets (``~`` is converse);
-* `satisfies_typed(r, f, g)` is the general form for an arbitrary relation
-  observed by functions: ``g <= f . r~`` under the injectivity preorder.
-
-On a table both algebraic forms run over the stored rows S alone, not over
-the row universe.  The ``pid(t)`` on each side of the inclusion relates
-stored rows only, so its left side never leaves S and ``ker y`` is only ever
-read on pairs of stored rows.  Taking ``pid`` as the identity of S and x, y
-as the projections restricted to S therefore gives the same verdict, with
-relations as large as the table instead of the domain product.
-
-All routes must agree on tables; the CLI treats any disagreement as an
-internal bug.  `mutual_dependency`, `typecheck_union` and `typecheck_join`
-implement the merge/join typing rules on top of the same machinery.
+The ground truth is `satisfies_oracle`, a literal double loop over stored
+rows ("rows agreeing on the antecedent agree on the consequent"), and
+`oracle_violation` its first violating pair in sorted order.  All routes
+must agree on tables; the CLI treats any disagreement as an internal bug.
+`satisfies_typed(r, f, g)` is the FD as a type of an arbitrary relation
+observed by functions, ``g <= f . r~`` under the injectivity preorder; its
+other forms, the algebraic oracle among them, are in `relfd.typed`.
 
 FD text grammar: one ``attrs -> attrs`` per line, attribute names matching
 ``[A-Za-z_][A-Za-z0-9_]*`` separated by commas or whitespace, ``#`` starts a
@@ -68,10 +53,10 @@ import re
 from typing import Optional, Sequence
 
 from . import rel
-from .errors import InternalCheckError, ParseError, SchemeError
-from .rel import Carrier, Frozen, Rel, Value, render_value
-from .tables import pid  # noqa: F401  (callers bind relfd.fd.pid)
-from .tables import Scheme, Table, proj_fn
+from .errors import ParseError, SchemeError
+from .rel import Carrier, Frozen, Rel, render_value
+from .tables import Scheme, Table
+from .tables import pid, proj_fn  # noqa: F401  (bound as fd.pid, fd.proj_fn)
 
 # An attribute name; compiled on first use by `re`'s own cache, since only
 # the per-line parser reads it.
@@ -220,20 +205,6 @@ def satisfies_oracle(t: Table, fd: AttrFd) -> bool:
     return violating_pair(t.rows, *fd_positions(t.scheme, fd)) is None
 
 
-def satisfies_algebraic(t: Table, fd: AttrFd) -> bool:
-    """Quantifier-free route: one inclusion between composite relations.
-
-    ``pid . x~ . x . pid~  included-in  ker y`` over the stored-row carrier
-    S: ``pid`` is the identity of S and x, y are the projections restricted
-    to S.  The verdict is that of the same inclusion over the row universe,
-    whose left side relates stored rows only.
-    """
-    p, x, y = stored_fd_projections(t, fd)
-    lhs = rel.compose(p, rel.compose(rel.converse(x),
-                                     rel.compose(x, rel.converse(p))))
-    return rel.includes(rel.kernel(y), lhs)
-
-
 def _key(positions: Sequence[int]):
     """The function from a row to its values at `positions`."""
     if not positions:
@@ -318,119 +289,3 @@ def satisfies_typed(r: Rel, f: Rel, g: Rel) -> bool:
     """g is at most as injective as f seen through r: g <= f . r~."""
     _check_observers(r, f, g)
     return rel.leq(g, rel.compose(f, rel.converse(r)))
-
-
-def satisfies_general_quantified(r: Rel, f: Rel, g: Rel) -> bool:
-    """Literal nested-quantifier reading; the oracle for satisfies_typed.
-
-    Inputs indistinguishable by f may lead through r only to outputs
-    indistinguishable by g: no two pairs of r are an `fd_violation`.
-    """
-    _check_observers(r, f, g)
-    return fd_violation(r, r, f, g) is None
-
-
-def mutual_dependency(r: Rel, s: Rel, f: Rel, g: Rel) -> bool:
-    """Cross-relation form: r . ker f . s~ is included in ker g."""
-    rel._require_same(r.source, s.source, "mutual dependency")
-    rel._require_same(r.target, s.target, "mutual dependency")
-    _check_observers(r, f, g)
-    lhs = rel.compose(r, rel.compose(rel.kernel(f), rel.converse(s)))
-    return rel.includes(rel.kernel(g), lhs)
-
-
-def fd_violation(r: Rel, s: Rel, f: Rel, g: Rel
-                 ) -> Optional[tuple[tuple[Value, Value],
-                                     tuple[Value, Value]]]:
-    """A pair of pairs, one from r and one from s, whose inputs agree under
-    f while the outputs disagree under g; None when no such pair exists."""
-    fmap = dict(f.pairs)
-    gmap = dict(g.pairs)
-    s_sorted = stored_order(s.pairs)
-    for a, b in stored_order(r.pairs):
-        for a2, c in s_sorted:
-            if fmap[a] == fmap[a2] and gmap[b] != gmap[c]:
-                return ((a, b), (a2, c))
-    return None
-
-
-class UnionTypeReport(Frozen):
-    """Decomposition of an FD check on a merged relation."""
-
-    __slots__ = _fields = ("union_holds", "left_holds", "right_holds",
-                           "mutual_holds", "witness")
-
-    def __init__(self, union_holds: bool, left_holds: bool,
-                 right_holds: bool, mutual_holds: bool,
-                 witness: Optional[tuple] = None):
-        super().__init__(union_holds, left_holds, right_holds, mutual_holds,
-                         witness)
-
-    @property
-    def failed(self) -> tuple[str, ...]:
-        out = []
-        if not self.left_holds:
-            out.append("left")
-        if not self.right_holds:
-            out.append("right")
-        if not self.mutual_holds:
-            out.append("mutual")
-        return tuple(out)
-
-    def __bool__(self) -> bool:
-        return self.union_holds
-
-
-def typecheck_union(r: Rel, s: Rel, f: Rel, g: Rel) -> UnionTypeReport:
-    """Check the FD on the merge of r and s and report the decomposition;
-    the report is truthy exactly when the FD holds on the merge.
-
-    The overall verdict always equals the conjunction of the FD on each
-    operand plus their mutual dependency; a mismatch means a bug and raises.
-    """
-    overall = satisfies_typed(rel.union(r, s), f, g)
-    left = satisfies_typed(r, f, g)
-    right = satisfies_typed(s, f, g)
-    mutual = mutual_dependency(r, s, f, g)
-    if overall != (left and right and mutual):
-        raise InternalCheckError(
-            "merge FD verdict disagrees with its decomposition")
-    witness = None
-    if not left:
-        witness = fd_violation(r, r, f, g)
-    elif not right:
-        witness = fd_violation(s, s, f, g)
-    elif not mutual:
-        witness = fd_violation(r, s, f, g)
-    return UnionTypeReport(overall, left, right, mutual, witness)
-
-
-def typecheck_join(r: Rel, s: Rel, f: Rel, g: Rel, h: Rel) -> bool:
-    """Conclusion check for the join typing rule.
-
-    Returns whether the joined relation satisfies the paired dependency
-    ``f -> g x h``.  When both premises ``f -> g`` on r and ``f -> h`` on s
-    hold the conclusion must hold as well; a violation of that implication
-    raises instead of being reported as a result.
-    """
-    rel._require_same(r.source, s.source, "join typecheck")
-    premise_l = satisfies_typed(r, f, g)
-    premise_r = satisfies_typed(s, f, h)
-    conclusion = satisfies_typed(rel.fork(r, s), f, rel.product(g, h))
-    if premise_l and premise_r and not conclusion:
-        raise InternalCheckError("join rule premises hold but conclusion fails")
-    return conclusion
-
-
-def fd_projections(t: Table, fd: AttrFd) -> tuple[Rel, Rel]:
-    """The antecedent and consequent projection functions of a table."""
-    return (proj_fn(t.scheme, fd.antecedent),
-            proj_fn(t.scheme, fd.consequent))
-
-
-def stored_fd_projections(t: Table, fd: AttrFd) -> tuple[Rel, Rel, Rel]:
-    """The identity of the carrier S of the stored rows, in `stored_order`,
-    and the antecedent and consequent projections restricted to S."""
-    s = Carrier("stored", tuple(stored_order(t.rows)))
-    xs, ys = fd_positions(t.scheme, fd)
-    return rel.identity(s), _stored_proj(s, xs), _stored_proj(s, ys)

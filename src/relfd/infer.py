@@ -3,24 +3,23 @@
 `attr_closure` is the usual least fixpoint; `derive` turns a closure run
 into a `Derivation` certificate built from five rules (Reflexivity, Axiom,
 Consequence, Composition, Additivity, with Projectivity accepted on replay).
-Every produced tree re-validates node by node.
-
-`fd_trade` checks both sides of the antecedent/consequent trading
-equivalence on concrete relations.
+Every produced tree re-validates node by node.  The trading rule between
+antecedent and consequent, `fd_trade`, is a typing rule of relations and
+lives in `relfd.typed`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from . import rel
 from .errors import ResourceLimitError, UnknownAttributeError
-from .fd import AttrFd, parse_fd, satisfies_typed
-from .rel import Frozen, Rel
+from .fd import AttrFd, parse_fd
+from .rel import Frozen
 
 # Unused here; kept because the benchmark's tracer test binds them by these
-# names (relfd.infer.satisfies_oracle, relfd.infer.enumerate_tables).
-from .fd import satisfies_oracle  # noqa: F401
+# names (relfd.infer.satisfies_oracle, relfd.infer.satisfies_typed,
+# relfd.infer.enumerate_tables).
+from .fd import satisfies_oracle, satisfies_typed  # noqa: F401
 from .tables import enumerate_tables  # noqa: F401
 
 REFLEXIVITY = "Reflexivity"
@@ -185,14 +184,3 @@ def derivation_from_dict(obj: dict) -> Derivation:
         tuple(derivation_from_dict(p) for p in obj.get("premises", ())),
     )
 
-
-def fd_trade(x: Rel, z: Rel, r: Rel, k: Rel, y: Rel) -> bool:
-    """Both sides of the trading equivalence agree on these relations.
-
-    Left: x -> y on the composite z . r . k~; right: x.k -> y.z on r.
-    Returns True exactly when the two checks coincide (they always must).
-    """
-    middle = rel.compose(z, rel.compose(r, rel.converse(k)))
-    left = satisfies_typed(middle, x, y)
-    right = satisfies_typed(r, rel.compose(x, k), rel.compose(y, z))
-    return left == right

@@ -71,8 +71,8 @@ import numpy as np
 
 from . import bitrel as B
 from . import rel
-from .fd import mutual_dependency, satisfies_typed
-from .infer import fd_trade
+from .fd import satisfies_typed
+from .typed import fd_trade, join_verdicts, mutual_dependency, union_verdicts
 
 
 class LawVariable(rel.Frozen):
@@ -468,11 +468,9 @@ def _sweep_consequent_pairing(sz: dict) -> Optional[dict]:
 
 
 def _holds_union_fd_typing(a: dict, corrupted: bool = False) -> bool:
-    r, s, f, g = a["R"], a["S"], a["f"], a["g"]
-    lhs = satisfies_typed(rel.union(r, s), f, g)
-    rhs = (satisfies_typed(r, f, g) and satisfies_typed(s, f, g)
-           and (corrupted or mutual_dependency(r, s, f, g)))
-    return lhs == rhs
+    merged, left, right, mutual = union_verdicts(a["R"], a["S"], a["f"],
+                                                 a["g"])
+    return merged == (left and right and (corrupted or mutual))
 
 
 def _union_terms(sz: dict):
@@ -542,9 +540,9 @@ def _sweep_mutual_self(sz: dict) -> Optional[dict]:
 
 
 def _holds_join_fd_typing(a: dict, corrupted: bool = False) -> bool:
-    r, s, f, g, h = a["R"], a["S"], a["f"], a["g"], a["h"]
-    premises = satisfies_typed(r, f, g) and satisfies_typed(s, f, h)
-    conclusion = satisfies_typed(rel.fork(r, s), f, rel.product(g, h))
+    left, right, conclusion = join_verdicts(a["R"], a["S"], a["f"], a["g"],
+                                            a["h"])
+    premises = left and right
     if corrupted:
         premises, conclusion = conclusion, premises
     return not premises or conclusion

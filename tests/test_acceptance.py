@@ -9,8 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from relfd.fd import (AttrFd, parse_fd, satisfies_algebraic,
-                      satisfies_oracle, satisfies_typed)
+from relfd.fd import AttrFd, parse_fd, satisfies_oracle, satisfies_typed
 from relfd.infer import derive
 from relfd.query import Env, count_pid_nodes, eval_query, from_json, \
     rewrite_selfjoin, verify_equiv
@@ -18,6 +17,7 @@ from relfd.rel import Atom, Pair, Tup
 from relfd.search import Scope, search_law, two_tuple_witness
 from relfd.tables import (Scheme, Table, encode_pairs, load_table, pid,
                           proj_fn, row_carrier)
+from relfd.typed import satisfies_algebraic
 from relfd.rel import Carrier
 
 from conftest import FIXTURES

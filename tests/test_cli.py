@@ -140,6 +140,24 @@ def test_check_witness_does_not_depend_on_the_hash_seed(tmp_path):
         assert json.loads(done.stdout)["results"][0]["witness"] == want
 
 
+def test_check_text_witness_quotes_atoms_that_would_print_alike(tmp_path,
+                                                                capsys):
+    """Rows that render alike as (x,y,z,1) print apart: an atom holding
+    ``,()"`` prints as a JSON string, any other atom as it is."""
+    table = tmp_path / "tie.csv"
+    table.write_text('A,B,C\n"x,y",z,1\nx,"y,z",1\n')
+    fds_file = tmp_path / "tie.fds"
+    fds_file.write_text("C -> A\n")
+    code, out, _ = run(capsys, "check", "--table", table, "--fds", fds_file)
+    assert (code, out) == (
+        1, 'C -> A: violated by rows (x,"y,z",1) / ("x,y",z,1)\n')
+    table.write_text('A,B\n"a(b",1\n"c""d",1\n')
+    fds_file.write_text("B -> A\n")
+    code, out, _ = run(capsys, "check", "--table", table, "--fds", fds_file)
+    assert (code, out) == (
+        1, 'B -> A: violated by rows ("a(b",1) / ("c\\"d",1)\n')
+
+
 def _wide_table(tmp_path):
     """A table of 50 stored rows whose 4 attributes declare 40 values each:
     a row universe of 2.56M, over ROW_CARRIER_LIMIT."""

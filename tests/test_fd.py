@@ -6,14 +6,15 @@ from hypothesis import given, seed, settings, strategies as st
 
 from relfd import fd as fd_module, rel
 from relfd.errors import ParseError, SchemeError
-from relfd.fd import (AttrFd, fd_positions, fd_projections, fd_violation,
-                      mutual_dependency, oracle_violation, parse_fd,
+from relfd.fd import (AttrFd, fd_positions, oracle_violation, parse_fd,
                       parse_fd_lines, parse_fd_lines_per_line,
-                      satisfies_algebraic,
-                      satisfies_general_quantified, satisfies_oracle,
-                      satisfies_refinement, satisfies_shunted,
-                      satisfies_typed, scan_violation, stored_fd_projections,
-                      typecheck_join, typecheck_union, violating_pair)
+                      satisfies_oracle, satisfies_refinement,
+                      satisfies_shunted, satisfies_typed, scan_violation,
+                      violating_pair)
+from relfd.typed import (fd_projections, fd_violation, mutual_dependency,
+                         satisfies_algebraic, satisfies_general_quantified,
+                         stored_fd_projections, typecheck_join,
+                         typecheck_union)
 from relfd.rel import (Atom, Carrier, Rel, Tup, bang, identity, kernel,
                        render_value, top)
 from relfd.tables import (Scheme, Table, parse_table_csv, pid, proj_fn,
@@ -453,6 +454,25 @@ def test_join_collapses_to_consequent_pairing():
             for g in kernel_representatives(b):
                 assert (typecheck_join(r, r, f, g, g)
                         == satisfies_typed(r, f, g))
+
+
+def test_join_returns_the_fork_verdict_where_premises_fail_exhaustive():
+    """The verdict is the conclusion's, also where a premise fails: a fork
+    drops the inputs that only one side relates."""
+    a, b, c = carrier("A", 2), carrier("B", 2), carrier("C", 2)
+    premise_fails_conclusion_holds = 0
+    for r in all_rels(a, b):
+        for s in all_rels(a, c):
+            for f in kernel_representatives(a):
+                for g in kernel_representatives(b):
+                    for h in kernel_representatives(c):
+                        joined = satisfies_typed(rel.fork(r, s), f,
+                                                 rel.product(g, h))
+                        assert typecheck_join(r, s, f, g, h) == joined
+                        premise_fails_conclusion_holds += joined and not (
+                            satisfies_typed(r, f, g)
+                            and satisfies_typed(s, f, h))
+    assert premise_fails_conclusion_holds
 
 
 def test_join_with_identity_observer():

@@ -2,13 +2,13 @@
 
 `import relfd.cli` loads `cli`, `errors`, `fd`, `rel` and `tables`.  The
 inference engine, the query IR and the counterexample search load when a
-command runs them; numpy, the law registry (`relfd.laws`) and its bitset
-tables (`relfd.bitrel`) only for `laws`; `logging` only to warn about
-duplicate rows.  Every value class but `laws.Law` is a plain class on
-`rel.Frozen`, so `dataclasses`, with the `inspect` it imports, loads only
-with the law registry: every command but `laws` runs without it.  Each
-call runs in a fresh interpreter, since this test process has loaded them
-all already.
+command runs them; numpy, the law registry (`relfd.laws`), its bitset
+tables (`relfd.bitrel`) and the typing rules (`relfd.typed`) only for
+`laws`; `logging` only to warn about duplicate rows.  Every value class but
+`laws.Law` is a plain class on `rel.Frozen`, so `dataclasses`, with the
+`inspect` it imports, loads only with the law registry: every command but
+`laws` runs without it.  Each call runs in a fresh interpreter, since this
+test process has loaded them all already.
 """
 
 import importlib
@@ -95,7 +95,23 @@ def test_commands_but_laws_start_without_numpy(call):
 
 def test_laws_command_loads_the_law_sweeps():
     assert (loaded_after(["laws", "--scope-carrier", "1"])
-            == START | {"relfd.infer", "relfd.search"} | DATACLASSES | LAZY)
+            == START | {"relfd.infer", "relfd.search", "relfd.typed"}
+            | DATACLASSES | LAZY)
+
+
+# The lines a fresh `import relfd.cli` compiles when no bytecode is cached.
+# The design aim "Quality of design" (same answers from fewer lines) holds
+# this at or under its count when the typing layer left the start path for
+# `relfd.typed`; it was 1,579 before.
+START_LINES = 1440
+
+
+def test_start_path_stays_within_its_line_count():
+    files = [SRC / "relfd" / "__init__.py"] + [
+        SRC / (name.replace(".", "/") + ".py") for name in loaded_after([])]
+    lines = sum(len(f.read_text(encoding="utf-8").splitlines())
+                for f in files)
+    assert lines <= START_LINES, lines
 
 
 def test_logging_loads_only_to_warn_about_duplicate_rows(tmp_path):

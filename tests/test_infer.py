@@ -13,9 +13,10 @@ from relfd.fd import AttrFd, parse_fd, satisfies_oracle
 from relfd.infer import (AXIOM, COMPOSITION, CONSEQUENCE, FIRING_LIMIT,
                          REFLEXIVITY, Derivation, attr_closure,
                          derivation_from_dict, derivation_to_dict, derive,
-                         fd_trade, mentioned_attrs, validate_derivation)
+                         mentioned_attrs, validate_derivation)
 from relfd.rel import Rel
 from relfd.search import RuleInstance, check_rule_soundness
+from relfd.typed import fd_trade
 
 from conftest import all_functions, all_rels, carrier
 

@@ -1,8 +1,8 @@
 """Every relfd value class but `laws.Law` against its dataclass form.
 
-The value classes of `rel`, `tables`, `fd`, `infer`, `query`, `search` and
-`laws` (`LawVariable`) are plain classes on `rel.Frozen`, so that no
-command but `laws` loads `dataclasses`.  The hot ones (`Pair`, `Carrier`,
+The value classes of `rel`, `tables`, `fd`, `typed`, `infer`, `query`,
+`search` and `laws` (`LawVariable`) are plain classes on `rel.Frozen`, so
+that no command but `laws` loads `dataclasses`.  The hot ones (`Pair`, `Carrier`,
 `Rel`, `Scheme`, `AttrFd`) write their `__init__` out; the rest call the
 base's.  Each was a dataclass; that form is kept below as its
 twin, under the same name.  On generated values each class must show,
@@ -32,7 +32,7 @@ from unittest.mock import ANY
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relfd import fd, infer, laws, query, rel, search, tables
+from relfd import fd, infer, laws, query, rel, search, tables, typed
 from relfd.errors import SchemeError
 
 
@@ -239,7 +239,7 @@ OLD = SimpleNamespace(**{c.__name__: c for c in (
 NEW = SimpleNamespace(
     Pair=rel.Pair, Unit=rel.Unit, Carrier=rel.Carrier, Rel=rel.Rel,
     Scheme=tables.Scheme, Table=tables.Table, AttrFd=fd.AttrFd,
-    UnionTypeReport=fd.UnionTypeReport, Derivation=infer.Derivation,
+    UnionTypeReport=typed.UnionTypeReport, Derivation=infer.Derivation,
     **{c.__name__: getattr(query, c.__name__)
        for c in (RelRef, Proj, Pid, *OPS, Env, EquivResult)},
     Scope=search.Scope, RuleInstance=search.RuleInstance,
