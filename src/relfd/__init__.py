@@ -32,8 +32,8 @@ _EXPORTS = {
         is_injective kernel leq pair_carrier product proj1 proj2 top union""",
     "search": """RuleInstance Scope check_rule_soundness search_law
         search_tables two_tuple_witness""",
-    "tables": """Scheme Table encode_pairs load_table pid proj_fn
-        row_carrier""",
+    "tables": "Scheme Table load_table pid proj_fn row_carrier",
+    "oracles": "encode_pairs",
     "laws": "LAW_REGISTRY LAW_SUITE",
 }
 # public name -> the submodule that defines it

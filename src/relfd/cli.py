@@ -5,15 +5,17 @@ Exit codes: 0 success / property holds, 1 dependency or law refuted (a
 witness is printed), 2 input error, 3 internal-consistency failure (two
 checking routes disagreed, which signals a bug rather than bad input).
 Each command imports the modules it runs, so start-up loads only `fd`,
-`tables` and the modules under them.
+`tables` and the modules under them.  A plain argv is read from the flag
+table `COMMANDS` without argparse; any other argv goes to argparse
+(`relfd.usage`), which reads it or prints its own usage, help or error.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+from types import SimpleNamespace
 
 from . import fd, tables
 from .errors import InternalCheckError, ParseError, RelfdError
@@ -25,14 +27,55 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
+def _emit(args: SimpleNamespace, payload: dict, text: str) -> None:
     if args.json_output:
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     elif text:
         print(text)
 
 
-def _load_fds(args: argparse.Namespace) -> list[fd.AttrFd]:
+_ENCODE = json.encoder.encode_basestring_ascii
+_END = object()
+
+
+def _json_text(obj) -> str:
+    """`json.dumps(obj, indent=2)` for a tree of str-keyed dicts, lists,
+    tuples and scalars.  Each string goes through the C encoder, each other
+    scalar through `json.dumps`, and the containers are walked with a
+    stack, so no depth raises `RecursionError`."""
+    out: list[str] = []
+    stack: list = []  # per open container: its items, is a dict, indent
+    value = obj
+    while True:
+        opened = False
+        if isinstance(value, str):
+            out.append(_ENCODE(value))
+        elif isinstance(value, (dict, list, tuple)) and value:
+            is_dict = isinstance(value, dict)
+            out.append("{" if is_dict else "[")
+            stack.append((iter(value.items() if is_dict else value), is_dict,
+                          "\n" + "  " * (len(stack) + 1)))
+            opened = True
+        else:  # a number, bool, None, {} or []
+            out.append(json.dumps(value))
+        while stack:
+            items, is_dict, indent = stack[-1]
+            item = next(items, _END)
+            if item is not _END:
+                break
+            stack.pop()
+            out.append(indent[:-2] + ("}" if is_dict else "]"))
+        else:
+            return "".join(out)
+        out.append(indent if opened else "," + indent)
+        if is_dict:
+            out.append(_ENCODE(item[0]) + ": ")
+            value = item[1]
+        else:
+            value = item
+
+
+def _load_fds(args: SimpleNamespace) -> list[fd.AttrFd]:
     with open(args.fds, encoding="utf-8") as fh:
         return fd.parse_fd_lines(fh.read())
 
@@ -47,7 +90,7 @@ def _row_text(row: tuple) -> str:
 # Commands
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     table = tables.load_table(args.table, args.schema)
     fds = _load_fds(args)
     rows = fd.stored_order(table.rows)
@@ -82,7 +125,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_REFUTED if any_violation else EXIT_OK
 
 
-def cmd_closure(args: argparse.Namespace) -> int:
+def cmd_closure(args: SimpleNamespace) -> int:
     from . import infer
     fds = _load_fds(args)
     attrs = fd.parse_attr_list(args.attrs)
@@ -91,7 +134,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_derive(args: argparse.Namespace) -> int:
+def cmd_derive(args: SimpleNamespace) -> int:
     from . import infer
     fds = _load_fds(args)
     goal = fd.parse_fd(args.goal)
@@ -102,12 +145,12 @@ def cmd_derive(args: argparse.Namespace) -> int:
         return EXIT_REFUTED
     obj = infer.derivation_to_dict(tree)
     # the JSON form prints the payload alone
-    text = "" if args.json_output else json.dumps(obj, indent=2)
+    text = "" if args.json_output else _json_text(obj)
     _emit(args, {"derivable": True, "derivation": obj}, text)
     return EXIT_OK
 
 
-def cmd_cex(args: argparse.Namespace) -> int:
+def cmd_cex(args: SimpleNamespace) -> int:
     from . import search
     fds = _load_fds(args)
     goal = fd.parse_fd(args.goal)
@@ -122,7 +165,7 @@ def cmd_cex(args: argparse.Namespace) -> int:
     return EXIT_REFUTED
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
+def cmd_optimize(args: SimpleNamespace) -> int:
     if args.schema is not None and args.table is None:
         raise RelfdError("--schema declares the domains of --table; "
                          "give --table with it")
@@ -169,14 +212,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     payload = {"query": out, "verification": verification}
     text = ""
     if not args.json_output:  # the JSON form prints `payload` alone
-        text = json.dumps(out, indent=2)
+        text = _json_text(out)
         if verdict_line:
             text += "\n" + verdict_line
     _emit(args, payload, text)
     return code
 
 
-def cmd_laws(args: argparse.Namespace) -> int:
+def cmd_laws(args: SimpleNamespace) -> int:
     from . import search
     from .laws import LAW_SUITE  # loads numpy; no other command needs it
     scope = search.Scope(max_carrier=args.scope_carrier)
@@ -204,90 +247,103 @@ def cmd_laws(args: argparse.Namespace) -> int:
 # Entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="relfd",
-        description="Finite relation algebra toolkit for functional "
-                    "dependencies: check tables, infer and refute "
-                    "dependencies, and optimize queries.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, table=None, fds=False, attrs=False, goal=False,
-               query_file=False, scope=False, carrier=False):
-        # `table` is None for no --table, else whether it is required
-        if table is not None:
-            p.add_argument("--table", required=table,
-                           help="CSV table (header row of names)")
-            p.add_argument("--schema",
-                           help="JSON sidecar declaring attribute domains")
-        if fds:
-            p.add_argument("--fds", required=True,
-                           help="dependency file, one FD per line")
-        if attrs:
-            p.add_argument("--attrs", required=True,
-                           help="attribute list, e.g. 'Flight,Date'")
-        if goal:
-            p.add_argument("--goal", required=True,
-                           help="dependency to test, e.g. 'Flight Date -> Pilot'")
-        if query_file:
-            p.add_argument("--query", required=True, help="query JSON file")
-        if scope:
-            p.add_argument("--scope-rows", type=int, default=2,
-                           help="max rows in counterexample tables")
-            p.add_argument("--scope-dom", type=int, default=2,
-                           help="attribute domain size for the search")
-        if carrier:
-            p.add_argument("--scope-carrier", type=int, default=3,
-                           help="max carrier size for law sweeps")
-        p.add_argument("--json", action="store_true", dest="json_output",
-                       help="machine-readable output")
-
-    p = sub.add_parser("check", help="check FDs against a table "
-                                     "through all three checkers")
-    common(p, table=True, fds=True)
-
-    p = sub.add_parser("closure", help="attribute closure under FDs")
-    common(p, fds=True, attrs=True)
-
-    p = sub.add_parser("derive", help="derivation tree for a goal FD")
-    common(p, fds=True, goal=True)
-
-    p = sub.add_parser("cex", help="search for a counterexample table")
-    common(p, fds=True, goal=True, scope=True)
-
-    p = sub.add_parser("optimize", help="rewrite a query under FDs")
-    common(p, table=False, fds=True, query_file=True)
-
-    p = sub.add_parser("laws", help="sweep the registered law suite")
-    common(p, carrier=True)
-
-    return parser
-
-
-_HANDLERS = {
-    "check": cmd_check,
-    "closure": cmd_closure,
-    "derive": cmd_derive,
-    "cex": cmd_cex,
-    "optimize": cmd_optimize,
-    "laws": cmd_laws,
+# Each flag once: its type and its help text.
+FLAGS = {
+    "--table": (str, "CSV table (header row of names)"),
+    "--schema": (str, "JSON sidecar declaring attribute domains"),
+    "--fds": (str, "dependency file, one FD per line"),
+    "--attrs": (str, "attribute list, e.g. 'Flight,Date'"),
+    "--goal": (str, "dependency to test, e.g. 'Flight Date -> Pilot'"),
+    "--query": (str, "query JSON file"),
+    "--scope-rows": (int, "max rows in counterexample tables"),
+    "--scope-dom": (int, "attribute domain size for the search"),
+    "--scope-carrier": (int, "max carrier size for law sweeps"),
+}
+REQUIRED = object()  # the default of a flag that must be given
+# Each command: its handler, its help text and its flags in usage order,
+# each with its default or REQUIRED.  Every command also takes `--json`.
+COMMANDS = {
+    "check": (cmd_check, "check FDs against a table through all three "
+                         "checkers",
+              {"--table": REQUIRED, "--schema": None, "--fds": REQUIRED}),
+    "closure": (cmd_closure, "attribute closure under FDs",
+                {"--fds": REQUIRED, "--attrs": REQUIRED}),
+    "derive": (cmd_derive, "derivation tree for a goal FD",
+               {"--fds": REQUIRED, "--goal": REQUIRED}),
+    "cex": (cmd_cex, "search for a counterexample table",
+            {"--fds": REQUIRED, "--goal": REQUIRED, "--scope-rows": 2,
+             "--scope-dom": 2}),
+    "optimize": (cmd_optimize, "rewrite a query under FDs",
+                 {"--table": None, "--schema": None, "--fds": REQUIRED,
+                  "--query": REQUIRED}),
+    "laws": (cmd_laws, "sweep the registered law suite",
+             {"--scope-carrier": 3}),
 }
 
 
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """What `_parser().parse_args(argv)` returns, without argparse, for a
+    plain argv: a command, then each of its flags at most once, each but
+    `--json` followed by a value not starting with ``-`` (for an int flag,
+    decimal digits that `int` reads), and every required flag among them.
+    None for any other argv, which argparse then reads or reports."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    flags = COMMANDS[argv[0]][2]
+    given: dict = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag in given:
+            return None
+        if flag == "--json":
+            given[flag] = True
+            continue
+        if flag not in flags:
+            return None
+        value = next(tokens, "-")  # a missing value declines as "-" does
+        if value.startswith("-"):
+            return None
+        if FLAGS[flag][0] is int:
+            if not value.isdecimal():
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # past `int`'s digit limit
+                return None
+        given[flag] = value
+    args = {"command": argv[0], "json_output": given.pop("--json", False)}
+    for flag, default in flags.items():
+        value = given.get(flag, default)
+        if value is REQUIRED:
+            return None
+        args[flag[2:].replace("-", "_")] = value
+    return SimpleNamespace(**args)
+
+
+def build_parser():
+    """The argparse parser of `COMMANDS`, which `relfd.usage` builds."""
+    from .usage import build_parser
+    return build_parser()
+
+
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first `main` call and reused by the next:
-    `parse_args` leaves it unchanged and returns a new namespace."""
+def _parser():
+    """`build_parser()`, built once: `parse_args` leaves the parser as it
+    was and returns a new namespace."""
     return build_parser()
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = SimpleNamespace(**vars(_parser().parse_args(argv)))
+        except SystemExit as exit_:  # a usage error (2) or --help (0)
+            return exit_.code
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exit_:  # a usage error (2) or --help (0)
-        return exit_.code
-    try:
-        return _HANDLERS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except InternalCheckError as err:
         print(f"internal consistency failure: {err}", file=sys.stderr)
         return EXIT_INTERNAL

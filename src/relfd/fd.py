@@ -6,7 +6,7 @@ once the rows are sorted, and each written apart from the others:
 
 * `scan_violation(rows, xs, ys)`, the witness scan: one pass over the rows
   in `stored_order`, grouping them into antecedent blocks, returns
-  the first violating pair, the one `oracle_violation` returns;
+  the first violating pair, the one `oracles.oracle_violation` returns;
 * `satisfies_shunted(stored, xs, ys)`, the algebraic route: with x, y the
   projections restricted to the carrier S of the stored rows, the inclusion
   ``ker x <= ker y`` shunts through the function y (the registry's
@@ -19,7 +19,7 @@ once the rows are sorted, and each written apart from the others:
 
 The ground truth is `satisfies_oracle`, a literal double loop over stored
 rows ("rows agreeing on the antecedent agree on the consequent"), and
-`oracle_violation` its first violating pair in sorted order.  All routes
+`relfd.oracles.oracle_violation` its first violating pair in sorted order.  All routes
 must agree on tables; the CLI treats any disagreement as an internal bug.
 `satisfies_typed(r, f, g)` is the FD as a type of an arbitrary relation
 observed by functions, ``g <= f . r~`` under the injectivity preorder; its
@@ -195,11 +195,6 @@ def stored_order(rows) -> list:
     return sorted(rows, key=lambda row: (render_value(row), repr(row)))
 
 
-def oracle_violation(t: Table, fd: AttrFd) -> Optional[tuple[tuple, tuple]]:
-    """First row pair (`stored_order`) agreeing on x but not on y, if any."""
-    return violating_pair(stored_order(t.rows), *fd_positions(t.scheme, fd))
-
-
 def satisfies_oracle(t: Table, fd: AttrFd) -> bool:
     """Ground truth: literal two-row quantification over the stored rows."""
     return violating_pair(t.rows, *fd_positions(t.scheme, fd)) is None
@@ -215,7 +210,7 @@ def _key(positions: Sequence[int]):
 def scan_violation(rows: Sequence[tuple], xs: Sequence[int],
                    ys: Sequence[int]) -> Optional[tuple[tuple, tuple]]:
     """`violating_pair` of `rows` in one pass, for rows in `stored_order`:
-    `oracle_violation`'s pair.
+    `oracles.oracle_violation`'s pair.
 
     The first row of a block of rows agreeing on `xs` has a later partner
     in the block whenever the block holds two values at `ys`, so the pair

@@ -371,7 +371,7 @@ def apply_fn(f: Rel, v: Value) -> Value:
 
 
 # ---------------------------------------------------------------------------
-# JSON forms; parse(emit(x)) returns a value equal to x
+# JSON forms; `relfd.oracles` parses each back to a value equal to x
 
 
 def value_to_json(v: Value):
@@ -384,27 +384,8 @@ def value_to_json(v: Value):
     return {"unit": True}
 
 
-def value_from_json(obj) -> Value:
-    if isinstance(obj, str):
-        return obj
-    if isinstance(obj, dict):
-        if "pair" in obj:
-            left, right = obj["pair"]
-            return Pair(value_from_json(left), value_from_json(right))
-        if "row" in obj:
-            return tuple(value_from_json(x) for x in obj["row"])
-        if obj.get("unit"):
-            return Unit()
-    raise SchemeError(f"not a value encoding: {obj!r}")
-
-
 def carrier_to_json(c: Carrier) -> dict:
     return {"name": c.name, "elements": [value_to_json(v) for v in c.elements]}
-
-
-def carrier_from_json(obj: dict) -> Carrier:
-    return Carrier(obj["name"],
-                   tuple(value_from_json(v) for v in obj["elements"]))
 
 
 def rel_to_json(r: Rel) -> dict:
@@ -413,10 +394,3 @@ def rel_to_json(r: Rel) -> dict:
     return {"source": carrier_to_json(r.source),
             "target": carrier_to_json(r.target),
             "pairs": pairs}
-
-
-def rel_from_json(obj: dict) -> Rel:
-    return Rel.make(carrier_from_json(obj["source"]),
-                    carrier_from_json(obj["target"]),
-                    ((value_from_json(a), value_from_json(b))
-                     for a, b in obj["pairs"]))

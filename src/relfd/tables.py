@@ -1,14 +1,15 @@
 """n-ary tables with named schemes, and their bridge to binary relations.
 
 A `Table` is a duplicate-free set of rows over a `Scheme`.  The bridge to the
-relation algebra goes through three constructions over the scheme's full row
+relation algebra goes through two constructions over the scheme's full row
 universe (the Cartesian product of the attribute domains, in lexicographic
 order):
 
 * `pid(table)` — the partial identity holding exactly the stored rows;
-* `proj_fn(scheme, attrs)` — the projection function onto sub-rows;
-* `encode_pairs(table)` — the classical rendering of an n-ary table as a
-  binary relation from the first attribute to right-nested pairs of the rest.
+* `proj_fn(scheme, attrs)` — the projection function onto sub-rows.
+
+The classical rendering of a table as one binary relation, `encode_pairs`,
+is in `relfd.oracles`.
 
 Row carriers and projection functions are cached by scheme, in LRU caches of
 `CACHE_SIZE` entries each: the queries on one table reuse them, and the bound
@@ -35,8 +36,7 @@ from typing import Iterable, Iterator, Union
 
 from .errors import (ParseError, ResourceLimitError, SchemeError,
                      UnknownAttributeError)
-from .rel import (Carrier, Frozen, Pair, Rel, Value, pair_carrier,
-                  render_value, value_from_json, value_to_json)
+from .rel import Carrier, Frozen, Rel, render_value, value_to_json
 
 ROW_CARRIER_LIMIT = 10 ** 6
 CACHE_SIZE = 8
@@ -149,24 +149,6 @@ def _proj_fn(scheme: Scheme, attrs: frozenset) -> Rel:
                     for n in sub.names])
               if sub.names else [()] * len(rows))
     return Rel(src, _row_carrier(sub), frozenset(zip(rows, images)))
-
-
-def encode_pairs(table: Table) -> Rel:
-    """Relate each row's first value to the right-nested pair of the rest."""
-    if table.scheme.arity() < 2:
-        raise SchemeError("encoding needs at least two attributes")
-    doms = [dom for _, dom in table.scheme.attributes]
-    tgt = doms[-1]
-    for dom in reversed(doms[1:-1]):
-        tgt = pair_carrier(dom, tgt)
-
-    def nest(values: tuple[Value, ...]) -> Value:
-        if len(values) == 1:
-            return values[0]
-        return Pair(values[0], nest(values[1:]))
-
-    pairs = frozenset((row[0], nest(row[1:])) for row in table.rows)
-    return Rel(doms[0], tgt, pairs)
 
 
 def count_tables(universe: int, max_rows: int,
@@ -300,15 +282,6 @@ def table_to_json(table: Table) -> dict:
         "rows": sorted(([value_to_json(v) for v in row]
                         for row in table.rows), key=str),
     }
-
-
-def table_from_json(obj: dict) -> Table:
-    scheme = Scheme(tuple(
-        (a["name"], Carrier(a["name"], tuple(value_from_json(v)
-                                             for v in a["domain"])))
-        for a in obj["attributes"]))
-    rows = {tuple(value_from_json(v) for v in row) for row in obj["rows"]}
-    return Table.make(scheme, rows)
 
 
 def table_to_csv(table: Table) -> str:

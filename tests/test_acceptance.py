@@ -15,7 +15,8 @@ from relfd.query import Env, count_pid_nodes, eval_query, from_json, \
     rewrite_selfjoin, verify_equiv
 from relfd.rel import Atom, Pair, Tup
 from relfd.search import Scope, search_law, two_tuple_witness
-from relfd.tables import (Scheme, Table, encode_pairs, load_table, pid,
+from relfd.oracles import encode_pairs
+from relfd.tables import (Scheme, Table, load_table, pid,
                           proj_fn, row_carrier)
 from relfd.typed import satisfies_algebraic
 from relfd.rel import Carrier

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import os
 import random
@@ -9,8 +10,9 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from relfd import cli, fd, query, tables
+from relfd import cli, fd, oracles, query, tables
 from relfd.cli import main
 from relfd.query import MAX_QUERY_DEPTH
 from relfd.rel import Carrier
@@ -188,7 +190,7 @@ def test_check_runs_over_stored_rows_past_the_universe_bound(tmp_path,
     assert refuted["holds"] is False
     loaded = tables.load_table(str(table), str(schema))
     assert len(loaded.rows) == 50
-    r1, r2 = fd.oracle_violation(loaded, fd.parse_fd("A -> D"))
+    r1, r2 = oracles.oracle_violation(loaded, fd.parse_fd("A -> D"))
     assert refuted["witness"] == [list(r1), list(r2)]
 
 
@@ -438,7 +440,8 @@ def test_cex_witness_round_trips_via_json(capsys):
     assert {a["name"] for a in w["attributes"]} == {"Pilot", "Flight", "Date"}
     assert len(w["rows"]) == 2
     # the JSON form reconstructs the witness table exactly
-    from relfd.tables import table_from_json, table_to_json
+    from relfd.oracles import table_from_json
+    from relfd.tables import table_to_json
     table = table_from_json(json.loads(json.dumps(w)))
     assert table_to_json(table) == w
 
@@ -948,3 +951,113 @@ def test_missing_table_or_fds_is_a_usage_error(capsys, argv, flag):
     assert err.startswith("usage: relfd ")
     assert err.endswith(f"error: the following arguments are required: "
                         f"{flag}\n")
+
+
+# ---------------------------------------------------------------------------
+# the plain argv reader and the indented-JSON writer
+
+
+# values for any flag: decimal and other digits, ints past `int`'s
+# 4,300-digit limit, negative numbers and other text
+ARG_VALUE = st.one_of(
+    st.integers(0, 10 ** 6).map(str),
+    st.sampled_from(["pilots.fds", "A -> B", "Flight,Date", "", " 3", "+3",
+                     "007", "٣", "٣٠", "²", "1_0", "-1",
+                     "-", "--", "--json", "x=y", "1" * 4300, "9" * 4301]),
+    st.text(max_size=4))
+# tokens the plain reader declines: help, `--`, `--flag=value`,
+# abbreviations, unknown flags and stray words
+JUNK_TOKEN = st.sampled_from([
+    "-h", "--help", "--", "--fds=x", "--scope-rows=2", "--json=1", "--sco",
+    "--scope-r", "--fd", "--tab", "--at", "-x", "stray", "check"])
+
+
+@st.composite
+def argvs(draw):
+    """A command, or junk in its place; its flags with values, each
+    required one mostly, each other one at random; maybe `--json`; maybe
+    repeats and junk; shuffled."""
+    command = draw(st.sampled_from(list(cli.COMMANDS))
+                   | st.sampled_from(["", "nope", "Check", "-h", "--json"]))
+    flags = cli.COMMANDS[command][2] if command in cli.COMMANDS else {}
+    parts = [(flag, draw(ARG_VALUE)) for flag, default in flags.items()
+             if draw(st.integers(0, 9)) < (9 if default is cli.REQUIRED
+                                           else 5)]
+    parts += [("--json",)] * draw(st.sampled_from([0, 0, 1, 1, 2]))
+    parts += draw(st.lists(
+        st.tuples(st.sampled_from(sorted(cli.FLAGS)), ARG_VALUE)
+        | st.tuples(st.sampled_from(sorted(cli.FLAGS)))
+        | st.tuples(JUNK_TOKEN), max_size=2))
+    return [command,
+            *itertools.chain.from_iterable(draw(st.permutations(parts)))]
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(argv=argvs())
+@example(argv=["laws", "--scope-carrier", "٣", "--json"])
+@example(argv=["cex", "--fds", "f", "--goal", "A -> B", "--scope-dom", "7"])
+def test_plain_args_read_what_argparse_reads(argv):
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == vars(cli._parser().parse_args(argv))
+
+
+def test_plain_args_read_every_golden_call():
+    from test_golden import CALLS
+    for argv in CALLS.values():
+        assert (vars(cli._plain_args(argv))
+                == vars(cli._parser().parse_args(argv))), argv
+
+
+def test_plain_args_decline_what_int_refuses(capsys):
+    assert cli._plain_args(["laws", "--scope-carrier", "٣"]
+                           ).scope_carrier == 3
+    for value in ("²", "9" * 5000, "-1", " 3"):
+        assert cli._plain_args(["laws", "--scope-carrier", value]) is None
+    # argparse reports an int past the digit limit as a usage error
+    code, out, err = run(capsys, "laws", "--scope-carrier", "9" * 5000)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: relfd laws ")
+    assert "error: argument --scope-carrier: invalid int value: '999" in err
+
+
+JSON_STR = st.text() | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u00e9", "\U0001f600",
+     "\ud800", "a\"b\\c\nd\te"])
+JSON_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(10 ** 30, 10 ** 400) | st.integers(-10 ** 400, -10 ** 30),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), -0.0]),
+    JSON_STR)
+JSON_TREE = st.recursive(
+    JSON_LEAF,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(JSON_STR, kids, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(obj=JSON_TREE)
+@example(obj={"a": [], "b": {}, "c": (), "d": [[{}], {"e": [None]}]})
+def test_json_text_is_json_dumps_indented(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_text_writes_10000_levels_without_recursion():
+    depth = 10_000
+    deep: list = []
+    for _ in range(depth):
+        deep = [deep]
+    text = cli._json_text(deep)
+    # one line opening each level, the innermost [], one line closing each
+    lines = itertools.chain(("  " * k + "[" for k in range(depth)),
+                            ["  " * depth + "[]"],
+                            ("  " * k + "]" for k in reversed(range(depth))))
+    at = 0
+    for line in lines:
+        assert text.startswith(line, at), at
+        at += len(line)
+        assert text.startswith("\n", at) or at == len(text), at
+        at += 1
+    assert at == len(text) + 1

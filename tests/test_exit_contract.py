@@ -2,12 +2,13 @@
 `optimize`, and sweep it for `laws`.
 
 Every input ends in exit code 0, 1 or 2 with no traceback: malformed FD
-files, attribute lists and goals, scopes up to 10**20, junk and oversized
-CSV and schema files, and malformed, ill-typed and deeply nested query
-trees.  Generated scopes stay cheap: few attributes and small domains, or
-past the cap; generated tables have at most three attributes of at most
-four values.  `laws` takes a single scope, so every listed value of it is
-run; carrier 3, the costliest, is left out.
+files, attribute lists and goals, scopes up to 10**20, argv that argparse
+reads rather than the plain reader, junk and oversized CSV and schema
+files, and malformed, ill-typed and deeply nested query trees.
+Generated scopes stay cheap: few attributes and small domains, or past the
+cap; generated tables have at most three attributes of at most four
+values.  `laws` takes a single scope, so every listed value of it is run;
+carrier 3, the costliest, is left out.
 """
 
 import contextlib
@@ -38,11 +39,21 @@ SMALL = st.integers(1, 3).map(str)
 SCOPE = st.one_of(SMALL, SMALL, SMALL, st.sampled_from(["0", "-1"]),
                   st.integers(10 ** 7, 10 ** 20).map(str),
                   st.sampled_from([str(10 ** 20), "", "x", "2.5", " 3"]))
-COMMAND = st.one_of(
+PLAIN = st.one_of(
     st.tuples(st.just("closure"), st.just("--attrs"), ATTRS),
     st.tuples(st.just("derive"), st.just("--goal"), GOAL),
     st.tuples(st.just("cex"), st.just("--goal"), GOAL,
               st.just("--scope-rows"), SCOPE, st.just("--scope-dom"), SCOPE))
+# argv shapes the plain reader declines, left to argparse: repeated flags
+# (`--fds` comes last), `--flag=value`, abbreviations and stray tokens
+DECLINED = st.sampled_from([
+    ("--fds", "x"), ("--json",), ("--attrs=A",), ("--goal=A -> B",),
+    ("--scope-rows=2",), ("--att", "A"), ("--go", "A -> B"),
+    ("--scope-r", "2"), ("--fd", "x"), ("stray",), ("--",), ("-h",)])
+COMMAND = st.one_of(
+    PLAIN, PLAIN, PLAIN,
+    st.builds(lambda argv: argv + argv[1:], PLAIN),
+    st.builds(lambda argv, extra: argv + extra, PLAIN, DECLINED))
 
 
 @pytest.fixture(scope="module")

@@ -6,11 +6,12 @@ from hypothesis import given, seed, settings, strategies as st
 
 from relfd import fd as fd_module, rel
 from relfd.errors import ParseError, SchemeError
-from relfd.fd import (AttrFd, fd_positions, oracle_violation, parse_fd,
+from relfd.fd import (AttrFd, fd_positions, parse_fd,
                       parse_fd_lines, parse_fd_lines_per_line,
                       satisfies_oracle, satisfies_refinement,
                       satisfies_shunted, satisfies_typed, scan_violation,
                       violating_pair)
+from relfd.oracles import oracle_violation
 from relfd.typed import (fd_projections, fd_violation, mutual_dependency,
                          satisfies_algebraic, satisfies_general_quantified,
                          stored_fd_projections, typecheck_join,

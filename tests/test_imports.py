@@ -4,11 +4,12 @@
 inference engine, the query IR and the counterexample search load when a
 command runs them; numpy, the law registry (`relfd.laws`), its bitset
 tables (`relfd.bitrel`) and the typing rules (`relfd.typed`) only for
-`laws`; `logging` only to warn about duplicate rows.  Every value class but
-`laws.Law` is a plain class on `rel.Frozen`, so `dataclasses`, with the
-`inspect` it imports, loads only with the law registry: every command but
-`laws` runs without it.  Each call runs in a fresh interpreter, since this
-test process has loaded them all already.
+`laws`; `logging` only to warn about duplicate rows; argparse, with
+`relfd.usage`, only for an argv that the CLI's plain reader declines.
+Every value class but `laws.Law` is a plain class on `rel.Frozen`, so
+`dataclasses`, with the `inspect` it imports, loads only with the law
+registry: every command but `laws` runs without it.  Each call runs in a
+fresh interpreter, since this test process has loaded them all already.
 """
 
 import importlib
@@ -36,7 +37,7 @@ if argv:
         cli.main(argv)
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("relfd.")
                         or m in ("numpy", "logging", "dataclasses",
-                                 "inspect"))))
+                                 "inspect", "argparse"))))
 """
 
 START = {"relfd.cli", "relfd.errors", "relfd.fd", "relfd.rel", "relfd.tables"}
@@ -65,8 +66,8 @@ LAW_REGISTRY LAW_SUITE
 
 
 def loaded_after(argv: list[str]) -> set[str]:
-    """The `relfd.*` modules, numpy, logging, dataclasses and inspect
-    loaded by a fresh interpreter after `import relfd.cli` and, for a
+    """The `relfd.*` modules, numpy, logging, dataclasses, inspect and
+    argparse loaded by a fresh interpreter after `import relfd.cli` and, for a
     non-empty argv, `cli.main(argv)`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
@@ -77,7 +78,7 @@ def loaded_after(argv: list[str]) -> set[str]:
 
 
 # The modules each command loads, numpy (the `LAZY` set) left out of all;
-# none of them loads dataclasses either.
+# none of them loads dataclasses or argparse either.
 LOADS = {
     None: START,
     "check_pilots": START,
@@ -112,6 +113,11 @@ def test_start_path_stays_within_its_line_count():
     lines = sum(len(f.read_text(encoding="utf-8").splitlines())
                 for f in files)
     assert lines <= START_LINES, lines
+
+
+def test_argparse_loads_only_for_an_argv_the_plain_reader_declines():
+    assert (loaded_after(["closure", "--attrs", "A"])
+            == START | {"argparse", "relfd.usage"})
 
 
 def test_logging_loads_only_to_warn_about_duplicate_rows(tmp_path):

@@ -652,7 +652,8 @@ def test_distinct_rows_are_the_first_occurrence_of_each_key():
 
 
 def test_law_witness_json_round_trip():
-    from relfd.rel import rel_from_json, rel_to_json
+    from relfd.oracles import rel_from_json
+    from relfd.rel import rel_to_json
     witness = search_law("galois_corrupted", Scope(max_carrier=3))
     for name, r in witness.items():
         assert rel_from_json(rel_to_json(r)) == r
