@@ -185,14 +185,7 @@ def cmd_optimize(args: SimpleNamespace) -> int:
     verdict_line = ""
     code = EXIT_OK
     if args.table is None:
-        # type it as --table would a CSV holding only the header of the
-        # attributes the projections and the FDs name, in name order
-        names = sorted(query.proj_attrs(expr).union(
-            *(item.antecedent | item.consequent for item in fds)))
-        header = tables.Table(tables.Scheme(tuple(
-            (name, Carrier(name, ())) for name in names)), frozenset())
-        query.type_check(expr, query.Env(
-            dict.fromkeys(query.table_refs(expr), header)))
+        query.type_header(expr, fds)
     else:
         table = tables.load_table(args.table, args.schema)
         result = query.verify_rewrite(expr, rewritten, fired, table)

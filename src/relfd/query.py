@@ -10,12 +10,19 @@ environment of tables and relations; `rewrite_selfjoin` removes the
 classical "scan the same file twice through a kernel" shape whenever a
 supplied dependency set proves it redundant, in one pass.
 
-`verify_rewrite` confirms a rewrite on a table by typing first.  Each
-fired window is enabled by an FD, ``f -> g`` or ``f -> h``; when one holds
-on the stored rows (`discharged`, one linear pass per FD), the window
-equals its rewrite there, and so does the whole query.  Only when typing
-cannot settle it does `verify_equiv` evaluate both sides; it alone reports
-a counterexample, the first differing pair.
+`type_check` types an expression by carriers; `type_attrs` types it by
+attribute sets, building none: a row type is the sub-scheme of the
+selected attributes, a fork target the pair of its operands' types, and a
+size the product of domain sizes.  Both apply one set of typing rules
+(`_types`), so they raise the same errors at the same node paths.
+
+`verify_rewrite` confirms a rewrite on a table by typing first, with
+`type_attrs`.  Each fired window is enabled by an FD, ``f -> g`` or
+``f -> h``; when one holds on the stored rows (`discharged`, one linear
+pass per FD), the window equals its rewrite there, and so does the whole
+query.  Only when typing cannot settle it does `verify_equiv` evaluate
+both sides; it alone builds carriers, and reports a counterexample, the
+first differing pair.
 
 A composition chain is evaluated as one step.  Each kernel factor
 ``ker e`` is unfolded into the two factors ``e~ . e`` (the definition of
@@ -212,30 +219,73 @@ def _table(env: Env, name: str, path: str) -> Table:
     return env.tables[name]
 
 
-def type_check(e: QueryExpr, env: Env, path: str = "query"
-               ) -> tuple[Carrier, Carrier]:
-    """Source and target carriers of the expression, or a located error."""
+class Sort(Frozen):
+    """A carrier that `type_attrs` names and sizes without building it.
+
+    `parts` is a sub-scheme, for its row carrier, or a pair of sorts, for
+    their `rel.pair_carrier`; `name` and `len` are that carrier's.  Two
+    sorts are equal exactly when their carriers are: the names are equal,
+    and so are the elements, which `shape` fixes for a carrier that has
+    any: the domains' element tuples of a row carrier, or the shapes of
+    the pair's parts (None for an empty carrier).
+    """
+
+    __slots__ = ("parts", "name", "size", "shape")
+    _fields = ("parts",)
+
+    def __init__(self, parts: Union[tables.Scheme, tuple["Sort", "Sort"]]):
+        if isinstance(parts, tables.Scheme):
+            name, size = tables.row_universe(parts)
+            shape = tuple(dom.elements for _, dom in parts.attributes)
+        else:
+            left, right = parts
+            name = f"({left.name}*{right.name})"  # as `rel.pair_carrier`
+            size, shape = left.size * right.size, (left.shape, right.shape)
+        set_field = object.__setattr__
+        set_field(self, "parts", parts)
+        set_field(self, "name", name)
+        set_field(self, "size", size)
+        set_field(self, "shape", shape if size else None)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is Sort:
+            return (self.name, self.shape) == (other.name, other.shape)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.shape))
+
+    def __len__(self) -> int:
+        return self.size
+
+
+def _types(e: QueryExpr, env: Env, path: str, leaf, pair) -> tuple:
+    """Source and target types of the expression, or a located error: the
+    typing rules of `type_check` and `type_attrs`, stated once.  A type
+    has a `name`, a `len` and its carrier's equality; `leaf(table, attrs)`
+    types a pid (attrs None) or a projection of the table, and `pair(a,
+    b)` is the type of a fork target."""
     if isinstance(e, RelRef):
         if e.name not in env.rels:
             raise QueryTypeError(f"unbound relation {e.name!r}", path)
         r = env.rels[e.name]
         return r.source, r.target
     if isinstance(e, (Pid, Proj)):
-        t = _table(env, e.table if isinstance(e, Pid) else e.scheme, path)
+        is_pid = isinstance(e, Pid)
+        t = _table(env, e.table if is_pid else e.scheme, path)
         try:
-            c = tables.row_carrier(t)
-            if isinstance(e, Pid):
-                return c, c
-            return c, tables.sub_row_carrier(t.scheme, e.attrs)
+            return leaf(t, None if is_pid else e.attrs)
         except RelfdError as err:
             raise QueryTypeError(str(err), path) from None
-    s, t = type_check(e.args[0], env, _arg_path(e, path, 0))
+    s, t = _types(e.args[0], env, _arg_path(e, path, 0), leaf, pair)
     if isinstance(e, Converse):
         return t, s
     if isinstance(e, Kernel):
         return s, s
     for i, a in enumerate(e.args[1:], start=1):
-        rs, rt = type_check(a, env, _arg_path(e, path, i))
+        rs, rt = _types(a, env, _arg_path(e, path, i), leaf, pair)
         if isinstance(e, Compose):
             if rt != s:
                 raise QueryTypeError(
@@ -255,8 +305,50 @@ def type_check(e: QueryExpr, env: Env, path: str = "query"
                 raise ResourceLimitError(
                     f"at {path}: fork target has {size} pairs, "
                     f"over the {tables.ROW_CARRIER_LIMIT} bound")
-            t = rel.pair_carrier(t, rt)
+            t = pair(t, rt)
     return s, t
+
+
+def _carriers(table: Table, attrs: Optional[frozenset]) -> tuple:
+    c = tables.row_carrier(table)
+    if attrs is None:
+        return c, c
+    return c, tables.sub_row_carrier(table.scheme, attrs)
+
+
+def type_check(e: QueryExpr, env: Env, path: str = "query"
+               ) -> tuple[Carrier, Carrier]:
+    """Source and target carriers of the expression, or a located error."""
+    return _types(e, env, path, _carriers, rel.pair_carrier)
+
+
+def type_attrs(e: QueryExpr, env: Env, path: str = "query"
+               ) -> tuple[Sort, Sort]:
+    """`type_check` by attribute sets, building no carrier: the source and
+    target `Sort`s of the expression, or the error, message and path that
+    `type_check` raises.  On an environment without named relations each
+    sort names the carrier that `type_check` returns in its place."""
+    # this call's leaf sorts, by table and attributes: looking a scheme up
+    # in `_sorts` compares it with the cached one, attribute by attribute
+    leaves: dict = {}
+
+    def leaf(table: Table, attrs: Optional[frozenset]) -> tuple:
+        key = id(table), attrs
+        if key not in leaves:
+            leaves[key] = _sorts(table.scheme, attrs)
+        return leaves[key]
+
+    return _types(e, env, path, leaf, lambda a, b: Sort((a, b)))
+
+
+@functools.lru_cache(maxsize=tables.CACHE_SIZE)
+def _sorts(scheme: tables.Scheme, attrs: Optional[frozenset]) -> tuple:
+    """The sorts of a pid (attrs None) or a projection over the scheme,
+    cached by scheme as the table bridge caches its carriers."""
+    rows = Sort(scheme) if attrs is None else _sorts(scheme, None)[0]
+    if attrs is None:
+        return rows, rows
+    return rows, Sort(tables.sub_scheme(scheme, attrs))
 
 
 def eval_query(e: QueryExpr, env: Env) -> Rel:
@@ -443,17 +535,21 @@ class EquivResult(Frozen):
         return self.equal
 
 
-def type_check_pair(e1: QueryExpr, e2: QueryExpr, env: Env
-                    ) -> tuple[Carrier, Carrier]:
-    """The carriers both expressions type to; a `QueryTypeError` locates
-    an ill-typed one, and a `CarrierMismatchError` reports two types."""
-    c1 = type_check(e1, env)
-    c2 = type_check(e2, env)
+def _type_pair(typer, e1: QueryExpr, e2: QueryExpr, env: Env) -> tuple:
+    c1 = typer(e1, env)
+    c2 = typer(e2, env)
     if c1 != c2:
         raise CarrierMismatchError(
             f"expressions type to different carriers: "
             f"({c1[0].name} -> {c1[1].name}) vs ({c2[0].name} -> {c2[1].name})")
     return c1
+
+
+def type_check_pair(e1: QueryExpr, e2: QueryExpr, env: Env
+                    ) -> tuple[Carrier, Carrier]:
+    """The carriers both expressions type to; a `QueryTypeError` locates
+    an ill-typed one, and a `CarrierMismatchError` reports two types."""
+    return _type_pair(type_check, e1, e2, env)
 
 
 def discharged(fired: Sequence[tuple], env: Env) -> bool:
@@ -466,7 +562,7 @@ def discharged(fired: Sequence[tuple], env: Env) -> bool:
     ``g . pid . h~`` on that table; every operator maps equal arguments to
     equal results, so the whole query equals its rewrite.  False means
     only that typing cannot settle it, as for a window naming an attribute
-    outside the table's scheme: `type_check` locates that error.
+    outside the table's scheme: typing locates that error.
     """
     for name, f, g, h in fired:
         table = env.tables[name]
@@ -479,9 +575,13 @@ def discharged(fired: Sequence[tuple], env: Env) -> bool:
     return True
 
 
-def verify_equiv(e1: QueryExpr, e2: QueryExpr, env: Env) -> EquivResult:
-    """Evaluate both expressions; report the first differing pair if any."""
-    type_check_pair(e1, e2, env)
+def verify_equiv(e1: QueryExpr, e2: QueryExpr, env: Env,
+                 types: Optional[tuple] = None) -> EquivResult:
+    """Evaluate both expressions; report the first differing pair if any.
+    `type_check_pair` types them first, unless the caller passes the
+    `types` both have."""
+    if types is None:
+        type_check_pair(e1, e2, env)
     r1 = _eval(e1, env)
     r2 = _eval(e2, env)
     if r1.pairs == r2.pairs:
@@ -495,14 +595,25 @@ def verify_rewrite(e: QueryExpr, rewritten: QueryExpr, fired: Sequence[tuple],
                    table: Table) -> EquivResult:
     """Whether `rewritten`, which fired `fired`, equals `e` on `table`,
     bound to the one table name `e` reads (a rewrite only removes leaves).
-    Typing settles it when `discharged` holds, else `verify_equiv`
-    evaluates both sides; either way each side is type-checked once."""
+    `type_attrs` types each side once; then `discharged` settles it, or
+    `verify_equiv` evaluates both sides, which alone builds carriers."""
     names = table_refs(e)
     if len(names) != 1:
         raise RelfdError(f"--table binds exactly one referenced table, "
                          f"query uses {sorted(names)}")
     env = Env(tables={names.pop(): table})
+    sorts = _type_pair(type_attrs, e, rewritten, env)
     if discharged(fired, env):
-        type_check_pair(e, rewritten, env)
         return EquivResult(True)
-    return verify_equiv(e, rewritten, env)
+    return verify_equiv(e, rewritten, env, sorts)
+
+
+def type_header(e: QueryExpr, fds: Sequence[AttrFd]) -> None:
+    """Type `e` as `verify_rewrite` would on a CSV holding only the header
+    of the attributes that its projections and `fds` name, in name order,
+    bound to every table name it reads."""
+    names = sorted(proj_attrs(e).union(*(item.antecedent | item.consequent
+                                         for item in fds)))
+    header = Table(tables.Scheme(tuple((name, Carrier(name, ()))
+                                       for name in names)), frozenset())
+    type_attrs(e, Env(dict.fromkeys(table_refs(e), header)))

@@ -109,24 +109,31 @@ def row_carrier(obj: Union[Table, Scheme]) -> Carrier:
     return _row_carrier(scheme)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _row_carrier(scheme: Scheme) -> Carrier:
+def row_universe(scheme: Scheme) -> tuple[str, int]:
+    """Name and size of the row carrier, unbuilt; over the bound raises."""
     size = math.prod(len(dom) for _, dom in scheme.attributes)
     if size > ROW_CARRIER_LIMIT:
         raise ResourceLimitError(f"row universe has {size} rows, "
                                  f"over the {ROW_CARRIER_LIMIT} bound")
+    return "rows(" + ",".join(scheme.names) + ")", size
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _row_carrier(scheme: Scheme) -> Carrier:
+    name, _ = row_universe(scheme)
     elements = tuple(itertools.product(*(dom.elements
                                          for _, dom in scheme.attributes)))
-    return Carrier("rows(" + ",".join(scheme.names) + ")", elements)
+    return Carrier(name, elements)
 
 
-def _sub_scheme(scheme: Scheme, attrs: Iterable[str]) -> Scheme:
+def sub_scheme(scheme: Scheme, attrs: Iterable[str]) -> Scheme:
+    """The sub-scheme of `attrs`, in scheme order."""
     return Scheme(tuple((n, scheme.domain(n)) for n in scheme.select(attrs)))
 
 
 def sub_row_carrier(scheme: Scheme, attrs: Iterable[str]) -> Carrier:
     """Row carrier of the sub-scheme given by `attrs`, in scheme order."""
-    return _row_carrier(_sub_scheme(scheme, attrs))
+    return _row_carrier(sub_scheme(scheme, attrs))
 
 
 def pid(table: Table) -> Rel:
@@ -143,7 +150,7 @@ def proj_fn(scheme: Scheme, attrs: Iterable[str]) -> Rel:
 @lru_cache(maxsize=CACHE_SIZE)
 def _proj_fn(scheme: Scheme, attrs: frozenset) -> Rel:
     src = row_carrier(scheme)
-    sub = _sub_scheme(scheme, attrs)
+    sub = sub_scheme(scheme, attrs)
     rows = src.elements
     images = (zip(*[map(itemgetter(scheme.positions[n]), rows)
                     for n in sub.names])

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relfd import cli, fd, oracles, query, tables
+from relfd import cli, fd, oracles, query, rel, tables
 from relfd.cli import main
+from relfd.errors import RelfdError
 from relfd.query import MAX_QUERY_DEPTH
 from relfd.rel import Carrier
 
@@ -848,20 +849,20 @@ def test_optimize_without_a_table_types_what_a_wider_table_types(tmp_path,
 
 
 def test_optimize_types_each_side_once(tmp_path, capsys, monkeypatch):
-    # top-level `type_check` calls (path "query"): one per side, whether
+    # top-level `type_attrs` calls (path "query"): one per side, whether
     # typing settles the rewrite or evaluation does
-    type_check, verify_equiv = query.type_check, query.verify_equiv
+    type_attrs, verify_equiv = query.type_attrs, query.verify_equiv
     calls = []
 
     def counted(e, env, path="query"):
         calls.append(path)
-        return type_check(e, env, path)
+        return type_attrs(e, env, path)
 
     def evaluated(*args):
         calls.append("verify_equiv")
         return verify_equiv(*args)
 
-    monkeypatch.setattr(query, "type_check", counted)
+    monkeypatch.setattr(query, "type_attrs", counted)
     monkeypatch.setattr(query, "verify_equiv", evaluated)
     no_window = tmp_path / "none.fds"
     no_window.write_text("Director -> Actor\n")
@@ -876,6 +877,77 @@ def test_optimize_types_each_side_once(tmp_path, capsys, monkeypatch):
         assert (code, err) == (want, "")
         assert calls.count("query") == 2
         assert calls.count("verify_equiv") == evaluations
+
+
+def test_discharged_optimize_builds_no_row_universe_or_pair_carrier(
+        tmp_path, capsys, monkeypatch):
+    # typing by attribute sets settles a discharged rewrite, and only
+    # evaluation, which does not run, would build a row universe or the
+    # pair carrier of the fork's target
+    alone = json.loads((FIXTURES / "movies_query.json").read_text())
+    short = {"op": "compose", "args": [alone["args"][0], alone["args"][1],
+                                       alone["args"][4]]}
+    for i, shape in enumerate((alone, {"op": "fork",
+                                       "args": [alone, short]})):
+        qfile = tmp_path / f"q{i}.json"
+        qfile.write_text(json.dumps(shape))
+        argv = ["optimize", "--query", qfile, "--fds", FIXTURES / "movies.fds",
+                "--table", FIXTURES / "movies.csv"]
+        want = run(capsys, *argv)
+        assert want[0] == 0 and want[1].endswith("\nverified\n"), want
+
+        def unbuilt(*args):
+            raise AssertionError("a carrier was built")
+
+        with monkeypatch.context() as m:
+            m.setattr(tables, "_row_carrier", unbuilt)
+            m.setattr(rel, "pair_carrier", unbuilt)
+            assert run(capsys, *argv) == want
+
+
+def test_optimize_bounds_hold_on_attribute_types(tmp_path, capsys,
+                                                 monkeypatch):
+    # with the bound patched low, an over-bound row universe and an
+    # over-bound fork target exit 2 with the message and path that the
+    # carrier route, `type_check`, gives.  With --table the universe has 8
+    # rows; without it the header-only table's universe is empty, so only a
+    # negative bound refuses it, and it fails before any fork target does
+    table = tmp_path / "bound.csv"
+    table.write_text("Title,Director,Actor\nbt1,bd1,ba1\nbt2,bd2,ba2\n")
+    header = tables.Table(tables.Scheme(tuple(
+        (name, Carrier(name, ())) for name in ("Director", "Title"))),
+        frozenset())
+    pid = {"op": "pid", "table": "movies"}
+    shapes = {"universe": {"op": "compose", "args": [pid, {
+                  "op": "kernel", "arg": {"op": "proj", "scheme": "movies",
+                                          "attrs": ["Title"]}}]},
+              "fork": {"op": "fork", "args": [pid, pid]}}
+    cases = [
+        ("universe", 7, True, "at query.compose.args[0]: row universe has 8 "
+                              "rows, over the 7 bound"),
+        ("fork", 8, True, "at query: fork target has 64 pairs, over the 8 "
+                          "bound"),
+        ("universe", -1, False, "at query.compose.args[0]: row universe has "
+                                "0 rows, over the -1 bound"),
+        ("fork", -1, False, "at query.fork.args[0]: row universe has 0 rows, "
+                            "over the -1 bound"),
+    ]
+    for shape, bound, with_table, message in cases:
+        qfile = tmp_path / f"{shape}.json"
+        qfile.write_text(json.dumps(shapes[shape]))
+        env = query.Env({"movies": tables.load_table(str(table))
+                         if with_table else header})
+        extra = ["--table", table] if with_table else []
+        monkeypatch.setattr(tables, "ROW_CARRIER_LIMIT", bound)
+        # a cached universe or sort skips the bound
+        tables._row_carrier.cache_clear()
+        query._sorts.cache_clear()
+        with pytest.raises(RelfdError) as err:
+            query.type_check(query.from_json(shapes[shape]), env)
+        assert str(err.value) == message
+        assert run(capsys, "optimize", "--query", qfile, "--fds",
+                   FIXTURES / "movies.fds", *extra) == (
+            2, "", f"error: {message}\n")
 
 
 def test_optimize_window_outside_the_scheme_is_a_located_error(tmp_path,

@@ -4,18 +4,22 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relfd import rel, tables
-from relfd.errors import CarrierMismatchError, ParseError, QueryTypeError
+from relfd.errors import (CarrierMismatchError, ParseError, QueryTypeError,
+                          RelfdError)
 from relfd.fd import AttrFd, parse_fd
 from relfd.infer import FIRING_LIMIT
 from relfd.query import (MAX_QUERY_DEPTH, Compose, Converse, Env, Fork,
                          Kernel, Pid, Proj, RelRef, UnionOp, _normalize,
-                         _rewrite_once, count_pid_nodes, discharged,
+                         _rewrite_once, _sorts, count_pid_nodes, discharged,
                          eval_query, from_json, rewrite_selfjoin, to_json,
-                         type_check, type_check_pair, verify_equiv)
-from relfd.rel import Atom, Tup, identity
-from relfd.tables import Table, parse_table_csv, pid, proj_fn, row_carrier
+                         type_attrs, type_check, type_check_pair,
+                         verify_equiv)
+from relfd.rel import Atom, Carrier, Tup, identity
+from relfd.tables import (Scheme, Table, parse_table_csv, pid, proj_fn,
+                          row_carrier)
 
 from conftest import FIXTURES, carrier
 
@@ -714,3 +718,111 @@ def test_discharge_implies_equal_evaluation():
                     assert equal == (kind != "differs"), q
     assert min(seen.values()) >= 100, seen
     assert random_discharged >= 10, random_discharged
+
+
+# ---------------------------------------------------------------------------
+# typing by attribute sets
+
+
+def _carrier_of(sort):
+    """The carrier a `Sort` names, built."""
+    if isinstance(sort.parts, Scheme):
+        return row_carrier(sort.parts)
+    return rel.pair_carrier(*map(_carrier_of, sort.parts))
+
+
+def _typed(typer, e, env):
+    """`typer`'s types of `e`, or the class, message and path of its
+    error.  A cached universe or sort skips the bound, so none is kept."""
+    tables._row_carrier.cache_clear()
+    _sorts.cache_clear()
+    try:
+        return typer(e, env)
+    except RelfdError as err:
+        return type(err), str(err), getattr(err, "path", None)
+
+
+@st.composite
+def _typing_cases(draw):
+    """(table "m", queries, bound): two to four movie attributes, whose
+    domains of 0-3 values may be empty and hold a random set of rows, or
+    are all empty, as the header-only table of `optimize` without
+    `--table`; the bench's shapes, random chains, and queries that are
+    ill-typed or name an unknown attribute, table or relation; and a row
+    universe bound, mostly low."""
+    names = draw(st.permutations(MOVIE_ATTRS))[:draw(st.integers(2, 4))]
+    header = draw(st.booleans())
+    dom = {a: tuple(f"{a[0].lower()}{v}"
+                    for v in range(0 if header else draw(st.integers(0, 3))))
+           for a in names}
+    universe = list(itertools.product(*(dom[a] for a in names)))
+    rows = draw(st.lists(st.sampled_from(universe), max_size=6)
+                if universe else st.just([]))
+    table = Table.make(Scheme(tuple((a, Carrier(a, dom[a])) for a in names)),
+                       rows)
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    attrs = list(draw(st.sampled_from((names, names, MOVIE_ATTRS))))
+    f, g, h = (frozenset({a}) for a in ("Title", "Director", "Actor"))
+    k = frozenset({rnd.choice(attrs)})
+    queries = [_template(t, f, g, h, k) for t in TEMPLATES]
+    chains = [_random_chain(rnd, "U", attrs)[0] for _ in range(3)]
+    queries += chains + [Compose(*chains[:2]), UnionOp(*chains[1:]),
+                         Fork(chains[0], chains[2]),
+                         Compose(Proj("m", g), Proj("m", g)),
+                         Fork(Proj("m", g), Converse(Proj("m", g))),
+                         Compose(Pid("m"), Pid("other")),
+                         UnionOp(Pid("m"), RelRef("r"))]
+    bound = draw(st.sampled_from((tables.ROW_CARRIER_LIMIT, -1, 0, 1, 8, 30,
+                                  200)))
+    return table, queries, bound
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=_typing_cases())
+def test_attribute_typer_agrees_with_the_carrier_typer(case):
+    # `type_attrs` raises `type_check`'s error class, message and path, or
+    # returns sorts whose carriers are the carriers `type_check` returns;
+    # and two sorts are equal exactly when their carriers are
+    table, queries, bound = case
+    env = Env(tables={"m": table})
+    limit = tables.ROW_CARRIER_LIMIT
+    tables.ROW_CARRIER_LIMIT = bound
+    try:
+        sorts = []
+        for e in queries:
+            want, got = _typed(type_check, e, env), _typed(type_attrs, e, env)
+            if isinstance(want[0], Carrier):
+                assert tuple(map(_carrier_of, got)) == want, e
+                assert [(s.name, len(s)) for s in got] == [
+                    (c.name, len(c)) for c in want]
+                sorts += got
+            else:
+                assert got == want, e
+        for a, b in itertools.product(sorts, repeat=2):
+            assert (a == b) == (_carrier_of(a) == _carrier_of(b))
+            assert a != b or hash(a) == hash(b)
+    finally:
+        tables.ROW_CARRIER_LIMIT = limit
+
+
+def test_attribute_types_compare_as_their_carriers():
+    # "A,B" with "C", and "A" with "B,C", both name a carrier rows(A,B,C),
+    # so its elements decide whether the chain types, on both routes: equal
+    # one-row carriers, different one-row carriers, two empty carriers
+    e = Compose(Converse(Proj("m", {"A", "B,C"})), Proj("m", {"A,B", "C"}))
+    for domains, types in (("x y x y", True), ("x y x z", False),
+                           ("- y x -", True)):
+        scheme = Scheme(tuple((a, Carrier(a, tuple(v.strip("-"))))
+                              for a, v in zip(("A,B", "C", "A", "B,C"),
+                                              domains.split())))
+        env = Env(tables={"m": Table(scheme, frozenset())})
+        want = _typed(type_check, e, env)
+        got = _typed(type_attrs, e, env)
+        if types:
+            assert want == (row_carrier(scheme),) * 2
+            got = tuple(map(_carrier_of, got))
+        else:
+            assert want == (QueryTypeError, "at query: compose needs "
+                            "matching middle carrier, got 'rows(A,B,C)' "
+                            "then 'rows(A,B,C)'", "query")
+        assert got == want
