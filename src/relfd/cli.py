@@ -12,7 +12,6 @@ table `COMMANDS` without argparse; any other argv goes to argparse
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from types import SimpleNamespace
@@ -76,8 +75,7 @@ def _json_text(obj) -> str:
 
 
 def _load_fds(args: SimpleNamespace) -> list[fd.AttrFd]:
-    with open(args.fds, encoding="utf-8") as fh:
-        return fd.parse_fd_lines(fh.read())
+    return fd.parse_fd_lines(tables.read_text(args.fds))
 
 
 def _row_text(row: tuple) -> str:
@@ -170,11 +168,10 @@ def cmd_optimize(args: SimpleNamespace) -> int:
         raise RelfdError("--schema declares the domains of --table; "
                          "give --table with it")
     from . import query
-    with open(args.query, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except RecursionError:
-            raise ParseError(query.TOO_DEEP, path="query") from None
+    try:
+        obj = json.loads(tables.read_text(args.query))
+    except RecursionError:
+        raise ParseError(query.TOO_DEEP, path="query") from None
     expr = query.from_json(obj)
     fds = _load_fds(args)
     fired: list = []
@@ -275,7 +272,7 @@ COMMANDS = {
 
 
 def _plain_args(argv: list[str]) -> SimpleNamespace | None:
-    """What `_parser().parse_args(argv)` returns, without argparse, for a
+    """What argparse's `parse_args(argv)` returns, without argparse, for a
     plain argv: a command, then each of its flags at most once, each but
     `--json` followed by a value not starting with ``-`` (for an int flag,
     decimal digits that `int` reads), and every required flag among them.
@@ -313,26 +310,14 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**args)
 
 
-def build_parser():
-    """The argparse parser of `COMMANDS`, which `relfd.usage` builds."""
-    from .usage import build_parser
-    return build_parser()
-
-
-@functools.cache
-def _parser():
-    """`build_parser()`, built once: `parse_args` leaves the parser as it
-    was and returns a new namespace."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _plain_args(argv)
     if args is None:
+        from .usage import build_parser
         try:
-            args = SimpleNamespace(**vars(_parser().parse_args(argv)))
+            args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
         except SystemExit as exit_:  # a usage error (2) or --help (0)
             return exit_.code
     try:

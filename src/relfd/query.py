@@ -16,21 +16,23 @@ selected attributes, a fork target the pair of its operands' types, and a
 size the product of domain sizes.  Both apply one set of typing rules
 (`_types`), so they raise the same errors at the same node paths.
 
-`verify_rewrite` confirms a rewrite on a table by typing first, with
-`type_attrs`.  Each fired window is enabled by an FD, ``f -> g`` or
-``f -> h``; when one holds on the stored rows (`discharged`, one linear
-pass per FD), the window equals its rewrite there, and so does the whole
-query.  Only when typing cannot settle it does `verify_equiv` evaluate
-both sides; it alone builds carriers, and reports a counterexample, the
-first differing pair.
+`verify_rewrite` confirms a rewrite on a table in three steps, each
+written once.  `_type_pair` types both sides, here with `type_attrs`.
+Each fired window is enabled by an FD, ``f -> g`` or ``f -> h``; when one
+holds on the stored rows (`discharged`, one linear pass per FD), the
+window equals its rewrite there, and so does the whole query.  Only when
+typing cannot settle it does `_compare` evaluate both sides; it alone
+builds carriers, and reports a counterexample, the first differing pair.
+`verify_equiv` is `_type_pair` with `type_check` plus `_compare`.
 
-A composition chain is evaluated as one step.  Each kernel factor
-``ker e`` is unfolded into the two factors ``e~ . e`` (the definition of
-`rel.kernel`), so the kernel over a whole row universe is never built, and
-the chain is associated by a matrix-chain dynamic program over estimated
-pair counts: composing ``l`` with ``r`` through a middle carrier ``m`` is
-estimated at ``|l| * |r| / |m|`` pairs, capped at ``|source| * |target|``.
-Composition is associative, so the result does not depend on the order.
+A composition chain, and a lone kernel as a chain of one factor, is
+evaluated as one step.  Each kernel factor ``ker e`` is unfolded into the
+two factors ``e~ . e`` (the definition of `rel.kernel`), so the kernel
+over a whole row universe is never built, and the chain is associated by
+a matrix-chain dynamic program over estimated pair counts: composing ``l``
+with ``r`` through a middle carrier ``m`` is estimated at
+``|l| * |r| / |m|`` pairs, capped at ``|source| * |target|``.  Composition
+is associative, so the result does not depend on the order.
 
 JSON wire form (one object per node):
 
@@ -366,11 +368,9 @@ def _eval(e: QueryExpr, env: Env) -> Rel:
         return tables.proj_fn(env.tables[e.scheme].scheme, e.attrs)
     if isinstance(e, Converse):
         return rel.converse(_eval(e.args[0], env))
-    if isinstance(e, Kernel):
-        return rel.kernel(_eval(e.args[0], env))
-    if isinstance(e, Compose):
+    if isinstance(e, (Compose, Kernel)):  # a lone kernel is a 1-factor chain
         factors: list[Rel] = []
-        for item in e.args:
+        for item in e.args if isinstance(e, Compose) else (e,):
             if isinstance(item, Kernel):
                 r = _eval(item.args[0], env)
                 factors += [rel.converse(r), r]
@@ -545,13 +545,6 @@ def _type_pair(typer, e1: QueryExpr, e2: QueryExpr, env: Env) -> tuple:
     return c1
 
 
-def type_check_pair(e1: QueryExpr, e2: QueryExpr, env: Env
-                    ) -> tuple[Carrier, Carrier]:
-    """The carriers both expressions type to; a `QueryTypeError` locates
-    an ill-typed one, and a `CarrierMismatchError` reports two types."""
-    return _type_pair(type_check, e1, e2, env)
-
-
 def discharged(fired: Sequence[tuple], env: Env) -> bool:
     """Whether every fired window's rewrite holds on its table by typing:
     ``f -> g`` or ``f -> h`` holds on the stored rows.
@@ -560,14 +553,11 @@ def discharged(fired: Sequence[tuple], env: Env) -> bool:
     ``g(r1)`` for stored rows r1, r2 with ``f(r1) = f(r2)``.  Either FD
     makes each such pair come from one row, so the window equals
     ``g . pid . h~`` on that table; every operator maps equal arguments to
-    equal results, so the whole query equals its rewrite.  False means
-    only that typing cannot settle it, as for a window naming an attribute
-    outside the table's scheme: typing locates that error.
+    equal results, so the whole query equals its rewrite.  The query must
+    type first, so each window names only attributes of its table.
     """
     for name, f, g, h in fired:
         table = env.tables[name]
-        if not (f | g | h).issubset(table.scheme.names):
-            return False
         if not any(satisfies_refinement(
                 table.rows, *fd_positions(table.scheme, AttrFd(f, y)))
                 for y in (g, h)):
@@ -575,13 +565,9 @@ def discharged(fired: Sequence[tuple], env: Env) -> bool:
     return True
 
 
-def verify_equiv(e1: QueryExpr, e2: QueryExpr, env: Env,
-                 types: Optional[tuple] = None) -> EquivResult:
-    """Evaluate both expressions; report the first differing pair if any.
-    `type_check_pair` types them first, unless the caller passes the
-    `types` both have."""
-    if types is None:
-        type_check_pair(e1, e2, env)
+def _compare(e1: QueryExpr, e2: QueryExpr, env: Env) -> EquivResult:
+    """Evaluate two expressions of one type; report the first differing
+    pair if any."""
     r1 = _eval(e1, env)
     r2 = _eval(e2, env)
     if r1.pairs == r2.pairs:
@@ -591,21 +577,27 @@ def verify_equiv(e1: QueryExpr, e2: QueryExpr, env: Env,
     return EquivResult(False, witness)
 
 
+def verify_equiv(e1: QueryExpr, e2: QueryExpr, env: Env) -> EquivResult:
+    """Type both expressions by carriers, then evaluate and compare them."""
+    _type_pair(type_check, e1, e2, env)
+    return _compare(e1, e2, env)
+
+
 def verify_rewrite(e: QueryExpr, rewritten: QueryExpr, fired: Sequence[tuple],
                    table: Table) -> EquivResult:
     """Whether `rewritten`, which fired `fired`, equals `e` on `table`,
     bound to the one table name `e` reads (a rewrite only removes leaves).
     `type_attrs` types each side once; then `discharged` settles it, or
-    `verify_equiv` evaluates both sides, which alone builds carriers."""
+    `_compare` evaluates both sides, which alone builds carriers."""
     names = table_refs(e)
     if len(names) != 1:
         raise RelfdError(f"--table binds exactly one referenced table, "
                          f"query uses {sorted(names)}")
     env = Env(tables={names.pop(): table})
-    sorts = _type_pair(type_attrs, e, rewritten, env)
+    _type_pair(type_attrs, e, rewritten, env)
     if discharged(fired, env):
         return EquivResult(True)
-    return verify_equiv(e, rewritten, env, sorts)
+    return _compare(e, rewritten, env)
 
 
 def type_header(e: QueryExpr, fds: Sequence[AttrFd]) -> None:

@@ -271,13 +271,17 @@ def parse_table_csv(text: str,
     return Table(scheme, frozenset(rows))
 
 
+def read_text(path: str) -> str:
+    """The file's text, read as UTF-8, without a leading byte-order mark."""
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().removeprefix("\ufeff")
+
+
 def load_table(path: str, schema_path: str | None = None) -> Table:
     declared = None
     if schema_path is not None:
-        with open(schema_path, encoding="utf-8") as fh:
-            declared = load_schema_json(fh.read())
-    with open(path, encoding="utf-8") as fh:
-        return parse_table_csv(fh.read(), declared)
+        declared = load_schema_json(read_text(schema_path))
+    return parse_table_csv(read_text(path), declared)
 
 
 def table_to_json(table: Table) -> dict:

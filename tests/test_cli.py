@@ -12,13 +12,16 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relfd import cli, fd, oracles, query, rel, tables
+from relfd import cli, fd, oracles, query, rel, tables, usage
 from relfd.cli import main
 from relfd.errors import RelfdError
 from relfd.query import MAX_QUERY_DEPTH
 from relfd.rel import Carrier
 
 from conftest import FIXTURES
+
+# one argparse parser for this module: `parse_args` leaves it as it was
+PARSER = usage.build_parser()
 
 
 def run(capsys, *args):
@@ -96,6 +99,30 @@ def test_check_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "check", "--table", "/nonexistent.csv",
                        "--fds", FIXTURES / "pilots.fds")
     assert code == 2
+
+
+def test_a_byte_order_mark_leading_an_input_file_is_dropped(tmp_path,
+                                                            capsys):
+    # as a spreadsheet writes a UTF-8 CSV: a BOM in a table header named
+    # the attribute '\ufeffTitle', and in an FD file it was a bad name
+    calls = [
+        ["check", "--table", "movies_violating.csv",
+         "--schema", "movies.schema.json", "--fds", "movies.fds"],
+        ["closure", "--fds", "pilots.fds", "--attrs", "Flight,Date"],
+        ["optimize", "--query", "movies_query.json", "--fds", "movies.fds",
+         "--table", "movies.csv", "--schema", "movies.schema.json"]]
+    for argv in calls:
+        files = [a for a in argv if (FIXTURES / a).is_file()]
+        want = run(capsys, *[FIXTURES / a if a in files else a
+                             for a in argv])
+        assert want[0] in (0, 1) and want[2] == ""
+        for marked in [{f} for f in files] + [set(files)]:
+            for f in files:
+                (tmp_path / f).write_bytes(b"\xef\xbb\xbf" * (f in marked)
+                                           + (FIXTURES / f).read_bytes())
+            got = run(capsys, *[tmp_path / a if a in files else a
+                                for a in argv])
+            assert got == want, (argv, marked)
 
 
 def test_unknown_attribute_message_does_not_depend_on_the_hash_seed(
@@ -340,8 +367,8 @@ def test_parser_is_reused_with_fresh_namespaces(capsys):
                        "--fds", FIXTURES / "pilots.fds")
     assert code == 0
     assert out == "Date Flight -> Pilot: holds\n"
-    assert cli._parser() is cli._parser()
-    args = cli._parser().parse_args(["laws"])
+    PARSER.parse_args(["closure", "--fds", "f", "--attrs", "A"])
+    args = PARSER.parse_args(["laws"])
     assert not args.json_output and not hasattr(args, "attrs")
 
 
@@ -467,13 +494,13 @@ def test_optimize_rewrites_and_verifies(capsys):
 
 def test_optimize_flags_violating_table(capsys, monkeypatch):
     calls = []
-    verify = query.verify_equiv
+    compare = query._compare
 
     def counted(*args):
         calls.append(args)
-        return verify(*args)
+        return compare(*args)
 
-    monkeypatch.setattr(query, "verify_equiv", counted)
+    monkeypatch.setattr(query, "_compare", counted)
     code, payload, _ = run_json(
         capsys, "optimize", "--query", FIXTURES / "movies_query.json",
         "--fds", FIXTURES / "movies.fds",
@@ -639,9 +666,9 @@ def test_deeply_nested_schema_is_input_error(tmp_path, capsys):
 def test_optimize_verifies_by_typing_without_evaluating(tmp_path, capsys,
                                                          monkeypatch):
     def no_evaluation(*args):
-        raise AssertionError("verify_equiv called")
+        raise AssertionError("_compare called")
 
-    monkeypatch.setattr(query, "verify_equiv", no_evaluation)
+    monkeypatch.setattr(query, "_compare", no_evaluation)
     no_window = tmp_path / "none.fds"
     no_window.write_text("Director -> Actor\n")
     for fds in (FIXTURES / "movies.fds", no_window):
@@ -851,7 +878,7 @@ def test_optimize_without_a_table_types_what_a_wider_table_types(tmp_path,
 def test_optimize_types_each_side_once(tmp_path, capsys, monkeypatch):
     # top-level `type_attrs` calls (path "query"): one per side, whether
     # typing settles the rewrite or evaluation does
-    type_attrs, verify_equiv = query.type_attrs, query.verify_equiv
+    type_attrs, compare = query.type_attrs, query._compare
     calls = []
 
     def counted(e, env, path="query"):
@@ -859,11 +886,11 @@ def test_optimize_types_each_side_once(tmp_path, capsys, monkeypatch):
         return type_attrs(e, env, path)
 
     def evaluated(*args):
-        calls.append("verify_equiv")
-        return verify_equiv(*args)
+        calls.append("_compare")
+        return compare(*args)
 
     monkeypatch.setattr(query, "type_attrs", counted)
-    monkeypatch.setattr(query, "verify_equiv", evaluated)
+    monkeypatch.setattr(query, "_compare", evaluated)
     no_window = tmp_path / "none.fds"
     no_window.write_text("Director -> Actor\n")
     for fds, csv_name, want, evaluations in (
@@ -876,7 +903,7 @@ def test_optimize_types_each_side_once(tmp_path, capsys, monkeypatch):
                            "--fds", fds, "--table", FIXTURES / csv_name)
         assert (code, err) == (want, "")
         assert calls.count("query") == 2
-        assert calls.count("verify_equiv") == evaluations
+        assert calls.count("_compare") == evaluations
 
 
 def test_discharged_optimize_builds_no_row_universe_or_pair_carrier(
@@ -1071,14 +1098,14 @@ def argvs(draw):
 def test_plain_args_read_what_argparse_reads(argv):
     plain = cli._plain_args(argv)
     if plain is not None:
-        assert vars(plain) == vars(cli._parser().parse_args(argv))
+        assert vars(plain) == vars(PARSER.parse_args(argv))
 
 
 def test_plain_args_read_every_golden_call():
     from test_golden import CALLS
     for argv in CALLS.values():
         assert (vars(cli._plain_args(argv))
-                == vars(cli._parser().parse_args(argv))), argv
+                == vars(PARSER.parse_args(argv))), argv
 
 
 def test_plain_args_decline_what_int_refuses(capsys):

@@ -13,10 +13,9 @@ from relfd.fd import AttrFd, parse_fd
 from relfd.infer import FIRING_LIMIT
 from relfd.query import (MAX_QUERY_DEPTH, Compose, Converse, Env, Fork,
                          Kernel, Pid, Proj, RelRef, UnionOp, _normalize,
-                         _rewrite_once, _sorts, count_pid_nodes, discharged,
-                         eval_query, from_json, rewrite_selfjoin, to_json,
-                         type_attrs, type_check, type_check_pair,
-                         verify_equiv)
+                         _rewrite_once, _sorts, _type_pair, count_pid_nodes,
+                         discharged, eval_query, from_json, rewrite_selfjoin,
+                         to_json, type_attrs, type_check, verify_equiv)
 from relfd.rel import Atom, Carrier, Tup, identity
 from relfd.tables import (Scheme, Table, parse_table_csv, pid, proj_fn,
                           row_carrier)
@@ -537,6 +536,23 @@ def test_verify_rejects_differently_typed_expressions():
                      Proj("movies", frozenset({"Title"})), env)
 
 
+def test_verify_equiv_types_named_relations_by_carriers():
+    # a named relation has carriers, not sorts: `verify_equiv` types by
+    # `type_check`, as a relation out of the row universe needs
+    table = parse_table_csv("A,B\na,1\nb,2\n")
+    rows = row_carrier(table)
+    out = carrier("X", 2)
+    env = Env(tables={"t": table}, rels={"R": rel.top(rows, out)})
+    stored = Compose(RelRef("R"), Pid("t"))
+    assert verify_equiv(stored, Compose(stored, Pid("t")), env)
+    result = verify_equiv(stored, RelRef("R"), env)
+    assert not result
+    # the least pair of R outside the stored rows, by target, then source
+    assert result.witness == (("a", "2"), "x0")
+    with pytest.raises(CarrierMismatchError):
+        verify_equiv(stored, Pid("t"), env)
+
+
 def test_type_check_predicts_eval_carriers_on_random_expressions():
     rnd = random.Random(13)
     env = movies_env()
@@ -701,7 +717,8 @@ def test_discharge_implies_equal_evaluation():
             for q in queries:
                 fired = []
                 out = rewrite_selfjoin(q, fds, fired)
-                assert type_check_pair(q, out, env) == type_check(q, env)
+                assert (_type_pair(type_check, q, out, env)
+                        == type_check(q, env))
                 typed = discharged(fired, env)
                 if not fired:
                     assert typed and out is q
