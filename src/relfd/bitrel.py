@@ -53,16 +53,6 @@ def mask_to_rel(mask: int, m: int, n: int) -> Rel:
     return Rel(src, tgt, frozenset(pairs))
 
 
-def rel_to_mask(r: Rel) -> int:
-    n = len(r.target)
-    src_index = {v: i for i, v in enumerate(r.source.elements)}
-    tgt_index = {v: j for j, v in enumerate(r.target.elements)}
-    mask = 0
-    for a, b in r.pairs:
-        mask |= 1 << (src_index[a] * n + tgt_index[b])
-    return mask
-
-
 @lru_cache(maxsize=None)
 def mats(m: int, n: int) -> np.ndarray:
     """All 2^(m*n) relations as (count, m, n) 0/1 matrices, mask order."""

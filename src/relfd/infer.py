@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .errors import ResourceLimitError, UnknownAttributeError
+from .errors import ResourceLimitError
 from .fd import AttrFd, parse_fd
 from .rel import Frozen
 
@@ -28,9 +28,6 @@ CONSEQUENCE = "Consequence"
 ADDITIVITY = "Additivity"
 PROJECTIVITY = "Projectivity"
 AXIOM = "Axiom"
-
-RULES = (REFLEXIVITY, COMPOSITION, CONSEQUENCE, ADDITIVITY, PROJECTIVITY,
-         AXIOM)
 
 # Most fds one derivation may fire; see `derive`.
 FIRING_LIMIT = 200
@@ -54,19 +51,8 @@ def mentioned_attrs(fds: Iterable[AttrFd], attrs: Iterable[str]) -> frozenset:
     return frozenset(out)
 
 
-def _check_universe(fds, attrs, universe) -> None:
-    if universe is None:
-        return
-    unknown = mentioned_attrs(fds, attrs) - frozenset(universe)
-    if unknown:
-        raise UnknownAttributeError(
-            f"attributes {sorted(unknown)} not in scheme")
-
-
-def attr_closure(fds: Sequence[AttrFd], attrs: Iterable[str],
-                 universe: Iterable[str] | None = None) -> frozenset:
+def attr_closure(fds: Sequence[AttrFd], attrs: Iterable[str]) -> frozenset:
     """Least attribute set containing `attrs` and closed under `fds`."""
-    _check_universe(fds, attrs, universe)
     closure = set(attrs)
     changed = True
     while changed:
@@ -78,8 +64,7 @@ def attr_closure(fds: Sequence[AttrFd], attrs: Iterable[str],
     return frozenset(closure)
 
 
-def derive(fds: Sequence[AttrFd], goal: AttrFd,
-           universe: Iterable[str] | None = None) -> Optional[Derivation]:
+def derive(fds: Sequence[AttrFd], goal: AttrFd) -> Optional[Derivation]:
     """A proof of `goal` from `fds`, or None when it is not derivable.
 
     The tree mirrors a closure run that stops once the goal's consequent is
@@ -95,7 +80,6 @@ def derive(fds: Sequence[AttrFd], goal: AttrFd,
     `FIRING_LIMIT` fds raises `ResourceLimitError`: a deeper tree would
     outgrow the recursion limit of the walkers that print and replay it.
     """
-    _check_universe(fds, goal.antecedent | goal.consequent, universe)
     base = covered = goal.antecedent
     fired = []  # (covered before the firing, fd)
     while not goal.consequent <= covered:

@@ -128,27 +128,21 @@ def _first_false(ok: np.ndarray) -> Optional[tuple[int, ...]]:
     return tuple(int(i) for i in np.unravel_index(flat, ok.shape))
 
 
-def _rows(terms: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Row i holds the bytes of row i, along axis 0, of every term."""
-    return np.concatenate([np.ascontiguousarray(t).reshape(len(t), -1)
+def _firsts(*terms: np.ndarray) -> np.ndarray:
+    """For each i, the first index whose tuple of rows of `terms`, along
+    axis 0, equals row i's byte for byte."""
+    rows = np.concatenate([np.ascontiguousarray(t).reshape(len(t), -1)
                            .view(np.uint8) for t in terms], axis=1)
+    first: dict = {}
+    return np.array([first.setdefault(row.tobytes(), i)
+                     for i, row in enumerate(rows)], dtype=np.intp)
 
 
 def _distinct(*terms: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first row, along axis 0, of each distinct
-    tuple of rows of `terms`; rows are compared byte for byte."""
-    first: dict = {}
-    for i, row in enumerate(_rows(terms)):
-        first.setdefault(row.tobytes(), i)
-    return np.fromiter(first.values(), dtype=np.intp, count=len(first))
-
-
-def _firsts(term: np.ndarray) -> np.ndarray:
-    """For each i, the first index whose row of `term`, along axis 0,
-    equals row i byte for byte, as `_distinct` compares rows."""
-    first: dict = {}
-    return np.array([first.setdefault(row.tobytes(), i)
-                     for i, row in enumerate(_rows((term,)))], dtype=np.intp)
+    """The first index of each distinct tuple of rows, ascending: the i
+    that `_firsts` maps to i (`np.unique` would load `numpy.ma`)."""
+    firsts = _firsts(*terms)
+    return np.flatnonzero(firsts == np.arange(len(firsts)))
 
 
 def _classes(high: np.ndarray, low: np.ndarray

@@ -8,7 +8,8 @@ chain is one n-ary `Compose` node: building a `Compose` splices in any
 `Compose` among its factors.  `eval_query` evaluates bottom-up against an
 environment of tables and relations; `rewrite_selfjoin` removes the
 classical "scan the same file twice through a kernel" shape whenever a
-supplied dependency set proves it redundant, in one pass.
+supplied dependency set proves it redundant, in one pass that also
+normalizes the partial identities.
 
 `type_check` types an expression by carriers; `type_attrs` types it by
 attribute sets, building none: a row type is the sub-scheme of the
@@ -416,22 +417,6 @@ def _compose_split(factors: Sequence[Rel], split: dict, i: int, j: int
 # Self-join elimination
 
 
-def _normalize(e: QueryExpr) -> QueryExpr:
-    """Partial-identity identities: drop converses of pids and merge
-    adjacent equal pids inside composition chains."""
-    if not e.args:
-        return e
-    args = [_normalize(a) for a in e.args]
-    if isinstance(e, Converse) and isinstance(args[0], Pid):
-        return args[0]
-    if isinstance(e, Compose):
-        args = [a for i, a in enumerate(args)
-                if not (i and isinstance(a, Pid) and args[i - 1] == a)]
-        if len(args) == 1:
-            return args[0]
-    return type(e)(*args)
-
-
 def _match_window(chain: Sequence[QueryExpr], i: int,
                   fds: Sequence[AttrFd], fired: list
                   ) -> Optional[list[QueryExpr]]:
@@ -460,11 +445,18 @@ def _match_window(chain: Sequence[QueryExpr], i: int,
 
 def _rewrite_once(e: QueryExpr, fds: Sequence[AttrFd], fired: list
                   ) -> QueryExpr:
-    """One leftmost-innermost pass; appends what fired to `fired`."""
+    """One leftmost-innermost pass that normalizes each node on its
+    rewritten operands, then matches its windows; appends what fired."""
     if not e.args:
         return e
     args = [_rewrite_once(a, fds, fired) for a in e.args]
+    if isinstance(e, Converse) and isinstance(args[0], Pid):
+        return args[0]
     if isinstance(e, Compose):
+        args = [a for i, a in enumerate(args)
+                if not (i and isinstance(a, Pid) and args[i - 1] == a)]
+        if len(args) == 1:
+            return args[0]
         i = 0
         while i < len(args):
             replacement = _match_window(args, i, fds, fired)
@@ -482,21 +474,26 @@ def rewrite_selfjoin(e: QueryExpr, fds: Sequence[AttrFd],
     A composition window ``g . pid(M) . kernel(f) . pid(M) . h~`` over one
     table, with f, g, h projections of that table's scheme, collapses to
     ``g . pid(M) . h~`` whenever ``f -> g`` or ``f -> h`` is derivable from
-    `fds`.  Matching runs modulo the partial-identity normalizations, in
-    one leftmost-innermost pass.  Each window that fires is appended to
-    `fired`, when given, as ``(table, f, g, h)``: the table's name and the
-    attribute sets of the three projections.
+    `fds`.  Matching runs modulo the partial-identity normalizations (a
+    converse of a pid is the pid, adjacent equal pids merge, a one-factor
+    chain is its factor), in one leftmost-innermost pass that applies them
+    to each node on its rewritten operands before matching its windows.
+    Each window that fires is appended to `fired`, when given, as
+    ``(table, f, g, h)``: the table's name and the attribute sets of the
+    three projections.
 
     One pass is the fixpoint.  A collapsed window starts, as before, with
     the bare projection g, and a window starting 1-4 places earlier would
     need a pid, kernel, pid or converse in g's place; the scan resumes at
-    g, and operands are rewritten before their parent.  A collapse makes
-    no adjacent equal pids, no converse of a pid and no one-factor chain,
-    so normalizing again would change nothing either.
+    g, and operands are rewritten before their parent.  A collapse turns
+    no node into a pid and leaves the factors ``g . pid(M) . h~`` in its
+    chain, so it makes no converse of a pid, no adjacent equal pids and
+    no one-factor chain: a node normalized on its rewritten operands stays
+    normal, and a second pass would change nothing.
     """
     fired = [] if fired is None else fired
     start = len(fired)
-    out = _rewrite_once(_normalize(e), fds, fired)
+    out = _rewrite_once(e, fds, fired)
     return out if len(fired) > start else e
 
 

@@ -361,15 +361,6 @@ def is_injective(r: Rel) -> bool:
     return includes(identity(r.source), kernel(r))
 
 
-def apply_fn(f: Rel, v: Value) -> Value:
-    """Apply a relation that is a function to one source element."""
-    outs = [b for a, b in f.pairs if a == v]
-    if len(outs) != 1:
-        raise SchemeError(
-            f"relation is not a function at {render_value(v)}")
-    return outs[0]
-
-
 # ---------------------------------------------------------------------------
 # JSON forms; `relfd.oracles` parses each back to a value equal to x
 

@@ -163,14 +163,13 @@ class SoundnessResult(Frozen):
         return self.ok
 
 
-def check_rule_soundness(instance: RuleInstance, max_rows: int = 4,
-                         domain_size: int = 2,
-                         cap: int = DEFAULT_CANDIDATE_CAP) -> SoundnessResult:
-    """Search the tables in scope for a model of the premises violating
-    the conclusion, as `search_tables` does; sound when there is none."""
+def check_rule_soundness(instance: RuleInstance) -> SoundnessResult:
+    """Search the tables of up to 4 rows over two values per attribute
+    for a model of the premises violating the conclusion; sound when there
+    is none.  A witness of any size yields one of two rows over two values
+    (module docstring), so no larger scope finds more."""
     witness = search_tables(instance.premises, instance.conclusion,
-                            Scope(max_rows=max_rows, domain_sizes=domain_size,
-                                  candidate_cap=cap))
+                            Scope(max_rows=4))
     return SoundnessResult(witness is None, witness)
 
 

@@ -28,7 +28,7 @@ from .errors import InternalCheckError
 from .fd import (AttrFd, _check_observers, _stored_proj, fd_positions,
                  satisfies_typed, stored_order)
 from .rel import Carrier, Frozen, Rel, Value
-from .tables import Table, proj_fn
+from .tables import Table
 
 
 def satisfies_algebraic(t: Table, fd: AttrFd) -> bool:
@@ -37,12 +37,6 @@ def satisfies_algebraic(t: Table, fd: AttrFd) -> bool:
     lhs = rel.compose(p, rel.compose(rel.converse(x),
                                      rel.compose(x, rel.converse(p))))
     return rel.includes(rel.kernel(y), lhs)
-
-
-def fd_projections(t: Table, fd: AttrFd) -> tuple[Rel, Rel]:
-    """The antecedent and consequent projection functions of a table."""
-    return (proj_fn(t.scheme, fd.antecedent),
-            proj_fn(t.scheme, fd.consequent))
 
 
 def stored_fd_projections(t: Table, fd: AttrFd) -> tuple[Rel, Rel, Rel]:

@@ -12,7 +12,7 @@ from relfd.fd import (AttrFd, fd_positions, parse_fd,
                       satisfies_shunted, satisfies_typed, scan_violation,
                       violating_pair)
 from relfd.oracles import oracle_violation
-from relfd.typed import (fd_projections, fd_violation, mutual_dependency,
+from relfd.typed import (fd_violation, mutual_dependency,
                          satisfies_algebraic, satisfies_general_quantified,
                          stored_fd_projections, typecheck_join,
                          typecheck_union)
@@ -504,7 +504,8 @@ def test_three_checkers_agree_on_random_tables():
         fd = AttrFd(ante, cons)
         o = satisfies_oracle(t, fd)
         assert satisfies_algebraic(t, fd) == o
-        f, g = fd_projections(t, fd)
+        f, g = (proj_fn(t.scheme, fd.antecedent),
+                proj_fn(t.scheme, fd.consequent))
         assert satisfies_typed(pid(t), f, g) == o
 
 

@@ -12,6 +12,7 @@ registry: every command but `laws` runs without it.  Each call runs in a
 fresh interpreter, since this test process has loaded them all already.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -103,8 +104,9 @@ def test_laws_command_loads_the_law_sweeps():
 # The lines a fresh `import relfd.cli` compiles when no bytecode is cached.
 # The design aim "Quality of design" (same answers from fewer lines) holds
 # this at or under its count: 1,579 before the typing layer left the start
-# path for `relfd.typed`, 1,438 before the CLI's parser wrappers went.
-START_LINES = 1427
+# path for `relfd.typed`, 1,438 before the CLI's parser wrappers went,
+# 1,427 before the test-only `rel.apply_fn` moved into the tests.
+START_LINES = 1418
 
 
 def test_start_path_stays_within_its_line_count():
@@ -153,3 +155,49 @@ def test_unknown_law_lists_every_known_law():
         search.get_law("nope")
     assert str(err.value) == ("unknown law 'nope'; known: "
                               + ", ".join(sorted(relfd.LAW_REGISTRY)))
+
+
+# Module-level names that no `src/` line outside their own definition uses,
+# and that `relfd.__all__` does not export, each with the reason it stays.
+UNUSED_ALLOWED = {
+    "oracles": "the whole module is reference code the tests compare against",
+    "laws.search_law_bruteforce": "the reference the tests hold the sweeps to",
+    "query.count_pid_nodes": "the benchmark's tracer counts fired windows "
+                             "with it",
+}
+
+
+def _defined(stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def _used(stmt) -> set[str]:
+    """The names a statement reads, as a name, an attribute or an import."""
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_src_defines_no_name_that_nothing_uses():
+    stmts = [(path.stem, stmt, _used(stmt))
+             for path in sorted((SRC / "relfd").glob("*.py"))
+             for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    unused = {f"{module}.{name}" for module, stmt, _ in stmts
+              for name in _defined(stmt)
+              if not name.startswith("__") and name not in relfd.__all__
+              and not any(name in names for _, other, names in stmts
+                          if other is not stmt)}
+    assert {name for name in unused if name not in UNUSED_ALLOWED
+            and name.split(".")[0] not in UNUSED_ALLOWED} == set()

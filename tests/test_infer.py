@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from relfd import rel
 from relfd.cli import main
-from relfd.errors import ResourceLimitError, UnknownAttributeError
+from relfd.errors import ResourceLimitError
 from relfd.fd import AttrFd, parse_fd, satisfies_oracle
 from relfd.infer import (AXIOM, COMPOSITION, CONSEQUENCE, FIRING_LIMIT,
                          REFLEXIVITY, Derivation, attr_closure,
@@ -41,11 +41,6 @@ def test_closure_of_full_scheme_is_itself():
 
 def test_closure_transitive_chain():
     assert attr_closure(fds("A -> B", "B -> C"), {"A"}) == {"A", "B", "C"}
-
-
-def test_closure_unknown_attribute_with_universe():
-    with pytest.raises(UnknownAttributeError):
-        attr_closure(fds("A -> B"), {"A"}, universe={"A"})
 
 
 @given(st.data())
@@ -358,20 +353,20 @@ def test_composition_instance_sound_at_desk_scope():
     inst = RuleInstance(
         premises=(parse_fd("x -> z"), parse_fd("z -> y")),
         conclusion=parse_fd("x -> y"))
-    assert check_rule_soundness(inst, max_rows=4)
+    assert check_rule_soundness(inst)
 
 
 def test_consequence_instance_sound_at_desk_scope():
     inst = RuleInstance(
         premises=(parse_fd("x -> y z"),),
         conclusion=parse_fd("x w -> y"))
-    assert check_rule_soundness(inst, max_rows=4)
+    assert check_rule_soundness(inst)
 
 
 def test_wrong_rule_refuted_with_witness():
     inst = RuleInstance(premises=(parse_fd("x -> y"),),
                         conclusion=parse_fd("y -> x"))
-    result = check_rule_soundness(inst, max_rows=4)
+    result = check_rule_soundness(inst)
     assert not result
     assert result.witness is not None
     assert len(result.witness.rows) == 2

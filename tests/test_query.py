@@ -12,8 +12,8 @@ from relfd.errors import (CarrierMismatchError, ParseError, QueryTypeError,
 from relfd.fd import AttrFd, parse_fd
 from relfd.infer import FIRING_LIMIT
 from relfd.query import (MAX_QUERY_DEPTH, Compose, Converse, Env, Fork,
-                         Kernel, Pid, Proj, RelRef, UnionOp, _normalize,
-                         _rewrite_once, _sorts, _type_pair, count_pid_nodes,
+                         Kernel, Pid, Proj, RelRef, UnionOp, _rewrite_once,
+                         _sorts, _type_pair, count_pid_nodes,
                          discharged, eval_query, from_json, rewrite_selfjoin,
                          to_json, type_attrs, type_check, verify_equiv)
 from relfd.rel import Atom, Carrier, Tup, identity
@@ -428,6 +428,22 @@ def test_rewrite_requires_matching_table_names():
     chain = Compose(q, Converse(Pid("other")))
     out = rewrite_selfjoin(chain, TITLE_DIRECTOR)
     assert count_pid_nodes(out) == 2  # inner window still fires
+
+
+def _normalize(e):
+    """Partial-identity identities: drop converses of pids and merge
+    adjacent equal pids inside composition chains."""
+    if not e.args:
+        return e
+    args = [_normalize(a) for a in e.args]
+    if isinstance(e, Converse) and isinstance(args[0], Pid):
+        return args[0]
+    if isinstance(e, Compose):
+        args = [a for i, a in enumerate(args)
+                if not (i and isinstance(a, Pid) and args[i - 1] == a)]
+        if len(args) == 1:
+            return args[0]
+    return type(e)(*args)
 
 
 def _rewrite_to_fixpoint(e, fds, fired):

@@ -13,8 +13,8 @@ from relfd.fd import (AttrFd, fd_positions, parse_fd, satisfies_oracle,
                       violating_pair)
 from relfd.infer import attr_closure, derive, mentioned_attrs
 from relfd.laws import (LAW_REGISTRY, LAW_SUITE, _distinct, _first_bit,
-                        _first_false, _join_violation, _trade_violation,
-                        search_law_bruteforce)
+                        _first_false, _firsts, _join_violation,
+                        _trade_violation, search_law_bruteforce)
 from relfd.rel import Atom, Tup
 from relfd.search import Scope, search_law, search_tables, two_tuple_witness
 from relfd.tables import (Table, count_tables, enumerate_tables, row_carrier,
@@ -26,6 +26,15 @@ CORRUPTED = ("galois_corrupted", "fork_lub_corrupted",
 
 def fds(*texts):
     return [parse_fd(t) for t in texts]
+
+
+def rel_to_mask(r):
+    """The bitmask of `bitrel.mask_to_rel`: bit ``i * |target| + j`` is set
+    when r holds the i-th source and the j-th target element."""
+    n = len(r.target)
+    src_index = {v: i for i, v in enumerate(r.source.elements)}
+    tgt_index = {v: j for j, v in enumerate(r.target.elements)}
+    return sum(1 << (src_index[a] * n + tgt_index[b]) for a, b in r.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +405,14 @@ def test_bitmask_tables_match_plain_algebra():
         r = bitrel.mask_to_rel(rmask, n, k)
         s = bitrel.mask_to_rel(smask, m, n)
         assert (bitrel.compose_table(m, n, k)[rmask, smask]
-                == bitrel.rel_to_mask(rel.compose(r, s)))
+                == rel_to_mask(rel.compose(r, s)))
         assert (bitrel.converse_table(m, n)[smask]
-                == bitrel.rel_to_mask(rel.converse(s)))
+                == rel_to_mask(rel.converse(s)))
         assert (bitrel.kernel_table(m, n)[smask]
-                == bitrel.rel_to_mask(rel.kernel(s)))
+                == rel_to_mask(rel.kernel(s)))
         dom = frozenset((a, a) for a, _ in s.pairs)
         assert (bitrel.domain_table(m, n)[smask]
-                == bitrel.rel_to_mask(rel.Rel(s.source, s.source, dom)))
+                == rel_to_mask(rel.Rel(s.source, s.source, dom)))
 
 
 def test_fork_kernel_table_is_honest():
@@ -415,7 +424,7 @@ def test_fork_kernel_table_is_honest():
         r = bitrel.mask_to_rel(rmask, c, a)
         s = bitrel.mask_to_rel(smask, c, b)
         assert (bitrel.fork_kernel_table(c, a, b)[rmask, smask]
-                == bitrel.rel_to_mask(rel.kernel(rel.fork(r, s))))
+                == rel_to_mask(rel.kernel(rel.fork(r, s))))
 
 
 def test_function_masks_enumerate_exactly_the_functions():
@@ -498,7 +507,7 @@ CORRUPTED_WITNESSES = {
 def test_corrupted_law_witness_is_pinned(law_id, carrier):
     witness = search_law(law_id, Scope(max_carrier=carrier))
     got = witness and {name: (len(r.source), len(r.target),
-                              bitrel.rel_to_mask(r))
+                              rel_to_mask(r))
                        for name, r in witness.items()}
     assert got == CORRUPTED_WITNESSES[(law_id, carrier)]
 
@@ -640,6 +649,7 @@ def test_distinct_rows_are_the_first_occurrence_of_each_key():
         keys = np.array([rnd.randrange(6) for _ in range(rnd.randint(1, 30))])
         plain = [i for i, k in enumerate(keys) if k not in keys[:i]]
         assert list(_distinct(keys)) == plain
+        assert list(_firsts(keys)) == [list(keys).index(k) for k in keys]
         # a tuple of rows: an int32 matrix and an int64 vector, few values
         # so that rows repeat
         n = rnd.randint(1, 30)
@@ -649,6 +659,7 @@ def test_distinct_rows_are_the_first_occurrence_of_each_key():
         pairs = [(tuple(r), c) for r, c in zip(rows.tolist(), cols.tolist())]
         plain = [i for i, p in enumerate(pairs) if p not in pairs[:i]]
         assert list(_distinct(rows, cols)) == plain
+        assert list(_firsts(rows, cols)) == [pairs.index(p) for p in pairs]
 
 
 def test_law_witness_json_round_trip():
