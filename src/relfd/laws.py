@@ -736,21 +736,11 @@ LAW_REGISTRY: dict[str, Law] = {law.law_id: law for law in _SOUND + (
 )}
 
 
-def law_variable_masks(law: Law, sizes: dict) -> list[np.ndarray]:
-    out = []
-    for v in law.variables:
-        m, n = sizes[v.source], sizes[v.target]
-        if v.function:
-            out.append(B.function_masks(m, n))
-        else:
-            out.append(B.all_masks(m, n))
-    return out
-
-
 def search_law_bruteforce(law: Law, max_carrier: int) -> Optional[dict]:
     """Pointwise mirror of the sweeps; slow, for cross-validation."""
     for sizes in law.size_combos(max_carrier):
-        spaces = law_variable_masks(law, sizes)
+        spaces = [(B.function_masks if v.function else B.all_masks)(
+            sizes[v.source], sizes[v.target]) for v in law.variables]
         for combo in itertools.product(*spaces):
             masks = {v.name: int(m)
                      for v, m in zip(law.variables, combo)}

@@ -295,31 +295,24 @@ def bang(a: Carrier) -> Rel:
     return Rel(a, UNIT_CARRIER, frozenset((x, u) for x in a.elements))
 
 
-def _require_pairs(p: Carrier) -> None:
-    if not all(isinstance(e, Pair) for e in p.elements):
-        raise SchemeError(f"carrier {p.name!r} is not a pair carrier")
-
-
 def proj1(p: Carrier) -> Rel:
     """First-component projection out of a pair carrier."""
-    _require_pairs(p)
-    if p.components is not None:
-        tgt = p.components[0]
-    else:
-        tgt = Carrier(f"left({p.name})", tuple(dict.fromkeys(
-            e.left for e in p.elements)))
-    return Rel(p, tgt, frozenset((e, e.left) for e in p.elements))
+    return _proj(p, 0)
 
 
 def proj2(p: Carrier) -> Rel:
     """Second-component projection out of a pair carrier."""
-    _require_pairs(p)
-    if p.components is not None:
-        tgt = p.components[1]
-    else:
-        tgt = Carrier(f"right({p.name})", tuple(dict.fromkeys(
-            e.right for e in p.elements)))
-    return Rel(p, tgt, frozenset((e, e.right) for e in p.elements))
+    return _proj(p, 1)
+
+
+def _proj(p: Carrier, i: int) -> Rel:
+    if not all(isinstance(e, Pair) for e in p.elements):
+        raise SchemeError(f"carrier {p.name!r} is not a pair carrier")
+    side = ("left", "right")[i]
+    pairs = [(e, getattr(e, side)) for e in p.elements]
+    tgt = (p.components[i] if p.components is not None else Carrier(
+        f"{side}({p.name})", tuple(dict.fromkeys(v for _, v in pairs))))
+    return Rel(p, tgt, frozenset(pairs))
 
 
 def fork(r: Rel, s: Rel) -> Rel:

@@ -14,16 +14,23 @@ values or more, so with row 0 the row of first values and r_D the row of
 second values on D and first values elsewhere, {row 0, r_D} is a witness
 too.  In the lexicographic order of rows the pairs with row 0 come first,
 r_D is the first row whose disagreement set with row 0 is D, and r_D
-precedes r_D' exactly when D is less than D' read as a binary number with
-position 0 as its top bit.  So the first witness is {row 0, r_D} for the
-least qualifying D, and when no D qualifies no table of any size is a
-witness.  `search_law` sweeps a registered algebraic law over all relation
-assignments at carrier sizes up to the scope bound.  `check_rule_soundness`
-validates an inference rule instance empirically as a table search for a
-model of its premises that violates its conclusion.  Every witness is
-re-verified by the corresponding pointwise oracle before being returned.
-The law functions import `relfd.laws` and `relfd.bitrel`, and with them
-numpy, when called: the table searches never load them.
+precedes r_D' exactly when the first position where D and D' differ lies in
+D'.  So the first witness is {row 0, r_D} for the least qualifying D, whose
+agree set A takes each position in order whenever it can.  D qualifies
+exactly when A holds X and every one-value position, misses part of Y and
+is closed under the axioms; a closure is the least closed superset, so some
+qualifying A holds a set S exactly when the closure of S misses part of Y.
+So A starts as the closure of X and the one-value positions and takes each
+position in order, as the closure of A with it, whenever that closure
+misses part of Y.  A position left out never returns, since every closed
+set holding it and A covers Y.  When the first closure covers Y, no table
+of any size is a witness.  `search_law` sweeps a registered algebraic law
+over all relation assignments at carrier sizes up to the scope bound.
+`check_rule_soundness` validates an inference rule instance empirically as
+a table search for a model of its premises that violates its conclusion.
+Every witness is re-verified by the corresponding pointwise oracle before
+being returned.  The law functions import `relfd.laws` and `relfd.bitrel`,
+and with them numpy, when called: the table searches never load them.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import math
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import InternalCheckError, ResourceLimitError, UnknownLawError
-from .fd import AttrFd, fd_positions, satisfies_oracle
+from .fd import AttrFd, satisfies_oracle
 from .infer import attr_closure, mentioned_attrs
 from .rel import Carrier, Frozen
 from .tables import Scheme, Table, count_tables
@@ -88,65 +95,60 @@ def two_tuple_witness(fds: Sequence[AttrFd], goal: AttrFd) -> Optional[Table]:
     differ (0 vs 1) elsewhere, so every axiom holds and the goal fails.
     """
     attrs = sorted(mentioned_attrs(fds, goal.antecedent | goal.consequent))
-    closure = attr_closure(list(fds), goal.antecedent)
+    closure = attr_closure(fds, goal.antecedent)
     if goal.consequent <= closure:
         return None
-    scheme = Scope(domain_sizes=2).scheme_for(attrs)
-    row_a = ("0",) * len(attrs)
-    row_b = tuple("0" if name in closure else "1" for name in attrs)
-    table = Table.make(scheme, {row_a, row_b})
-    if not all(satisfies_oracle(table, fd) for fd in fds):
-        raise InternalCheckError("two-row witness fails an axiom")
-    if satisfies_oracle(table, goal):
-        raise InternalCheckError("two-row witness satisfies the goal")
-    return table
+    return _agree_pair(Scope(domain_sizes=2).scheme_for(attrs), closure,
+                       fds, goal)
 
 
 def search_tables(fds: Sequence[AttrFd], goal: AttrFd,
                   scope: Scope) -> Optional[Table]:
     """First table within scope satisfying `fds` and violating `goal`.
 
-    By the fact of the module docstring the first table in canonical order
-    is row 0 and r_D for the least qualifying D, found by walking the
-    subsets of `free`, the positions with two values or more, in increasing
-    order (``(d - free) & free``) with position p at bit ``n-1-p``.  The
-    candidate cap is checked first, against the tables of every size up to
-    `scope.max_rows`: it bounds the U rows of the universe, and the walk
-    takes at most U steps.  The witness is re-checked by `satisfies_oracle`.
+    The first table in canonical order is row 0 and r_D for the least
+    qualifying D, whose agree set takes at most one closure per attribute
+    and one more to find (module docstring).  The candidate cap is checked
+    first, against the tables of every size up to `scope.max_rows`; it only
+    rejects out-of-range scopes.  The witness is re-checked by
+    `satisfies_oracle`.
     """
     attrs = sorted(mentioned_attrs(fds, goal.antecedent | goal.consequent))
-    candidates = count_tables(math.prod(scope.sizes_for(attrs)),
-                              scope.max_rows, scope.candidate_cap)
+    sizes = scope.sizes_for(attrs)
+    candidates = count_tables(math.prod(sizes), scope.max_rows,
+                              scope.candidate_cap)
     if candidates > scope.candidate_cap:
         raise ResourceLimitError(
             f"{candidates} candidate tables exceed the cap of "
             f"{scope.candidate_cap}")
     if scope.max_rows < 2:
         return None  # too few rows for a witness (module docstring)
-    scheme = scope.scheme_for(attrs)
+    agree = attr_closure(fds, goal.antecedent.union(
+        a for a, k in zip(attrs, sizes) if k == 1))
+    if goal.consequent <= agree:
+        return None
+    for a in attrs:
+        if a not in agree:
+            grown = attr_closure(fds, agree | {a})
+            if not goal.consequent <= grown:
+                agree = grown
+    return _agree_pair(scope.scheme_for(attrs), agree, fds, goal)
+
+
+def _agree_pair(scheme: Scheme, agree: frozenset, fds: Sequence[AttrFd],
+                goal: AttrFd) -> Table:
+    """Row 0 and the row taking each domain's second value outside `agree`,
+    re-checked to satisfy `fds` and violate `goal`."""
     doms = [dom.elements for _, dom in scheme.attributes]
-    top = len(doms) - 1
-
-    def mask(positions):
-        return sum(1 << top - p for p in positions)
-
-    free = mask(p for p, dom in enumerate(doms) if len(dom) > 1)
-    gx, gy = map(mask, fd_positions(scheme, goal))
-    axioms = [tuple(map(mask, fd_positions(scheme, fd))) for fd in fds]
-    d = 0
-    while d := (d - free) & free:
-        if (not d & gx and d & gy
-                and all(d & x or not d & y for x, y in axioms)):
-            table = Table(scheme, frozenset((
-                tuple(dom[0] for dom in doms),
-                tuple(dom[d >> top - p & 1] for p, dom in enumerate(doms)))))
-            if (satisfies_oracle(table, goal)
-                    or not all(satisfies_oracle(table, fd) for fd in fds)):
-                raise InternalCheckError(
-                    "table search witness does not separate the axioms "
-                    "from the goal")
-            return table
-    return None
+    table = Table(scheme, frozenset((
+        tuple(dom[0] for dom in doms),
+        tuple(dom[name not in agree]
+              for name, dom in zip(scheme.names, doms)))))
+    if (satisfies_oracle(table, goal)
+            or not all(satisfies_oracle(table, fd) for fd in fds)):
+        raise InternalCheckError(
+            "two-row witness does not separate the axioms from the goal")
+    return table
 
 
 class RuleInstance(Frozen):

@@ -1,10 +1,11 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from relfd import bitrel, rel, search, tables
 from relfd.errors import (InternalCheckError, ResourceLimitError,
@@ -299,7 +300,7 @@ SCOPES = st.tuples(
        goal=st.tuples(SIDES, st.sets(st.sampled_from("ABCD"), min_size=1,
                                      max_size=2)),
        scope=SCOPES)
-def test_mask_search_matches_the_literal_searches(axioms, goal, scope):
+def test_closure_search_matches_the_literal_searches(axioms, goal, scope):
     # the first witness, None or the cap error, as the pair walk judged by
     # `violating_pair` gives them, and as the all-sizes literal search does
     # where it is cheap; sides may be empty, domains of size 1
@@ -345,9 +346,68 @@ def test_first_witness_is_row_0_and_a_0_1_row(axioms, goal, scope):
                           for v, v0, dom in zip(other, row0, doms))
 
 
+SIDES7 = st.sets(st.sampled_from("ABCDEFG"), max_size=3)
+DOMAIN12 = st.sampled_from([2, 1])
+
+
+@seed(26)
+@settings(max_examples=120, deadline=None, database=None)
+@given(axioms=st.lists(st.tuples(SIDES7, SIDES7), min_size=1, max_size=4),
+       goal=st.tuples(SIDES7, st.sets(st.sampled_from("ABCDEFG"), min_size=1,
+                                      max_size=3)),
+       scope=st.tuples(
+           st.sampled_from([2, 3, 4, 1]),
+           DOMAIN12 | st.lists(DOMAIN12, min_size=7, max_size=7).map(tuple),
+           st.sampled_from([search.DEFAULT_CANDIDATE_CAP, 10 ** 9, 1000])))
+def test_closure_search_matches_the_table_walk_on_five_to_seven_attributes(
+        axioms, goal, scope):
+    # five to seven attributes of one or two values (at most 128 rows): the
+    # greedy choice of each position in name order, over more positions
+    # than "ABCD", against the table walk
+    axioms = [AttrFd(x, y) for x, y in axioms]
+    goal = AttrFd(*goal)
+    n_attrs = len(mentioned_attrs(axioms, goal.antecedent | goal.consequent))
+    assume(n_attrs >= 5)
+    max_rows, sizes, cap = scope
+    if isinstance(sizes, tuple):
+        sizes = sizes[:n_attrs]
+    scope = Scope(max_rows=max_rows, domain_sizes=sizes, candidate_cap=cap)
+    assert (_outcome(search_tables, axioms, goal, scope)
+            == _outcome(table_walk_search, axioms, goal, scope))
+
+
+@pytest.mark.parametrize("m", [30, 60])
+def test_search_tables_answers_long_chains_by_closures(monkeypatch, m):
+    # a chain of m two-valued attributes under a cap raised past its
+    # 2 ** (2 m - 1) tables: the search takes at most m + 1 closures
+    names = [f"A{i:02d}" for i in range(m)]
+    axioms = [AttrFd(frozenset([x]), frozenset([y]))
+              for x, y in zip(names, names[1:])]
+    scope = Scope(max_rows=2, domain_sizes=2,
+                  candidate_cap=count_tables(2 ** m, 2))
+    calls = []
+
+    def counted(fds, attrs):
+        calls.append(attrs)
+        return attr_closure(fds, attrs)
+
+    monkeypatch.setattr(search, "attr_closure", counted)
+    start = time.perf_counter()
+    derivable = AttrFd(frozenset([names[0]]), frozenset([names[-1]]))
+    assert search_tables(axioms, derivable, scope) is None
+    assert len(calls) == 1
+    calls.clear()
+    found = search_tables(axioms, AttrFd(frozenset([names[-1]]),
+                                         frozenset([names[0]])), scope)
+    assert time.perf_counter() - start < 0.5
+    # backwards, the least qualifying disagreement set is {A00}
+    assert found.rows == {("0",) * m, ("1",) + ("0",) * (m - 1)}
+    assert len(calls) <= m + 1
+
+
 def test_search_tables_near_the_cap_builds_no_row_universe(monkeypatch):
     # a 12-attribute chain at domain size 2: 4,096 rows, 8.4M candidate
-    # tables, under the default cap; the walk visits at most 4,096 masks
+    # tables, under the default cap; the search takes at most 13 closures
     names = [f"A{i:02d}" for i in range(12)]
     axioms = [AttrFd(frozenset([x]), frozenset([y]))
               for x, y in zip(names, names[1:])]
@@ -366,7 +426,7 @@ def test_search_tables_near_the_cap_builds_no_row_universe(monkeypatch):
     assert found.rows == {("0",) * 12, ("1",) + ("0",) * 11}
 
 
-def test_mask_search_witness_is_rechecked(monkeypatch):
+def test_closure_search_witness_is_rechecked(monkeypatch):
     monkeypatch.setattr(search, "satisfies_oracle", lambda t, fd: True)
     with pytest.raises(InternalCheckError, match="does not separate"):
         search_tables(fds("A -> B"), parse_fd("B -> A"), Scope())
