@@ -188,13 +188,12 @@ def subset_table(m: int, n: int) -> np.ndarray:
 
 def fit_table(n: int, kernels: np.ndarray) -> np.ndarray:
     """T[m] = bitset of the j with subset(m, kernels[j]), for every mask m
-    over n -> n; kernels are masks over n -> n.  The bitsets are int32 for
-    up to 31 kernels (every function list at carrier sizes up to 3), else
-    int64."""
-    if len(kernels) > 62:
+    over n -> n; kernels are masks over n -> n.  The bitsets are int32, for
+    up to 31 kernels: a function list at carrier sizes up to 3 holds at
+    most 27, and `union_injectivity` passes chunks of 31."""
+    if len(kernels) > 31:
         raise ResourceLimitError(
-            f"kernel bitsets hold at most 62 kernels, got {len(kernels)}")
-    dtype = np.int32 if len(kernels) < 32 else np.int64
+            f"kernel bitsets hold at most 31 kernels, got {len(kernels)}")
     ok = subset(all_masks(n, n)[:, None], kernels[None, :])
-    return ok.astype(dtype) @ np.left_shift(
-        1, np.arange(len(kernels), dtype=dtype))
+    return ok.astype(np.int32) @ np.left_shift(
+        1, np.arange(len(kernels), dtype=np.int32))

@@ -100,13 +100,12 @@ class Law:
             seen.setdefault(v.target, None)
         return tuple(seen)
 
-    def iterated_slots(self) -> tuple[str, ...]:
-        fn_sources = {v.source for v in self.variables if v.function}
-        return tuple(s for s in self.slots() if s in fn_sources)
-
     def size_combos(self, max_carrier: int) -> Iterator[dict]:
-        """Size assignments, smallest first; non-varying slots at the bound."""
-        slots, varying = self.slots(), self.iterated_slots()
+        """Size assignments, smallest first: the source slots of function
+        variables vary, the others stay at the bound."""
+        slots = self.slots()
+        fn_sources = {v.source for v in self.variables if v.function}
+        varying = [s for s in slots if s in fn_sources]
         for sizes in itertools.product(range(1, max_carrier + 1),
                                        repeat=len(varying)):
             combo = dict.fromkeys(slots, max_carrier)

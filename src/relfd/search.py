@@ -35,14 +35,13 @@ and with them numpy, when called: the table searches never load them.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import InternalCheckError, ResourceLimitError, UnknownLawError
 from .fd import AttrFd, satisfies_oracle
 from .infer import attr_closure, mentioned_attrs
 from .rel import Carrier, Frozen
-from .tables import Scheme, Table, count_tables
+from .tables import ROW_CARRIER_LIMIT, Scheme, Table
 
 # Unused here; kept because the benchmark's tracer test binds it by this
 # name (relfd.search.enumerate_tables).
@@ -51,24 +50,20 @@ from .tables import enumerate_tables  # noqa: F401
 if TYPE_CHECKING:
     from .laws import Law
 
-DEFAULT_CANDIDATE_CAP = 10 ** 7
-
 
 class Scope(Frozen):
     """Size bounds for refutation searches."""
 
-    __slots__ = _fields = ("max_rows", "domain_sizes", "max_carrier",
-                           "candidate_cap")
+    __slots__ = _fields = ("max_rows", "domain_sizes", "max_carrier")
 
     def __init__(self, max_rows: int = 2,
-                 domain_sizes: int | tuple[int, ...] = 2, max_carrier: int = 3,
-                 candidate_cap: int = DEFAULT_CANDIDATE_CAP):
+                 domain_sizes: int | tuple[int, ...] = 2,
+                 max_carrier: int = 3):
         sizes = (domain_sizes if isinstance(domain_sizes, tuple)
                  else (domain_sizes,))
-        if (max_rows < 1 or max_carrier < 1
-                or candidate_cap < 1 or any(s < 1 for s in sizes)):
+        if max_rows < 1 or max_carrier < 1 or any(s < 1 for s in sizes):
             raise ValueError("scope bounds must all be positive")
-        super().__init__(max_rows, domain_sizes, max_carrier, candidate_cap)
+        super().__init__(max_rows, domain_sizes, max_carrier)
 
     def sizes_for(self, attrs: Sequence[str]) -> tuple[int, ...]:
         """Domain size of each of the attributes, in sorted name order."""
@@ -108,21 +103,20 @@ def search_tables(fds: Sequence[AttrFd], goal: AttrFd,
 
     The first table in canonical order is row 0 and r_D for the least
     qualifying D, whose agree set takes at most one closure per attribute
-    and one more to find (module docstring).  The candidate cap is checked
-    first, against the tables of every size up to `scope.max_rows`; it only
-    rejects out-of-range scopes.  The witness is re-checked by
-    `satisfies_oracle`.
+    and one more to find (module docstring).  The witness's scheme holds
+    the domain values of every attribute; unless the scope has one row,
+    their sum is checked before any closure against
+    `tables.ROW_CARRIER_LIMIT`, the bound on the values one carrier may
+    hold.  The witness is re-checked by `satisfies_oracle`.
     """
     attrs = sorted(mentioned_attrs(fds, goal.antecedent | goal.consequent))
     sizes = scope.sizes_for(attrs)
-    candidates = count_tables(math.prod(sizes), scope.max_rows,
-                              scope.candidate_cap)
-    if candidates > scope.candidate_cap:
-        raise ResourceLimitError(
-            f"{candidates} candidate tables exceed the cap of "
-            f"{scope.candidate_cap}")
     if scope.max_rows < 2:
         return None  # too few rows for a witness (module docstring)
+    if sum(sizes) > ROW_CARRIER_LIMIT:
+        raise ResourceLimitError(
+            f"the witness scheme would hold {sum(sizes)} domain values, "
+            f"over the {ROW_CARRIER_LIMIT} bound")
     agree = attr_closure(fds, goal.antecedent.union(
         a for a, k in zip(attrs, sizes) if k == 1))
     if goal.consequent <= agree:
@@ -166,12 +160,11 @@ class SoundnessResult(Frozen):
 
 
 def check_rule_soundness(instance: RuleInstance) -> SoundnessResult:
-    """Search the tables of up to 4 rows over two values per attribute
+    """Search the tables of up to 2 rows over two values per attribute
     for a model of the premises violating the conclusion; sound when there
     is none.  A witness of any size yields one of two rows over two values
     (module docstring), so no larger scope finds more."""
-    witness = search_tables(instance.premises, instance.conclusion,
-                            Scope(max_rows=4))
+    witness = search_tables(instance.premises, instance.conclusion, Scope())
     return SoundnessResult(witness is None, witness)
 
 

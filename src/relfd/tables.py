@@ -158,22 +158,6 @@ def _proj_fn(scheme: Scheme, attrs: frozenset) -> Rel:
     return Rel(src, _row_carrier(sub), frozenset(zip(rows, images)))
 
 
-def count_tables(universe: int, max_rows: int,
-                 cap: int | None = None) -> int:
-    """Number of tables with at most `max_rows` rows over `universe` rows.
-
-    With a `cap` the sum stops at the first row count that takes it past
-    the cap, so a huge scope is sized at once; the partial sum returned
-    then already exceeds the cap.
-    """
-    total = 0
-    for k in range(0, min(max_rows, universe) + 1):
-        total += math.comb(universe, k)
-        if cap is not None and total > cap:
-            break
-    return total
-
-
 def enumerate_tables(scheme: Scheme, max_rows: int) -> Iterator[Table]:
     """All tables with at most `max_rows` rows, by row count then row lex:
     the literal enumeration the table search is tested against."""

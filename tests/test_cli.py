@@ -443,13 +443,29 @@ def test_cex_over_cap_scope_fails_fast(capsys, scope):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
-    assert err.endswith("candidate tables exceed the cap of 10000000\n")
+    assert err.endswith("domain values, over the 1000000 bound\n")
+
+
+def test_cex_answers_eight_attributes_at_four_rows(tmp_path, capsys):
+    # 256 rows, whose tables of up to 4 rows number over 10**8: the search
+    # builds only the two-row witness
+    fds_file = tmp_path / "chain.fds"
+    fds_file.write_text("A -> B\nB -> C D\nC D -> E F G H\n")
+    code, payload, _ = run_json(capsys, "cex", "--fds", fds_file,
+                                "--goal", "H -> A", "--scope-rows", "4")
+    assert code == 1
+    witness = oracles.table_from_json(payload["witness"])
+    assert witness.scheme.names == tuple("ABCDEFGH")
+    assert len(witness.rows) == 2
+    assert all(fd.satisfies_oracle(witness, fd.parse_fd(line))
+               for line in fds_file.read_text().splitlines())
+    assert not fd.satisfies_oracle(witness, fd.parse_fd("H -> A"))
 
 
 def test_cex_one_row_scope_is_none_without_the_row_universe(tmp_path,
                                                             capsys):
     # no table of 0 or 1 rows violates an FD; the 10**6-row universe of
-    # this scope is under the candidate cap and is never built
+    # this scope is never built
     fds_file = tmp_path / "ab.fds"
     fds_file.write_text("A -> B\n")
     start = time.perf_counter()

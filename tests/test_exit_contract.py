@@ -5,10 +5,10 @@ Every input ends in exit code 0, 1 or 2 with no traceback: malformed FD
 files, attribute lists and goals, scopes up to 10**20, argv that argparse
 reads rather than the plain reader, junk and oversized CSV and schema
 files, and malformed, ill-typed and deeply nested query trees.
-Generated scopes stay cheap: few attributes and small domains, or past the
-cap; generated tables have at most three attributes of at most four
-values.  `laws` takes a single scope, so every listed value of it is run;
-carrier 3, the costliest, is left out.
+Generated scopes stay cheap: few attributes and small domains, or domains
+past the bound on the witness's values; generated tables have at most three
+attributes of at most four values.  `laws` takes a single scope, so every
+listed value of it is run; carrier 3, the costliest, is left out.
 """
 
 import contextlib
@@ -34,7 +34,8 @@ FD_FILE = st.one_of(st.lists(VALID_FD, max_size=3),
                     st.lists(VALID_FD, max_size=3),
                     st.lists(FD_LINE, max_size=3)
                     ).map("\n".join).map(str.encode) | st.binary(max_size=12)
-# small enough to enumerate, or large enough to pass the cap at once
+# small domains, whose witness is cheap to print, or domains large enough
+# to pass the bound on the witness's domain values at once
 SMALL = st.integers(1, 3).map(str)
 SCOPE = st.one_of(SMALL, SMALL, SMALL, st.sampled_from(["0", "-1"]),
                   st.integers(10 ** 7, 10 ** 20).map(str),

@@ -374,6 +374,23 @@ def test_wrong_rule_refuted_with_witness():
     assert not satisfies_oracle(result.witness, inst.conclusion)
 
 
+@pytest.mark.parametrize("conclusion, sound", [
+    ("A -> G", True), ("G -> A", False)])
+def test_seven_attribute_instances_are_judged(conclusion, sound):
+    # 7 attributes: 128 rows, whose tables of up to 4 rows number over 10**7
+    inst = RuleInstance(premises=(parse_fd("A -> B"),
+                                  parse_fd("B -> C D E F G")),
+                        conclusion=parse_fd(conclusion))
+    result = check_rule_soundness(inst)
+    assert result.ok is sound
+    assert (result.witness is None) is sound
+    if not sound:
+        assert len(result.witness.rows) == 2
+        assert all(satisfies_oracle(result.witness, fd)
+                   for fd in inst.premises)
+        assert not satisfies_oracle(result.witness, inst.conclusion)
+
+
 # ---------------------------------------------------------------------------
 # trading
 

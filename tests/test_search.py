@@ -18,8 +18,8 @@ from relfd.laws import (LAW_REGISTRY, LAW_SUITE, _distinct, _first_bit,
                         _trade_violation, search_law_bruteforce)
 from relfd.rel import Atom, Tup
 from relfd.search import Scope, search_law, search_tables, two_tuple_witness
-from relfd.tables import (Table, count_tables, enumerate_tables, row_carrier,
-                          table_to_csv)
+from relfd.tables import (ROW_CARRIER_LIMIT, Table, enumerate_tables,
+                          row_carrier, table_to_csv)
 
 CORRUPTED = ("galois_corrupted", "fork_lub_corrupted",
              "union_typing_corrupted", "join_converse_corrupted")
@@ -104,10 +104,29 @@ def test_search_tables_deterministic():
     assert first == second
 
 
-def test_search_tables_respects_candidate_cap():
-    with pytest.raises(ResourceLimitError):
-        search_tables(fds("A B C -> D"), parse_fd("D -> A"),
-                      Scope(max_rows=6, domain_sizes=4, candidate_cap=1000))
+def test_search_tables_respects_the_value_bound(monkeypatch):
+    # the witness scheme holds the sum of the domain sizes: at the bound the
+    # search answers, and one value past it fails before any closure,
+    # whatever the scope's row count above one
+    def no_closure(fds, attrs):
+        raise AssertionError("the search took a closure")
+
+    at = (ROW_CARRIER_LIMIT // 3,) * 2 + (ROW_CARRIER_LIMIT // 3 + 1,)
+    over = at[:2] + (at[2] + 1,)
+    assert sum(at) == ROW_CARRIER_LIMIT
+    assert search_tables(fds("A B -> C"), parse_fd("A B -> C"),
+                         Scope(domain_sizes=at)) is None
+    monkeypatch.setattr(search, "attr_closure", no_closure)
+    start = time.perf_counter()
+    for scope in (Scope(domain_sizes=over),
+                  Scope(max_rows=10 ** 20, domain_sizes=10 ** 20)):
+        with pytest.raises(ResourceLimitError,
+                           match=r"domain values, over the 1000000 bound"):
+            search_tables(fds("A B -> C"), parse_fd("C -> A"), scope)
+    assert time.perf_counter() - start < 0.1
+    # no table of 0 or 1 rows is a witness, so such a scope builds nothing
+    assert search_tables(fds("A B -> C"), parse_fd("C -> A"),
+                         Scope(max_rows=1, domain_sizes=over)) is None
 
 
 def test_search_tables_matches_two_tuple_existence_on_random_pairs():
@@ -212,17 +231,23 @@ def test_search_tables_builds_only_the_witness(monkeypatch):
             assert built[0][0] is found.scheme
 
 
+def count_tables(universe, max_rows):
+    """Number of tables with at most `max_rows` rows over `universe` rows:
+    what the enumerating oracles here walk."""
+    return sum(math.comb(universe, k)
+               for k in range(min(max_rows, universe) + 1))
+
+
+WALK_LIMIT = 10 ** 7
+
+
 def table_walk_search(axioms, goal, scope):
     """The table walk the pair walk replaced: every table of at most two
     rows, by row count then row content, each judged by `violating_pair`
-    on its rows."""
+    on its rows.  Its inputs keep it under `WALK_LIMIT` tables."""
     attrs = sorted(mentioned_attrs(axioms, goal.antecedent | goal.consequent))
-    candidates = count_tables(math.prod(scope.sizes_for(attrs)),
-                              scope.max_rows, scope.candidate_cap)
-    if candidates > scope.candidate_cap:
-        raise ResourceLimitError(
-            f"{candidates} candidate tables exceed the cap of "
-            f"{scope.candidate_cap}")
+    walked = count_tables(math.prod(scope.sizes_for(attrs)), 2)
+    assert walked <= WALK_LIMIT, f"{walked} tables are too many to walk"
     if scope.max_rows < 2:
         return None
     scheme = scope.scheme_for(attrs)
@@ -235,22 +260,14 @@ def table_walk_search(axioms, goal, scope):
     return None
 
 
-def _outcome(search, axioms, goal, scope):
-    try:
-        return search(axioms, goal, scope)
-    except ResourceLimitError as e:
-        return str(e)
-
-
 def test_search_tables_matches_the_table_walk_on_large_universes():
     # bench-shaped FD sets: a chain a -> b (-> c) and a group of the other
     # attributes determining one chain member; the goal is the chain read
     # forwards (derivable) or backwards (refutable).  Universes of 100-1,000
     # rows; a derivable goal walks every pair, so its universe stays under
-    # 200.  Half the scopes lift the candidate cap, so that three- and
-    # four-row bounds reach the walk.
+    # 200.
     rnd = random.Random(2210)
-    seen = {"witness": 0, "none_walked": 0, "capped": 0, "one_row": 0}
+    seen = {"witness": 0, "none_walked": 0, "one_row": 0}
     for case in range(32):
         names = sorted(rnd.sample("ABCDEF", rnd.randint(4, 6)))
         chain = rnd.sample(names, rnd.randint(2, 3))
@@ -270,13 +287,10 @@ def test_search_tables_matches_the_table_walk_on_large_universes():
             if 100 <= math.prod(sizes) <= top:
                 break
         max_rows = case // 2 % 4 + 1
-        scope = Scope(max_rows=max_rows, domain_sizes=sizes,
-                      candidate_cap=10 ** 7 if case % 16 < 8 else 10 ** 15)
-        found = _outcome(search_tables, axioms, goal, scope)
-        assert found == _outcome(table_walk_search, axioms, goal, scope)
-        if isinstance(found, str):
-            seen["capped"] += 1
-        elif max_rows == 1:
+        scope = Scope(max_rows=max_rows, domain_sizes=sizes)
+        found = search_tables(axioms, goal, scope)
+        assert found == table_walk_search(axioms, goal, scope)
+        if max_rows == 1:
             seen["one_row"] += 1
         elif found is None:
             seen["none_walked"] += 1
@@ -290,8 +304,7 @@ SIDES = st.sets(st.sampled_from("ABCD"), max_size=2)
 DOMAIN = st.sampled_from([2, 3, 1])
 SCOPES = st.tuples(
     st.sampled_from([2, 3, 4, 1]),                            # max_rows
-    DOMAIN | st.lists(DOMAIN, min_size=4, max_size=4).map(tuple),
-    st.sampled_from([search.DEFAULT_CANDIDATE_CAP, 1000, 100, 10, 1]))
+    DOMAIN | st.lists(DOMAIN, min_size=4, max_size=4).map(tuple))
 
 
 @seed(24)
@@ -301,20 +314,20 @@ SCOPES = st.tuples(
                                      max_size=2)),
        scope=SCOPES)
 def test_closure_search_matches_the_literal_searches(axioms, goal, scope):
-    # the first witness, None or the cap error, as the pair walk judged by
-    # `violating_pair` gives them, and as the all-sizes literal search does
-    # where it is cheap; sides may be empty, domains of size 1
+    # the first witness or None, as the pair walk judged by `violating_pair`
+    # gives them, and as the all-sizes literal search does where it is
+    # cheap; sides may be empty, domains of size 1
     axioms = [AttrFd(x, y) for x, y in axioms]
     goal = AttrFd(*goal)
-    max_rows, sizes, cap = scope
+    max_rows, sizes = scope
     n_attrs = len(mentioned_attrs(axioms, goal.antecedent | goal.consequent))
     if isinstance(sizes, tuple):
         sizes = sizes[:n_attrs]  # four drawn, for at most four attributes
-    scope = Scope(max_rows=max_rows, domain_sizes=sizes, candidate_cap=cap)
-    found = _outcome(search_tables, axioms, goal, scope)
-    assert found == _outcome(table_walk_search, axioms, goal, scope)
+    scope = Scope(max_rows=max_rows, domain_sizes=sizes)
+    found = search_tables(axioms, goal, scope)
+    assert found == table_walk_search(axioms, goal, scope)
     universe = math.prod(scope.sizes_for(range(n_attrs)))
-    if not isinstance(found, str) and count_tables(universe, max_rows) < 3000:
+    if count_tables(universe, max_rows) < 3000:
         assert found == literal_search(axioms, goal, scope)
 
 
@@ -330,13 +343,13 @@ def test_first_witness_is_row_0_and_a_0_1_row(axioms, goal, scope):
     # second value where it differs from row 0
     axioms = [AttrFd(x, y) for x, y in axioms]
     goal = AttrFd(*goal)
-    max_rows, sizes, cap = scope
+    max_rows, sizes = scope
     n_attrs = len(mentioned_attrs(axioms, goal.antecedent | goal.consequent))
     if isinstance(sizes, tuple):
         sizes = sizes[:n_attrs]
-    scope = Scope(max_rows=max_rows, domain_sizes=sizes, candidate_cap=cap)
-    found = _outcome(table_walk_search, axioms, goal, scope)
-    if found is None or isinstance(found, str):
+    scope = Scope(max_rows=max_rows, domain_sizes=sizes)
+    found = table_walk_search(axioms, goal, scope)
+    if found is None:
         return
     row0 = row_carrier(found.scheme).elements[0]
     assert row0 in found.rows
@@ -357,8 +370,7 @@ DOMAIN12 = st.sampled_from([2, 1])
                                       max_size=3)),
        scope=st.tuples(
            st.sampled_from([2, 3, 4, 1]),
-           DOMAIN12 | st.lists(DOMAIN12, min_size=7, max_size=7).map(tuple),
-           st.sampled_from([search.DEFAULT_CANDIDATE_CAP, 10 ** 9, 1000])))
+           DOMAIN12 | st.lists(DOMAIN12, min_size=7, max_size=7).map(tuple)))
 def test_closure_search_matches_the_table_walk_on_five_to_seven_attributes(
         axioms, goal, scope):
     # five to seven attributes of one or two values (at most 128 rows): the
@@ -368,30 +380,33 @@ def test_closure_search_matches_the_table_walk_on_five_to_seven_attributes(
     goal = AttrFd(*goal)
     n_attrs = len(mentioned_attrs(axioms, goal.antecedent | goal.consequent))
     assume(n_attrs >= 5)
-    max_rows, sizes, cap = scope
+    max_rows, sizes = scope
     if isinstance(sizes, tuple):
         sizes = sizes[:n_attrs]
-    scope = Scope(max_rows=max_rows, domain_sizes=sizes, candidate_cap=cap)
-    assert (_outcome(search_tables, axioms, goal, scope)
-            == _outcome(table_walk_search, axioms, goal, scope))
+    scope = Scope(max_rows=max_rows, domain_sizes=sizes)
+    assert (search_tables(axioms, goal, scope)
+            == table_walk_search(axioms, goal, scope))
 
 
 @pytest.mark.parametrize("m", [30, 60])
 def test_search_tables_answers_long_chains_by_closures(monkeypatch, m):
-    # a chain of m two-valued attributes under a cap raised past its
-    # 2 ** (2 m - 1) tables: the search takes at most m + 1 closures
+    # a chain of m two-valued attributes, over 2 ** m rows: the search
+    # takes at most m + 1 closures and builds no row universe
     names = [f"A{i:02d}" for i in range(m)]
     axioms = [AttrFd(frozenset([x]), frozenset([y]))
               for x, y in zip(names, names[1:])]
-    scope = Scope(max_rows=2, domain_sizes=2,
-                  candidate_cap=count_tables(2 ** m, 2))
+    scope = Scope(max_rows=2, domain_sizes=2)
     calls = []
 
     def counted(fds, attrs):
         calls.append(attrs)
         return attr_closure(fds, attrs)
 
+    def no_universe(scheme):
+        raise AssertionError("the search built a row universe")
+
     monkeypatch.setattr(search, "attr_closure", counted)
+    monkeypatch.setattr(tables, "_row_carrier", no_universe)
     start = time.perf_counter()
     derivable = AttrFd(frozenset([names[0]]), frozenset([names[-1]]))
     assert search_tables(axioms, derivable, scope) is None
@@ -403,27 +418,6 @@ def test_search_tables_answers_long_chains_by_closures(monkeypatch, m):
     # backwards, the least qualifying disagreement set is {A00}
     assert found.rows == {("0",) * m, ("1",) + ("0",) * (m - 1)}
     assert len(calls) <= m + 1
-
-
-def test_search_tables_near_the_cap_builds_no_row_universe(monkeypatch):
-    # a 12-attribute chain at domain size 2: 4,096 rows, 8.4M candidate
-    # tables, under the default cap; the search takes at most 13 closures
-    names = [f"A{i:02d}" for i in range(12)]
-    axioms = [AttrFd(frozenset([x]), frozenset([y]))
-              for x, y in zip(names, names[1:])]
-    scope = Scope(max_rows=2, domain_sizes=2)
-    assert count_tables(2 ** 12, 2) <= scope.candidate_cap
-
-    def no_universe(scheme):
-        raise AssertionError("the search built a row universe")
-
-    monkeypatch.setattr(tables, "_row_carrier", no_universe)
-    derivable = AttrFd(frozenset([names[0]]), frozenset([names[-1]]))
-    assert search_tables(axioms, derivable, scope) is None
-    # backwards, the least qualifying disagreement set is {A00}
-    found = search_tables(axioms, AttrFd(frozenset([names[-1]]),
-                                         frozenset([names[0]])), scope)
-    assert found.rows == {("0",) * 12, ("1",) + ("0",) * 11}
 
 
 def test_closure_search_witness_is_rechecked(monkeypatch):
@@ -503,15 +497,15 @@ def test_fit_table_matches_elementwise_subset():
         kernel_sets = [bitrel.kernel_table(n, k)[bitrel.function_masks(n, k)]
                        for k in (1, 2, 3)]
         kernel_sets.append(np.array(rnd.sample(range(1 << (n * n)),
-                                               min(62, 1 << (n * n)))))
+                                               min(31, 1 << (n * n)))))
         for kernels in kernel_sets:
             fits = bitrel.fit_table(n, kernels)
             for j, k in enumerate(kernels):
                 assert np.array_equal((fits >> j) & 1 == 1,
                                       bitrel.subset(masks, k))
             assert not (fits >> len(kernels)).any()
-    with pytest.raises(ResourceLimitError, match="62"):
-        bitrel.fit_table(3, np.arange(63))
+    with pytest.raises(ResourceLimitError, match="31"):
+        bitrel.fit_table(3, np.arange(32))
 
 
 def test_sweeps_agree_with_bruteforce_at_size_2():

@@ -198,13 +198,12 @@ class Scope:
     max_rows: int = 2
     domain_sizes: int | tuple = 2
     max_carrier: int = 3
-    candidate_cap: int = search.DEFAULT_CANDIDATE_CAP
 
     def __post_init__(self):
         sizes = (self.domain_sizes if isinstance(self.domain_sizes, tuple)
                  else (self.domain_sizes,))
         if (self.max_rows < 1 or self.max_carrier < 1
-                or self.candidate_cap < 1 or any(s < 1 for s in sizes)):
+                or any(s < 1 for s in sizes)):
             raise ValueError("scope bounds must all be positive")
 
 
@@ -402,8 +401,7 @@ KINDS = {
         "max_rows": st.integers(1, 4),
         "domain_sizes": (st.integers(1, 3)
                          | st.lists(st.integers(1, 3), max_size=3).map(tuple)),
-        "max_carrier": st.integers(1, 4),
-        "candidate_cap": st.integers(1, 10 ** 8)}),
+        "max_carrier": st.integers(1, 4)}),
         lambda p, ns: ns.Scope(**p)),
     "RuleInstance": (st.tuples(st.lists(st.tuples(NAMES, NAMES), max_size=2),
                                st.tuples(NAMES, NAMES), st.booleans()),
@@ -575,7 +573,7 @@ def test_constructors_take_their_fields_exactly_once(ns):
         with pytest.raises(TypeError):
             call()
     for bad in ({"max_rows": 0}, {"domain_sizes": (2, 0)},
-                {"candidate_cap": 0}, {"max_carrier": -1}):
+                {"max_carrier": -1}):
         with pytest.raises(ValueError, match="must all be positive"):
             ns.Scope(**bad)
 
