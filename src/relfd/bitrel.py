@@ -190,7 +190,7 @@ def fit_table(n: int, kernels: np.ndarray) -> np.ndarray:
     """T[m] = bitset of the j with subset(m, kernels[j]), for every mask m
     over n -> n; kernels are masks over n -> n.  The bitsets are int32, for
     up to 31 kernels: a function list at carrier sizes up to 3 holds at
-    most 27, and `union_injectivity` passes chunks of 31."""
+    most 27, and `union_injectivity` passes at most 18 distinct kernels."""
     if len(kernels) > 31:
         raise ResourceLimitError(
             f"kernel bitsets hold at most 31 kernels, got {len(kernels)}")

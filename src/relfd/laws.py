@@ -378,23 +378,21 @@ def _holds_union_injectivity(a: dict) -> bool:
 
 
 def _sweep_union_injectivity(sz: dict) -> Optional[dict]:
-    """X is judged once per distinct kernel, and 31 kernels at a time: each
-    judgement is an int32 bitset over them (`bitrel.fit_table`)."""
+    """X is judged once per distinct kernel, each judgement an int32 bitset
+    over them (`bitrel.fit_table`): carriers up to 3 have at most 18."""
     a, b = sz["A"], sz["B"]
     ker_ab = B.kernel_table(a, b)
     crs = B.compose_table(a, b, a)[B.converse_table(a, b)]  # [R, S]: R~.S
     masks = np.arange(1 << (a * b), dtype=np.int64)
     ku = ker_ab.take(masks[:, None] | masks[None, :])  # [R, S]: ker(R|S)
     xs = _distinct(ker_ab)
-    for start in range(0, len(xs), 31):
-        chunk = xs[start:start + 31]
-        fits = B.fit_table(a, ker_ab[chunk])
-        single = fits[ker_ab]
-        lhs = fits.take(ku)
-        rhs = single[:, None] & single[None, :] & fits.take(crs)
-        if not np.array_equal(lhs, rhs):
-            xi, ri, si = _first_bit(lhs ^ rhs)
-            return {"X": int(chunk[xi]), "R": ri, "S": si}
+    fits = B.fit_table(a, ker_ab[xs])
+    single = fits[ker_ab]
+    lhs = fits.take(ku)
+    rhs = single[:, None] & single[None, :] & fits.take(crs)
+    if not np.array_equal(lhs, rhs):
+        xi, ri, si = _first_bit(lhs ^ rhs)
+        return {"X": int(xs[xi]), "R": ri, "S": si}
     return None
 
 

@@ -8,20 +8,19 @@ set D of positions where they disagree (the complement of their agree set,
 Beeri, Dowd, Fagin and Statman, J. ACM 31(1), 1984) misses X and meets Y.
 Call D qualifying when it breaks the goal and no axiom.  An FD holds on a
 table when it holds on each two of its rows, so no table of 0 or 1 rows is
-a witness, and a witness of any size holds a pair with a qualifying D that
-alone is one: the first witness has two rows.  Each position of D has two
-values or more, so with row 0 the row of first values and r_D the row of
-second values on D and first values elsewhere, {row 0, r_D} is a witness
-too.  In the lexicographic order of rows the pairs with row 0 come first,
-r_D is the first row whose disagreement set with row 0 is D, and r_D
-precedes r_D' exactly when the first position where D and D' differ lies in
-D'.  So the first witness is {row 0, r_D} for the least qualifying D, whose
-agree set A takes each position in order whenever it can.  D qualifies
-exactly when A holds X and every one-value position, misses part of Y and
-is closed under the axioms; a closure is the least closed superset, so some
-qualifying A holds a set S exactly when the closure of S misses part of Y.
-So A starts as the closure of X and the one-value positions and takes each
-position in order, as the closure of A with it, whenever that closure
+a witness (over one-value domains no table has more), and a witness of any
+size holds a pair with a qualifying D that alone is one: the first witness
+has two rows.  With row 0 the row of first values and r_D the row of second
+values on D and first values elsewhere, {row 0, r_D} is a witness too.  In
+the lexicographic order of rows the pairs with row 0 come first, r_D is the
+first row whose disagreement set with row 0 is D, and r_D precedes r_D'
+exactly when the first position where D and D' differ lies in D'.  So the
+first witness is {row 0, r_D} for the least qualifying D, whose agree set A
+takes each position in order whenever it can.  D qualifies exactly when A
+holds X, misses part of Y and is closed under the axioms; a closure is the
+least closed superset, so some qualifying A holds a set S exactly when the
+closure of S misses part of Y.  So A starts as the closure of X and takes
+each position in order, as the closure of A with it, whenever that closure
 misses part of Y.  A position left out never returns, since every closed
 set holding it and A covers Y.  When the first closure covers Y, no table
 of any size is a witness.  `search_law` sweeps a registered algebraic law
@@ -56,31 +55,18 @@ class Scope(Frozen):
 
     __slots__ = _fields = ("max_rows", "domain_sizes", "max_carrier")
 
-    def __init__(self, max_rows: int = 2,
-                 domain_sizes: int | tuple[int, ...] = 2,
+    def __init__(self, max_rows: int = 2, domain_sizes: int = 2,
                  max_carrier: int = 3):
-        sizes = (domain_sizes if isinstance(domain_sizes, tuple)
-                 else (domain_sizes,))
-        if max_rows < 1 or max_carrier < 1 or any(s < 1 for s in sizes):
+        if min(max_rows, domain_sizes, max_carrier) < 1:
             raise ValueError("scope bounds must all be positive")
         super().__init__(max_rows, domain_sizes, max_carrier)
 
-    def sizes_for(self, attrs: Sequence[str]) -> tuple[int, ...]:
-        """Domain size of each of the attributes, in sorted name order."""
-        if isinstance(self.domain_sizes, tuple):
-            if len(self.domain_sizes) != len(attrs):
-                raise ValueError(
-                    f"{len(self.domain_sizes)} domain sizes for "
-                    f"{len(attrs)} attributes")
-            return self.domain_sizes
-        return (self.domain_sizes,) * len(attrs)
-
     def scheme_for(self, attrs: Sequence[str]) -> Scheme:
-        """Scheme over the sorted attribute names with numeric atom domains."""
-        names = sorted(attrs)
-        return Scheme(tuple(
-            (name, Carrier(name, tuple(str(i) for i in range(k))))
-            for name, k in zip(names, self.sizes_for(names))))
+        """Scheme over the sorted attribute names, each with the numeric
+        atoms 0 .. domain_sizes - 1."""
+        values = tuple(str(i) for i in range(self.domain_sizes))
+        return Scheme(tuple((name, Carrier(name, values))
+                            for name in sorted(attrs)))
 
 
 def two_tuple_witness(fds: Sequence[AttrFd], goal: AttrFd) -> Optional[Table]:
@@ -93,8 +79,7 @@ def two_tuple_witness(fds: Sequence[AttrFd], goal: AttrFd) -> Optional[Table]:
     closure = attr_closure(fds, goal.antecedent)
     if goal.consequent <= closure:
         return None
-    return _agree_pair(Scope(domain_sizes=2).scheme_for(attrs), closure,
-                       fds, goal)
+    return _agree_pair(Scope().scheme_for(attrs), closure, fds, goal)
 
 
 def search_tables(fds: Sequence[AttrFd], goal: AttrFd,
@@ -105,20 +90,21 @@ def search_tables(fds: Sequence[AttrFd], goal: AttrFd,
     qualifying D, whose agree set takes at most one closure per attribute
     and one more to find (module docstring).  The witness's scheme holds
     the domain values of every attribute; unless the scope has one row,
-    their sum is checked before any closure against
-    `tables.ROW_CARRIER_LIMIT`, the bound on the values one carrier may
-    hold.  The witness is re-checked by `satisfies_oracle`.
+    their number, attributes times `domain_sizes`, is checked before any
+    closure against `tables.ROW_CARRIER_LIMIT`, the bound on the values one
+    carrier may hold.  The witness is re-checked by `satisfies_oracle`.
     """
     attrs = sorted(mentioned_attrs(fds, goal.antecedent | goal.consequent))
-    sizes = scope.sizes_for(attrs)
     if scope.max_rows < 2:
         return None  # too few rows for a witness (module docstring)
-    if sum(sizes) > ROW_CARRIER_LIMIT:
+    values = len(attrs) * scope.domain_sizes
+    if values > ROW_CARRIER_LIMIT:
         raise ResourceLimitError(
-            f"the witness scheme would hold {sum(sizes)} domain values, "
+            f"the witness scheme would hold {values} domain values, "
             f"over the {ROW_CARRIER_LIMIT} bound")
-    agree = attr_closure(fds, goal.antecedent.union(
-        a for a, k in zip(attrs, sizes) if k == 1))
+    if scope.domain_sizes < 2:
+        return None  # two rows of one-value domains are equal
+    agree = attr_closure(fds, goal.antecedent)
     if goal.consequent <= agree:
         return None
     for a in attrs:

@@ -16,6 +16,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -117,6 +118,13 @@ def test_start_path_stays_within_its_line_count():
     lines = sum(len(f.read_text(encoding="utf-8").splitlines())
                 for f in files)
     assert lines <= START_LINES, lines
+
+
+def test_readme_states_the_start_path_line_count():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"hold ([\d,]+) lines, and `tests/test_imports\.py`",
+                        " ".join(readme.split()))
+    assert [int(n.replace(",", "")) for n in stated] == [START_LINES]
 
 
 def test_argparse_loads_only_for_an_argv_the_plain_reader_declines():

@@ -92,6 +92,20 @@ def test_search_tables_single_row_scope_finds_nothing():
                          Scope(max_rows=1)) is None
 
 
+def test_search_tables_without_two_distinct_rows_takes_no_closure(
+        monkeypatch):
+    # one row, or one value per attribute (two rows of it are equal), is
+    # too little for a witness: the answer is None before any closure
+    def no_closure(fds, attrs):
+        raise AssertionError("the search took a closure")
+
+    monkeypatch.setattr(search, "attr_closure", no_closure)
+    for scope in (*(Scope(max_rows=k, domain_sizes=1) for k in (2, 3, 5)),
+                  Scope(max_rows=1), Scope(max_rows=1, domain_sizes=3)):
+        assert search_tables(fds("A -> B"), parse_fd("B -> A"),
+                             scope) is None, scope
+
+
 def test_search_tables_derivable_goal_has_no_model():
     assert search_tables(fds("A -> B", "B -> C"), parse_fd("A -> C"),
                          Scope(max_rows=3)) is None
@@ -105,28 +119,28 @@ def test_search_tables_deterministic():
 
 
 def test_search_tables_respects_the_value_bound(monkeypatch):
-    # the witness scheme holds the sum of the domain sizes: at the bound the
-    # search answers, and one value past it fails before any closure,
-    # whatever the scope's row count above one
+    # the witness scheme holds attributes times domain size values: over
+    # four attributes at the bound the search answers, and one value more
+    # per attribute fails before any closure, whatever the scope's row
+    # count above one
     def no_closure(fds, attrs):
         raise AssertionError("the search took a closure")
 
-    at = (ROW_CARRIER_LIMIT // 3,) * 2 + (ROW_CARRIER_LIMIT // 3 + 1,)
-    over = at[:2] + (at[2] + 1,)
-    assert sum(at) == ROW_CARRIER_LIMIT
-    assert search_tables(fds("A B -> C"), parse_fd("A B -> C"),
+    at = ROW_CARRIER_LIMIT // 4
+    assert 4 * at == ROW_CARRIER_LIMIT
+    assert search_tables(fds("A B -> C D"), parse_fd("A B -> C"),
                          Scope(domain_sizes=at)) is None
     monkeypatch.setattr(search, "attr_closure", no_closure)
     start = time.perf_counter()
-    for scope in (Scope(domain_sizes=over),
+    for scope in (Scope(domain_sizes=at + 1),
                   Scope(max_rows=10 ** 20, domain_sizes=10 ** 20)):
         with pytest.raises(ResourceLimitError,
                            match=r"domain values, over the 1000000 bound"):
-            search_tables(fds("A B -> C"), parse_fd("C -> A"), scope)
+            search_tables(fds("A B -> C D"), parse_fd("C -> A"), scope)
     assert time.perf_counter() - start < 0.1
     # no table of 0 or 1 rows is a witness, so such a scope builds nothing
-    assert search_tables(fds("A B -> C"), parse_fd("C -> A"),
-                         Scope(max_rows=1, domain_sizes=over)) is None
+    assert search_tables(fds("A B -> C D"), parse_fd("C -> A"),
+                         Scope(max_rows=1, domain_sizes=at + 1)) is None
 
 
 def test_search_tables_matches_two_tuple_existence_on_random_pairs():
@@ -166,10 +180,10 @@ DOM_SIZES = (1, 2, 2, 3, 3)
 
 def test_search_tables_matches_the_literal_all_sizes_search():
     # universes of at most 16 rows at max_rows 4 (36 at 3) keep the literal
-    # search cheap; domain sizes are one int or a tuple, 1 in a fifth
+    # search cheap; the domain size is 1 in a fifth of the draws
     rnd = random.Random(6)
     names = ["A", "B", "C", "D"]
-    seen = {"refuted": 0, "derivable": 0, "dom1": 0, "tuple": 0}
+    seen = {"refuted": 0, "derivable": 0, "dom1": 0}
     witness_rows = set()
 
     def side(pool):
@@ -184,14 +198,11 @@ def test_search_tables_matches_the_literal_all_sizes_search():
             *(fd.antecedent | fd.consequent for fd in axioms)))
         max_rows = case % 4 + 1
         limit = {1: 81, 2: 81, 3: 36, 4: 16}[max_rows]
-        as_tuple = rnd.random() < 0.5
         while True:
-            sizes = (tuple(rnd.choice(DOM_SIZES) for _ in range(n_attrs))
-                     if as_tuple else (rnd.choice(DOM_SIZES),) * n_attrs)
-            if math.prod(sizes) <= limit:
+            dom = rnd.choice(DOM_SIZES)
+            if dom ** n_attrs <= limit:
                 break
-        scope = Scope(max_rows=max_rows,
-                      domain_sizes=sizes if as_tuple else sizes[0])
+        scope = Scope(max_rows=max_rows, domain_sizes=dom)
         found = search_tables(axioms, goal, scope)
         assert found == literal_search(axioms, goal, scope)
         derivable = derive(axioms, goal) is not None
@@ -203,8 +214,7 @@ def test_search_tables_matches_the_literal_all_sizes_search():
         if found is not None:
             seen["refuted"] += 1
             witness_rows.add(max_rows)
-        seen["dom1"] += 1 in sizes
-        seen["tuple"] += as_tuple
+        seen["dom1"] += dom == 1
     assert witness_rows == {2, 3, 4}
     assert min(seen.values()) >= 20, seen
 
@@ -246,7 +256,7 @@ def table_walk_search(axioms, goal, scope):
     rows, by row count then row content, each judged by `violating_pair`
     on its rows.  Its inputs keep it under `WALK_LIMIT` tables."""
     attrs = sorted(mentioned_attrs(axioms, goal.antecedent | goal.consequent))
-    walked = count_tables(math.prod(scope.sizes_for(attrs)), 2)
+    walked = count_tables(scope.domain_sizes ** len(attrs), 2)
     assert walked <= WALK_LIMIT, f"{walked} tables are too many to walk"
     if scope.max_rows < 2:
         return None
@@ -263,13 +273,16 @@ def table_walk_search(axioms, goal, scope):
 def test_search_tables_matches_the_table_walk_on_large_universes():
     # bench-shaped FD sets: a chain a -> b (-> c) and a group of the other
     # attributes determining one chain member; the goal is the chain read
-    # forwards (derivable) or backwards (refutable).  Universes of 100-1,000
-    # rows; a derivable goal walks every pair, so its universe stays under
-    # 200.
+    # forwards (derivable) or backwards (refutable).  Universes of 243-729
+    # rows: 4 attributes of 4 or 5 values, or 5 or 6 of 3; a derivable goal
+    # walks every pair, so its universe stays at 256 or under.
     rnd = random.Random(2210)
+    shapes = {True: [(4, 4), (5, 3)], False: [(4, 4), (4, 5), (5, 3), (6, 3)]}
     seen = {"witness": 0, "none_walked": 0, "one_row": 0}
     for case in range(32):
-        names = sorted(rnd.sample("ABCDEF", rnd.randint(4, 6)))
+        derivable = case % 2 == 0
+        n_attrs, dom = rnd.choice(shapes[derivable])
+        names = sorted(rnd.sample("ABCDEF", n_attrs))
         chain = rnd.sample(names, rnd.randint(2, 3))
         rest = [n for n in names if n not in chain]
         axioms = [AttrFd(frozenset([x]), frozenset([y]))
@@ -277,17 +290,11 @@ def test_search_tables_matches_the_table_walk_on_large_universes():
         if rest:
             axioms.append(AttrFd(frozenset(rest),
                                  frozenset([rnd.choice(chain)])))
-        derivable = case % 2 == 0
         a, z = (chain[0], chain[-1]) if derivable else (chain[-1], chain[0])
         goal = AttrFd(frozenset([a]), frozenset([z]))
         assert (derive(axioms, goal) is not None) == derivable
-        top = 200 if derivable else 1000
-        while True:
-            sizes = tuple(rnd.randint(2, 6) for _ in names)
-            if 100 <= math.prod(sizes) <= top:
-                break
         max_rows = case // 2 % 4 + 1
-        scope = Scope(max_rows=max_rows, domain_sizes=sizes)
+        scope = Scope(max_rows=max_rows, domain_sizes=dom)
         found = search_tables(axioms, goal, scope)
         assert found == table_walk_search(axioms, goal, scope)
         if max_rows == 1:
@@ -302,9 +309,7 @@ def test_search_tables_matches_the_table_walk_on_large_universes():
 
 SIDES = st.sets(st.sampled_from("ABCD"), max_size=2)
 DOMAIN = st.sampled_from([2, 3, 1])
-SCOPES = st.tuples(
-    st.sampled_from([2, 3, 4, 1]),                            # max_rows
-    DOMAIN | st.lists(DOMAIN, min_size=4, max_size=4).map(tuple))
+SCOPES = st.tuples(st.sampled_from([2, 3, 4, 1]), DOMAIN)  # rows, values
 
 
 @seed(24)
@@ -319,15 +324,12 @@ def test_closure_search_matches_the_literal_searches(axioms, goal, scope):
     # cheap; sides may be empty, domains of size 1
     axioms = [AttrFd(x, y) for x, y in axioms]
     goal = AttrFd(*goal)
-    max_rows, sizes = scope
+    max_rows, dom = scope
     n_attrs = len(mentioned_attrs(axioms, goal.antecedent | goal.consequent))
-    if isinstance(sizes, tuple):
-        sizes = sizes[:n_attrs]  # four drawn, for at most four attributes
-    scope = Scope(max_rows=max_rows, domain_sizes=sizes)
+    scope = Scope(max_rows=max_rows, domain_sizes=dom)
     found = search_tables(axioms, goal, scope)
     assert found == table_walk_search(axioms, goal, scope)
-    universe = math.prod(scope.sizes_for(range(n_attrs)))
-    if count_tables(universe, max_rows) < 3000:
+    if count_tables(dom ** n_attrs, max_rows) < 3000:
         assert found == literal_search(axioms, goal, scope)
 
 
@@ -343,11 +345,7 @@ def test_first_witness_is_row_0_and_a_0_1_row(axioms, goal, scope):
     # second value where it differs from row 0
     axioms = [AttrFd(x, y) for x, y in axioms]
     goal = AttrFd(*goal)
-    max_rows, sizes = scope
-    n_attrs = len(mentioned_attrs(axioms, goal.antecedent | goal.consequent))
-    if isinstance(sizes, tuple):
-        sizes = sizes[:n_attrs]
-    scope = Scope(max_rows=max_rows, domain_sizes=sizes)
+    scope = Scope(*scope)
     found = table_walk_search(axioms, goal, scope)
     if found is None:
         return
@@ -368,9 +366,7 @@ DOMAIN12 = st.sampled_from([2, 1])
 @given(axioms=st.lists(st.tuples(SIDES7, SIDES7), min_size=1, max_size=4),
        goal=st.tuples(SIDES7, st.sets(st.sampled_from("ABCDEFG"), min_size=1,
                                       max_size=3)),
-       scope=st.tuples(
-           st.sampled_from([2, 3, 4, 1]),
-           DOMAIN12 | st.lists(DOMAIN12, min_size=7, max_size=7).map(tuple)))
+       scope=st.tuples(st.sampled_from([2, 3, 4, 1]), DOMAIN12))
 def test_closure_search_matches_the_table_walk_on_five_to_seven_attributes(
         axioms, goal, scope):
     # five to seven attributes of one or two values (at most 128 rows): the
@@ -380,10 +376,7 @@ def test_closure_search_matches_the_table_walk_on_five_to_seven_attributes(
     goal = AttrFd(*goal)
     n_attrs = len(mentioned_attrs(axioms, goal.antecedent | goal.consequent))
     assume(n_attrs >= 5)
-    max_rows, sizes = scope
-    if isinstance(sizes, tuple):
-        sizes = sizes[:n_attrs]
-    scope = Scope(max_rows=max_rows, domain_sizes=sizes)
+    scope = Scope(*scope)
     assert (search_tables(axioms, goal, scope)
             == table_walk_search(axioms, goal, scope))
 
@@ -431,9 +424,12 @@ def test_scope_validation():
     with pytest.raises(ValueError):
         Scope(max_rows=0)
     with pytest.raises(ValueError):
-        Scope(domain_sizes=(2, 0))
+        Scope(domain_sizes=0)
     with pytest.raises(ValueError):
-        Scope(domain_sizes=(2, 2)).scheme_for(["A"])
+        Scope(max_carrier=0)
+    # one domain size serves every attribute; a tuple is no size
+    with pytest.raises(TypeError):
+        Scope(domain_sizes=(2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +502,16 @@ def test_fit_table_matches_elementwise_subset():
             assert not (fits >> len(kernels)).any()
     with pytest.raises(ResourceLimitError, match="31"):
         bitrel.fit_table(3, np.arange(32))
+
+
+def test_distinct_kernels_fit_one_int32_bitset():
+    # `union_injectivity` passes every distinct kernel of R: A -> B to one
+    # `fit_table` call, which takes at most 31
+    counts = {(m, n): len(_distinct(bitrel.kernel_table(m, n)))
+              for m, n in itertools.product(
+                  range(1, bitrel.MAX_SIZE + 1), repeat=2)}
+    assert max(counts.values()) <= 31, counts
+    assert [counts[n, n] for n in (1, 2, 3)] == [2, 5, 18]
 
 
 def test_sweeps_agree_with_bruteforce_at_size_2():

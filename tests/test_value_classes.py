@@ -196,14 +196,11 @@ class EquivResult:
 @dataclass(frozen=True)
 class Scope:
     max_rows: int = 2
-    domain_sizes: int | tuple = 2
+    domain_sizes: int = 2
     max_carrier: int = 3
 
     def __post_init__(self):
-        sizes = (self.domain_sizes if isinstance(self.domain_sizes, tuple)
-                 else (self.domain_sizes,))
-        if (self.max_rows < 1 or self.max_carrier < 1
-                or any(s < 1 for s in sizes)):
+        if min(self.max_rows, self.domain_sizes, self.max_carrier) < 1:
             raise ValueError("scope bounds must all be positive")
 
 
@@ -399,8 +396,7 @@ KINDS = {
             lambda w, ns: tuple(build(v, ns) for v in w))),
     "Scope": (st.fixed_dictionaries({}, optional={
         "max_rows": st.integers(1, 4),
-        "domain_sizes": (st.integers(1, 3)
-                         | st.lists(st.integers(1, 3), max_size=3).map(tuple)),
+        "domain_sizes": st.integers(1, 3),
         "max_carrier": st.integers(1, 4)}),
         lambda p, ns: ns.Scope(**p)),
     "RuleInstance": (st.tuples(st.lists(st.tuples(NAMES, NAMES), max_size=2),
@@ -550,13 +546,13 @@ def test_nested_nodes_and_keyword_scopes_survive_copy_and_pickle():
                          query.Compose(query.Kernel(ref), pid))
     assert node.args == (query.Converse(query.Compose(ref, pid)),
                          query.Kernel(ref), pid)
-    scope = search.Scope(max_carrier=2, domain_sizes=(1, 3))
+    scope = search.Scope(max_carrier=2, domain_sizes=3)
     for value in (node, node.args[0], scope):
         for twin in (copy.copy(value), copy.deepcopy(value),
                      pickle.loads(pickle.dumps(value))):
             assert type(twin) is type(value) and twin == value
             assert repr(twin) == repr(value) and hash(twin) == hash(value)
-    assert scope == search.Scope(2, (1, 3), 2)
+    assert scope == search.Scope(2, 3, 2)
 
 
 @pytest.mark.parametrize("ns", [NEW, OLD], ids=["new", "old"])
@@ -572,10 +568,12 @@ def test_constructors_take_their_fields_exactly_once(ns):
                  lambda: ns.LawVariable("f", "A")):
         with pytest.raises(TypeError):
             call()
-    for bad in ({"max_rows": 0}, {"domain_sizes": (2, 0)},
+    for bad in ({"max_rows": 0}, {"domain_sizes": 0},
                 {"max_carrier": -1}):
         with pytest.raises(ValueError, match="must all be positive"):
             ns.Scope(**bad)
+    with pytest.raises(TypeError):
+        ns.Scope(domain_sizes=(2, 2))
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "relfd"
