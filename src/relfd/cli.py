@@ -95,7 +95,6 @@ def cmd_check(args: SimpleNamespace) -> int:
     stored = Carrier("stored", tuple(rows))  # S, for the shunted route
     lines = []
     payload = []
-    any_violation = False
     for item in fds:
         at = fd.fd_positions(table.scheme, item)
         witness = fd.scan_violation(rows, *at)
@@ -110,17 +109,13 @@ def cmd_check(args: SimpleNamespace) -> int:
             lines.append(f"{item}: holds")
             payload.append({"fd": str(item), "holds": True, "witness": None})
         else:
-            any_violation = True
             r1, r2 = witness
             lines.append(f"{item}: violated by rows "
                          f"{_row_text(r1)} / {_row_text(r2)}")
-            payload.append({
-                "fd": str(item), "holds": False,
-                "witness": [[render_value(v) for v in r1],
-                            [render_value(v) for v in r2]],
-            })
+            payload.append({"fd": str(item), "holds": False, "witness": [
+                list(map(render_value, row)) for row in witness]})
     _emit(args, {"results": payload}, "\n".join(lines))
-    return EXIT_REFUTED if any_violation else EXIT_OK
+    return EXIT_OK if all(r["holds"] for r in payload) else EXIT_REFUTED
 
 
 def cmd_closure(args: SimpleNamespace) -> int:
@@ -190,13 +185,9 @@ def cmd_optimize(args: SimpleNamespace) -> int:
             verification = {"status": "verified", "witness": None}
             verdict_line = "verified"
         else:
-            a, b = result.witness
-            verification = {
-                "status": "counterexample",
-                "witness": [render_value(a), render_value(b)],
-            }
-            verdict_line = (f"counterexample: {render_value(b)} <- "
-                            f"{render_value(a)}")
+            a, b = map(render_value, result.witness)
+            verification = {"status": "counterexample", "witness": [a, b]}
+            verdict_line = f"counterexample: {b} <- {a}"
             code = EXIT_REFUTED
 
     payload = {"query": out, "verification": verification}
@@ -215,7 +206,6 @@ def cmd_laws(args: SimpleNamespace) -> int:
     scope = search.Scope(max_carrier=args.scope_carrier)
     lines = []
     payload = []
-    refuted = False
     for law_id in LAW_SUITE:
         witness = search.search_law(law_id, scope)
         if witness is None:
@@ -224,13 +214,12 @@ def cmd_laws(args: SimpleNamespace) -> int:
             payload.append({"law": law_id, "refuted": False,
                             "witness": None})
         else:
-            refuted = True
             rendered = {name: rel_to_json(r) for name, r in witness.items()}
             lines.append(f"{law_id}: REFUTED {json.dumps(rendered)}")
             payload.append({"law": law_id, "refuted": True,
                             "witness": rendered})
     _emit(args, {"laws": payload}, "\n".join(lines))
-    return EXIT_REFUTED if refuted else EXIT_OK
+    return EXIT_REFUTED if any(r["refuted"] for r in payload) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,7 @@ class ParseError(RelfdError):
         self.path = path
         if line is not None:
             message = f"line {line}: {message}"
-        if path:
-            message = f"at {path}: {message}"
-        super().__init__(message)
+        super().__init__(f"at {path}: {message}" if path else message)
 
 
 class QueryTypeError(RelfdError):
@@ -43,9 +41,7 @@ class QueryTypeError(RelfdError):
 
     def __init__(self, message: str, path: str = ""):
         self.path = path
-        if path:
-            message = f"at {path}: {message}"
-        super().__init__(message)
+        super().__init__(f"at {path}: {message}" if path else message)
 
 
 class UnknownLawError(RelfdError):

@@ -28,7 +28,7 @@ def oracle_violation(t: Table, fd: AttrFd) -> Optional[tuple[tuple, tuple]]:
 
 def encode_pairs(table: Table) -> Rel:
     """Relate each row's first value to the right-nested pair of the rest."""
-    if table.scheme.arity() < 2:
+    if len(table.scheme.names) < 2:
         raise SchemeError("encoding needs at least two attributes")
     doms = [dom for _, dom in table.scheme.attributes]
     tgt = doms[-1]

@@ -33,7 +33,17 @@ over a whole row universe is never built, and the chain is associated by
 a matrix-chain dynamic program over estimated pair counts: composing ``l``
 with ``r`` through a middle carrier ``m`` is estimated at
 ``|l| * |r| / |m|`` pairs, capped at ``|source| * |target|``.  Composition
-is associative, so the result does not depend on the order.
+is associative, so the result does not depend on the order.  A chain
+keeps each projection p, and each ``p~``, as a function on rows, unbuilt,
+and applies it by one of two rules of `rel`, each linear in the other
+operand: ``p . s = {(c, p(a)) : (c, a) in s}`` (`rel.compose_fn`) and
+``r . p~ = {(p(a), b) : (a, b) in r}`` (`rel.compose_converse_fn`).  The
+estimates count it at one pair per row of its universe, as if built, so
+the association is unchanged, and the window ``g . pid . ker f . pid .
+h~`` reaches each projection through a pid, at the scale of the stored
+rows.  Any other step with a projection, such as ``p~`` on the left or
+p on the right of a composition, and a projection outside a chain, is
+built over the whole row universe by the cached `tables.proj_fn`.
 
 JSON wire form (one object per node):
 
@@ -56,6 +66,7 @@ first operand n - 1 levels down.
 from __future__ import annotations
 
 import functools
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 from . import rel, tables
@@ -216,12 +227,6 @@ def from_json(obj: dict, path: str = "query", depth: int = 0) -> QueryExpr:
 # Type checking and evaluation
 
 
-def _table(env: Env, name: str, path: str) -> Table:
-    if name not in env.tables:
-        raise QueryTypeError(f"unbound table {name!r}", path)
-    return env.tables[name]
-
-
 class Sort(Frozen):
     """A carrier that `type_attrs` names and sizes without building it.
 
@@ -264,49 +269,61 @@ class Sort(Frozen):
         return self.size
 
 
-def _types(e: QueryExpr, env: Env, path: str, leaf, pair) -> tuple:
-    """Source and target types of the expression, or a located error: the
-    typing rules of `type_check` and `type_attrs`, stated once.  A type
-    has a `name`, a `len` and its carrier's equality; `leaf(table, attrs)`
-    types a pid (attrs None) or a projection of the table, and `pair(a,
-    b)` is the type of a fork target."""
+def _where(path) -> str:
+    """A node path as `from_json` writes it; `_types` passes an operand's
+    path down unrendered, as (parent's path, parent, operand index)."""
+    if isinstance(path, str):
+        return path
+    parent, e, i = path
+    return _arg_path(e, _where(parent), i)
+
+
+def _types(e: QueryExpr, env: Env, path, leaf, pair) -> tuple:
+    """Source and target types of the expression, or an error located by
+    `_where(path)`: the typing rules of `type_check` and `type_attrs`,
+    stated once.  A type has a `name`, a `len` and its carrier's equality;
+    `leaf(table, attrs)` types a pid (attrs None) or a projection of the
+    table, and `pair(a, b)` is the type of a fork target."""
     if isinstance(e, RelRef):
         if e.name not in env.rels:
-            raise QueryTypeError(f"unbound relation {e.name!r}", path)
+            raise QueryTypeError(f"unbound relation {e.name!r}",
+                                 _where(path))
         r = env.rels[e.name]
         return r.source, r.target
     if isinstance(e, (Pid, Proj)):
         is_pid = isinstance(e, Pid)
-        t = _table(env, e.table if is_pid else e.scheme, path)
+        name = e.table if is_pid else e.scheme
+        if name not in env.tables:
+            raise QueryTypeError(f"unbound table {name!r}", _where(path))
         try:
-            return leaf(t, None if is_pid else e.attrs)
+            return leaf(env.tables[name], None if is_pid else e.attrs)
         except RelfdError as err:
-            raise QueryTypeError(str(err), path) from None
-    s, t = _types(e.args[0], env, _arg_path(e, path, 0), leaf, pair)
+            raise QueryTypeError(str(err), _where(path)) from None
+    s, t = _types(e.args[0], env, (path, e, 0), leaf, pair)
     if isinstance(e, Converse):
         return t, s
     if isinstance(e, Kernel):
         return s, s
     for i, a in enumerate(e.args[1:], start=1):
-        rs, rt = _types(a, env, _arg_path(e, path, i), leaf, pair)
+        rs, rt = _types(a, env, (path, e, i), leaf, pair)
         if isinstance(e, Compose):
             if rt != s:
                 raise QueryTypeError(
                     f"compose needs matching middle carrier, got {rt.name!r} "
-                    f"then {s.name!r}", path)
+                    f"then {s.name!r}", _where(path))
             s = rs
         elif isinstance(e, UnionOp):
             if (s, t) != (rs, rt):
                 raise QueryTypeError(
-                    "union operands over different carriers", path)
+                    "union operands over different carriers", _where(path))
         else:
             if s != rs:
                 raise QueryTypeError("fork operands over different sources",
-                                     path)
+                                     _where(path))
             size = len(t) * len(rt)
             if size > tables.ROW_CARRIER_LIMIT:
                 raise ResourceLimitError(
-                    f"at {path}: fork target has {size} pairs, "
+                    f"at {_where(path)}: fork target has {size} pairs, "
                     f"over the {tables.ROW_CARRIER_LIMIT} bound")
             t = pair(t, rt)
     return s, t
@@ -331,17 +348,8 @@ def type_attrs(e: QueryExpr, env: Env, path: str = "query"
     target `Sort`s of the expression, or the error, message and path that
     `type_check` raises.  On an environment without named relations each
     sort names the carrier that `type_check` returns in its place."""
-    # this call's leaf sorts, by table and attributes: looking a scheme up
-    # in `_sorts` compares it with the cached one, attribute by attribute
-    leaves: dict = {}
-
-    def leaf(table: Table, attrs: Optional[frozenset]) -> tuple:
-        key = id(table), attrs
-        if key not in leaves:
-            leaves[key] = _sorts(table.scheme, attrs)
-        return leaves[key]
-
-    return _types(e, env, path, leaf, lambda a, b: Sort((a, b)))
+    return _types(e, env, path, lambda t, attrs: _sorts(t.scheme, attrs),
+                  lambda a, b: Sort((a, b)))
 
 
 @functools.lru_cache(maxsize=tables.CACHE_SIZE)
@@ -360,6 +368,44 @@ def eval_query(e: QueryExpr, env: Env) -> Rel:
     return _eval(e, env)
 
 
+class _Fn(Frozen):
+    """A projection p of `scheme` onto `attrs` that a chain keeps unbuilt,
+    or its converse p~ when `flip`: `apply` maps a row of p's `source` to
+    its sub-row in p's `target`, which is how `rel.compose_fn` and
+    `rel.compose_converse_fn` read p."""
+
+    __slots__ = _fields = ("scheme", "attrs", "flip", "source", "target",
+                           "apply")
+
+    def flipped(self) -> "_Fn":
+        return _Fn(self.scheme, self.attrs, not self.flip, self.source,
+                   self.target, self.apply)
+
+
+def _built(x: Union[Rel, _Fn]) -> Rel:
+    """The factor as a relation, a projection built by `tables.proj_fn`."""
+    if isinstance(x, Rel):
+        return x
+    p = tables.proj_fn(x.scheme, x.attrs)
+    return rel.converse(p) if x.flip else p
+
+
+def _factor(e: QueryExpr, env: Env) -> Union[Rel, _Fn]:
+    """A chain factor: a projection or the converse of one as a `_Fn`,
+    any other expression evaluated."""
+    flip = isinstance(e, Converse)
+    p = e.args[0] if flip else e
+    if not isinstance(p, Proj):
+        return _eval(e, env)
+    scheme = env.tables[p.scheme].scheme
+    sub = tables.sub_scheme(scheme, p.attrs)
+    at = [scheme.positions[n] for n in sub.names]
+    apply = (itemgetter(*at) if len(at) > 1  # a slice keeps a 1-tuple
+             else itemgetter(slice(at[0], at[0] + 1) if at else slice(0)))
+    return _Fn(scheme, p.attrs, flip, tables.row_carrier(scheme),
+               tables.row_carrier(sub), apply)
+
+
 def _eval(e: QueryExpr, env: Env) -> Rel:
     if isinstance(e, RelRef):
         return env.rels[e.name]
@@ -370,47 +416,66 @@ def _eval(e: QueryExpr, env: Env) -> Rel:
     if isinstance(e, Converse):
         return rel.converse(_eval(e.args[0], env))
     if isinstance(e, (Compose, Kernel)):  # a lone kernel is a 1-factor chain
-        factors: list[Rel] = []
+        factors: list = []
         for item in e.args if isinstance(e, Compose) else (e,):
             if isinstance(item, Kernel):
-                r = _eval(item.args[0], env)
-                factors += [rel.converse(r), r]
+                r = _factor(item.args[0], env)
+                factors += [r.flipped() if isinstance(r, _Fn)
+                            else rel.converse(r), r]
             else:
-                factors.append(_eval(item, env))
+                factors.append(_factor(item, env))
         return _eval_chain(factors)
     op = rel.union if isinstance(e, UnionOp) else rel.fork
     return functools.reduce(op, [_eval(a, env) for a in e.args])
 
 
-def _eval_chain(factors: Sequence[Rel]) -> Rel:
+def _ends(x: Union[Rel, _Fn]) -> tuple[int, int, int]:
+    """A factor's source and target sizes and its pair count; an unbuilt
+    projection has a pair per row of its universe."""
+    if isinstance(x, Rel):
+        return len(x.source), len(x.target), len(x.pairs)
+    rows, subs = len(x.source), len(x.target)
+    return (subs, rows, rows) if x.flip else (rows, subs, rows)
+
+
+def _eval_chain(factors: Sequence[Union[Rel, _Fn]]) -> Rel:
     """``factors[0] . factors[1] . ...`` composed in the association whose
     estimated intermediate pair counts sum least; ties go to the leftmost
     split.  The estimates read only pair counts and carrier sizes."""
     n = len(factors)
-    size = {(i, i): float(len(r.pairs)) for i, r in enumerate(factors)}
+    ends = [_ends(x) for x in factors]
+    size = {(i, i): float(x[2]) for i, x in enumerate(ends)}
     cost = {(i, i): 0.0 for i in range(n)}
     split: dict = {}
     for span in range(1, n):
         for i in range(n - span):
             j = i + span
-            cap = len(factors[j].source) * len(factors[i].target)
+            cap = ends[j][0] * ends[i][1]
             options = []
             for k in range(i, j):
-                mid = len(factors[k].source)
+                mid = ends[k][0]
                 est = (min(size[i, k] * size[k + 1, j] / mid, cap)
                        if mid else 0.0)
                 options.append((cost[i, k] + cost[k + 1, j] + est, k, est))
             cost[i, j], split[i, j], size[i, j] = min(options)
-    return _compose_split(factors, split, 0, n - 1)
+    return _built(_compose_split(factors, split, 0, n - 1))
 
 
-def _compose_split(factors: Sequence[Rel], split: dict, i: int, j: int
-                   ) -> Rel:
+def _compose_split(factors: Sequence[Union[Rel, _Fn]], split: dict, i: int,
+                   j: int) -> Union[Rel, _Fn]:
+    """The split product of ``factors[i:j+1]``: a projection applies by
+    its rule where it is the left factor p, or the right factor p~, and
+    is built for any other step."""
     if i == j:
         return factors[i]
     k = split[i, j]
-    return rel.compose(_compose_split(factors, split, i, k),
-                       _compose_split(factors, split, k + 1, j))
+    r = _compose_split(factors, split, i, k)
+    s = _compose_split(factors, split, k + 1, j)
+    if isinstance(r, _Fn) and not r.flip:
+        return rel.compose_fn(r, _built(s))
+    if isinstance(s, _Fn) and s.flip:
+        return rel.compose_converse_fn(_built(r), s)
+    return rel.compose(_built(r), _built(s))
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,22 @@ def compose(r: Rel, s: Rel) -> Rel:
     return Rel(s.source, r.target, frozenset(out))
 
 
+# `compose` with a total function p, given by its map `p.apply` from
+# `p.source` to `p.target` and not by pairs: linear in the other operand.
+def compose_fn(p, s: Rel) -> Rel:
+    """p . s = {(c, p(a)) : (c, a) in s}."""
+    _require_same(s.target, p.source, "compose")
+    return Rel(s.source, p.target,
+               frozenset([(c, p.apply(a)) for c, a in s.pairs]))
+
+
+def compose_converse_fn(r: Rel, p) -> Rel:
+    """r . p~ = {(p(a), b) : (a, b) in r}."""
+    _require_same(p.source, r.source, "compose")
+    return Rel(p.target, r.target,
+               frozenset([(p.apply(a), b) for a, b in r.pairs]))
+
+
 def converse(r: Rel) -> Rel:
     return r._converse
 
@@ -345,8 +361,7 @@ def is_simple(r: Rel) -> bool:
 
 def is_function(r: Rel) -> bool:
     """Entire and simple: exactly one output per input."""
-    inputs = {a for a, _ in r.pairs}
-    return len(inputs) == len(r.pairs) and len(inputs) == len(r.source)
+    return is_entire(r) and is_simple(r)
 
 
 def is_injective(r: Rel) -> bool:

@@ -46,10 +46,12 @@ class Scheme(Frozen):
     """Ordered attribute declarations: (name, domain carrier) pairs.
 
     `names`, the attribute names in order, and `positions`, each name's
-    index in them, take no part in eq, hash or repr.
+    index in them, take no part in eq, hash or repr.  Schemes key the
+    bridge's caches: the hash is computed once, and equality compares
+    `_plain`, the names with their domains' names and elements, at once.
     """
 
-    __slots__ = ("attributes", "names", "positions")
+    __slots__ = ("attributes", "names", "positions", "_plain", "_hash")
     _fields = ("attributes",)
 
     def __init__(self, attributes: tuple[tuple[str, Carrier], ...]):
@@ -60,15 +62,17 @@ class Scheme(Frozen):
         object.__setattr__(self, "attributes", attributes)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "_plain", tuple(
+            [(n, dom.name, dom.elements) for n, dom in attributes]))
+        object.__setattr__(self, "_hash", hash((attributes,)))
 
-    def _key(self) -> tuple:  # schemes key the bridge's caches
-        return (self.attributes,)
+    def __eq__(self, other):
+        if other.__class__ is Scheme:
+            return self._plain == other._plain
+        return NotImplemented
 
-    def domain(self, name: str) -> Carrier:
-        for n, dom in self.attributes:
-            if n == name:
-                return dom
-        raise UnknownAttributeError(f"unknown attribute {name!r}")
+    def __hash__(self) -> int:
+        return self._hash
 
     def select(self, attrs: Iterable[str]) -> tuple[str, ...]:
         """The requested attributes in scheme order; an unknown one raises,
@@ -80,9 +84,6 @@ class Scheme(Frozen):
             raise UnknownAttributeError(f"unknown attribute {unknown!r}")
         return picked
 
-    def arity(self) -> int:
-        return len(self.attributes)
-
 
 class Table(Frozen):
     __slots__ = _fields = ("scheme", "rows")  # Scheme, frozenset of rows
@@ -91,7 +92,7 @@ class Table(Frozen):
     def make(cls, scheme: Scheme, rows: Iterable[tuple]) -> "Table":
         rs = frozenset(rows)
         for row in rs:
-            if not isinstance(row, tuple) or len(row) != scheme.arity():
+            if not isinstance(row, tuple) or len(row) != len(scheme.names):
                 raise SchemeError(f"row {row!r} does not match scheme arity")
             for v, (name, dom) in zip(row, scheme.attributes):
                 if v not in dom:
@@ -105,8 +106,7 @@ class Table(Frozen):
 
 def row_carrier(obj: Union[Table, Scheme]) -> Carrier:
     """Carrier of all rows of the full domain product, in lex order."""
-    scheme = obj.scheme if isinstance(obj, Table) else obj
-    return _row_carrier(scheme)
+    return _row_carrier(obj.scheme if isinstance(obj, Table) else obj)
 
 
 def row_universe(scheme: Scheme) -> tuple[str, int]:
@@ -128,7 +128,8 @@ def _row_carrier(scheme: Scheme) -> Carrier:
 
 def sub_scheme(scheme: Scheme, attrs: Iterable[str]) -> Scheme:
     """The sub-scheme of `attrs`, in scheme order."""
-    return Scheme(tuple((n, scheme.domain(n)) for n in scheme.select(attrs)))
+    return Scheme(tuple(scheme.attributes[scheme.positions[n]]
+                        for n in scheme.select(attrs)))
 
 
 def sub_row_carrier(scheme: Scheme, attrs: Iterable[str]) -> Carrier:
@@ -262,9 +263,8 @@ def read_text(path: str) -> str:
 
 
 def load_table(path: str, schema_path: str | None = None) -> Table:
-    declared = None
-    if schema_path is not None:
-        declared = load_schema_json(read_text(schema_path))
+    declared = (None if schema_path is None
+                else load_schema_json(read_text(schema_path)))
     return parse_table_csv(read_text(path), declared)
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relfd import rel, tables
+from relfd import query, rel, tables
 from relfd.errors import (CarrierMismatchError, ParseError, QueryTypeError,
                           RelfdError)
 from relfd.fd import AttrFd, parse_fd
@@ -15,7 +15,8 @@ from relfd.query import (MAX_QUERY_DEPTH, Compose, Converse, Env, Fork,
                          Kernel, Pid, Proj, RelRef, UnionOp, _rewrite_once,
                          _sorts, _type_pair, count_pid_nodes,
                          discharged, eval_query, from_json, rewrite_selfjoin,
-                         to_json, type_attrs, type_check, verify_equiv)
+                         to_json, type_attrs, type_check, verify_equiv,
+                         verify_rewrite)
 from relfd.rel import Atom, Carrier, Tup, identity
 from relfd.tables import (Scheme, Table, parse_table_csv, pid, proj_fn,
                           row_carrier)
@@ -751,6 +752,90 @@ def test_discharge_implies_equal_evaluation():
                     assert equal == (kind != "differs"), q
     assert min(seen.values()) >= 100, seen
     assert random_discharged >= 10, random_discharged
+
+
+# ---------------------------------------------------------------------------
+# projections applied as functions
+
+
+@st.composite
+def _eval_cases(draw):
+    """(table "m", queries): two to four movie attributes, whose domains of
+    0-3 values may be empty, holding a random set of rows, maybe none; the
+    bench's query shapes (`chain` is the bench's chain) over projections
+    onto one or two of the table's attributes, random chains, and a chain
+    of projections onto no attribute."""
+    names = draw(st.permutations(MOVIE_ATTRS))[:draw(st.integers(2, 4))]
+    dom = {a: tuple(f"{a[0].lower()}{v}"
+                    for v in range(draw(st.integers(0, 3))))
+           for a in names}
+    universe = list(itertools.product(*(dom[a] for a in names)))
+    rows = draw(st.lists(st.sampled_from(universe), max_size=8)
+                if universe else st.just([]))
+    table = Table.make(Scheme(tuple((a, Carrier(a, dom[a])) for a in names)),
+                       rows)
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    f, g, h, k = (frozenset(rnd.sample(names, rnd.randint(1, 2)))
+                  for _ in range(4))
+    none = Proj("m", frozenset())
+    queries = [_template(t, f, g, h, k) for t in TEMPLATES]
+    queries += [_random_chain(rnd, "U", list(names))[0] for _ in range(3)]
+    queries.append(Compose(Converse(none), none, Pid("m"), Converse(none)))
+    return table, queries
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=_eval_cases())
+def test_evaluation_agrees_with_building_every_factor(case):
+    # `eval_query` applies a chain's projections by the rules of
+    # `rel.compose_fn` and `rel.compose_converse_fn`; the left fold builds
+    # each one by `proj_fn` and composes it by `rel.compose`
+    table, queries = case
+    env = Env(tables={"m": table})
+    for e in queries:
+        got, want = eval_query(e, env), _left_fold(e, env)
+        assert (got.source, got.target, got.pairs) == (
+            want.source, want.target, want.pairs), e
+
+
+def test_window_templates_evaluate_no_projection_over_the_universe(
+        monkeypatch):
+    # on a table breaking `Title -> Director`, the rewrite of each template
+    # is evaluated; every projection of the window is reached through a
+    # pid, so only the `chain` template, whose ``g~ . g`` needs g's
+    # inverse, builds a projection (g) by `tables.proj_fn`
+    table = parse_table_csv((FIXTURES / "movies_violating.csv").read_text())
+    env = Env(tables={"m": table})
+    f, g, h = (frozenset({a}) for a in ("Title", "Director", "Actor"))
+    compared = []
+    compare = query._compare
+
+    def counted(*args):
+        compared.append(args)
+        return compare(*args)
+
+    class Built(Exception):
+        pass
+
+    def built(scheme, attrs):
+        raise Built(sorted(attrs))
+
+    monkeypatch.setattr(query, "_compare", counted)
+    for kind in TEMPLATES:
+        q = _template(kind, f, g, h, g)
+        fired = []
+        out = rewrite_selfjoin(q, [AttrFd(f, g)], fired)
+        r1, r2 = _left_fold(q, env), _left_fold(out, env)
+        with monkeypatch.context() as m:
+            m.setattr(tables, "_proj_fn", built)
+            if kind == "chain":
+                with pytest.raises(Built, match="Director"):
+                    verify_rewrite(q, out, fired, table)
+                continue
+            got = verify_rewrite(q, out, fired, table)
+        assert got.equal == (r1.pairs == r2.pairs)
+        assert got.equal or got.witness in r1.pairs ^ r2.pairs
+    assert len(compared) == len(TEMPLATES)
 
 
 # ---------------------------------------------------------------------------

@@ -210,8 +210,9 @@ def test_enumerate_tables_order_and_count():
 def test_csv_load_and_active_domains():
     t = parse_table_csv("B,A\nx,1\ny,2\nx,2\n")
     assert t.scheme.names == ("B", "A")
-    assert list(t.scheme.domain("A").elements) == ["1", "2"]
-    assert list(t.scheme.domain("B").elements) == ["x", "y"]
+    domains = dict(t.scheme.attributes)
+    assert list(domains["A"].elements) == ["1", "2"]
+    assert list(domains["B"].elements) == ["x", "y"]
     assert len(t.rows) == 3
 
 
@@ -234,7 +235,7 @@ def test_csv_declared_domain_checked():
         parse_table_csv("A\n7\n", declared)
     assert err.value.line == 2
     t = parse_table_csv("A\n0\n", declared)
-    assert list(t.scheme.domain("A").elements) == ["0", "1"]
+    assert list(dict(t.scheme.attributes)["A"].elements) == ["0", "1"]
 
 
 def test_csv_quoting_dialect():
