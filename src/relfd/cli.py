@@ -8,6 +8,9 @@ Each command imports the modules it runs, so start-up loads only `fd`,
 `tables` and the modules under them.  A plain argv is read from the flag
 table `COMMANDS` without argparse; any other argv goes to argparse
 (`relfd.usage`), which reads it or prints its own usage, help or error.
+Each command builds one payload, its answer, and hands `_emit` the function
+that renders its text form; `_emit` alone reads `--json`, and calls that
+function only for a text-mode request.
 """
 
 from __future__ import annotations
@@ -26,10 +29,9 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _emit(args: SimpleNamespace, payload: dict, text: str) -> None:
-    if args.json_output:
-        print(_json_text(payload))
-    elif text:
+def _emit(args: SimpleNamespace, payload: dict, render) -> None:
+    text = _json_text(payload) if args.json_output else render(payload)
+    if text:
         print(text)
 
 
@@ -78,10 +80,28 @@ def _load_fds(args: SimpleNamespace) -> list[fd.AttrFd]:
     return fd.parse_fd_lines(tables.read_text(args.fds))
 
 
-def _row_text(row: tuple) -> str:
-    """`render_value` of a row, each atom holding ``,()"`` as a JSON string."""
+def _row_text(row: list) -> str:
+    """A rendered row, each atom holding ``,()"`` as a JSON string."""
     return "(" + ",".join(json.dumps(v) if any(c in v for c in ',()"')
                           else v for v in row) + ")"
+
+
+def _check_line(r: dict) -> str:
+    if r["holds"]:
+        return f"{r['fd']}: holds"
+    r1, r2 = r["witness"]
+    return f"{r['fd']}: violated by rows {_row_text(r1)} / {_row_text(r2)}"
+
+
+def _optimize_text(payload: dict) -> str:
+    text = _json_text(payload["query"])
+    verdict = payload["verification"]
+    if verdict is None:
+        return text
+    if verdict["witness"] is None:
+        return text + "\nverified"
+    a, b = verdict["witness"]
+    return f"{text}\ncounterexample: {b} <- {a}"
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +113,7 @@ def cmd_check(args: SimpleNamespace) -> int:
     fds = _load_fds(args)
     rows = fd.stored_order(table.rows)
     stored = Carrier("stored", tuple(rows))  # S, for the shunted route
-    lines = []
-    payload = []
+    results = []
     for item in fds:
         at = fd.fd_positions(table.scheme, item)
         witness = fd.scan_violation(rows, *at)
@@ -105,17 +124,12 @@ def cmd_check(args: SimpleNamespace) -> int:
             raise InternalCheckError(
                 f"checkers disagree on {item}: scan={scan} "
                 f"algebraic={algebraic} typed={typed}")
-        if scan:
-            lines.append(f"{item}: holds")
-            payload.append({"fd": str(item), "holds": True, "witness": None})
-        else:
-            r1, r2 = witness
-            lines.append(f"{item}: violated by rows "
-                         f"{_row_text(r1)} / {_row_text(r2)}")
-            payload.append({"fd": str(item), "holds": False, "witness": [
-                list(map(render_value, row)) for row in witness]})
-    _emit(args, {"results": payload}, "\n".join(lines))
-    return EXIT_OK if all(r["holds"] for r in payload) else EXIT_REFUTED
+        if witness is not None:
+            witness = [list(map(render_value, row)) for row in witness]
+        results.append({"fd": str(item), "holds": scan, "witness": witness})
+    _emit(args, {"results": results},
+          lambda p: "\n".join(map(_check_line, p["results"])))
+    return EXIT_OK if all(r["holds"] for r in results) else EXIT_REFUTED
 
 
 def cmd_closure(args: SimpleNamespace) -> int:
@@ -123,7 +137,7 @@ def cmd_closure(args: SimpleNamespace) -> int:
     fds = _load_fds(args)
     attrs = fd.parse_attr_list(args.attrs)
     closure = sorted(infer.attr_closure(fds, attrs))
-    _emit(args, {"closure": closure}, " ".join(closure))
+    _emit(args, {"closure": closure}, lambda p: " ".join(p["closure"]))
     return EXIT_OK
 
 
@@ -132,15 +146,10 @@ def cmd_derive(args: SimpleNamespace) -> int:
     fds = _load_fds(args)
     goal = fd.parse_fd(args.goal)
     tree = infer.derive(fds, goal)
-    if tree is None:
-        _emit(args, {"derivable": False, "derivation": None},
-              "not derivable")
-        return EXIT_REFUTED
-    obj = infer.derivation_to_dict(tree)
-    # the JSON form prints the payload alone
-    text = "" if args.json_output else _json_text(obj)
-    _emit(args, {"derivable": True, "derivation": obj}, text)
-    return EXIT_OK
+    obj = None if tree is None else infer.derivation_to_dict(tree)
+    _emit(args, {"derivable": obj is not None, "derivation": obj},
+          lambda _: "not derivable" if obj is None else _json_text(obj))
+    return EXIT_REFUTED if obj is None else EXIT_OK
 
 
 def cmd_cex(args: SimpleNamespace) -> int:
@@ -150,12 +159,11 @@ def cmd_cex(args: SimpleNamespace) -> int:
     scope = search.Scope(max_rows=args.scope_rows,
                          domain_sizes=args.scope_dom)
     witness = search.search_tables(fds, goal, scope)
-    if witness is None:
-        _emit(args, {"witness": None}, "none")
-        return EXIT_OK
-    payload = {"witness": tables.table_to_json(witness)}
-    _emit(args, payload, tables.table_to_csv(witness).rstrip("\n"))
-    return EXIT_REFUTED
+    found = witness is not None
+    payload = {"witness": tables.table_to_json(witness) if found else None}
+    _emit(args, payload, lambda _: (tables.table_to_csv(witness).rstrip("\n")
+                                    if found else "none"))
+    return EXIT_REFUTED if found else EXIT_OK
 
 
 def cmd_optimize(args: SimpleNamespace) -> int:
@@ -171,55 +179,41 @@ def cmd_optimize(args: SimpleNamespace) -> int:
     fds = _load_fds(args)
     fired: list = []
     rewritten = query.rewrite_selfjoin(expr, fds, fired)
-    out = query.to_json(rewritten)
-
-    verification = None
-    verdict_line = ""
-    code = EXIT_OK
+    verdict = None
     if args.table is None:
         query.type_header(expr, fds)
     else:
         table = tables.load_table(args.table, args.schema)
         result = query.verify_rewrite(expr, rewritten, fired, table)
         if result:
-            verification = {"status": "verified", "witness": None}
-            verdict_line = "verified"
+            verdict = {"status": "verified", "witness": None}
         else:
-            a, b = map(render_value, result.witness)
-            verification = {"status": "counterexample", "witness": [a, b]}
-            verdict_line = f"counterexample: {b} <- {a}"
-            code = EXIT_REFUTED
-
-    payload = {"query": out, "verification": verification}
-    text = ""
-    if not args.json_output:  # the JSON form prints `payload` alone
-        text = _json_text(out)
-        if verdict_line:
-            text += "\n" + verdict_line
-    _emit(args, payload, text)
-    return code
+            verdict = {"status": "counterexample",
+                       "witness": list(map(render_value, result.witness))}
+    _emit(args, {"query": query.to_json(rewritten), "verification": verdict},
+          _optimize_text)
+    return EXIT_REFUTED if verdict and verdict["witness"] else EXIT_OK
 
 
 def cmd_laws(args: SimpleNamespace) -> int:
     from . import search
     from .laws import LAW_SUITE  # loads numpy; no other command needs it
     scope = search.Scope(max_carrier=args.scope_carrier)
-    lines = []
-    payload = []
+    results = []
     for law_id in LAW_SUITE:
         witness = search.search_law(law_id, scope)
-        if witness is None:
-            lines.append(f"{law_id}: no counterexample "
-                         f"(carriers up to {scope.max_carrier})")
-            payload.append({"law": law_id, "refuted": False,
-                            "witness": None})
-        else:
-            rendered = {name: rel_to_json(r) for name, r in witness.items()}
-            lines.append(f"{law_id}: REFUTED {json.dumps(rendered)}")
-            payload.append({"law": law_id, "refuted": True,
-                            "witness": rendered})
-    _emit(args, {"laws": payload}, "\n".join(lines))
-    return EXIT_REFUTED if any(r["refuted"] for r in payload) else EXIT_OK
+        if witness is not None:
+            witness = {name: rel_to_json(r) for name, r in witness.items()}
+        results.append({"law": law_id, "refuted": witness is not None,
+                        "witness": witness})
+
+    def line(r: dict) -> str:
+        if r["refuted"]:
+            return f"{r['law']}: REFUTED {json.dumps(r['witness'])}"
+        return (f"{r['law']}: no counterexample "
+                f"(carriers up to {scope.max_carrier})")
+    _emit(args, {"laws": results}, lambda p: "\n".join(map(line, p["laws"])))
+    return EXIT_REFUTED if any(r["refuted"] for r in results) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

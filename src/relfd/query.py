@@ -73,7 +73,7 @@ from . import rel, tables
 from .errors import (CarrierMismatchError, ParseError, QueryTypeError,
                      RelfdError, ResourceLimitError)
 from .fd import AttrFd, fd_positions, satisfies_refinement
-from .infer import attr_closure
+from .infer import attr_closure, mentioned_attrs
 # Unused here; kept because the benchmark's tracer test binds it by this
 # name (relfd.query.derive).
 from .infer import derive  # noqa: F401
@@ -162,10 +162,16 @@ class Env(Frozen):
 # JSON wire form
 
 
-def _arg_path(e, path: str, i: int) -> str:
+def _where(path) -> str:
+    """A node path, e.g. ``query.compose.args[1]``.  `from_json` and
+    `_types` pass an operand's path down unrendered, as (parent's path,
+    parent, operand index), and render it only to raise."""
+    if isinstance(path, str):
+        return path
+    parent, e, i = path
     if e.key == "arg":
-        return f"{path}.{e.op}.arg"
-    return f"{path}.{e.op}.args[{i}]"
+        return f"{_where(parent)}.{e.op}.arg"
+    return f"{_where(parent)}.{e.op}.args[{i}]"
 
 
 def to_json(e: QueryExpr) -> dict:
@@ -181,45 +187,48 @@ def to_json(e: QueryExpr) -> dict:
     return functools.reduce(lambda l, r: {"op": e.op, "args": [l, r]}, kids)
 
 
-def _field(op: str, obj: dict, key: str, path: str):
+def _field(op: str, obj: dict, key: str, path):
     if key not in obj:
-        raise ParseError(f"{op!r} node lacks its {key!r} field", path=path)
+        raise ParseError(f"{op!r} node lacks its {key!r} field",
+                         path=_where(path))
     return obj[key]
 
 
-def from_json(obj: dict, path: str = "query", depth: int = 0) -> QueryExpr:
+def from_json(obj: dict, path="query", depth: int = 0) -> QueryExpr:
     """The expression a JSON node encodes; a malformed node raises a
-    `ParseError` located by its path, e.g. ``query.compose.args[1]``.
-    `depth` is the node's level in the left-nested wire form."""
+    `ParseError` located by its path, `_where(path)`.  `depth` is the
+    node's level in the left-nested wire form."""
     if not isinstance(obj, dict) or "op" not in obj:
         raise ParseError("query node must be an object with an 'op' field",
-                         path=path)
+                         path=_where(path))
     op = obj["op"]
     if op == "rel":
         return RelRef(str(_field(op, obj, "name", path)))
     if op == "proj":
         attrs = obj.get("attrs")
         if not isinstance(attrs, list) or not attrs:
-            raise ParseError("'proj' needs a non-empty attrs list", path=path)
+            raise ParseError("'proj' needs a non-empty attrs list",
+                             path=_where(path))
         if not all(isinstance(a, str) for a in attrs):
-            raise ParseError("'proj' attrs must all be strings", path=path)
+            raise ParseError("'proj' attrs must all be strings",
+                             path=_where(path))
         return Proj(str(_field(op, obj, "scheme", path)), frozenset(attrs))
     if op == "pid":
         return Pid(str(_field(op, obj, "table", path)))
     node = next((c for c in _INNER_TYPES if c.op == op), None)
     if node is None:
-        raise ParseError(f"unknown query op {op!r}", path=path)
+        raise ParseError(f"unknown query op {op!r}", path=_where(path))
     if node.key == "arg":
         args = [_field(op, obj, "arg", path)]
     else:
         args = obj.get("args")
         if not isinstance(args, list) or len(args) < 2:
             raise ParseError(f"{op!r} needs an args list of at least 2",
-                             path=path)
+                             path=_where(path))
     depth += max(len(args) - 1, 1)
     if depth > MAX_QUERY_DEPTH:
-        raise ParseError(TOO_DEEP, path=path)
-    return node(*[from_json(a, _arg_path(node, path, i), depth)
+        raise ParseError(TOO_DEEP, path=_where(path))
+    return node(*[from_json(a, (path, node, i), depth)
                   for i, a in enumerate(args)])
 
 
@@ -267,15 +276,6 @@ class Sort(Frozen):
 
     def __len__(self) -> int:
         return self.size
-
-
-def _where(path) -> str:
-    """A node path as `from_json` writes it; `_types` passes an operand's
-    path down unrendered, as (parent's path, parent, operand index)."""
-    if isinstance(path, str):
-        return path
-    parent, e, i = path
-    return _arg_path(e, _where(parent), i)
 
 
 def _types(e: QueryExpr, env: Env, path, leaf, pair) -> tuple:
@@ -666,8 +666,7 @@ def type_header(e: QueryExpr, fds: Sequence[AttrFd]) -> None:
     """Type `e` as `verify_rewrite` would on a CSV holding only the header
     of the attributes that its projections and `fds` name, in name order,
     bound to every table name it reads."""
-    names = sorted(proj_attrs(e).union(*(item.antecedent | item.consequent
-                                         for item in fds)))
+    names = sorted(mentioned_attrs(fds, proj_attrs(e)))
     header = Table(tables.Scheme(tuple((name, Carrier(name, ()))
                                        for name in names)), frozenset())
     type_attrs(e, Env(dict.fromkeys(table_refs(e), header)))

@@ -1176,3 +1176,25 @@ def test_json_text_writes_10000_levels_without_recursion():
         assert text.startswith("\n", at) or at == len(text), at
         at += 1
     assert at == len(text) + 1
+
+
+# ---------------------------------------------------------------------------
+# one payload per answer: a JSON request renders no text form
+
+
+@pytest.mark.parametrize("call, module, renderer", [
+    ("cex_pilots_json", tables, "table_to_csv"),
+    ("check_pilots_double_booked_json", cli, "_row_text"),
+    ("optimize_movies_violating_json", cli, "_optimize_text"),
+])
+def test_json_answers_without_the_text_renderer(call, module, renderer,
+                                                monkeypatch, capsys):
+    from test_golden import CALLS, GOLDEN
+
+    def refuse(*_):
+        raise AssertionError(f"{renderer} ran for a --json request")
+    monkeypatch.setattr(module, renderer, refuse)
+    code, out, err = run(capsys, *CALLS[call])
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert (code, err) == (codes[call], "")
+    assert out == (GOLDEN / f"{call}.stdout").read_text()

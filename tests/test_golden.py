@@ -1,4 +1,4 @@
-"""Golden CLI outputs: stdout and exit code of 22 in-process calls over the
+"""Golden CLI outputs: stdout and exit code of 30 in-process calls over the
 fixtures, compared byte for byte.
 
 `fixtures/golden/` holds one `<call>.stdout` file per call and
@@ -30,18 +30,26 @@ _BASE = {
                          "--fds", _fixture(f"{stem.split('_')[0]}.fds")]
        for stem in ("movies", "movies_violating", "pilots",
                     "pilots_double_booked")},
+    "check_no_fds": ["check", "--table", _fixture("pilots.csv"),
+                     "--fds", _fixture("empty.fds")],
     "closure_pilots": ["closure", "--fds", _fixture("pilots.fds"),
                        "--attrs", "Flight,Date"],
     "derive_pilots": ["derive", "--fds", _fixture("pilots.fds"),
                       "--goal", "Flight Date Departs -> Pilot"],
+    "derive_underivable": ["derive", "--fds", _fixture("pilots.fds"),
+                           "--goal", "Pilot -> Flight"],
     "cex_pilots": ["cex", "--fds", _fixture("pilots.fds"),
                    "--goal", "Pilot -> Flight",
                    "--scope-rows", "3", "--scope-dom", "3"],
+    "cex_none": ["cex", "--fds", _fixture("pilots.fds"),
+                 "--goal", "Flight Date Departs -> Pilot"],
     **{f"optimize_{stem}": ["optimize", "--query",
                             _fixture("movies_query.json"),
                             "--fds", _fixture("movies.fds"),
                             "--table", _fixture(f"{stem}.csv")]
        for stem in ("movies", "movies_violating")},
+    "optimize_untabled": ["optimize", "--query", _fixture("movies_query.json"),
+                          "--fds", _fixture("movies.fds")],
     "laws_2": ["laws", "--scope-carrier", "2"],
     "laws_3": ["laws", "--scope-carrier", "3"],
 }

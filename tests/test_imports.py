@@ -108,8 +108,9 @@ def test_laws_command_loads_the_law_sweeps():
 # path for `relfd.typed`, 1,438 before the CLI's parser wrappers went,
 # 1,427 before the test-only `rel.apply_fn` moved into the tests, 1,418
 # before `rel.proj1` and `rel.proj2` shared one helper, 1,411 before
-# `tables.count_tables` went with the table search's candidate cap.
-START_LINES = 1395
+# `tables.count_tables` went with the table search's candidate cap, 1,395
+# before each CLI command built its answer once, as one payload.
+START_LINES = 1389
 
 
 def test_start_path_stays_within_its_line_count():
@@ -198,6 +199,16 @@ def _used(stmt) -> set[str]:
         elif isinstance(node, ast.alias):
             out.add(node.name)
     return out
+
+
+def test_only_emit_reads_the_json_flag():
+    tree = ast.parse((SRC / "relfd" / "cli.py").read_text(encoding="utf-8"))
+    emit = next(stmt for stmt in tree.body
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "_emit")
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "json_output"]
+    assert reads and all(any(node is inner for inner in ast.walk(emit))
+                         for node in reads)
 
 
 def test_src_defines_no_name_that_nothing_uses():
