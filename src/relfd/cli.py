@@ -125,6 +125,8 @@ def cmd_check(args: SimpleNamespace) -> int:
                 f"checkers disagree on {item}: scan={scan} "
                 f"algebraic={algebraic} typed={typed}")
         if witness is not None:
+            if fd.violating_pair(witness, *at) is None:  # the literal re-check
+                raise InternalCheckError(f"witness rows do not violate {item}")
             witness = [list(map(render_value, row)) for row in witness]
         results.append({"fd": str(item), "holds": scan, "witness": witness})
     _emit(args, {"results": results},
@@ -294,8 +296,7 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else argv
     args = _plain_args(argv)
     if args is None:
         from .usage import build_parser

@@ -29,13 +29,19 @@ builds carriers, and reports a counterexample, the first differing pair.
 A composition chain, and a lone kernel as a chain of one factor, is
 evaluated as one step.  Each kernel factor ``ker e`` is unfolded into the
 two factors ``e~ . e`` (the definition of `rel.kernel`), so the kernel
-over a whole row universe is never built, and the chain is associated by
-a matrix-chain dynamic program over estimated pair counts: composing ``l``
-with ``r`` through a middle carrier ``m`` is estimated at
-``|l| * |r| / |m|`` pairs, capped at ``|source| * |target|``.  Composition
-is associative, so the result does not depend on the order.  A chain
-keeps each projection p, and each ``p~``, as a function on rows, unbuilt,
-and applies it by one of two rules of `rel`, each linear in the other
+over a whole row universe is never built.  Then `_cancel` drops each
+adjacent ``p . p~`` of one projection p (one scheme, one attribute set),
+nested pairs such as ``p . q . q~ . p~`` too, and so ``ker p~``: p is
+onto its sub-row carrier whenever the row universe is non-empty, so
+``p . p~`` is the identity there, and a chain that cancels whole is that
+identity.  Over an empty universe ``p . p~`` is empty and stays, as does
+``p~ . p``, p's kernel.  What is left is associated by a matrix-chain
+dynamic program over estimated pair counts: composing ``l`` with ``r``
+through a middle carrier ``m`` is estimated at ``|l| * |r| / |m|``
+pairs, capped at ``|source| * |target|``.  Composition is associative,
+so the result does not depend on the order.  A chain keeps each
+projection p, and each ``p~``, as a function on rows, unbuilt, and
+applies it by one of two rules of `rel`, each linear in the other
 operand: ``p . s = {(c, p(a)) : (c, a) in s}`` (`rel.compose_fn`) and
 ``r . p~ = {(p(a), b) : (a, b) in r}`` (`rel.compose_converse_fn`).  The
 estimates count it at one pair per row of its universe, as if built, so
@@ -372,7 +378,8 @@ class _Fn(Frozen):
     """A projection p of `scheme` onto `attrs` that a chain keeps unbuilt,
     or its converse p~ when `flip`: `apply` maps a row of p's `source` to
     its sub-row in p's `target`, which is how `rel.compose_fn` and
-    `rel.compose_converse_fn` read p."""
+    `rel.compose_converse_fn` read p.  `_cancel` drops p next to p~, the
+    same `scheme` and `attrs`, when p's `source` is not empty."""
 
     __slots__ = _fields = ("scheme", "attrs", "flip", "source", "target",
                            "apply")
@@ -407,6 +414,10 @@ def _factor(e: QueryExpr, env: Env) -> Union[Rel, _Fn]:
 
 
 def _eval(e: QueryExpr, env: Env) -> Rel:
+    """The relation the typed expression denotes.  A chain's factors are
+    built (a projection kept as a `_Fn`), stripped of each ``p . p~`` by
+    `_cancel`, and composed by `_eval_chain`; a chain that cancels whole
+    is the identity on its carrier."""
     if isinstance(e, RelRef):
         return env.rels[e.name]
     if isinstance(e, Pid):
@@ -424,9 +435,28 @@ def _eval(e: QueryExpr, env: Env) -> Rel:
                             else rel.converse(r), r]
             else:
                 factors.append(_factor(item, env))
-        return _eval_chain(factors)
+        kept = _cancel(factors)
+        return _eval_chain(kept) if kept else rel.identity(factors[0].target)
     op = rel.union if isinstance(e, UnionOp) else rel.fork
     return functools.reduce(op, [_eval(a, env) for a in e.args])
+
+
+def _cancel(factors: Sequence[Union[Rel, _Fn]]) -> list:
+    """The factors with each adjacent ``p . p~`` of one projection p
+    dropped, by a stack walk, so nested pairs such as ``p . q . q~ . p~``
+    go too.  A projection of a non-empty row universe is onto its
+    sub-row carrier, so ``p . p~`` is the identity there; over an empty
+    universe it is empty and is kept, as is ``p~ . p``, p's kernel."""
+    kept: list = []
+    for x in factors:
+        top = kept[-1] if kept else None
+        if (isinstance(x, _Fn) and x.flip and isinstance(top, _Fn)
+                and not top.flip and top.attrs == x.attrs
+                and top.scheme == x.scheme and len(x.source)):
+            kept.pop()
+        else:
+            kept.append(x)
+    return kept
 
 
 def _ends(x: Union[Rel, _Fn]) -> tuple[int, int, int]:
@@ -465,7 +495,9 @@ def _compose_split(factors: Sequence[Union[Rel, _Fn]], split: dict, i: int,
                    j: int) -> Union[Rel, _Fn]:
     """The split product of ``factors[i:j+1]``: a projection applies by
     its rule where it is the left factor p, or the right factor p~, and
-    is built for any other step."""
+    is built for any other step.  A step ``p . p~``, which builds p~,
+    reaches it only over an empty row universe: `_cancel` drops the
+    others."""
     if i == j:
         return factors[i]
     k = split[i, j]

@@ -205,10 +205,9 @@ def parse_table_csv(text: str,
                     ) -> Table:
     """Build a table from CSV text; first line holds the attribute names."""
     reader = _records(csv.reader(io.StringIO(text)))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty table file", line=1) from None
+    header = next(reader, None)
+    if header is None:
+        raise ParseError("empty table file", line=1)
     names = [h.strip() for h in header]
     if any(not n for n in names):
         raise ParseError("blank attribute name in header", line=1)

@@ -241,6 +241,25 @@ def test_checker_disagreement_is_internal_error(route, table, monkeypatch,
     assert "disagree" in err
 
 
+def test_check_rechecks_its_witness_rows_literally(monkeypatch, capsys):
+    # a scan that keeps its verdict but returns rows agreeing on the
+    # consequent: the three routes agree, and only the re-check of the
+    # witness rows against the FD catches it
+    real = fd.scan_violation
+
+    def agreeing(rows, xs, ys):
+        r1, r2 = real(rows, xs, ys)
+        return r1, tuple(r1[i] if i in ys else v for i, v in enumerate(r2))
+
+    monkeypatch.setattr(cli.fd, "scan_violation", agreeing)
+    code, out, err = run(capsys, "check", "--table",
+                         FIXTURES / "pilots_double_booked.csv",
+                         "--fds", FIXTURES / "pilots.fds")
+    assert (code, out) == (3, "")
+    assert err == ("internal consistency failure: witness rows do not "
+                   "violate Date Flight -> Pilot\n")
+
+
 def test_check_builds_the_stored_carrier_once_per_table(tmp_path, capsys,
                                                         monkeypatch):
     built = []

@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relfd import query, rel, tables
 from relfd.errors import (CarrierMismatchError, ParseError, QueryTypeError,
@@ -758,13 +758,52 @@ def test_discharge_implies_equal_evaluation():
 # projections applied as functions
 
 
+def _cancel_shapes(names):
+    """Chains around ``p . p~``, which `query._cancel` drops when the row
+    universe is not empty, and around the pairs it keeps: p and q project
+    onto the first and the second of `names`, `every` onto all of them,
+    so its target is the row universe, and `none` onto no attribute."""
+    p, q = (Proj("m", frozenset({a})) for a in names[:2])
+    every, none = Proj("m", frozenset(names)), Proj("m", frozenset())
+    return [Compose(p, Converse(p)),
+            Compose(p, every, Converse(every), Converse(p)),
+            Kernel(Converse(p)),
+            Compose(p, Converse(p), p, Pid("m")),
+            Compose(every, Converse(every), Pid("m")),
+            Compose(Converse(p), p),
+            Compose(p, Converse(q)),
+            Compose(none, Converse(none))]
+
+
+def _empty_universe_case():
+    """(table "m", queries): `_cancel_shapes` over a declared empty Actor
+    domain: the row universe is empty, so each ``p . p~`` is empty."""
+    dom = {"Title": ("t0", "t1"), "Director": ("d0",), "Actor": ()}
+    table = Table(Scheme(tuple((a, Carrier(a, v)) for a, v in dom.items())),
+                  frozenset())
+    return table, _cancel_shapes(list(dom))
+
+
+def _colliding_targets_case():
+    """(table "m", queries): projections p and q onto different attribute
+    sets whose sub-row carriers are equal, since each carrier's name joins
+    its attribute names by commas, so ``p . q~`` is not ``p . p~``."""
+    names = ("A", "A,B", "B,C", "C")
+    table = Table(Scheme(tuple((a, Carrier("v", ("v0", "v1")))
+                               for a in names)), frozenset())
+    p, q = (Proj("m", frozenset(names[i::2])) for i in (1, 0))
+    assert (tables.sub_row_carrier(table.scheme, p.attrs)
+            == tables.sub_row_carrier(table.scheme, q.attrs))
+    return table, [Compose(p, Converse(q)), Compose(p, Converse(p))]
+
+
 @st.composite
 def _eval_cases(draw):
     """(table "m", queries): two to four movie attributes, whose domains of
     0-3 values may be empty, holding a random set of rows, maybe none; the
     bench's query shapes (`chain` is the bench's chain) over projections
-    onto one or two of the table's attributes, random chains, and a chain
-    of projections onto no attribute."""
+    onto one or two of the table's attributes, random chains, a chain of
+    projections onto no attribute, and `_cancel_shapes`."""
     names = draw(st.permutations(MOVIE_ATTRS))[:draw(st.integers(2, 4))]
     dom = {a: tuple(f"{a[0].lower()}{v}"
                     for v in range(draw(st.integers(0, 3))))
@@ -781,15 +820,18 @@ def _eval_cases(draw):
     queries = [_template(t, f, g, h, k) for t in TEMPLATES]
     queries += [_random_chain(rnd, "U", list(names))[0] for _ in range(3)]
     queries.append(Compose(Converse(none), none, Pid("m"), Converse(none)))
-    return table, queries
+    return table, queries + _cancel_shapes(names)
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(case=_eval_cases())
+@example(case=_empty_universe_case())
+@example(case=_colliding_targets_case())
 def test_evaluation_agrees_with_building_every_factor(case):
     # `eval_query` applies a chain's projections by the rules of
-    # `rel.compose_fn` and `rel.compose_converse_fn`; the left fold builds
-    # each one by `proj_fn` and composes it by `rel.compose`
+    # `rel.compose_fn` and `rel.compose_converse_fn` and drops each
+    # ``p . p~`` over a non-empty universe; the left fold builds each
+    # projection by `proj_fn` and composes it by `rel.compose`
     table, queries = case
     env = Env(tables={"m": table})
     for e in queries:
@@ -801,9 +843,10 @@ def test_evaluation_agrees_with_building_every_factor(case):
 def test_window_templates_evaluate_no_projection_over_the_universe(
         monkeypatch):
     # on a table breaking `Title -> Director`, the rewrite of each template
-    # is evaluated; every projection of the window is reached through a
-    # pid, so only the `chain` template, whose ``g~ . g`` needs g's
-    # inverse, builds a projection (g) by `tables.proj_fn`
+    # is evaluated, and no template builds a projection by
+    # `tables.proj_fn`: every projection of the window is reached through
+    # a pid, and the `chain` template's leading ``g . g~`` cancels, since
+    # the table's row universe is not empty
     table = parse_table_csv((FIXTURES / "movies_violating.csv").read_text())
     env = Env(tables={"m": table})
     f, g, h = (frozenset({a}) for a in ("Title", "Director", "Actor"))
@@ -828,14 +871,44 @@ def test_window_templates_evaluate_no_projection_over_the_universe(
         r1, r2 = _left_fold(q, env), _left_fold(out, env)
         with monkeypatch.context() as m:
             m.setattr(tables, "_proj_fn", built)
-            if kind == "chain":
-                with pytest.raises(Built, match="Director"):
-                    verify_rewrite(q, out, fired, table)
-                continue
             got = verify_rewrite(q, out, fired, table)
         assert got.equal == (r1.pairs == r2.pairs)
         assert got.equal or got.witness in r1.pairs ^ r2.pairs
     assert len(compared) == len(TEMPLATES)
+
+
+def test_window_templates_build_no_relation_at_the_universe_scale(
+        monkeypatch):
+    # on 4-attribute tables of 960 rows' universe holding 24 rows each,
+    # breaking `Title -> Director`, every relation built while a template's
+    # rewrite is verified holds fewer pairs than half the universe
+    names = {"Title": 8, "Director": 6, "Actor": 5, "Studio": 4}
+    scheme = Scheme(tuple((a, Carrier(a, tuple(f"{a[0]}{v}"
+                                               for v in range(n))))
+                          for a, n in names.items()))
+    universe = row_carrier(scheme).elements
+    f, g, h, k = (frozenset({a}) for a in names)
+    sizes = []
+    init = rel.Rel.__init__
+
+    def recorded(self, source, target, pairs):
+        sizes.append(len(pairs))
+        init(self, source, target, pairs)
+
+    tables._proj_fn.cache_clear()  # a projection is built, not looked up
+    for seed in range(5):
+        table = Table(scheme, frozenset(random.Random(seed).sample(universe,
+                                                                   24)))
+        for kind in TEMPLATES:
+            q = _template(kind, f, g, h, k)
+            fired = []
+            out = rewrite_selfjoin(q, [AttrFd(f, g)], fired)
+            assert not discharged(fired, Env(tables={"m": table}))
+            with monkeypatch.context() as m:
+                m.setattr(rel.Rel, "__init__", recorded)
+                verify_rewrite(q, out, fired, table)
+    assert len(universe) == 960 and sizes
+    assert max(sizes) < len(universe) / 2
 
 
 # ---------------------------------------------------------------------------
