@@ -51,6 +51,15 @@ rows.  Any other step with a projection, such as ``p~`` on the left or
 p on the right of a composition, and a projection outside a chain, is
 built over the whole row universe by the cached `tables.proj_fn`.
 
+What `_compare` pays around its relations is paid once, in LRU caches
+of `rel.CACHE_SIZE` entries.  `_fns`, keyed by scheme and attribute set
+as `_sorts` is, holds each projection's row map with its converse; an
+entry pins a row universe and a sub-row carrier, each of at most
+`tables.ROW_CARRIER_LIMIT` rows.  `rel.fork` takes its target from
+`rel._fork_target`, one pair carrier per pair of component carriers, so
+both sides of a refuted rewrite share it.  `_plan` finds the
+association on flat lists.
+
 JSON wire form (one object per node):
 
     {"op": "compose", "args": [e1, e2, ...]}     # >= 2 args
@@ -358,7 +367,7 @@ def type_attrs(e: QueryExpr, env: Env, path: str = "query"
                   lambda a, b: Sort((a, b)))
 
 
-@functools.lru_cache(maxsize=tables.CACHE_SIZE)
+@functools.lru_cache(maxsize=rel.CACHE_SIZE)
 def _sorts(scheme: tables.Scheme, attrs: Optional[frozenset]) -> tuple:
     """The sorts of a pid (attrs None) or a projection over the scheme,
     cached by scheme as the table bridge caches its carriers."""
@@ -385,8 +394,20 @@ class _Fn(Frozen):
                            "apply")
 
     def flipped(self) -> "_Fn":
-        return _Fn(self.scheme, self.attrs, not self.flip, self.source,
-                   self.target, self.apply)
+        return _fns(self.scheme, self.attrs)[not self.flip]
+
+
+@functools.lru_cache(maxsize=rel.CACHE_SIZE)
+def _fns(scheme: tables.Scheme, attrs: frozenset) -> tuple[_Fn, _Fn]:
+    """The projection of the scheme onto `attrs` and its converse, as
+    `_Fn`s sharing one map, cached by scheme as `_sorts` is."""
+    sub = tables.sub_scheme(scheme, attrs)
+    at = [scheme.positions[n] for n in sub.names]
+    apply = (itemgetter(*at) if len(at) > 1  # a slice keeps a 1-tuple
+             else itemgetter(slice(at[0], at[0] + 1) if at else slice(0)))
+    source, target = tables.row_carrier(scheme), tables.row_carrier(sub)
+    return (_Fn(scheme, attrs, False, source, target, apply),
+            _Fn(scheme, attrs, True, source, target, apply))
 
 
 def _built(x: Union[Rel, _Fn]) -> Rel:
@@ -404,13 +425,7 @@ def _factor(e: QueryExpr, env: Env) -> Union[Rel, _Fn]:
     p = e.args[0] if flip else e
     if not isinstance(p, Proj):
         return _eval(e, env)
-    scheme = env.tables[p.scheme].scheme
-    sub = tables.sub_scheme(scheme, p.attrs)
-    at = [scheme.positions[n] for n in sub.names]
-    apply = (itemgetter(*at) if len(at) > 1  # a slice keeps a 1-tuple
-             else itemgetter(slice(at[0], at[0] + 1) if at else slice(0)))
-    return _Fn(scheme, p.attrs, flip, tables.row_carrier(scheme),
-               tables.row_carrier(sub), apply)
+    return _fns(env.tables[p.scheme].scheme, p.attrs)[flip]
 
 
 def _eval(e: QueryExpr, env: Env) -> Rel:
@@ -469,29 +484,41 @@ def _ends(x: Union[Rel, _Fn]) -> tuple[int, int, int]:
 
 
 def _eval_chain(factors: Sequence[Union[Rel, _Fn]]) -> Rel:
-    """``factors[0] . factors[1] . ...`` composed in the association whose
-    estimated intermediate pair counts sum least; ties go to the leftmost
-    split.  The estimates read only pair counts and carrier sizes."""
-    n = len(factors)
-    ends = [_ends(x) for x in factors]
-    size = {(i, i): float(x[2]) for i, x in enumerate(ends)}
-    cost = {(i, i): 0.0 for i in range(n)}
-    split: dict = {}
+    """``factors[0] . factors[1] . ...`` composed in the association that
+    `_plan` picks from their `_ends`."""
+    split = _plan([_ends(x) for x in factors])
+    return _built(_compose_split(factors, split, 0, len(factors) - 1))
+
+
+def _plan(ends: Sequence[tuple[int, int, int]]) -> list[int]:
+    """The split table of a chain of factors with these `_ends`: the
+    product of factors i to j splits after factor ``split[i * n + j]``, in
+    the association whose estimated intermediate pair counts sum least;
+    ties go to the leftmost split.  Each span's estimated size and least
+    cost sit at the same place of two more flat lists."""
+    n = len(ends)
+    size = [0.0] * (n * n)
+    cost = [0.0] * (n * n)
+    split = [0] * (n * n)
+    for i, x in enumerate(ends):
+        size[i * n + i] = float(x[2])
     for span in range(1, n):
         for i in range(n - span):
             j = i + span
-            cap = ends[j][0] * ends[i][1]
-            options = []
+            row, cap, best = i * n, ends[j][0] * ends[i][1], float("inf")
             for k in range(i, j):
-                mid = ends[k][0]
-                est = (min(size[i, k] * size[k + 1, j] / mid, cap)
-                       if mid else 0.0)
-                options.append((cost[i, k] + cost[k + 1, j] + est, k, est))
-            cost[i, j], split[i, j], size[i, j] = min(options)
-    return _built(_compose_split(factors, split, 0, n - 1))
+                mid, right = ends[k][0], (k + 1) * n + j
+                est = size[row + k] * size[right] / mid if mid else 0.0
+                if est > cap:
+                    est = cap
+                total = cost[row + k] + cost[right] + est
+                if total < best:
+                    best, at, at_size = total, k, est
+            cost[row + j], split[row + j], size[row + j] = best, at, at_size
+    return split
 
 
-def _compose_split(factors: Sequence[Union[Rel, _Fn]], split: dict, i: int,
+def _compose_split(factors: Sequence[Union[Rel, _Fn]], split: list, i: int,
                    j: int) -> Union[Rel, _Fn]:
     """The split product of ``factors[i:j+1]``: a projection applies by
     its rule where it is the left factor p, or the right factor p~, and
@@ -500,7 +527,7 @@ def _compose_split(factors: Sequence[Union[Rel, _Fn]], split: dict, i: int,
     others."""
     if i == j:
         return factors[i]
-    k = split[i, j]
+    k = split[i * len(factors) + j]
     r = _compose_split(factors, split, i, k)
     s = _compose_split(factors, split, k + 1, j)
     if isinstance(r, _Fn) and not r.flip:

@@ -22,7 +22,7 @@ mismatched carriers raises instead of silently reinterpreting elements.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Union
 
 from .errors import CarrierMismatchError, SchemeError
@@ -163,6 +163,7 @@ class Carrier(Frozen):
 
 
 UNIT_CARRIER = Carrier("1", (Unit(),))
+CACHE_SIZE = 8  # entries of each LRU cache here, in `tables` and in `query`
 
 
 def pair_carrier(a: Carrier, b: Carrier) -> Carrier:
@@ -170,6 +171,11 @@ def pair_carrier(a: Carrier, b: Carrier) -> Carrier:
     return Carrier(f"({a.name}*{b.name})",
                    tuple(Pair(x, y) for x in a.elements for y in b.elements),
                    (a, b))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _fork_target(a: Carrier, b: Carrier) -> Carrier:
+    return pair_carrier(a, b)  # one per component pair, for every fork
 
 
 class Rel(Frozen):
@@ -236,11 +242,8 @@ def compose(r: Rel, s: Rel) -> Rel:
     """r . s — apply `s` first, then `r`; needs s.target = r.source."""
     _require_same(s.target, r.source, "compose")
     by_input = r._by_input
-    out = set()
-    for c, a in s.pairs:
-        for b in by_input.get(a, ()):
-            out.add((c, b))
-    return Rel(s.source, r.target, frozenset(out))
+    return Rel(s.source, r.target, frozenset(
+        {(c, b) for c, a in s.pairs for b in by_input.get(a, ())}))
 
 
 # `compose` with a total function p, given by its map `p.apply` from
@@ -334,13 +337,9 @@ def _proj(p: Carrier, i: int) -> Rel:
 def fork(r: Rel, s: Rel) -> Rel:
     """Pair the outputs of r and s over their shared source."""
     _require_same(r.source, s.source, "fork")
-    tgt = pair_carrier(r.target, s.target)
-    s_by_input = s._by_input
-    out = set()
-    for c, a in r.pairs:
-        for b in s_by_input.get(c, ()):
-            out.add((c, Pair(a, b)))
-    return Rel(r.source, tgt, frozenset(out))
+    by_input = s._by_input
+    return Rel(r.source, _fork_target(r.target, s.target), frozenset(
+        {(c, Pair(a, b)) for c, a in r.pairs for b in by_input.get(c, ())}))
 
 
 def product(f: Rel, g: Rel) -> Rel:

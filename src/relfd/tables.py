@@ -11,10 +11,12 @@ order):
 The classical rendering of a table as one binary relation, `encode_pairs`,
 is in `relfd.oracles`.
 
-Row carriers and projection functions are cached by scheme, in LRU caches of
-`CACHE_SIZE` entries each: the queries on one table reuse them, and the bound
-keeps a long-lived process from pinning the row universe of every scheme it
-has seen, with the index and converse each cached `Rel` keeps.
+Row carriers and projection functions are cached by scheme in LRU caches of
+`rel.CACHE_SIZE` entries each, as are `rel.fork`'s pair carriers and the
+sorts and projection maps of `relfd.query`: the queries on one table reuse
+them, and the bound keeps a long-lived process from pinning the row universe
+of every scheme it has seen.  An entry holds one to three carriers, each of
+at most `ROW_CARRIER_LIMIT` elements in a query, and a `Rel` keeps its index.
 
 Values are those of `relfd.rel`: an atom is a `str` and a row is a `tuple`
 of values, in scheme order.  CSV ingestion reads every value as an atom, so
@@ -36,10 +38,9 @@ from typing import Iterable, Iterator, Union
 
 from .errors import (ParseError, ResourceLimitError, SchemeError,
                      UnknownAttributeError)
-from .rel import Carrier, Frozen, Rel, render_value, value_to_json
+from .rel import CACHE_SIZE, Carrier, Frozen, Rel, render_value, value_to_json
 
 ROW_CARRIER_LIMIT = 10 ** 6
-CACHE_SIZE = 8
 
 
 class Scheme(Frozen):

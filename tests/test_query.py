@@ -912,6 +912,130 @@ def test_window_templates_build_no_relation_at_the_universe_scale(
 
 
 # ---------------------------------------------------------------------------
+# the chain planner and the evaluation's caches
+
+
+def _plan_oracle(ends):
+    """The split of each span ``(i, j)`` of two or more factors, by the
+    dictionary-and-`min` dynamic program that `query._plan` replaced."""
+    n = len(ends)
+    size = {(i, i): float(x[2]) for i, x in enumerate(ends)}
+    cost = {(i, i): 0.0 for i in range(n)}
+    split = {}
+    for span in range(1, n):
+        for i in range(n - span):
+            j = i + span
+            cap = ends[j][0] * ends[i][1]
+            options = []
+            for k in range(i, j):
+                mid = ends[k][0]
+                est = (min(size[i, k] * size[k + 1, j] / mid, cap)
+                       if mid else 0.0)
+                options.append((cost[i, k] + cost[k + 1, j] + est, k, est))
+            cost[i, j], split[i, j], size[i, j] = min(options)
+    return split
+
+
+@st.composite
+def _chain_ends(draw):
+    """`_ends` of a chain of 1-10 factors, factor i from carrier i + 1 to
+    carrier i, with carriers and pair counts of 0-60.  Drawn from {0, 1, 4}
+    or all of one size they force cost ties, and a middle carrier of size 0
+    estimates its step at no pairs."""
+    n = draw(st.integers(1, 10))
+    value = draw(st.sampled_from((st.integers(0, 60),
+                                  st.sampled_from((0, 1, 4)),
+                                  st.just(draw(st.integers(0, 60))))))
+    carriers = draw(st.lists(value, min_size=n + 1, max_size=n + 1))
+    pairs = draw(st.lists(value, min_size=n, max_size=n))
+    return [(carriers[i + 1], carriers[i], pairs[i]) for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(ends=_chain_ends())
+@example(ends=[(2, 2, 2)] * 6)  # every split of a span costs the same
+@example(ends=[(3, 5, 9), (0, 3, 0), (4, 0, 0), (6, 4, 24), (0, 6, 0)])
+def test_planner_splits_every_span_as_the_dictionary_planner(ends):
+    n = len(ends)
+    split = query._plan(ends)
+    assert {(i, j): split[i * n + j] for i in range(n)
+            for j in range(i + 1, n)} == _plan_oracle(ends)
+
+
+def test_projection_maps_are_cached_by_equal_scheme_only():
+    # the bench's query shapes and `_cancel_shapes` on four tables in turn,
+    # the caches kept warm: a table over an equal scheme and other rows is
+    # served the first one's projection maps, and tables whose scheme
+    # differs in one domain's order or in one of its values miss; every
+    # result is the left fold's
+    dom = {"Title": ("t0", "t1"), "Director": ("d0", "d1"),
+           "Actor": ("a0", "a1", "a2")}
+
+    def table(domains, rows):
+        return Table.make(Scheme(tuple((a, Carrier(a, v))
+                                       for a, v in domains.items())), rows)
+
+    first = table(dom, [("t0", "d0", "a0"), ("t0", "d1", "a1"),
+                        ("t1", "d0", "a2")])
+    equal = table(dom, [("t1", "d1", "a0"), ("t0", "d1", "a1")])
+    reordered = table({**dom, "Actor": ("a2", "a0", "a1")}, first.rows)
+    revalued = table({**dom, "Actor": ("a0", "a1", "a3")},
+                     [("t0", "d0", "a3"), ("t1", "d1", "a0")])
+    assert first.scheme == equal.scheme and first.scheme is not equal.scheme
+    assert first.scheme != reordered.scheme != revalued.scheme
+    f, g, h = (frozenset({a}) for a in dom)
+    queries = ([_template(t, f, g, h, g) for t in TEMPLATES]
+               + _cancel_shapes(list(dom)))
+    keys = 5  # {Title}, {Director}, {Actor}, every attribute and none
+    cases = [(t, queries) for t in (first, equal, reordered, revalued)]
+    cases += [_colliding_targets_case(), _empty_universe_case()] * 2
+    misses = []
+    for t, qs in cases:
+        env = Env(tables={"m": t})
+        before = query._fns.cache_info().misses
+        for e in qs:
+            got, want = eval_query(e, env), _left_fold(e, env)
+            assert (got.source, got.target, got.pairs) == (
+                want.source, want.target, want.pairs), e
+        misses.append(query._fns.cache_info().misses - before)
+    assert misses[1:4] == [0, keys, keys] and misses[6:] == [0, 0]
+
+
+def test_refuted_rewrites_build_each_fork_target_and_map_once(monkeypatch):
+    # on a table breaking `Title -> Director`, which refutes the rewrite of
+    # each template, verifying them builds the fork template's target once,
+    # for both sides; a second table over an equal scheme is served every
+    # fork target and projection map from the caches, and builds no
+    # sub-scheme
+    text = (FIXTURES / "movies_violating.csv").read_text()
+    f, g, h = (frozenset({a}) for a in ("Title", "Director", "Actor"))
+    requests = []
+    for kind in TEMPLATES:
+        q = _template(kind, f, g, h, g)
+        fired = []
+        requests.append((q, rewrite_selfjoin(q, [AttrFd(f, g)], fired),
+                         fired))
+    targets = []
+    pair_carrier = rel.pair_carrier
+
+    def counted(a, b):
+        targets.append((a, b))
+        return pair_carrier(a, b)
+
+    def unbuilt(*args):
+        raise AssertionError("a sub-scheme was built")
+
+    monkeypatch.setattr(rel, "pair_carrier", counted)
+    rel._fork_target.cache_clear()
+    first = [verify_rewrite(*r, parse_table_csv(text)) for r in requests]
+    assert not any(first) and len(targets) == 1
+    monkeypatch.setattr(tables, "sub_scheme", unbuilt)
+    assert [verify_rewrite(*r, parse_table_csv(text))
+            for r in requests] == first
+    assert len(targets) == 1
+
+
+# ---------------------------------------------------------------------------
 # typing by attribute sets
 
 
