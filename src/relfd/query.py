@@ -29,36 +29,39 @@ builds carriers, and reports a counterexample, the first differing pair.
 A composition chain, and a lone kernel as a chain of one factor, is
 evaluated as one step.  Each kernel factor ``ker e`` is unfolded into the
 two factors ``e~ . e`` (the definition of `rel.kernel`), so the kernel
-over a whole row universe is never built.  Then `_cancel` drops each
-adjacent ``p . p~`` of one projection p (one scheme, one attribute set),
-nested pairs such as ``p . q . q~ . p~`` too, and so ``ker p~``: p is
-onto its sub-row carrier whenever the row universe is non-empty, so
-``p . p~`` is the identity there, and a chain that cancels whole is that
-identity.  Over an empty universe ``p . p~`` is empty and stays, as does
-``p~ . p``, p's kernel.  What is left is associated by a matrix-chain
-dynamic program over estimated pair counts: composing ``l`` with ``r``
-through a middle carrier ``m`` is estimated at ``|l| * |r| / |m|``
-pairs, capped at ``|source| * |target|``.  Composition is associative,
-so the result does not depend on the order.  A chain keeps each
-projection p, and each ``p~``, as a function on rows, unbuilt, and
-applies it by one of two rules of `rel`, each linear in the other
-operand: ``p . s = {(c, p(a)) : (c, a) in s}`` (`rel.compose_fn`) and
-``r . p~ = {(p(a), b) : (a, b) in r}`` (`rel.compose_converse_fn`).  The
-estimates count it at one pair per row of its universe, as if built, so
-the association is unchanged, and the window ``g . pid . ker f . pid .
-h~`` reaches each projection through a pid, at the scale of the stored
-rows.  Any other step with a projection, such as ``p~`` on the left or
-p on the right of a composition, and a projection outside a chain, is
-built over the whole row universe by the cached `tables.proj_fn`.
+over a whole row universe is never built: on the query nodes when e is a
+projection or its converse, on e's relation, evaluated once, otherwise.
+Then `_cancel` drops each adjacent ``p . p~`` of one projection p (one
+table, one attribute set), nested pairs such as ``p . q . q~ . p~`` too,
+and so ``ker p~``: p is onto its sub-row carrier whenever the row
+universe is non-empty, so ``p . p~`` is the identity there, and a chain
+that cancels whole is that identity.  Over an empty universe ``p . p~``
+is empty and stays, as does ``p~ . p``, p's kernel.
+
+A table enters a chain as its partial identity, and a projection beside
+it is that projection restricted to the stored rows S: ``p . pid = p|S``
+and ``pid . p~ = (p|S)~``.  So `_absorb` builds a projection directly
+left of a pid as the |S| pairs ``(r, p(r))``, the converse of one
+directly right of a pid as the pairs ``(p(r), r)``, and drops a pid with
+such a neighbour: the window ``g . pid . ker f . pid . h~`` is evaluated
+at the scale of the stored rows.  Every other factor is evaluated on its
+own, so a projection p whose right neighbour is not a pid, as in
+``g~ . g`` or ``g . (h . pid)~``, the converse of one whose left
+neighbour is not a pid, and a projection outside a chain are built over
+the whole row universe by the cached `tables.proj_fn`.  The factors are
+associated by a matrix-chain dynamic program over estimated pair counts:
+composing ``l`` with ``r`` through a middle carrier ``m`` is estimated
+at ``|l| * |r| / |m|`` pairs, capped at ``|source| * |target|``.
+Composition is associative, so the result does not depend on the order.
 
 What `_compare` pays around its relations is paid once, in LRU caches
-of `rel.CACHE_SIZE` entries.  `_fns`, keyed by scheme and attribute set
-as `_sorts` is, holds each projection's row map with its converse; an
-entry pins a row universe and a sub-row carrier, each of at most
-`tables.ROW_CARRIER_LIMIT` rows.  `rel.fork` takes its target from
-`rel._fork_target`, one pair carrier per pair of component carriers, so
-both sides of a refuted rewrite share it.  `_plan` finds the
-association on flat lists.
+of `rel.CACHE_SIZE` entries.  `_proj_map`, keyed by scheme and attribute
+set as `_sorts` is, holds a projection's row universe, its sub-row
+carrier and its map from a row to its sub-row; an entry pins the two
+carriers, each of at most `tables.ROW_CARRIER_LIMIT` rows.  `rel.fork`
+takes its target from `rel._fork_target`, one pair carrier per pair of
+component carriers, so both sides of a refuted rewrite share it.  `_plan`
+finds the association on flat lists.
 
 JSON wire form (one object per node):
 
@@ -383,56 +386,26 @@ def eval_query(e: QueryExpr, env: Env) -> Rel:
     return _eval(e, env)
 
 
-class _Fn(Frozen):
-    """A projection p of `scheme` onto `attrs` that a chain keeps unbuilt,
-    or its converse p~ when `flip`: `apply` maps a row of p's `source` to
-    its sub-row in p's `target`, which is how `rel.compose_fn` and
-    `rel.compose_converse_fn` read p.  `_cancel` drops p next to p~, the
-    same `scheme` and `attrs`, when p's `source` is not empty."""
-
-    __slots__ = _fields = ("scheme", "attrs", "flip", "source", "target",
-                           "apply")
-
-    def flipped(self) -> "_Fn":
-        return _fns(self.scheme, self.attrs)[not self.flip]
-
-
 @functools.lru_cache(maxsize=rel.CACHE_SIZE)
-def _fns(scheme: tables.Scheme, attrs: frozenset) -> tuple[_Fn, _Fn]:
-    """The projection of the scheme onto `attrs` and its converse, as
-    `_Fn`s sharing one map, cached by scheme as `_sorts` is."""
+def _proj_map(scheme: tables.Scheme, attrs: frozenset) -> tuple:
+    """The row universe of the scheme, the sub-row carrier of `attrs` and
+    the map from a row to its sub-row, cached by scheme as `_sorts` is."""
     sub = tables.sub_scheme(scheme, attrs)
     at = [scheme.positions[n] for n in sub.names]
     apply = (itemgetter(*at) if len(at) > 1  # a slice keeps a 1-tuple
              else itemgetter(slice(at[0], at[0] + 1) if at else slice(0)))
-    source, target = tables.row_carrier(scheme), tables.row_carrier(sub)
-    return (_Fn(scheme, attrs, False, source, target, apply),
-            _Fn(scheme, attrs, True, source, target, apply))
+    return tables.row_carrier(scheme), tables.row_carrier(sub), apply
 
 
-def _built(x: Union[Rel, _Fn]) -> Rel:
-    """The factor as a relation, a projection built by `tables.proj_fn`."""
-    if isinstance(x, Rel):
-        return x
-    p = tables.proj_fn(x.scheme, x.attrs)
-    return rel.converse(p) if x.flip else p
-
-
-def _factor(e: QueryExpr, env: Env) -> Union[Rel, _Fn]:
-    """A chain factor: a projection or the converse of one as a `_Fn`,
-    any other expression evaluated."""
-    flip = isinstance(e, Converse)
-    p = e.args[0] if flip else e
-    if not isinstance(p, Proj):
-        return _eval(e, env)
-    return _fns(env.tables[p.scheme].scheme, p.attrs)[flip]
+def _is_converse_proj(x) -> bool:
+    return isinstance(x, Converse) and isinstance(x.args[0], Proj)
 
 
 def _eval(e: QueryExpr, env: Env) -> Rel:
-    """The relation the typed expression denotes.  A chain's factors are
-    built (a projection kept as a `_Fn`), stripped of each ``p . p~`` by
-    `_cancel`, and composed by `_eval_chain`; a chain that cancels whole
-    is the identity on its carrier."""
+    """The relation the typed expression denotes.  A chain's kernels are
+    unfolded, its ``p . p~`` dropped by `_cancel`, its factors built by
+    `_absorb` and composed by `_eval_chain`; a chain that cancels whole
+    is the identity on its first projection's target."""
     if isinstance(e, RelRef):
         return env.rels[e.name]
     if isinstance(e, Pid):
@@ -442,60 +415,90 @@ def _eval(e: QueryExpr, env: Env) -> Rel:
     if isinstance(e, Converse):
         return rel.converse(_eval(e.args[0], env))
     if isinstance(e, (Compose, Kernel)):  # a lone kernel is a 1-factor chain
-        factors: list = []
+        items: list = []
         for item in e.args if isinstance(e, Compose) else (e,):
-            if isinstance(item, Kernel):
-                r = _factor(item.args[0], env)
-                factors += [r.flipped() if isinstance(r, _Fn)
-                            else rel.converse(r), r]
-            else:
-                factors.append(_factor(item, env))
-        kept = _cancel(factors)
-        return _eval_chain(kept) if kept else rel.identity(factors[0].target)
+            if not isinstance(item, Kernel):
+                items.append(item)
+                continue
+            a = item.args[0]
+            if isinstance(a, Proj):
+                items += [Converse(a), a]
+            elif _is_converse_proj(a):
+                items += [a.args[0], a]
+            else:  # any other argument is evaluated once
+                r = _eval(a, env)
+                items += [rel.converse(r), r]
+        kept = _cancel(items, env)
+        if kept:
+            return _eval_chain(_absorb(kept, env))
+        p = items[0]
+        return rel.identity(_proj_map(env.tables[p.scheme].scheme,
+                                      p.attrs)[1])
     op = rel.union if isinstance(e, UnionOp) else rel.fork
     return functools.reduce(op, [_eval(a, env) for a in e.args])
 
 
-def _cancel(factors: Sequence[Union[Rel, _Fn]]) -> list:
-    """The factors with each adjacent ``p . p~`` of one projection p
-    dropped, by a stack walk, so nested pairs such as ``p . q . q~ . p~``
-    go too.  A projection of a non-empty row universe is onto its
-    sub-row carrier, so ``p . p~`` is the identity there; over an empty
-    universe it is empty and is kept, as is ``p~ . p``, p's kernel."""
+def _cancel(items: Sequence, env: Env) -> list:
+    """The chain items, query nodes or relations, without each adjacent
+    ``p . p~`` of one projection p over a non-empty row universe, where
+    it is the identity: a stack walk, so nested pairs go too."""
     kept: list = []
-    for x in factors:
+    for x in items:
         top = kept[-1] if kept else None
-        if (isinstance(x, _Fn) and x.flip and isinstance(top, _Fn)
-                and not top.flip and top.attrs == x.attrs
-                and top.scheme == x.scheme and len(x.source)):
+        if (isinstance(top, Proj) and isinstance(x, Converse)
+                and x.args[0] == top
+                and len(tables.row_carrier(env.tables[top.scheme]))):
             kept.pop()
         else:
             kept.append(x)
     return kept
 
 
-def _ends(x: Union[Rel, _Fn]) -> tuple[int, int, int]:
-    """A factor's source and target sizes and its pair count; an unbuilt
-    projection has a pair per row of its universe."""
-    if isinstance(x, Rel):
-        return len(x.source), len(x.target), len(x.pairs)
-    rows, subs = len(x.source), len(x.target)
-    return (subs, rows, rows) if x.flip else (rows, subs, rows)
+def _absorb(items: Sequence, env: Env) -> list[Rel]:
+    """The chain items as relations.  A projection p directly left of a
+    pid is p restricted to the pid's stored rows S, ``p . pid = p|S``,
+    built as the pairs ``(r, p(r))``; a converse projection directly
+    right of a pid is ``pid . p~ = (p|S)~``, built as the pairs
+    ``(p(r), r)``; a pid with either neighbour is dropped.  Any other item
+    is evaluated on its own."""
+    factors = []
+    for left, x, right in zip([None, *items], items, [*items[1:], None]):
+        if isinstance(x, Pid):
+            if not (isinstance(left, Proj) or _is_converse_proj(right)):
+                factors.append(tables.pid(env.tables[x.table]))
+        elif isinstance(x, Proj) and isinstance(right, Pid):
+            universe, sub, apply = _proj_map(env.tables[x.scheme].scheme,
+                                             x.attrs)
+            rows = env.tables[right.table].rows
+            factors.append(Rel(universe, sub,
+                               frozenset(zip(rows, map(apply, rows)))))
+        elif isinstance(left, Pid) and _is_converse_proj(x):
+            p = x.args[0]
+            universe, sub, apply = _proj_map(env.tables[p.scheme].scheme,
+                                             p.attrs)
+            rows = env.tables[left.table].rows
+            factors.append(Rel(sub, universe,
+                               frozenset(zip(map(apply, rows), rows))))
+        else:
+            factors.append(x if isinstance(x, Rel) else _eval(x, env))
+    return factors
 
 
-def _eval_chain(factors: Sequence[Union[Rel, _Fn]]) -> Rel:
+def _eval_chain(factors: Sequence[Rel]) -> Rel:
     """``factors[0] . factors[1] . ...`` composed in the association that
-    `_plan` picks from their `_ends`."""
-    split = _plan([_ends(x) for x in factors])
-    return _built(_compose_split(factors, split, 0, len(factors) - 1))
+    `_plan` picks from their sizes."""
+    split = _plan([(len(x.source), len(x.target), len(x.pairs))
+                   for x in factors])
+    return _compose_split(factors, split, 0, len(factors) - 1)
 
 
 def _plan(ends: Sequence[tuple[int, int, int]]) -> list[int]:
-    """The split table of a chain of factors with these `_ends`: the
-    product of factors i to j splits after factor ``split[i * n + j]``, in
-    the association whose estimated intermediate pair counts sum least;
-    ties go to the leftmost split.  Each span's estimated size and least
-    cost sit at the same place of two more flat lists."""
+    """The split table of a chain of factors with these source and target
+    sizes and pair counts: the product of factors i to j splits after
+    factor ``split[i * n + j]``, in the association whose estimated
+    intermediate pair counts sum least; ties go to the leftmost split.
+    Each span's estimated size and least cost sit at the same place of
+    two more flat lists."""
     n = len(ends)
     size = [0.0] * (n * n)
     cost = [0.0] * (n * n)
@@ -518,23 +521,13 @@ def _plan(ends: Sequence[tuple[int, int, int]]) -> list[int]:
     return split
 
 
-def _compose_split(factors: Sequence[Union[Rel, _Fn]], split: list, i: int,
-                   j: int) -> Union[Rel, _Fn]:
-    """The split product of ``factors[i:j+1]``: a projection applies by
-    its rule where it is the left factor p, or the right factor p~, and
-    is built for any other step.  A step ``p . p~``, which builds p~,
-    reaches it only over an empty row universe: `_cancel` drops the
-    others."""
+def _compose_split(factors: Sequence[Rel], split: list, i: int, j: int) -> Rel:
+    """The product of ``factors[i:j+1]`` in the association of `split`."""
     if i == j:
         return factors[i]
     k = split[i * len(factors) + j]
-    r = _compose_split(factors, split, i, k)
-    s = _compose_split(factors, split, k + 1, j)
-    if isinstance(r, _Fn) and not r.flip:
-        return rel.compose_fn(r, _built(s))
-    if isinstance(s, _Fn) and s.flip:
-        return rel.compose_converse_fn(_built(r), s)
-    return rel.compose(_built(r), _built(s))
+    return rel.compose(_compose_split(factors, split, i, k),
+                       _compose_split(factors, split, k + 1, j))
 
 
 # ---------------------------------------------------------------------------

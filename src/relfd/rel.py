@@ -246,22 +246,6 @@ def compose(r: Rel, s: Rel) -> Rel:
         {(c, b) for c, a in s.pairs for b in by_input.get(a, ())}))
 
 
-# `compose` with a total function p, given by its map `p.apply` from
-# `p.source` to `p.target` and not by pairs: linear in the other operand.
-def compose_fn(p, s: Rel) -> Rel:
-    """p . s = {(c, p(a)) : (c, a) in s}."""
-    _require_same(s.target, p.source, "compose")
-    return Rel(s.source, p.target,
-               frozenset([(c, p.apply(a)) for c, a in s.pairs]))
-
-
-def compose_converse_fn(r: Rel, p) -> Rel:
-    """r . p~ = {(p(a), b) : (a, b) in r}."""
-    _require_same(p.source, r.source, "compose")
-    return Rel(p.target, r.target,
-               frozenset([(p.apply(a), b) for a, b in r.pairs]))
-
-
 def converse(r: Rel) -> Rel:
     return r._converse
 

@@ -760,9 +760,11 @@ def test_discharge_implies_equal_evaluation():
 
 def _cancel_shapes(names):
     """Chains around ``p . p~``, which `query._cancel` drops when the row
-    universe is not empty, and around the pairs it keeps: p and q project
-    onto the first and the second of `names`, `every` onto all of them,
-    so its target is the row universe, and `none` onto no attribute."""
+    universe is not empty, and around the pairs it keeps, and chains
+    around the pids that `query._absorb` absorbs into a projection beside
+    them and the pids it keeps: p and q project onto the first and the
+    second of `names`, `every` onto all of them, so its target is the row
+    universe, and `none` onto no attribute."""
     p, q = (Proj("m", frozenset({a})) for a in names[:2])
     every, none = Proj("m", frozenset(names)), Proj("m", frozenset())
     return [Compose(p, Converse(p)),
@@ -772,7 +774,13 @@ def _cancel_shapes(names):
             Compose(every, Converse(every), Pid("m")),
             Compose(Converse(p), p),
             Compose(p, Converse(q)),
-            Compose(none, Converse(none))]
+            Compose(none, Converse(none)),
+            Compose(p, Pid("m"), Converse(q)),
+            Compose(Converse(q), q, Pid("m")),
+            Compose(Pid("m"), Converse(p), p),
+            Compose(p, Pid("m"), Pid("m"), Converse(q)),
+            Compose(Converse(every), Pid("m"), every),
+            Compose(p, Converse(Compose(q, Pid("m"))))]
 
 
 def _empty_universe_case():
@@ -828,10 +836,10 @@ def _eval_cases(draw):
 @example(case=_empty_universe_case())
 @example(case=_colliding_targets_case())
 def test_evaluation_agrees_with_building_every_factor(case):
-    # `eval_query` applies a chain's projections by the rules of
-    # `rel.compose_fn` and `rel.compose_converse_fn` and drops each
-    # ``p . p~`` over a non-empty universe; the left fold builds each
-    # projection by `proj_fn` and composes it by `rel.compose`
+    # `eval_query` drops each ``p . p~`` of a chain over a non-empty
+    # universe and builds a projection beside a pid restricted to the
+    # stored rows, absorbing the pid; the left fold builds each projection
+    # by `proj_fn`, each pid by `pid`, and composes them by `rel.compose`
     table, queries = case
     env = Env(tables={"m": table})
     for e in queries:
@@ -840,13 +848,68 @@ def test_evaluation_agrees_with_building_every_factor(case):
             want.source, want.target, want.pairs), e
 
 
+def test_absorbing_a_pid_restricts_the_projection_beside_it():
+    # ``p . pid = p|S`` and ``pid . p~ = (p|S)~``: `_absorb` builds each
+    # side as one relation equal to the composition of the built
+    # projection and pid, over random tables, some empty, and an empty
+    # universe, for every attribute set.  `every` targets the row
+    # universe, so ``pid . every`` and ``every~ . pid`` type too; their
+    # pid must be kept
+    rnd = random.Random(40)
+    cases = [_random_movies_table(rnd) for _ in range(30)]
+    cases.append(_empty_universe_case()[0])
+    empty_tables = 0
+    for table in cases:
+        env = Env(tables={"m": table})
+        names = table.scheme.names
+        t = pid(table)
+        empty_tables += not table.rows
+        for n in range(len(names) + 1):
+            for attrs in itertools.combinations(names, n):
+                p = proj_fn(table.scheme, attrs)
+                node = Proj("m", frozenset(attrs))
+                assert query._absorb([node, Pid("m")], env) == [
+                    rel.compose(p, t)]
+                assert query._absorb([Pid("m"), Converse(node)], env) == [
+                    rel.compose(t, rel.converse(p))]
+        every = Proj("m", frozenset(names))
+        p = proj_fn(table.scheme, names)
+        for items, want in (([Pid("m"), every], rel.compose(t, p)),
+                            ([Converse(every), Pid("m")],
+                             rel.compose(rel.converse(p), t))):
+            factors = query._absorb(items, env)
+            assert functools.reduce(rel.compose, factors) == want
+    assert empty_tables >= 2
+
+
+def test_a_kernel_of_a_fork_is_evaluated_once(monkeypatch):
+    # ``ker e`` unfolds to ``e~ . e`` on e's relation, built once, when e
+    # is not a projection
+    table = parse_table_csv((FIXTURES / "movies_violating.csv").read_text())
+    env = Env(tables={"m": table})
+    p, q = (Proj("m", frozenset({a})) for a in ("Title", "Actor"))
+    e = Compose(Pid("m"), Kernel(Fork(p, q)), Pid("m"))
+    forks = []
+    fork = rel.fork
+
+    def counted(r, s):
+        forks.append((r, s))
+        return fork(r, s)
+
+    want = _left_fold(e, env)
+    monkeypatch.setattr(rel, "fork", counted)
+    assert eval_query(e, env) == want
+    assert len(forks) == 1
+
+
 def test_window_templates_evaluate_no_projection_over_the_universe(
         monkeypatch):
     # on a table breaking `Title -> Director`, the rewrite of each template
     # is evaluated, and no template builds a projection by
-    # `tables.proj_fn`: every projection of the window is reached through
-    # a pid, and the `chain` template's leading ``g . g~`` cancels, since
-    # the table's row universe is not empty
+    # `tables.proj_fn`: every projection of the window sits beside a pid,
+    # which `query._absorb` absorbs into it, and the `chain` template's
+    # leading ``g . g~`` cancels, since the table's row universe is not
+    # empty
     table = parse_table_csv((FIXTURES / "movies_violating.csv").read_text())
     env = Env(tables={"m": table})
     f, g, h = (frozenset({a}) for a in ("Title", "Director", "Actor"))
@@ -938,10 +1001,11 @@ def _plan_oracle(ends):
 
 @st.composite
 def _chain_ends(draw):
-    """`_ends` of a chain of 1-10 factors, factor i from carrier i + 1 to
-    carrier i, with carriers and pair counts of 0-60.  Drawn from {0, 1, 4}
-    or all of one size they force cost ties, and a middle carrier of size 0
-    estimates its step at no pairs."""
+    """The sizes that `query._plan` reads, (source, target, pairs), of a
+    chain of 1-10 factors, factor i from carrier i + 1 to carrier i, with
+    carriers and pair counts of 0-60.  Drawn from {0, 1, 4} or all of one
+    size they force cost ties, and a middle carrier of size 0 estimates
+    its step at no pairs."""
     n = draw(st.integers(1, 10))
     value = draw(st.sampled_from((st.integers(0, 60),
                                   st.sampled_from((0, 1, 4)),
@@ -986,18 +1050,24 @@ def test_projection_maps_are_cached_by_equal_scheme_only():
     f, g, h = (frozenset({a}) for a in dom)
     queries = ([_template(t, f, g, h, g) for t in TEMPLATES]
                + _cancel_shapes(list(dom)))
-    keys = 5  # {Title}, {Director}, {Actor}, every attribute and none
+    # {Title}, {Director}, {Actor} and none: the window absorbs a pid into
+    # each of its three projections, and a chain that cancels whole, such
+    # as ``none . none~``, is the identity on its first projection's
+    # target, mapped by `_proj_map`.  `every` is not mapped: no query
+    # absorbs a pid into it, and each ``every . every~`` cancels inside a
+    # chain that starts with p or keeps its pid
+    keys = 4
     cases = [(t, queries) for t in (first, equal, reordered, revalued)]
     cases += [_colliding_targets_case(), _empty_universe_case()] * 2
     misses = []
     for t, qs in cases:
         env = Env(tables={"m": t})
-        before = query._fns.cache_info().misses
+        before = query._proj_map.cache_info().misses
         for e in qs:
             got, want = eval_query(e, env), _left_fold(e, env)
             assert (got.source, got.target, got.pairs) == (
                 want.source, want.target, want.pairs), e
-        misses.append(query._fns.cache_info().misses - before)
+        misses.append(query._proj_map.cache_info().misses - before)
     assert misses[1:4] == [0, keys, keys] and misses[6:] == [0, 0]
 
 
