@@ -34,14 +34,14 @@ the unpacked boolean array, so every sweep keeps its nesting order and its
 first witness.
 
 Likewise each sweep judges each distinct computed term once: a function
-whose rows of computed terms (say ker(f.R~) for every R) are byte-equal to
-an earlier one's gets the same judgement, so `_distinct` keeps the first
-of each class and the nesting order and first witness stay.  A skip needs
-computed rows that are byte-equal; an algebraic identity ("ker(f.R~)
-depends only on ker f") must never justify one, the same caution as
-`bitrel.fork_kernel_table`'s: the identity holds of the true tables, so
-resting on it would hide a wrong table from the sweep that is meant to
-expose it.
+whose rows of computed terms (say ker(f.R~) for every R, which
+`_ker_through` tabulates) are byte-equal to an earlier one's gets the same
+judgement, so `_distinct` keeps the first of each class and the nesting
+order and first witness stay.  A skip needs computed rows that are
+byte-equal; an algebraic identity ("ker(f.R~) depends only on ker f") must
+never justify one, the same caution as `bitrel.fork_kernel_table`'s: the
+identity holds of the true tables, so resting on it would hide a wrong
+table from the sweep that is meant to expose it.
 
 A sweep judges on the smallest form of its computed terms and spreads
 back only to locate a witness.  Where a side reads a variable only
@@ -139,7 +139,9 @@ def _firsts(*terms: np.ndarray) -> np.ndarray:
 
 def _distinct(*terms: np.ndarray) -> np.ndarray:
     """The first index of each distinct tuple of rows, ascending: the i
-    that `_firsts` maps to i (`np.unique` would load `numpy.ma`)."""
+    that `_firsts` maps to i.  Unlike `np.unique`, it compares tuples of
+    rows from several arrays byte for byte and keeps the first of each in
+    order."""
     firsts = _firsts(*terms)
     return np.flatnonzero(firsts == np.arange(len(firsts)))
 
@@ -170,6 +172,14 @@ def _first_bit(bits: np.ndarray, lead: int = 0) -> Optional[tuple[int, ...]]:
     at = int(np.argmax(row >> bit & 1))
     return (*(int(i) for i in np.unravel_index(hits[0], bits.shape[:lead])),
             bit, *(int(i) for i in np.unravel_index(at, bits.shape[lead:])))
+
+
+def _ker_through(funcs: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
+    """[f, R] = ker(f.R~) over b -> b, for each f: a -> n of `funcs` and
+    every R: a -> b.  R : f -> g holds when this is in ker g.  Built from
+    the op tables on every call, never cached."""
+    return B.kernel_table(b, n)[B.compose_table(b, a, n)[
+        funcs[:, None], B.converse_table(a, b)[None, :]]]
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +317,6 @@ def _holds_fd_trading(a: dict) -> bool:
     return fd_trade(a["x"], a["z"], a["R"], a["k"], a["y"])
 
 
-def _trade_violation(lb: np.ndarray, rb: np.ndarray
-                     ) -> Optional[tuple[int, ...]]:
-    """First (x, y, R) at which the y-bitsets lb[x, R] and rb[x, R] of the
-    two sides disagree, in either direction, or None."""
-    return _first_bit(lb ^ rb, lead=1)
-
-
 def _sweep_fd_trading(sz: dict) -> Optional[dict]:
     """The y axis is packed into bitsets: lb[x, m] holds the y for which
     x -> y holds on m = z.R.k~, tabulated over every K -> Z mask m, and
@@ -329,15 +332,12 @@ def _sweep_fd_trading(sz: dict) -> Optional[dict]:
     kf = B.function_masks(a, kk)
     xf = B.function_masks(kk, cx)
     yf = B.function_masks(zz, cy)
-    conv_kz = B.converse_table(kk, zz)
-    ct_x_cm = B.compose_table(zz, kk, cx)
     lb = B.fit_table(zz, B.kernel_table(zz, cy)[yf])[
-        B.kernel_table(zz, cx)[ct_x_cm[xf[:, None], conv_kz[None, :]]]]
+        _ker_through(xf, kk, zz, cx)]
     xk = B.compose_table(a, kk, cx)[xf[:, None], kf[None, :]]
     xk, at = np.unique(xk, return_inverse=True)  # x.k: at most CX^A values
     at = at.reshape(len(xf), len(kf))
-    k2s = B.kernel_table(b, cx)[B.compose_table(b, a, cx)[
-        xk[:, None], B.converse_table(a, b)]]
+    k2s = _ker_through(xk, a, b, cx)
     # k2[x] is k2s[at[x]]: equal rows of k2s share their first index
     xs = _distinct(lb, _firsts(k2s)[at])
     lb, k2 = lb[xs], k2s.astype(np.intp)[at[xs]]  # take() is slow with int32
@@ -363,7 +363,8 @@ def _sweep_fd_trading(sz: dict) -> Optional[dict]:
     lbm = lbw.take(zr[zi], axis=2)
     rb = B.fit_table(b, kyz[zi]).take(k2)
     ki = np.flatnonzero((lbm != rb).any(axis=(0, 2)))[0]
-    xi, yi, ri = _trade_violation(lbm[:, ki], rb[:, ki])
+    # the first (x, y, R) where the y-bitsets of the sides differ
+    xi, yi, ri = _first_bit(lbm[:, ki] ^ rb[:, ki], lead=1)
     return {"x": int(xf[xs[xi]]), "z": int(zf[zi]), "R": ri,
             "k": int(kf[ki]), "y": int(yf[yi])}
 
@@ -433,13 +434,10 @@ def _sweep_consequent_pairing(sz: dict) -> Optional[dict]:
     funcs_f = B.function_masks(a, ff)
     funcs_g = B.function_masks(b, gg)
     funcs_h = B.function_masks(b, hh)
-    conv_ab = B.converse_table(a, b)
-    ct_f_cr = B.compose_table(b, a, ff)
-    ker_bf = B.kernel_table(b, ff)
     fk = B.fork_kernel_table(b, gg, hh)[np.ix_(funcs_g, funcs_h)]
     kg = B.kernel_table(b, gg)[funcs_g]
     kh = B.kernel_table(b, hh)[funcs_h]
-    kfrs = ker_bf[ct_f_cr[funcs_f[:, None], conv_ab[None, :]]]
+    kfrs = _ker_through(funcs_f, a, b, ff)
     for fi in _distinct(kfrs):
         f, kfr = funcs_f[fi], kfrs[fi]
         lhs = B.subset(kfr[:, None, None], fk[None, :, :])
@@ -469,19 +467,18 @@ def _union_terms(sz: dict):
 
     Returns the g masks, their kernels, the table composing R after a
     relation B -> A, and an iterator that yields, per function f, its mask,
-    ker(f.R~) for every R and ker(f).S~ for every S.  f -> g holds on R when
-    ker(f.R~) is in ker g, and mutually on (R, S) when R.ker(f).S~ is.  An f
-    whose two rows equal an earlier f's is not yielded.
+    ker(f.R~) for every R (`_ker_through`) and ker(f).S~ for every S.
+    f -> g holds on R when ker(f.R~) is in ker g, and mutually on (R, S)
+    when R.ker(f).S~ is.  An f whose two rows equal an earlier f's is not
+    yielded.
     """
     a, b, c, d = sz["A"], sz["B"], sz["C"], sz["D"]
     funcs_g = B.function_masks(b, d)
     conv_ab = B.converse_table(a, b)
-    ct_f_cu = B.compose_table(b, a, c)
-    ker_bc = B.kernel_table(b, c)
-    ker_ac = B.kernel_table(a, c)
     funcs_f = B.function_masks(a, c)
-    kfus = ker_bc[ct_f_cu[funcs_f[:, None], conv_ab[None, :]]]
-    m1s = B.compose_table(b, a, a)[ker_ac[funcs_f][:, None], conv_ab[None, :]]
+    kfus = _ker_through(funcs_f, a, b, c)
+    m1s = B.compose_table(b, a, a)[B.kernel_table(a, c)[funcs_f][:, None],
+                                   conv_ab[None, :]]
     per_f = ((int(funcs_f[fi]), kfus[fi], m1s[fi])
              for fi in _distinct(kfus, m1s))
     return (funcs_g, B.kernel_table(b, d)[funcs_g],
@@ -608,10 +605,8 @@ def _sweep_join_fd_typing(sz: dict,
     conv_ac = B.converse_table(a, c)
     fits_g = B.fit_table(b, B.kernel_table(b, gg)[funcs_g])
     fits_h = B.fit_table(c, B.kernel_table(c, hh)[funcs_h])
-    p1s = fits_g[B.kernel_table(b, ff)[
-        B.compose_table(b, a, ff)[funcs_f[:, None], conv_ab[None, :]]]]
-    p2s = fits_h[B.kernel_table(c, ff)[
-        B.compose_table(c, a, ff)[funcs_f[:, None], conv_ac[None, :]]]]
+    p1s = fits_g[_ker_through(funcs_f, a, b, ff)]
+    p2s = fits_h[_ker_through(funcs_f, a, c, ff)]
     kfs = B.kernel_table(a, ff)[funcs_f]
     ct_aaa = B.compose_table(a, a, a)
     ct_r_mid = B.compose_table(a, a, b)

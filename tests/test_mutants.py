@@ -1,0 +1,133 @@
+"""Committed mutants of the fast paths.
+
+Each entry of MUTANTS breaks one function of `src/` through `monkeypatch`
+(the source is never edited) and names the explicit example that must
+fail under it: the example passes on the real code and raises
+AssertionError under the mutant.  So a change that weakens the test behind
+an example, or drops the example, fails here.  `described_in` names the
+CHANGES.md entry that describes the mutant.  Each example is one size
+combination or one fixed case, never a whole parametrized test or a
+Hypothesis search, so the file stays cheap.
+
+A change that adds a fast path adds its mutants here.
+"""
+
+import dataclasses
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+
+import test_query
+import test_sweep_oracles
+from relfd import bitrel as B
+from relfd import laws, query
+from relfd.query import Converse, Proj
+from relfd.search import Scope, search_law
+
+KER_THROUGH = "`ker(f.R~)` written once in `laws._ker_through`"
+
+
+class Mutant(NamedTuple):
+    name: str
+    apply: Callable  # (monkeypatch) -> None: installs the broken twin
+    example: Callable  # (monkeypatch) -> None: asserts, as its test does
+    described_in: str
+
+
+def _wrap_ker_through(edit):
+    def apply(monkeypatch):
+        real = laws._ker_through
+        monkeypatch.setattr(laws, "_ker_through",
+                            lambda funcs, *sizes: edit(real(funcs, *sizes)))
+    return apply
+
+
+def _fd_trading_matches_its_oracle(sz, corrupt=None):
+    """`test_sweep_equals_its_oracle_under_corrupted_tables` for
+    `fd_trading` at one size combination, with `kernel_table` served with
+    one bit flipped when `corrupt` = (sizes, entry, bit)."""
+    def example(monkeypatch):
+        if corrupt is not None:
+            sizes, entry, bit = corrupt
+            clean = B.kernel_table
+            table = clean(*sizes).copy()
+            table[entry] ^= 1 << bit
+            monkeypatch.setattr(
+                B, "kernel_table",
+                lambda *s: table if s == sizes else clean(*s))
+        want = test_sweep_oracles.fd_trading_oracle(sz)
+        assert laws.LAW_REGISTRY["fd_trading"].sweep(sz) == want
+    return example
+
+
+def _register_sound_fork_lub(monkeypatch):
+    law = laws.LAW_REGISTRY["fork_lub_corrupted"]
+    monkeypatch.setitem(laws.LAW_REGISTRY, "fork_lub_corrupted",
+                        dataclasses.replace(law, holds=laws._holds_fork_lub,
+                                            sweep=laws._sweep_fork_lub))
+
+
+def _corrupted_fork_lub_refuted(monkeypatch):
+    """`test_corrupted_variants_refuted_and_reverified` for
+    `fork_lub_corrupted` at carrier 1, its one size combination."""
+    witness = search_law("fork_lub_corrupted", Scope(max_carrier=1))
+    assert witness is not None
+    assert not laws.LAW_REGISTRY["fork_lub_corrupted"].holds(witness)
+
+
+def _cancel_on_any_universe(items, env):
+    """`query._cancel` without its non-empty check: ``p . p~`` is dropped
+    even over an empty row universe, where it is empty, not the identity."""
+    kept: list = []
+    for x in items:
+        top = kept[-1] if kept else None
+        if (isinstance(top, Proj) and isinstance(x, Converse)
+                and x.args[0] == top):
+            kept.pop()
+        else:
+            kept.append(x)
+    return kept
+
+
+def _evaluation_agrees_on_an_empty_universe(monkeypatch):
+    """`test_evaluation_agrees_with_building_every_factor` on its explicit
+    empty-universe example."""
+    test = test_query.test_evaluation_agrees_with_building_every_factor
+    test.hypothesis.inner_test(case=test_query._empty_universe_case())
+
+
+MUTANTS = (
+    Mutant("ker_through_R_axis_rolled",
+           _wrap_ker_through(lambda t: np.roll(t, 1, axis=1)),
+           _fd_trading_matches_its_oracle(
+               {"B": 1, "Z": 2, "A": 1, "K": 1, "CX": 2, "CY": 2}),
+           KER_THROUGH),
+    # on the sound tables only union_fd_typing and mutual_dependency_self
+    # catch this mutant (at all four carriers 2); fd_trading catches it
+    # under this flipped kernel_table(2, 2) entry
+    Mutant("ker_through_first_f_row_for_every_f",
+           _wrap_ker_through(lambda t: np.repeat(t[:1], len(t), axis=0)),
+           _fd_trading_matches_its_oracle(
+               {"B": 1, "Z": 2, "A": 1, "K": 1, "CX": 2, "CY": 2},
+               corrupt=((2, 2), 2, 1)),
+           KER_THROUGH),
+    Mutant("fork_lub_corrupted_registered_sound",
+           _register_sound_fork_lub,
+           _corrupted_fork_lub_refuted,
+           KER_THROUGH),
+    Mutant("cancel_without_non_empty_check",
+           lambda monkeypatch: monkeypatch.setattr(
+               query, "_cancel", _cancel_on_any_universe),
+           _evaluation_agrees_on_an_empty_universe,
+           "Each pid absorbed into the projections beside it"),
+)
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_mutant_fails_its_example(mutant, monkeypatch):
+    with monkeypatch.context() as clean:
+        mutant.example(clean)
+    mutant.apply(monkeypatch)
+    with pytest.raises(AssertionError):
+        mutant.example(monkeypatch)

@@ -14,8 +14,8 @@ from relfd.fd import (AttrFd, fd_positions, parse_fd, satisfies_oracle,
                       violating_pair)
 from relfd.infer import attr_closure, derive, mentioned_attrs
 from relfd.laws import (LAW_REGISTRY, LAW_SUITE, _distinct, _first_bit,
-                        _first_false, _firsts, _join_violation,
-                        _trade_violation, search_law_bruteforce)
+                        _first_false, _firsts, _join_violation, _ker_through,
+                        search_law_bruteforce)
 from relfd.rel import Atom, Tup
 from relfd.search import Scope, search_law, search_tables, two_tuple_witness
 from relfd.tables import (ROW_CARRIER_LIMIT, Table, enumerate_tables,
@@ -465,6 +465,24 @@ def test_bitmask_tables_match_plain_algebra():
                 == rel_to_mask(rel.Rel(s.source, s.source, dom)))
 
 
+def test_ker_through_matches_plain_algebra():
+    """`laws._ker_through`, the ker(f.R~) table of the FD-typing sweeps,
+    entry by entry against `rel.kernel(rel.compose(f, rel.converse(R)))`
+    over every f: a -> n and R: a -> b, sizes 1-2 and all three at 3."""
+    sizes = [*itertools.product((1, 2), repeat=3), (3, 3, 3)]
+    for a, b, n in sizes:
+        funcs = bitrel.function_masks(a, n)
+        table = _ker_through(funcs, a, b, n)
+        assert table.shape == (len(funcs), 1 << (a * b))
+        for i, fmask in enumerate(funcs):
+            f = bitrel.mask_to_rel(int(fmask), a, n)
+            for rmask in range(1 << (a * b)):
+                r = bitrel.mask_to_rel(rmask, a, b)
+                assert table[i, rmask] == rel_to_mask(
+                    rel.kernel(rel.compose(f, rel.converse(r)))), \
+                    (a, b, n, int(fmask), rmask)
+
+
 def test_fork_kernel_table_is_honest():
     rnd = random.Random(1)
     for _ in range(200):
@@ -661,20 +679,22 @@ def test_join_violation_prefers_the_first_witness_branch():
 
 
 def test_trade_violation_hits_a_difference_on_either_side():
+    # `fd_trading` reads its witness as the first (x, y, R) at which the
+    # y-bitsets of its two sides differ: `_first_bit` of their XOR
     # (x, R) arrays of y-bitsets; the sides agree except at x=1, R=2, y=4
     same = np.array([[0b001, 0b011, 0b101], [0b000, 0b110, 0b010]],
                     dtype=np.int64)
     more = same.copy()
     more[1, 2] |= 1 << 4
-    assert _trade_violation(same, more) == (1, 4, 2)  # only rb has y=4
-    assert _trade_violation(more, same) == (1, 4, 2)  # only lb has y=4
-    assert _trade_violation(same, same.copy()) is None
+    assert _first_bit(same ^ more, lead=1) == (1, 4, 2)  # only rb has y=4
+    assert _first_bit(more ^ same, lead=1) == (1, 4, 2)  # only lb has y=4
+    assert _first_bit(same ^ same.copy(), lead=1) is None
     # a y in rb alone before a y in lb alone: the first (x, y, R) wins
     lb, rb = same.copy(), same.copy()
     lb[1, 0] |= 1 << 3
     rb[0, 2] |= 1 << 5
-    assert _trade_violation(lb, rb) == (0, 5, 2)
-    assert _trade_violation(rb, lb) == (0, 5, 2)
+    assert _first_bit(lb ^ rb, lead=1) == (0, 5, 2)
+    assert _first_bit(rb ^ lb, lead=1) == (0, 5, 2)
 
 
 def _unpack(bits, lead, nbits):

@@ -33,7 +33,7 @@ import pytest
 
 from relfd import bitrel as B
 from relfd.laws import (LAW_REGISTRY, LAW_SUITE, _first_bit, _first_false,
-                        _join_violation, _low_bit, _trade_violation)
+                        _join_violation, _low_bit)
 
 
 def fd_trading_oracle(sz):
@@ -59,7 +59,7 @@ def fd_trading_oracle(sz):
         rb = B.fit_table(b, kyz_tab[ct_yz[yf, z]])[k2]
         for ki, k in enumerate(kf):
             m = ct_zrck[ct_zr[z, :], conv_k[k]]
-            hit = _trade_violation(lb.take(m, axis=1), rb[ki])
+            hit = _first_bit(lb.take(m, axis=1) ^ rb[ki], lead=1)
             if hit is not None:
                 xi, yi, ri = hit
                 return {"x": int(xf[xi]), "z": int(z), "R": ri,
