@@ -11,11 +11,12 @@ classical "scan the same file twice through a kernel" shape whenever a
 supplied dependency set proves it redundant, in one pass that also
 normalizes the partial identities.
 
-`type_check` types an expression by carriers; `type_attrs` types it by
-attribute sets, building none: a row type is the sub-scheme of the
-selected attributes, a fork target the pair of its operands' types, and a
-size the product of domain sizes.  Both apply one set of typing rules
-(`_types`), so they raise the same errors at the same node paths.
+`type_check` types an expression by the evaluator's cached carriers;
+`type_attrs` by attribute sets, building none: a row type is the
+sub-scheme of the selected attributes, a fork target the pair of its
+operands' types, and a size the product of domain sizes.  Both apply
+one set of typing rules (`_types`), so they raise the same errors at
+the same node paths.
 
 `verify_rewrite` confirms a rewrite on a table in three steps, each
 written once.  `_type_pair` types both sides, here with `type_attrs`.
@@ -348,16 +349,15 @@ def _types(e: QueryExpr, env: Env, path, leaf, pair) -> tuple:
 
 
 def _carriers(table: Table, attrs: Optional[frozenset]) -> tuple:
-    c = tables.row_carrier(table)
     if attrs is None:
-        return c, c
-    return c, tables.sub_row_carrier(table.scheme, attrs)
+        return (tables.row_carrier(table),) * 2
+    return _proj_map(table.scheme, attrs)[:2]
 
 
 def type_check(e: QueryExpr, env: Env, path: str = "query"
                ) -> tuple[Carrier, Carrier]:
     """Source and target carriers of the expression, or a located error."""
-    return _types(e, env, path, _carriers, rel.pair_carrier)
+    return _types(e, env, path, _carriers, rel._fork_target)
 
 
 def type_attrs(e: QueryExpr, env: Env, path: str = "query"
@@ -390,11 +390,12 @@ def eval_query(e: QueryExpr, env: Env) -> Rel:
 def _proj_map(scheme: tables.Scheme, attrs: frozenset) -> tuple:
     """The row universe of the scheme, the sub-row carrier of `attrs` and
     the map from a row to its sub-row, cached by scheme as `_sorts` is."""
+    universe = tables.row_carrier(scheme)  # its bound is checked first
     sub = tables.sub_scheme(scheme, attrs)
     at = [scheme.positions[n] for n in sub.names]
     apply = (itemgetter(*at) if len(at) > 1  # a slice keeps a 1-tuple
              else itemgetter(slice(at[0], at[0] + 1) if at else slice(0)))
-    return tables.row_carrier(scheme), tables.row_carrier(sub), apply
+    return universe, tables.row_carrier(sub), apply
 
 
 def _is_converse_proj(x) -> bool:

@@ -175,7 +175,7 @@ def pair_carrier(a: Carrier, b: Carrier) -> Carrier:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _fork_target(a: Carrier, b: Carrier) -> Carrier:
-    return pair_carrier(a, b)  # one per component pair, for every fork
+    return pair_carrier(a, b)  # shared by forks, products, fork typing
 
 
 class Rel(Frozen):
@@ -328,7 +328,7 @@ def fork(r: Rel, s: Rel) -> Rel:
 
 def product(f: Rel, g: Rel) -> Rel:
     """Componentwise action on the pair carrier of the two sources."""
-    p = pair_carrier(f.source, g.source)
+    p = _fork_target(f.source, g.source)
     return fork(compose(f, proj1(p)), compose(g, proj2(p)))
 
 

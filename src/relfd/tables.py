@@ -12,11 +12,11 @@ The classical rendering of a table as one binary relation, `encode_pairs`,
 is in `relfd.oracles`.
 
 Row carriers and projection functions are cached by scheme in LRU caches of
-`rel.CACHE_SIZE` entries each, as are `rel.fork`'s pair carriers and the
-sorts and projection maps of `relfd.query`: the queries on one table reuse
-them, and the bound keeps a long-lived process from pinning the row universe
-of every scheme it has seen.  An entry holds one to three carriers, each of
-at most `ROW_CARRIER_LIMIT` elements in a query, and a `Rel` keeps its index.
+`rel.CACHE_SIZE` entries each, as are `rel.fork`'s pair carriers and the sorts
+and projection maps of `relfd.query`; `type_check` types on them.  One table's
+queries reuse them, and the bound keeps a long-lived process from pinning the
+row universe of every scheme it has seen.  An entry holds one to three carriers
+of at most `ROW_CARRIER_LIMIT` elements in a query; a `Rel` keeps its index.
 
 Values are those of `relfd.rel`: an atom is a `str` and a row is a `tuple`
 of values, in scheme order.  CSV ingestion reads every value as an atom, so
@@ -131,11 +131,6 @@ def sub_scheme(scheme: Scheme, attrs: Iterable[str]) -> Scheme:
     """The sub-scheme of `attrs`, in scheme order."""
     return Scheme(tuple(scheme.attributes[scheme.positions[n]]
                         for n in scheme.select(attrs)))
-
-
-def sub_row_carrier(scheme: Scheme, attrs: Iterable[str]) -> Carrier:
-    """Row carrier of the sub-scheme given by `attrs`, in scheme order."""
-    return _row_carrier(sub_scheme(scheme, attrs))
 
 
 def pid(table: Table) -> Rel:

@@ -1001,9 +1001,10 @@ def test_optimize_bounds_hold_on_attribute_types(tmp_path, capsys,
                          if with_table else header})
         extra = ["--table", table] if with_table else []
         monkeypatch.setattr(tables, "ROW_CARRIER_LIMIT", bound)
-        # a cached universe or sort skips the bound
+        # a cached universe, sort or projection map skips the bound
         tables._row_carrier.cache_clear()
         query._sorts.cache_clear()
+        query._proj_map.cache_clear()
         with pytest.raises(RelfdError) as err:
             query.type_check(query.from_json(shapes[shape]), env)
         assert str(err.value) == message

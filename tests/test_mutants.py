@@ -1,10 +1,11 @@
 """Committed mutants of the fast paths.
 
 Each entry of MUTANTS breaks one function of `src/` through `monkeypatch`
-(the source is never edited) and names the explicit example that must
-fail under it: the example passes on the real code and raises
-AssertionError under the mutant.  So a change that weakens the test behind
-an example, or drops the example, fails here.  `described_in` names the
+(the source file is never edited; `_edited` compiles a twin from an edited
+copy of a function's text) and names the explicit example that must fail
+under it: the example passes on the real code and raises AssertionError
+under the mutant.  So a change that weakens the test behind an example, or
+drops the example, fails here.  `described_in` starts the heading of the
 CHANGES.md entry that describes the mutant.  Each example is one size
 combination or one fixed case, never a whole parametrized test or a
 Hypothesis search, so the file stays cheap.
@@ -13,6 +14,10 @@ A change that adds a fast path adds its mutants here.
 """
 
 import dataclasses
+import inspect
+import re
+import textwrap
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -21,11 +26,14 @@ import pytest
 import test_query
 import test_sweep_oracles
 from relfd import bitrel as B
-from relfd import laws, query
+from relfd import laws, query, rel
 from relfd.query import Converse, Proj
 from relfd.search import Scope, search_law
 
 KER_THROUGH = "`ker(f.R~)` written once in `laws._ker_through`"
+BUILT_ONCE = ("Projection maps and fork targets built once, chains planned "
+              "on flat lists")
+PID_ABSORBED = "Each pid absorbed into the projections beside it"
 
 
 class Mutant(NamedTuple):
@@ -97,6 +105,37 @@ def _evaluation_agrees_on_an_empty_universe(monkeypatch):
     test.hypothesis.inner_test(case=test_query._empty_universe_case())
 
 
+def _edited(func, old, new):
+    """A twin of `func` compiled from its source with the one occurrence
+    of `old` replaced by `new`, over `func`'s module globals."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, old
+    names: dict = {}
+    exec(source.replace(old, new), func.__globals__, names)
+    return names[func.__name__]
+
+
+def _planner_agrees_on_tied_costs(monkeypatch):
+    """`test_planner_splits_every_span_as_the_dictionary_planner` on its
+    explicit example where every split of a span costs the same."""
+    test = test_query.test_planner_splits_every_span_as_the_dictionary_planner
+    test.hypothesis.inner_test(ends=[(2, 2, 2)] * 6)
+
+
+def _uncached_fork_target(a, b):
+    """`rel._fork_target` without its cache: a pair carrier per call."""
+    return rel.pair_carrier(a, b)
+
+
+_uncached_fork_target.cache_clear = lambda: None
+
+
+def _absorbing_restricts_the_projection(monkeypatch):
+    """`test_absorbing_a_pid_restricts_the_projection_beside_it`, whose
+    tables come from a fixed seed."""
+    test_query.test_absorbing_a_pid_restricts_the_projection_beside_it()
+
+
 MUTANTS = (
     Mutant("ker_through_R_axis_rolled",
            _wrap_ker_through(lambda t: np.roll(t, 1, axis=1)),
@@ -120,7 +159,32 @@ MUTANTS = (
            lambda monkeypatch: monkeypatch.setattr(
                query, "_cancel", _cancel_on_any_universe),
            _evaluation_agrees_on_an_empty_universe,
-           "Each pid absorbed into the projections beside it"),
+           PID_ABSORBED),
+    Mutant("plan_ties_to_the_right",
+           lambda monkeypatch: monkeypatch.setattr(query, "_plan", _edited(
+               query._plan, "total < best", "total <= best")),
+           _planner_agrees_on_tied_costs,
+           BUILT_ONCE),
+    Mutant("fork_target_uncached",
+           lambda monkeypatch: monkeypatch.setattr(
+               rel, "_fork_target", _uncached_fork_target),
+           (test_query
+            .test_refuted_rewrites_build_each_fork_target_and_map_once),
+           BUILT_ONCE),
+    # ``(p|S)~`` built as the pairs ``(r, p(r))`` of ``p|S``
+    Mutant("absorb_converse_pairs_flipped",
+           lambda monkeypatch: monkeypatch.setattr(query, "_absorb", _edited(
+               query._absorb, "zip(map(apply, rows), rows)",
+               "zip(rows, map(apply, rows))")),
+           _absorbing_restricts_the_projection,
+           PID_ABSORBED),
+    # each item's left and right neighbours swapped
+    Mutant("absorb_on_the_wrong_side_of_the_pid",
+           lambda monkeypatch: monkeypatch.setattr(query, "_absorb", _edited(
+               query._absorb, "zip([None, *items], items, [*items[1:], None])",
+               "zip([*items[1:], None], items, [None, *items])")),
+           _absorbing_restricts_the_projection,
+           PID_ABSORBED),
 )
 
 
@@ -131,3 +195,13 @@ def test_mutant_fails_its_example(mutant, monkeypatch):
     mutant.apply(monkeypatch)
     with pytest.raises(AssertionError):
         mutant.example(monkeypatch)
+
+
+def test_every_mutant_names_a_changes_heading():
+    # a renamed or deleted CHANGES.md entry leaves its mutants untraced
+    changes = Path(__file__).resolve().parents[1] / "CHANGES.md"
+    headings = re.findall(r"^- \*\*(.+?)\*\*",
+                          changes.read_text(encoding="utf-8"), re.M)
+    for mutant in MUTANTS:
+        assert any(h.startswith(mutant.described_in) for h in headings), (
+            mutant.name)

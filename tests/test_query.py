@@ -183,7 +183,8 @@ def test_type_check_lets_a_fault_in_the_table_bridge_through(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("broken bridge")
 
-    monkeypatch.setattr(tables, "sub_row_carrier", broken)
+    query._proj_map.cache_clear()  # a cached map builds no sub-scheme
+    monkeypatch.setattr(tables, "sub_scheme", broken)
     with pytest.raises(RuntimeError, match="broken bridge"):
         type_check(Proj("movies", frozenset({"Title"})), movies_env())
 
@@ -800,8 +801,8 @@ def _colliding_targets_case():
     table = Table(Scheme(tuple((a, Carrier("v", ("v0", "v1")))
                                for a in names)), frozenset())
     p, q = (Proj("m", frozenset(names[i::2])) for i in (1, 0))
-    assert (tables.sub_row_carrier(table.scheme, p.attrs)
-            == tables.sub_row_carrier(table.scheme, q.attrs))
+    assert (query._proj_map(table.scheme, p.attrs)[1]
+            == query._proj_map(table.scheme, q.attrs)[1])
     return table, [Compose(p, Converse(q)), Compose(p, Converse(p))]
 
 
@@ -1050,13 +1051,11 @@ def test_projection_maps_are_cached_by_equal_scheme_only():
     f, g, h = (frozenset({a}) for a in dom)
     queries = ([_template(t, f, g, h, g) for t in TEMPLATES]
                + _cancel_shapes(list(dom)))
-    # {Title}, {Director}, {Actor} and none: the window absorbs a pid into
-    # each of its three projections, and a chain that cancels whole, such
-    # as ``none . none~``, is the identity on its first projection's
-    # target, mapped by `_proj_map`.  `every` is not mapped: no query
-    # absorbs a pid into it, and each ``every . every~`` cancels inside a
-    # chain that starts with p or keeps its pid
-    keys = 4
+    # {Title}, {Director}, {Actor}, none and `every`: `type_check` takes
+    # each projection's carriers from `_proj_map`, so every attribute set
+    # a query projects onto is mapped, `every`'s too, although no query
+    # absorbs a pid into `every` and each ``every . every~`` cancels
+    keys = 5
     cases = [(t, queries) for t in (first, equal, reordered, revalued)]
     cases += [_colliding_targets_case(), _empty_universe_case()] * 2
     misses = []
@@ -1105,6 +1104,44 @@ def test_refuted_rewrites_build_each_fork_target_and_map_once(monkeypatch):
     assert len(targets) == 1
 
 
+def test_type_check_takes_every_carrier_from_the_evaluators_caches(
+        monkeypatch):
+    # from a cleared `rel._fork_target`, `eval_query` and `verify_equiv`
+    # each build a fork's pair carrier once, for typing and evaluation; and
+    # every carrier `type_check` returns is the object `_eval` puts at its
+    # relation's source or target.  The caches start cleared, so no entry
+    # built before this test was evicted from one cache and kept by another
+    table = parse_table_csv((FIXTURES / "movies.csv").read_text())
+    env = Env(tables={"m": table})
+    title, director = (Proj("m", frozenset({a}))
+                       for a in ("Title", "Director"))
+    forks = [Fork(title, director), Fork(Pid("m"), Pid("m"))]
+    targets = []
+    pair_carrier = rel.pair_carrier
+
+    def counted(a, b):
+        targets.append((a, b))
+        return pair_carrier(a, b)
+
+    monkeypatch.setattr(rel, "pair_carrier", counted)
+    for e in forks:
+        for run in (eval_query, lambda e, env: verify_equiv(e, e, env)):
+            rel._fork_target.cache_clear()
+            targets.clear()
+            run(e, env)
+            assert len(targets) == 1, e
+    for cache in (tables._row_carrier, tables._proj_fn, query._proj_map,
+                  rel._fork_target):
+        cache.cache_clear()
+    f, g, h = (frozenset({a}) for a in table.scheme.names)
+    queries = ([_template(t, f, g, h, g) for t in TEMPLATES]
+               + _cancel_shapes(list(table.scheme.names)) + forks)
+    for e in queries:
+        source, target = type_check(e, env)
+        got = query._eval(e, env)
+        assert source is got.source and target is got.target, e
+
+
 # ---------------------------------------------------------------------------
 # typing by attribute sets
 
@@ -1118,9 +1155,11 @@ def _carrier_of(sort):
 
 def _typed(typer, e, env):
     """`typer`'s types of `e`, or the class, message and path of its
-    error.  A cached universe or sort skips the bound, so none is kept."""
+    error.  A cached universe, sort or projection map skips the bound, so
+    none is kept."""
     tables._row_carrier.cache_clear()
     _sorts.cache_clear()
+    query._proj_map.cache_clear()
     try:
         return typer(e, env)
     except RelfdError as err:
