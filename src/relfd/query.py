@@ -27,30 +27,32 @@ typing cannot settle it does `_compare` evaluate both sides; it alone
 builds carriers, and reports a counterexample, the first differing pair.
 `verify_equiv` is `_type_pair` with `type_check` plus `_compare`.
 
-A composition chain, and a lone kernel as a chain of one factor, is
-evaluated as one step.  Each kernel factor ``ker e`` is unfolded into the
-two factors ``e~ . e`` (the definition of `rel.kernel`), so the kernel
-over a whole row universe is never built: on the query nodes when e is a
-projection or its converse, on e's relation, evaluated once, otherwise.
-Then `_cancel` drops each adjacent ``p . p~`` of one projection p (one
-table, one attribute set), nested pairs such as ``p . q . q~ . p~`` too,
-and so ``ker p~``: p is onto its sub-row carrier whenever the row
-universe is non-empty, so ``p . p~`` is the identity there, and a chain
-that cancels whole is that identity.  Over an empty universe ``p . p~``
-is empty and stays, as does ``p~ . p``, p's kernel.
+A composition chain, and a lone kernel or projection as a chain of one
+factor, is evaluated as one step.  Each kernel factor ``ker e`` is
+unfolded into the two factors ``e~ . e`` (the definition of
+`rel.kernel`), so the kernel over a whole row universe is never built:
+on the query nodes when e is a projection or its converse, on e's
+relation, evaluated once, otherwise.  Then `_cancel` drops each adjacent
+``p . p~`` of one projection p (one table, one attribute set), nested
+pairs such as ``p . q . q~ . p~`` too, and so ``ker p~``: p is onto its
+sub-row carrier whenever the row universe is non-empty, so ``p . p~`` is
+the identity there, and a chain that cancels whole is that identity.
+Over an empty universe ``p . p~`` is empty and stays, as does
+``p~ . p``, p's kernel.
 
 A table enters a chain as its partial identity, and a projection beside
 it is that projection restricted to the stored rows S: ``p . pid = p|S``
-and ``pid . p~ = (p|S)~``.  So `_absorb` builds a projection directly
-left of a pid as the |S| pairs ``(r, p(r))``, the converse of one
-directly right of a pid as the pairs ``(p(r), r)``, and drops a pid with
-such a neighbour: the window ``g . pid . ker f . pid . h~`` is evaluated
-at the scale of the stored rows.  Every other factor is evaluated on its
-own, so a projection p whose right neighbour is not a pid, as in
-``g~ . g`` or ``g . (h . pid)~``, the converse of one whose left
-neighbour is not a pid, and a projection outside a chain are built over
-the whole row universe by the cached `tables.proj_fn`.  The factors are
-associated by a matrix-chain dynamic program over estimated pair counts:
+and ``pid . p~ = (p|S)~``.  `_absorb` builds every projection the
+evaluator uses, as the pairs ``(r, p(r))``: over the |S| stored rows
+when a pid is directly right of it, and over the whole row universe
+otherwise, as in ``g~ . g``, ``g . (h . pid)~`` or a lone projection.
+It builds the converse of a projection directly right of a pid as the
+pairs ``(p(r), r)``, and drops a pid with either neighbour: the window
+``g . pid . ker f . pid . h~`` is evaluated at the scale of the stored
+rows.  Every other factor is evaluated on its own, so the converse of a
+projection whose left neighbour is not a pid is the converse of that
+projection over the universe.  The factors are associated by a
+matrix-chain dynamic program over estimated pair counts:
 composing ``l`` with ``r`` through a middle carrier ``m`` is estimated
 at ``|l| * |r| / |m|`` pairs, capped at ``|source| * |target|``.
 Composition is associative, so the result does not depend on the order.
@@ -59,10 +61,10 @@ What `_compare` pays around its relations is paid once, in LRU caches
 of `rel.CACHE_SIZE` entries.  `_proj_map`, keyed by scheme and attribute
 set as `_sorts` is, holds a projection's row universe, its sub-row
 carrier and its map from a row to its sub-row; an entry pins the two
-carriers, each of at most `tables.ROW_CARRIER_LIMIT` rows.  `rel.fork`
-takes its target from `rel._fork_target`, one pair carrier per pair of
-component carriers, so both sides of a refuted rewrite share it.  `_plan`
-finds the association on flat lists.
+carriers, each of at most `tables.ROW_CARRIER_LIMIT` rows, and no cache
+holds a relation.  `rel.fork` takes its target from `rel._fork_target`,
+one pair carrier per pair of component carriers, so both sides of a
+refuted rewrite share it.  `_plan` finds the association on flat lists.
 
 JSON wire form (one object per node):
 
@@ -406,16 +408,15 @@ def _eval(e: QueryExpr, env: Env) -> Rel:
     """The relation the typed expression denotes.  A chain's kernels are
     unfolded, its ``p . p~`` dropped by `_cancel`, its factors built by
     `_absorb` and composed by `_eval_chain`; a chain that cancels whole
-    is the identity on its first projection's target."""
+    is the identity on its first projection's target.  A lone kernel or
+    projection is a chain of one factor."""
     if isinstance(e, RelRef):
         return env.rels[e.name]
     if isinstance(e, Pid):
         return tables.pid(env.tables[e.table])
-    if isinstance(e, Proj):
-        return tables.proj_fn(env.tables[e.scheme].scheme, e.attrs)
     if isinstance(e, Converse):
         return rel.converse(_eval(e.args[0], env))
-    if isinstance(e, (Compose, Kernel)):  # a lone kernel is a 1-factor chain
+    if isinstance(e, (Compose, Kernel, Proj)):  # alone, a 1-factor chain
         items: list = []
         for item in e.args if isinstance(e, Compose) else (e,):
             if not isinstance(item, Kernel):
@@ -456,21 +457,23 @@ def _cancel(items: Sequence, env: Env) -> list:
 
 
 def _absorb(items: Sequence, env: Env) -> list[Rel]:
-    """The chain items as relations.  A projection p directly left of a
-    pid is p restricted to the pid's stored rows S, ``p . pid = p|S``,
-    built as the pairs ``(r, p(r))``; a converse projection directly
-    right of a pid is ``pid . p~ = (p|S)~``, built as the pairs
-    ``(p(r), r)``; a pid with either neighbour is dropped.  Any other item
-    is evaluated on its own."""
+    """The chain items as relations.  A projection p is built as the
+    pairs ``(r, p(r))``: over the stored rows S of a pid directly right
+    of it, ``p . pid = p|S``, and over every row of the universe
+    otherwise; a converse projection directly right of a pid is
+    ``pid . p~ = (p|S)~``, built as the pairs ``(p(r), r)``; a pid with
+    either neighbour is dropped.  Any other item is evaluated on its
+    own."""
     factors = []
     for left, x, right in zip([None, *items], items, [*items[1:], None]):
         if isinstance(x, Pid):
             if not (isinstance(left, Proj) or _is_converse_proj(right)):
                 factors.append(tables.pid(env.tables[x.table]))
-        elif isinstance(x, Proj) and isinstance(right, Pid):
+        elif isinstance(x, Proj):
             universe, sub, apply = _proj_map(env.tables[x.scheme].scheme,
                                              x.attrs)
-            rows = env.tables[right.table].rows
+            rows = (env.tables[right.table].rows if isinstance(right, Pid)
+                    else universe.elements)
             factors.append(Rel(universe, sub,
                                frozenset(zip(rows, map(apply, rows)))))
         elif isinstance(left, Pid) and _is_converse_proj(x):

@@ -11,12 +11,12 @@ order):
 The classical rendering of a table as one binary relation, `encode_pairs`,
 is in `relfd.oracles`.
 
-Row carriers and projection functions are cached by scheme in LRU caches of
-`rel.CACHE_SIZE` entries each, as are `rel.fork`'s pair carriers and the sorts
-and projection maps of `relfd.query`; `type_check` types on them.  One table's
-queries reuse them, and the bound keeps a long-lived process from pinning the
-row universe of every scheme it has seen.  An entry holds one to three carriers
-of at most `ROW_CARRIER_LIMIT` elements in a query; a `Rel` keeps its index.
+Row carriers are cached by scheme in an LRU cache of `rel.CACHE_SIZE` entries,
+as are `rel.fork`'s pair carriers and the sorts and projection maps of
+`relfd.query`, which `type_check` types on and the evaluator builds each
+projection from.  One table's queries reuse them, and the bound keeps a
+long-lived process from pinning every row universe it has seen.  An entry holds
+one to three carriers of at most `ROW_CARRIER_LIMIT` elements, and no relation.
 
 Values are those of `relfd.rel`: an atom is a `str` and a row is a `tuple`
 of values, in scheme order.  CSV ingestion reads every value as an atom, so
@@ -141,11 +141,6 @@ def pid(table: Table) -> Rel:
 
 def proj_fn(scheme: Scheme, attrs: Iterable[str]) -> Rel:
     """Total function from full rows to their restriction to `attrs`."""
-    return _proj_fn(scheme, frozenset(attrs))
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _proj_fn(scheme: Scheme, attrs: frozenset) -> Rel:
     src = row_carrier(scheme)
     sub = sub_scheme(scheme, attrs)
     rows = src.elements

@@ -111,8 +111,9 @@ def test_laws_command_loads_the_law_sweeps():
 # `tables.count_tables` went with the table search's candidate cap, 1,395
 # before each CLI command built its answer once, as one payload, 1,389
 # before `rel` lost the two composition rules of unbuilt projections,
-# 1,373 before `type_check` took its carriers from the evaluator's caches.
-START_LINES = 1368
+# 1,373 before `type_check` took its carriers from the evaluator's caches,
+# 1,368 before `tables.proj_fn` lost its cache.
+START_LINES = 1363
 
 
 def test_start_path_stays_within_its_line_count():

@@ -34,6 +34,8 @@ KER_THROUGH = "`ker(f.R~)` written once in `laws._ker_through`"
 BUILT_ONCE = ("Projection maps and fork targets built once, chains planned "
               "on flat lists")
 PID_ABSORBED = "Each pid absorbed into the projections beside it"
+COMPOSED = "Projections composed as functions inside a chain"
+LONE_PROJ = "A lone projection is a one-factor chain"
 
 
 class Mutant(NamedTuple):
@@ -107,11 +109,12 @@ def _evaluation_agrees_on_an_empty_universe(monkeypatch):
 
 def _edited(func, old, new):
     """A twin of `func` compiled from its source with the one occurrence
-    of `old` replaced by `new`, over `func`'s module globals."""
+    of `old` replaced by `new`, over `func`'s module globals; the source
+    keeps its decorators, so the twin of a cached function is cached."""
     source = textwrap.dedent(inspect.getsource(func))
     assert source.count(old) == 1, old
     names: dict = {}
-    exec(source.replace(old, new), func.__globals__, names)
+    exec(source.replace(old, new), inspect.unwrap(func).__globals__, names)
     return names[func.__name__]
 
 
@@ -134,6 +137,13 @@ def _absorbing_restricts_the_projection(monkeypatch):
     """`test_absorbing_a_pid_restricts_the_projection_beside_it`, whose
     tables come from a fixed seed."""
     test_query.test_absorbing_a_pid_restricts_the_projection_beside_it()
+
+
+def _edited_proj_map(old, new):
+    def apply(monkeypatch):
+        monkeypatch.setattr(query, "_proj_map",
+                            _edited(query._proj_map, old, new))
+    return apply
 
 
 MUTANTS = (
@@ -185,6 +195,25 @@ MUTANTS = (
                "zip([*items[1:], None], items, [None, *items])")),
            _absorbing_restricts_the_projection,
            PID_ABSORBED),
+    # a one-attribute sub-row takes the next attribute's value too
+    Mutant("proj_map_one_attribute_slice_widened",
+           _edited_proj_map("slice(at[0], at[0] + 1)",
+                            "slice(at[0], at[0] + 2)"),
+           _absorbing_restricts_the_projection,
+           COMPOSED),
+    # the empty projection maps a row to the whole row, not to ``()``
+    Mutant("proj_map_empty_projection_keeps_the_row",
+           _edited_proj_map("slice(0)", "slice(None)"),
+           _absorbing_restricts_the_projection,
+           COMPOSED),
+    # a projection left of a pid built over the universe; the pid is still
+    # dropped, so on the `alone` template only the sizes show it
+    Mutant("absorb_every_projection_over_the_universe",
+           lambda monkeypatch: monkeypatch.setattr(query, "_absorb", _edited(
+               query._absorb, "if isinstance(right, Pid)", "if False")),
+           (test_query
+            .test_window_templates_evaluate_no_projection_over_the_universe),
+           LONE_PROJ),
 )
 
 

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import json
 import random
@@ -903,15 +904,22 @@ def test_a_kernel_of_a_fork_is_evaluated_once(monkeypatch):
     assert len(forks) == 1
 
 
+def _maps_the_universe(r, universe):
+    """Whether `r` has the row universe as its source and every universe
+    row as an input: a projection, or its kernel, built over the universe."""
+    return (r.source == universe
+            and len({a for a, _ in r.pairs}) == len(universe))
+
+
 def test_window_templates_evaluate_no_projection_over_the_universe(
         monkeypatch):
     # on a table breaking `Title -> Director`, the rewrite of each template
-    # is evaluated, and no template builds a projection by
-    # `tables.proj_fn`: every projection of the window sits beside a pid,
-    # which `query._absorb` absorbs into it, and the `chain` template's
-    # leading ``g . g~`` cancels, since the table's row universe is not
-    # empty
+    # is evaluated, and no relation built meanwhile maps every row of the
+    # universe: every projection of the window sits beside a pid, which
+    # `query._absorb` absorbs into it, and the `chain` template's leading
+    # ``g . g~`` cancels, since the table's row universe is not empty
     table = parse_table_csv((FIXTURES / "movies_violating.csv").read_text())
+    universe = row_carrier(table)
     env = Env(tables={"m": table})
     f, g, h = (frozenset({a}) for a in ("Title", "Director", "Actor"))
     compared = []
@@ -921,21 +929,26 @@ def test_window_templates_evaluate_no_projection_over_the_universe(
         compared.append(args)
         return compare(*args)
 
-    class Built(Exception):
-        pass
+    built = []
+    init = rel.Rel.__init__
 
-    def built(scheme, attrs):
-        raise Built(sorted(attrs))
+    def recorded(self, source, target, pairs):
+        init(self, source, target, pairs)
+        built.append(self)
 
     monkeypatch.setattr(query, "_compare", counted)
+    assert len(universe) > len(table.rows)
     for kind in TEMPLATES:
         q = _template(kind, f, g, h, g)
         fired = []
         out = rewrite_selfjoin(q, [AttrFd(f, g)], fired)
         r1, r2 = _left_fold(q, env), _left_fold(out, env)
+        built.clear()
         with monkeypatch.context() as m:
-            m.setattr(tables, "_proj_fn", built)
+            m.setattr(rel.Rel, "__init__", recorded)
             got = verify_rewrite(q, out, fired, table)
+        assert built and not [r for r in built
+                              if _maps_the_universe(r, universe)], kind
         assert got.equal == (r1.pairs == r2.pairs)
         assert got.equal or got.witness in r1.pairs ^ r2.pairs
     assert len(compared) == len(TEMPLATES)
@@ -959,7 +972,6 @@ def test_window_templates_build_no_relation_at_the_universe_scale(
         sizes.append(len(pairs))
         init(self, source, target, pairs)
 
-    tables._proj_fn.cache_clear()  # a projection is built, not looked up
     for seed in range(5):
         table = Table(scheme, frozenset(random.Random(seed).sample(universe,
                                                                    24)))
@@ -1130,8 +1142,7 @@ def test_type_check_takes_every_carrier_from_the_evaluators_caches(
             targets.clear()
             run(e, env)
             assert len(targets) == 1, e
-    for cache in (tables._row_carrier, tables._proj_fn, query._proj_map,
-                  rel._fork_target):
+    for cache in (tables._row_carrier, query._proj_map, rel._fork_target):
         cache.cache_clear()
     f, g, h = (frozenset({a}) for a in table.scheme.names)
     queries = ([_template(t, f, g, h, g) for t in TEMPLATES]
@@ -1140,6 +1151,25 @@ def test_type_check_takes_every_carrier_from_the_evaluators_caches(
         source, target = type_check(e, env)
         got = query._eval(e, env)
         assert source is got.source and target is got.target, e
+
+
+def test_evaluation_keeps_no_relation_over_the_row_universe():
+    # no cache holds a relation: once its result is dropped, a query that
+    # builds a projection over the whole row universe, alone, in a kernel
+    # or in a chain, leaves no relation from every row of that universe
+    dom = {a: tuple(f"u{a}{v}" for v in range(4)) for a in "ABC"}
+    table = parse_table_csv("A,B,C\nuA0,uB0,uC0\n", dom)
+    universe = row_carrier(table)
+    env = Env(tables={"t": table})
+    p = Proj("t", frozenset("AB"))
+    for e in (p, Kernel(p), Compose(Converse(p), p)):
+        got = eval_query(e, env)
+        assert got == _left_fold(e, env)
+        del got
+        gc.collect()
+        kept = [r for r in gc.get_objects()
+                if isinstance(r, rel.Rel) and _maps_the_universe(r, universe)]
+        assert not kept, (e, kept)
 
 
 # ---------------------------------------------------------------------------
