@@ -112,13 +112,14 @@ def cmd_check(args: SimpleNamespace) -> int:
     table = tables.load_table(args.table, args.schema)
     fds = _load_fds(args)
     rows = fd.stored_order(table.rows)
-    stored = Carrier("stored", tuple(rows))  # S, for the shunted route
+    columns = fd.encode_columns(rows, len(table.scheme.names))
+    stored = Carrier("stored", tuple(range(len(rows))))  # S, row indices
     results = []
     for item in fds:
         at = fd.fd_positions(table.scheme, item)
         witness = fd.scan_violation(rows, *at)
         scan = witness is None
-        algebraic = fd.satisfies_shunted(stored, *at)
+        algebraic = fd.satisfies_shunted(stored, columns, *at)
         typed = fd.satisfies_refinement(rows, *at)
         if not (scan == algebraic == typed):
             raise InternalCheckError(

@@ -7,11 +7,11 @@ once the rows are sorted, and each written apart from the others:
 * `scan_violation(rows, xs, ys)`, the witness scan: one pass over the rows
   in `stored_order`, grouping them into antecedent blocks, returns
   the first violating pair, the one `oracles.oracle_violation` returns;
-* `satisfies_shunted(stored, xs, ys)`, the algebraic route: with x, y the
-  projections restricted to the carrier S of the stored rows, the inclusion
-  ``ker x <= ker y`` shunts through the function y (the registry's
+* `satisfies_shunted(stored, columns, xs, ys)`, the algebraic route over
+  the row indices S of the columns `encode_columns` codes: ``ker x <= ker
+  y`` shunts through the function y (the registry's
   `shunt_function_left/right` laws) into "``y . x~`` is simple", a relation
-  with one pair per distinct (x, y) value pair, built by `rel.compose`;
+  with one pair per distinct (x, y) code pair, built by `rel.compose`;
 * `satisfies_refinement(rows, xs, ys)`, the typed route: ``x <= y`` under
   the injectivity preorder says the partition of the rows by x refines the
   one by y, that is ``|pi_X| = |pi_XY|`` (the FD test of TANE, Huhtala et
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import re
 from typing import Optional, Sequence
 
 from . import rel
@@ -57,11 +56,6 @@ from .errors import ParseError, SchemeError
 from .rel import Carrier, Frozen, Rel, render_value
 from .tables import Scheme, Table
 from .tables import pid, proj_fn  # noqa: F401  (bound as fd.pid, fd.proj_fn)
-
-# An attribute name; compiled on first use by `re`'s own cache, since only
-# the per-line parser reads it.
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*\Z"
-
 
 class AttrFd(Frozen):
     """An attribute-level dependency: antecedent determines consequent."""
@@ -87,11 +81,11 @@ _set_consequent = AttrFd.consequent.__set__
 
 
 def parse_attr_list(text: str, line: int | None = None) -> frozenset:
-    names = [n for n in re.split(r"[,\s]+", text.strip()) if n]
+    names = text.replace(",", " ").split()
     if not names:
         raise ParseError("empty attribute list", line=line)
     for n in names:
-        if not re.match(_NAME, n):
+        if not (n.isascii() and n.isidentifier()):  # the name pattern
             raise ParseError(f"bad attribute name {n!r}", line=line)
     return frozenset(names)
 
@@ -233,30 +227,42 @@ def scan_violation(rows: Sequence[tuple], xs: Sequence[int],
     return None
 
 
-def _stored_proj(stored: Carrier, positions: Sequence[int]) -> Rel:
-    """`proj_fn` onto the attributes at `positions`, restricted to the rows
-    of `stored`, onto its image in order of first occurrence."""
-    # `_key`, but a 1-tuple at a single position, as `proj_fn` gives
-    sub_row = (_key(positions) if len(positions) != 1
-               else lambda row, i=positions[0]: (row[i],))
-    pairs = dict(zip(stored.elements, map(sub_row, stored.elements)))
-    image = Carrier("image", tuple(dict.fromkeys(pairs.values())))
-    return Rel(stored, image, frozenset(pairs.items()))
+def encode_columns(rows: Sequence[tuple], arity: int) -> list:
+    """The `arity` columns of `rows`, each as the codes of its values,
+    numbered by first occurrence, and its radix, its count of values."""
+    columns = []
+    for values in zip(*rows) if rows else [()] * arity:
+        index = dict(zip(dict.fromkeys(values), itertools.count()))
+        columns.append((list(map(index.__getitem__, values)), len(index)))
+    return columns
 
 
-def satisfies_shunted(stored: Carrier, xs: Sequence[int],
+def _codes(columns: list, positions: Sequence[int], n: int) -> list[int]:
+    """Each of the n rows' mixed-radix code at `positions`: ``code * k + c``
+    folded over them, c a value's code and k its column's radix; 0 at none.
+    Two rows share a code exactly when they agree at `positions`."""
+    codes = columns[positions[0]][0] if positions else [0] * n
+    for p in positions[1:]:
+        column, radix = columns[p]
+        codes = [code * radix + c for code, c in zip(codes, column)]
+    return codes
+
+
+def satisfies_shunted(stored: Carrier, columns: list, xs: Sequence[int],
                       ys: Sequence[int]) -> bool:
     """Linear algebraic route: ``y . x~`` is simple over the stored rows.
 
-    With x, y the projections onto the positions `xs`, `ys` restricted to
-    the carrier S of the stored rows, `stored`, the quantifier-free
-    inclusion ``x~ . x  included-in  y~ . y`` shunts through the function y
-    on the left and on the right into ``(y . x~) . (y . x~)~  included-in
-    id``.  ``y . x~`` has a pair per distinct (x, y) value pair, never more
-    pairs than S has rows.  S depends on the table alone, so a caller
-    checking several FDs builds it once.
+    S, the carrier `stored`, holds the row indices 0..n-1 of `columns`, the
+    rows `encode_columns` coded, built once per table; x and y map an index
+    to the `_codes` of its row at `xs` and `ys`, onto the codes that occur.
+    ``x~ . x  included-in  y~ . y`` shunts through the function y on the
+    left and on the right into ``(y . x~) . (y . x~)~  included-in  id``;
+    ``y . x~`` has a pair per distinct (x, y) code pair, at most n.
     """
-    x, y = _stored_proj(stored, xs), _stored_proj(stored, ys)
+    x, y = (Rel(stored, Carrier("image", tuple(dict.fromkeys(codes))),
+                frozenset(zip(stored.elements, codes)))
+            for codes in [_codes(columns, xs, len(stored)),
+                          _codes(columns, ys, len(stored))])
     return rel.is_simple(rel.compose(y, rel.converse(x)))
 
 
@@ -266,7 +272,7 @@ def satisfies_refinement(rows, xs: Sequence[int], ys: Sequence[int]
     their values at `xs` refines the one by `ys` exactly when adding `ys`
     splits no block, ``|pi_X| = |pi_XY|``."""
     kx, kxy = _key(xs), _key(sorted(set(xs) | set(ys)))
-    return len({kx(r) for r in rows}) == len({kxy(r) for r in rows})
+    return len(set(map(kx, rows))) == len(set(map(kxy, rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def render_value(v: Value) -> str:
     if isinstance(v, Pair):
         return f"({render_value(v.left)},{render_value(v.right)})"
     if isinstance(v, tuple):
-        return "(" + ",".join(render_value(x) for x in v) + ")"
+        return "(" + ",".join(map(render_value, v)) + ")"
     return "()"
 
 

@@ -32,6 +32,7 @@ import io
 import itertools
 import json
 import math
+import sys
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, Union
@@ -209,7 +210,8 @@ def parse_table_csv(text: str,
     for name in declared:
         if name not in names:
             raise ParseError(f"schema declares unknown attribute {name!r}")
-    allowed = {name: frozenset(values) for name, values in declared.items()}
+    checks = [(name, i, frozenset(declared[name]))
+              for i, name in enumerate(names) if name in declared]
 
     raw_rows: list[tuple[str, ...]] = []
     for lineno, record in enumerate(reader, start=2):
@@ -219,31 +221,22 @@ def parse_table_csv(text: str,
             raise ParseError(
                 f"expected {len(names)} values, found {len(record)}",
                 line=lineno)
-        for name, value in zip(names, record):
-            if name in allowed and value not in allowed[name]:
-                raise ParseError(
-                    f"value {value!r} outside declared domain of {name!r}",
-                    line=lineno)
+        for name, i, domain in checks:
+            if record[i] not in domain:
+                raise ParseError(f"value {record[i]!r} outside declared "
+                                 f"domain of {name!r}", line=lineno)
         raw_rows.append(tuple(record))
 
-    attributes = []
-    for i, name in enumerate(names):
-        if name in declared:
-            values = declared[name]
-        else:
-            values = sorted({row[i] for row in raw_rows})
-        attributes.append((name, Carrier(name, tuple(values))))
-    scheme = Scheme(tuple(attributes))
-
-    rows = set(raw_rows)
-    dropped = len(raw_rows) - len(rows)
-    if dropped:
-        import logging  # about 6 ms of start-up that no other path needs
-        logging.getLogger(__name__).warning(
-            "dropped %d duplicate row(s) at load", dropped)
-    # every row was checked above against the arity and the declared
-    # domains, and an undeclared domain is built from its column
-    return Table(scheme, frozenset(rows))
+    # every row fits: checked above, or its domain is built from its column
+    scheme = Scheme(tuple(
+        (name, Carrier(name, tuple(declared[name] if name in declared
+                                   else sorted({r[i] for r in raw_rows}))))
+        for i, name in enumerate(names)))
+    rows = frozenset(raw_rows)
+    if len(rows) < len(raw_rows):
+        print(f"dropped {len(raw_rows) - len(rows)} duplicate row(s) at "
+              "load", file=sys.stderr)
+    return Table(scheme, rows)
 
 
 def read_text(path: str) -> str:

@@ -13,7 +13,8 @@ converse): the judgement `fd.satisfies_typed`.  Of the CLI commands only
   only, so the left side never leaves the stored rows S and ``ker y`` is
   only read on pairs of them: with ``pid`` the identity of S and x, y
   restricted to S the verdict is the same, from relations as large as the
-  table instead of the domain product.
+  table instead of the domain product.  They relate the row tuples
+  themselves, not the codes `fd.satisfies_shunted` reads.
 * `union_verdicts` states the merge rule, `join_verdicts` the join rule and
   `fd_trade` the trading rule.  `typecheck_union`, `typecheck_join` and the
   law registry's pointwise `holds` read them.
@@ -21,11 +22,11 @@ converse): the judgement `fd.satisfies_typed`.  Of the CLI commands only
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import rel
 from .errors import InternalCheckError
-from .fd import (AttrFd, _check_observers, _stored_proj, fd_positions,
+from .fd import (AttrFd, _check_observers, _key, fd_positions,
                  satisfies_typed, stored_order)
 from .rel import Carrier, Frozen, Rel, Value
 from .tables import Table
@@ -45,6 +46,17 @@ def stored_fd_projections(t: Table, fd: AttrFd) -> tuple[Rel, Rel, Rel]:
     s = Carrier("stored", tuple(stored_order(t.rows)))
     xs, ys = fd_positions(t.scheme, fd)
     return rel.identity(s), _stored_proj(s, xs), _stored_proj(s, ys)
+
+
+def _stored_proj(stored: Carrier, positions: Sequence[int]) -> Rel:
+    """`proj_fn` onto the attributes at `positions`, restricted to the rows
+    of `stored`, onto its image in order of first occurrence."""
+    # `_key`, but a 1-tuple at a single position, as `proj_fn` gives
+    sub_row = (_key(positions) if len(positions) != 1
+               else lambda row, i=positions[0]: (row[i],))
+    pairs = dict(zip(stored.elements, map(sub_row, stored.elements)))
+    image = Carrier("image", tuple(dict.fromkeys(pairs.values())))
+    return Rel(stored, image, frozenset(pairs.items()))
 
 
 def satisfies_general_quantified(r: Rel, f: Rel, g: Rel) -> bool:

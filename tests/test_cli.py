@@ -222,6 +222,16 @@ def test_check_runs_over_stored_rows_past_the_universe_bound(tmp_path,
     assert refuted["witness"] == [list(r1), list(r2)]
 
 
+def test_check_warns_of_duplicate_rows_on_stderr_alone(tmp_path, capsys):
+    table = tmp_path / "dup.csv"
+    table.write_text("A,B\na,1\nb,2\na,1\n", encoding="utf-8")
+    fds = tmp_path / "dup.fds"
+    fds.write_text("A -> B\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", "--table", table, "--fds", fds)
+    assert (code, out) == (0, "A -> B: holds\n")
+    assert err == "dropped 1 duplicate row(s) at load\n"
+
+
 @pytest.mark.parametrize("table", ["pilots.csv", "pilots_double_booked.csv"])
 @pytest.mark.parametrize("route", ["scan_violation", "satisfies_shunted",
                                    "satisfies_refinement"])

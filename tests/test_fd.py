@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from relfd import fd as fd_module, rel
 from relfd.errors import ParseError, SchemeError
@@ -593,25 +593,6 @@ def test_stored_order_breaks_render_ties_whatever_the_input_order():
             assert fd_module.stored_order(order) == want
 
 
-def test_stored_projections_are_proj_fn_restricted_to_the_stored_rows():
-    # domains listed out of value order
-    s = Scheme(tuple((n, Carrier(n, (Atom("1"), Atom("0"), Atom("2"))))
-                     for n in ("X", "Y", "Z")))
-    universe = row_carrier(s).elements
-    t = Table.make(s, set(universe[3::4]))
-    # the sides {Z, X}, {Y} and an empty antecedent
-    for fd in (AttrFd({"Z", "X"}, {"Y"}), AttrFd(set(), {"Z", "X"})):
-        p, x, y = stored_fd_projections(t, fd)
-        stored = p.source
-        assert p == identity(stored)
-        assert len(stored) == len(t.rows) and set(stored.elements) == t.rows
-        for f, attrs in ((x, fd.antecedent), (y, fd.consequent)):
-            assert f.source == stored and rel.is_function(f)
-            assert f.pairs == {(a, b) for a, b in proj_fn(s, attrs).pairs
-                               if a in t.rows}
-            assert set(f.target.elements) == {b for _, b in f.pairs}
-
-
 def test_stored_row_routes_agree_with_oracle_on_random_tables():
     # sidecar domains declare values the rows never use, so the stored rows
     # are a small part of the universe; rows draw from few values, so both
@@ -639,6 +620,14 @@ def test_stored_row_routes_agree_with_oracle_on_random_tables():
             assert satisfies_typed(p, f, g) == o
             verdicts[o] += 1
     assert min(verdicts.values()) >= 100
+
+
+def shunted(rows, arity, xs, ys):
+    """`satisfies_shunted` over `rows` as `relfd check` encodes them: S the
+    row indices, the columns dictionary-coded."""
+    stored = Carrier("stored", tuple(range(len(rows))))
+    return satisfies_shunted(stored, fd_module.encode_columns(rows, arity),
+                             xs, ys)
 
 
 def _random_fd(rnd, names):
@@ -694,10 +683,8 @@ def test_linear_routes_equal_the_oracles_on_random_tables():
             assert witness == oracle_violation(t, fd)
             holds = satisfies_oracle(t, fd)
             assert (witness is None) == holds
-            assert satisfies_shunted(Carrier("stored", tuple(ordered)),
-                                     *at) == \
-                satisfies_shunted(Carrier("stored", tuple(shuffled)),
-                                  *at) == \
+            assert shunted(ordered, len(names), *at) == \
+                shunted(shuffled, len(names), *at) == \
                 satisfies_algebraic(t, fd) == holds
             assert satisfies_refinement(ordered, *at) == \
                 satisfies_typed(*stored_fd_projections(t, fd)) == holds
@@ -707,6 +694,73 @@ def test_linear_routes_equal_the_oracles_on_random_tables():
                                     and fd.consequent - fd.antecedent)
             seen["empty antecedent"] += not fd.antecedent
     assert min(seen.values()) >= 40, seen
+
+
+# Values of the coded-route tables: "x,y" and "z" render as "x" and "y,z"
+# do, so rows such as ("x,y", "z") and ("x", "y,z") render alike
+CODED_VALUES = ("x,y", "z", "x", "y,z", "0")
+
+
+@st.composite
+def coded_case(draw):
+    """(names, rows, fd): a set of 0-12 rows over 1-4 attributes from
+    `CODED_VALUES`, and an FD over those attributes, its antecedent maybe
+    empty and its consequent maybe overlapping it."""
+    names = "ABCD"[:draw(st.integers(1, 4))]
+    rows = draw(st.sets(st.tuples(*[st.sampled_from(CODED_VALUES)]
+                                  * len(names)), max_size=12))
+    return names, rows, AttrFd(
+        draw(st.sets(st.sampled_from(names))),
+        draw(st.sets(st.sampled_from(names), min_size=1)))
+
+
+# A B -> C holds, and A B codes (0, 1) and (1, 0): with B's radix 1, not 2,
+# the two sub-rows share the code 1
+RADIX_COLLISION_CASE = ("ABC", {("0", "0", "0"), ("0", "x", "x"),
+                                ("x", "0", "z")}, parse_fd("A B -> C"))
+# A B -> C holds, and the two rows agree on A alone
+LAST_POSITION_CASE = ("ABC", {("0", "0", "0"), ("0", "x", "x")},
+                      parse_fd("A B -> C"))
+
+
+@seed(31)
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=coded_case())
+@example(case=RADIX_COLLISION_CASE)
+@example(case=LAST_POSITION_CASE)
+# sub-rows that render alike, one holding and one refuted
+@example(case=("ABC", {("x,y", "z", "0"), ("x", "y,z", "x")},
+               parse_fd("A B -> C")))
+@example(case=("ABC", {("x,y", "z", "0"), ("x", "y,z", "x")},
+               parse_fd("C -> A B")))
+@example(case=("AB", {("x", "0"), ("z", "0")}, AttrFd(set(), {"B"})))
+@example(case=("AB", {("x", "0"), ("z", "x")}, AttrFd(set(), {"B"})))
+# B holds one value, so its radix is 1
+@example(case=("ABC", {("x", "z", "0"), ("y,z", "z", "0"), ("0", "z", "x")},
+               parse_fd("A B -> C")))
+@example(case=("ABC", {("x", "z", "0")}, parse_fd("A -> B C")))
+@example(case=("ABC", {("x", "z", "0"), ("x", "0", "0"), ("z", "z", "x")},
+               parse_fd("A -> A B")))
+@example(case=("ABCD", {("x", "z", "0", "0"), ("x", "z", "0", "x"),
+                        ("z", "z", "0", "0")}, parse_fd("A B -> C D")))
+def test_coded_route_agrees_with_the_oracles(case):
+    # the shunted route on dictionary codes against the literal oracle and
+    # the refinement route, both over the row tuples
+    names, rows, fd = case
+    scheme = Scheme(tuple((n, Carrier(n, CODED_VALUES)) for n in names))
+    t = Table(scheme, frozenset(rows))
+    ordered = fd_module.stored_order(t.rows)
+    at = fd_positions(scheme, fd)
+    holds = satisfies_oracle(t, fd)
+    assert satisfies_refinement(ordered, *at) == holds
+    assert shunted(ordered, len(names), *at) == holds
+
+
+def test_columns_are_coded_by_first_occurrence_with_their_radix():
+    rows = [("x,y", "z"), ("x", "y,z"), ("x,y", "y,z")]
+    assert fd_module.encode_columns(rows, 2) == [([0, 1, 0], 2),
+                                                 ([0, 1, 1], 2)]
+    assert fd_module.encode_columns([], 3) == [([], 0)] * 3
 
 
 def test_downward_closure_on_subtables():

@@ -4,8 +4,8 @@
 inference engine, the query IR and the counterexample search load when a
 command runs them; numpy, the law registry (`relfd.laws`), its bitset
 tables (`relfd.bitrel`) and the typing rules (`relfd.typed`) only for
-`laws`; `logging` only to warn about duplicate rows; argparse, with
-`relfd.usage`, only for an argv that the CLI's plain reader declines.
+`laws`; argparse, with `relfd.usage`, only for an argv that the CLI's
+plain reader declines; `logging` never, not even to warn of duplicate rows.
 Every value class but `laws.Law` is a plain class on `rel.Frozen`, so
 `dataclasses`, with the `inspect` it imports, loads only with the law
 registry: every command but `laws` runs without it.  Each call runs in a
@@ -33,8 +33,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PROBE = """
 import contextlib, io, json, sys
 from relfd import cli
-argv = json.loads(sys.argv[1])
-if argv:
+for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(argv)
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("relfd.")
@@ -67,13 +66,14 @@ LAW_REGISTRY LAW_SUITE
 """.split()
 
 
-def loaded_after(argv: list[str]) -> set[str]:
+def loaded_after(*argvs: list[str]) -> set[str]:
     """The `relfd.*` modules, numpy, logging, dataclasses, inspect and
-    argparse loaded by a fresh interpreter after `import relfd.cli` and, for a
-    non-empty argv, `cli.main(argv)`."""
+    argparse loaded by a fresh interpreter after `import relfd.cli` and
+    `cli.main(argv)` for each non-empty argv in turn."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)],
+    done = subprocess.run([sys.executable, "-c", PROBE,
+                           json.dumps([argv for argv in argvs if argv])],
                           env=env, capture_output=True, text=True,
                           timeout=60, check=True)
     return set(json.loads(done.stdout))
@@ -136,13 +136,17 @@ def test_argparse_loads_only_for_an_argv_the_plain_reader_declines():
             == START | {"argparse", "relfd.usage"})
 
 
-def test_logging_loads_only_to_warn_about_duplicate_rows(tmp_path):
+def test_no_command_loads_logging(tmp_path):
+    # duplicate rows warn on stderr without it
     table = tmp_path / "dup.csv"
     table.write_text("A,B\na,1\na,1\n", encoding="utf-8")
     fds = tmp_path / "dup.fds"
     fds.write_text("A -> B\n", encoding="utf-8")
     argv = ["check", "--table", str(table), "--fds", str(fds)]
-    assert loaded_after(argv) == START | {"logging"}
+    assert loaded_after(argv) == START
+    # modules stay loaded, so none of these loads it either
+    calls = [argv for name, argv in CALLS.items() if name != "laws_3"]
+    assert "logging" not in loaded_after(*calls, ["closure", "--attrs", "A"])
 
 
 def test_public_names_resolve_to_their_module_objects():

@@ -23,10 +23,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
+import test_fd
 import test_query
 import test_sweep_oracles
 from relfd import bitrel as B
-from relfd import laws, query, rel
+from relfd import fd, laws, query, rel
 from relfd.query import Converse, Proj
 from relfd.search import Scope, search_law
 
@@ -36,6 +37,7 @@ BUILT_ONCE = ("Projection maps and fork targets built once, chains planned "
 PID_ABSORBED = "Each pid absorbed into the projections beside it"
 COMPOSED = "Projections composed as functions inside a chain"
 LONE_PROJ = "A lone projection is a one-factor chain"
+CODED = "`check`'s shunted route on dictionary codes"
 
 
 class Mutant(NamedTuple):
@@ -146,6 +148,14 @@ def _edited_proj_map(old, new):
     return apply
 
 
+def _coded_route_agrees_on(case):
+    """`test_coded_route_agrees_with_the_oracles` on one explicit case."""
+    def example(monkeypatch):
+        test = test_fd.test_coded_route_agrees_with_the_oracles
+        test.hypothesis.inner_test(case=case)
+    return example
+
+
 MUTANTS = (
     Mutant("ker_through_R_axis_rolled",
            _wrap_ker_through(lambda t: np.roll(t, 1, axis=1)),
@@ -214,6 +224,18 @@ MUTANTS = (
            (test_query
             .test_window_templates_evaluate_no_projection_over_the_universe),
            LONE_PROJ),
+    # a column's radix one less than its count of values
+    Mutant("encode_columns_radix_one_too_small",
+           lambda monkeypatch: monkeypatch.setattr(
+               fd, "encode_columns", _edited(
+                   fd.encode_columns, "len(index)))", "len(index) - 1))")),
+           _coded_route_agrees_on(test_fd.RADIX_COLLISION_CASE),
+           CODED),
+    Mutant("codes_drop_the_last_position",
+           lambda monkeypatch: monkeypatch.setattr(fd, "_codes", _edited(
+               fd._codes, "positions[1:]", "positions[1:-1]")),
+           _coded_route_agrees_on(test_fd.LAST_POSITION_CASE),
+           CODED),
 )
 
 

@@ -1,5 +1,3 @@
-import logging
-
 import pytest
 
 from relfd import rel
@@ -215,11 +213,12 @@ def test_csv_load_and_active_domains():
     assert len(t.rows) == 3
 
 
-def test_csv_duplicate_rows_warn_and_dedup(caplog):
-    with caplog.at_level(logging.WARNING):
-        t = parse_table_csv("A\n1\n1\n2\n")
+def test_csv_duplicate_rows_warn_and_dedup(capsys):
+    t = parse_table_csv("A\n1\n1\n2\n1\n")
     assert len(t.rows) == 2
-    assert "duplicate" in caplog.text
+    assert capsys.readouterr() == ("", "dropped 2 duplicate row(s) at load\n")
+    parse_table_csv("A\n1\n2\n")
+    assert capsys.readouterr() == ("", "")
 
 
 def test_csv_ragged_row_is_an_error_with_line():
