@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 from . import fd, tables
 from .errors import InternalCheckError, ParseError, RelfdError
-from .rel import Carrier, rel_to_json, render_value
+from .rel import rel_to_json, render_value
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -112,8 +112,7 @@ def cmd_check(args: SimpleNamespace) -> int:
     table = tables.load_table(args.table, args.schema)
     fds = _load_fds(args)
     rows = fd.stored_order(table.rows)
-    columns = fd.encode_columns(rows, len(table.scheme.names))
-    stored = Carrier("stored", tuple(range(len(rows))))  # S, row indices
+    stored, columns = fd.encode_columns(rows, len(table.scheme.names))
     results = []
     for item in fds:
         at = fd.fd_positions(table.scheme, item)

@@ -227,14 +227,14 @@ def scan_violation(rows: Sequence[tuple], xs: Sequence[int],
     return None
 
 
-def encode_columns(rows: Sequence[tuple], arity: int) -> list:
-    """The `arity` columns of `rows`, each as the codes of its values,
-    numbered by first occurrence, and its radix, its count of values."""
+def encode_columns(rows: Sequence[tuple], arity: int) -> tuple[Carrier, list]:
+    """S, the indices of `rows`, and their `arity` columns: a column's
+    values coded by first occurrence, and its radix, its count of values."""
     columns = []
     for values in zip(*rows) if rows else [()] * arity:
         index = dict(zip(dict.fromkeys(values), itertools.count()))
         columns.append((list(map(index.__getitem__, values)), len(index)))
-    return columns
+    return Carrier("stored", tuple(range(len(rows)))), columns
 
 
 def _codes(columns: list, positions: Sequence[int], n: int) -> list[int]:
@@ -252,9 +252,9 @@ def satisfies_shunted(stored: Carrier, columns: list, xs: Sequence[int],
                       ys: Sequence[int]) -> bool:
     """Linear algebraic route: ``y . x~`` is simple over the stored rows.
 
-    S, the carrier `stored`, holds the row indices 0..n-1 of `columns`, the
-    rows `encode_columns` coded, built once per table; x and y map an index
-    to the `_codes` of its row at `xs` and `ys`, onto the codes that occur.
+    S, the carrier `stored`, holds the row indices 0..n-1 of `columns`, both
+    from `encode_columns`, once per table; x and y map an index to the
+    `_codes` of its row at `xs` and `ys`, onto the codes that occur.
     ``x~ . x  included-in  y~ . y`` shunts through the function y on the
     left and on the right into ``(y . x~) . (y . x~)~  included-in  id``;
     ``y . x~`` has a pair per distinct (x, y) code pair, at most n.

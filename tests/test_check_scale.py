@@ -35,7 +35,7 @@ def _one_pass_verdicts(csv_text: str, fds: str) -> list[bool]:
 def test_probe_routes_agree_with_a_one_pass_check(tmp_path):
     probe = _probe()
     table, fds = tmp_path / "t.csv", tmp_path / "t.fds"
-    probe.write_table(str(table), 2000, seed=0)
+    probe.write_table(str(table), 2000)
     fds.write_text(probe.FDS, encoding="utf-8")
     want = _one_pass_verdicts(table.read_text(encoding="utf-8"), probe.FDS)
     assert want == [True, True, False, False]

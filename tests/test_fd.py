@@ -625,9 +625,7 @@ def test_stored_row_routes_agree_with_oracle_on_random_tables():
 def shunted(rows, arity, xs, ys):
     """`satisfies_shunted` over `rows` as `relfd check` encodes them: S the
     row indices, the columns dictionary-coded."""
-    stored = Carrier("stored", tuple(range(len(rows))))
-    return satisfies_shunted(stored, fd_module.encode_columns(rows, arity),
-                             xs, ys)
+    return satisfies_shunted(*fd_module.encode_columns(rows, arity), xs, ys)
 
 
 def _random_fd(rnd, names):
@@ -758,9 +756,10 @@ def test_coded_route_agrees_with_the_oracles(case):
 
 def test_columns_are_coded_by_first_occurrence_with_their_radix():
     rows = [("x,y", "z"), ("x", "y,z"), ("x,y", "y,z")]
-    assert fd_module.encode_columns(rows, 2) == [([0, 1, 0], 2),
-                                                 ([0, 1, 1], 2)]
-    assert fd_module.encode_columns([], 3) == [([], 0)] * 3
+    assert fd_module.encode_columns(rows, 2) == (
+        Carrier("stored", (0, 1, 2)), [([0, 1, 0], 2), ([0, 1, 1], 2)])
+    assert fd_module.encode_columns([], 3) == (Carrier("stored", ()),
+                                               [([], 0)] * 3)
 
 
 def test_downward_closure_on_subtables():

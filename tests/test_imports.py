@@ -112,8 +112,9 @@ def test_laws_command_loads_the_law_sweeps():
 # before each CLI command built its answer once, as one payload, 1,389
 # before `rel` lost the two composition rules of unbuilt projections,
 # 1,373 before `type_check` took its carriers from the evaluator's caches,
-# 1,368 before `tables.proj_fn` lost its cache.
-START_LINES = 1363
+# 1,368 before `tables.proj_fn` lost its cache, 1,363 before
+# `fd.encode_columns` built the stored carrier it codes the rows over.
+START_LINES = 1362
 
 
 def test_start_path_stays_within_its_line_count():

@@ -1,9 +1,10 @@
 """Scale probe of `relfd check`: wall time per stage and peak RSS.
 
-    python3 tools/check_scale.py --rows 100000 [--seed 0] [--check-only]
+    python3 tools/check_scale.py --rows 100000 [--check-only]
 
-Writes a fixed-seed table of 6 attributes (A-F) and a file of 4 FDs, two
-that hold and, from a few thousand rows on, two that the table refutes.
+Writes a table of 6 attributes (A-F), drawn with the fixed seed `SEED`,
+and a file of 4 FDs, two that hold and, from a few thousand rows on, two
+that the table refutes.
 Then it times the stages of `relfd check` one by one: `load_table`,
 `stored_order`, the column encoding, and each of the three routes summed
 over the FDs.  Last it times `relfd check` itself through `cli.main`, in
@@ -32,17 +33,17 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from relfd import cli, fd, tables  # noqa: E402
-from relfd.rel import Carrier  # noqa: E402
 
+SEED = 0
 NAMES = "ABCDEF"
 # A -> B and B C -> D hold by construction; C -> E and E F -> A fail once
 # rows repeat C, or E and F, since A, E and F are drawn independently
 FDS = "A -> B\nB C -> D\nC -> E\nE F -> A\n"
 
 
-def write_table(path: str, rows: int, seed: int) -> None:
+def write_table(path: str, rows: int) -> None:
     """`rows` CSV rows over A-F, B a function of A and D one of B and C."""
-    rnd = random.Random(seed)
+    rnd = random.Random(SEED)
     b_of = [rnd.randrange(50) for _ in range(rows // 10 + 1)]
     lines = [",".join(NAMES)]
     for _ in range(rows):
@@ -83,8 +84,7 @@ def stages(table: str, fds: str):
     rows = fd.stored_order(t.rows)
     yield "stored_order", clock() - t0
     t0 = clock()
-    columns = fd.encode_columns(rows, len(t.scheme.names))
-    stored = Carrier("stored", tuple(range(len(rows))))
+    stored, columns = fd.encode_columns(rows, len(t.scheme.names))
     yield "encode_columns", clock() - t0
     at = [fd.fd_positions(t.scheme, item)
           for item in fd.parse_fd_lines(tables.read_text(fds))]
@@ -105,15 +105,14 @@ def stages(table: str, fds: str):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--rows", type=int, required=True)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--check-only", action="store_true")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         table, fds = os.path.join(tmp, "t.csv"), os.path.join(tmp, "t.fds")
-        write_table(table, args.rows, args.seed)
+        write_table(table, args.rows)
         with open(fds, "w", encoding="utf-8") as fh:
             fh.write(FDS)
-        print(f"rows {args.rows} seed {args.seed}")
+        print(f"rows {args.rows} seed {SEED}")
         if not args.check_only:
             for stage, value in stages(table, fds):
                 if stage == "verdicts":
