@@ -11,21 +11,19 @@ classical "scan the same file twice through a kernel" shape whenever a
 supplied dependency set proves it redundant, in one pass that also
 normalizes the partial identities.
 
-`type_check` types an expression by the evaluator's cached carriers;
-`type_attrs` by attribute sets, building none: a row type is the
-sub-scheme of the selected attributes, a fork target the pair of its
-operands' types, and a size the product of domain sizes.  Both apply
-one set of typing rules (`_types`), so they raise the same errors at
-the same node paths.
+`type_check` types an expression by the carriers that evaluation reads.
+A row universe and a fork's pair carrier are products of their domains
+(`rel.Carrier`): typing sizes and compares them without enumerating
+them, so it builds no element, and its bounds raise before any is built.
 
 `verify_rewrite` confirms a rewrite on a table in three steps, each
-written once.  `_type_pair` types both sides, here with `type_attrs`.
-Each fired window is enabled by an FD, ``f -> g`` or ``f -> h``; when one
+written once.  `_type_pair` types both sides with `type_check`.  Each
+fired window is enabled by an FD, ``f -> g`` or ``f -> h``; when one
 holds on the stored rows (`discharged`, one linear pass per FD), the
 window equals its rewrite there, and so does the whole query.  Only when
-typing cannot settle it does `_compare` evaluate both sides; it alone
-builds carriers, and reports a counterexample, the first differing pair.
-`verify_equiv` is `_type_pair` with `type_check` plus `_compare`.
+typing cannot settle it does `_compare` evaluate both sides, and report
+a counterexample, the first differing pair.  `verify_equiv` is
+`_type_pair` plus `_compare`.
 
 A composition chain, and a lone kernel or projection as a chain of one
 factor, is evaluated as one step.  Each kernel factor ``ker e`` is
@@ -59,12 +57,13 @@ Composition is associative, so the result does not depend on the order.
 
 What `_compare` pays around its relations is paid once, in LRU caches
 of `rel.CACHE_SIZE` entries.  `_proj_map`, keyed by scheme and attribute
-set as `_sorts` is, holds a projection's row universe, its sub-row
-carrier and its map from a row to its sub-row; an entry pins the two
-carriers, each of at most `tables.ROW_CARRIER_LIMIT` rows, and no cache
-holds a relation.  `rel.fork` takes its target from `rel._fork_target`,
-one pair carrier per pair of component carriers, so both sides of a
-refuted rewrite share it.  `_plan` finds the association on flat lists.
+set, holds a projection's row universe, its sub-row carrier and its map
+from a row to its sub-row; an entry holds two products, each of at most
+`tables.ROW_CARRIER_LIMIT` rows, and neither is enumerated until
+evaluation reads its elements.  No cache holds a relation.  `rel.fork`
+takes its target from `rel._fork_target`, one pair carrier per pair of
+component carriers, so both sides of a refuted rewrite share it.
+`_plan` finds the association on flat lists.
 
 JSON wire form (one object per node):
 
@@ -185,7 +184,7 @@ class Env(Frozen):
 
 def _where(path) -> str:
     """A node path, e.g. ``query.compose.args[1]``.  `from_json` and
-    `_types` pass an operand's path down unrendered, as (parent's path,
+    `type_check` pass an operand's path down unrendered, as (parent's path,
     parent, operand index), and render it only to raise."""
     if isinstance(path, str):
         return path
@@ -257,54 +256,13 @@ def from_json(obj: dict, path="query", depth: int = 0) -> QueryExpr:
 # Type checking and evaluation
 
 
-class Sort(Frozen):
-    """A carrier that `type_attrs` names and sizes without building it.
-
-    `parts` is a sub-scheme, for its row carrier, or a pair of sorts, for
-    their `rel.pair_carrier`; `name` and `len` are that carrier's.  Two
-    sorts are equal exactly when their carriers are: the names are equal,
-    and so are the elements, which `shape` fixes for a carrier that has
-    any: the domains' element tuples of a row carrier, or the shapes of
-    the pair's parts (None for an empty carrier).
-    """
-
-    __slots__ = ("parts", "name", "size", "shape")
-    _fields = ("parts",)
-
-    def __init__(self, parts: Union[tables.Scheme, tuple["Sort", "Sort"]]):
-        if isinstance(parts, tables.Scheme):
-            name, size = tables.row_universe(parts)
-            shape = tuple(dom.elements for _, dom in parts.attributes)
-        else:
-            left, right = parts
-            name = f"({left.name}*{right.name})"  # as `rel.pair_carrier`
-            size, shape = left.size * right.size, (left.shape, right.shape)
-        set_field = object.__setattr__
-        set_field(self, "parts", parts)
-        set_field(self, "name", name)
-        set_field(self, "size", size)
-        set_field(self, "shape", shape if size else None)
-
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if other.__class__ is Sort:
-            return (self.name, self.shape) == (other.name, other.shape)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.shape))
-
-    def __len__(self) -> int:
-        return self.size
-
-
-def _types(e: QueryExpr, env: Env, path, leaf, pair) -> tuple:
-    """Source and target types of the expression, or an error located by
-    `_where(path)`: the typing rules of `type_check` and `type_attrs`,
-    stated once.  A type has a `name`, a `len` and its carrier's equality;
-    `leaf(table, attrs)` types a pid (attrs None) or a projection of the
-    table, and `pair(a, b)` is the type of a fork target."""
+def type_check(e: QueryExpr, env: Env, path="query"
+               ) -> tuple[Carrier, Carrier]:
+    """Source and target carriers of the expression, or an error located
+    by `_where(path)`.  A pid and a projection take theirs from the caches
+    that evaluation reads (`tables.row_carrier`, `_proj_map`), and a fork
+    its target from `rel._fork_target`: products, so typing enumerates
+    no row universe or pair carrier."""
     if isinstance(e, RelRef):
         if e.name not in env.rels:
             raise QueryTypeError(f"unbound relation {e.name!r}",
@@ -316,17 +274,20 @@ def _types(e: QueryExpr, env: Env, path, leaf, pair) -> tuple:
         name = e.table if is_pid else e.scheme
         if name not in env.tables:
             raise QueryTypeError(f"unbound table {name!r}", _where(path))
+        scheme = env.tables[name].scheme
         try:
-            return leaf(env.tables[name], None if is_pid else e.attrs)
+            if is_pid:
+                return (tables.row_carrier(scheme),) * 2
+            return _proj_map(scheme, e.attrs)[:2]
         except RelfdError as err:
             raise QueryTypeError(str(err), _where(path)) from None
-    s, t = _types(e.args[0], env, (path, e, 0), leaf, pair)
+    s, t = type_check(e.args[0], env, (path, e, 0))
     if isinstance(e, Converse):
         return t, s
     if isinstance(e, Kernel):
         return s, s
     for i, a in enumerate(e.args[1:], start=1):
-        rs, rt = _types(a, env, (path, e, i), leaf, pair)
+        rs, rt = type_check(a, env, (path, e, i))
         if isinstance(e, Compose):
             if rt != s:
                 raise QueryTypeError(
@@ -346,40 +307,8 @@ def _types(e: QueryExpr, env: Env, path, leaf, pair) -> tuple:
                 raise ResourceLimitError(
                     f"at {_where(path)}: fork target has {size} pairs, "
                     f"over the {tables.ROW_CARRIER_LIMIT} bound")
-            t = pair(t, rt)
+            t = rel._fork_target(t, rt)
     return s, t
-
-
-def _carriers(table: Table, attrs: Optional[frozenset]) -> tuple:
-    if attrs is None:
-        return (tables.row_carrier(table),) * 2
-    return _proj_map(table.scheme, attrs)[:2]
-
-
-def type_check(e: QueryExpr, env: Env, path: str = "query"
-               ) -> tuple[Carrier, Carrier]:
-    """Source and target carriers of the expression, or a located error."""
-    return _types(e, env, path, _carriers, rel._fork_target)
-
-
-def type_attrs(e: QueryExpr, env: Env, path: str = "query"
-               ) -> tuple[Sort, Sort]:
-    """`type_check` by attribute sets, building no carrier: the source and
-    target `Sort`s of the expression, or the error, message and path that
-    `type_check` raises.  On an environment without named relations each
-    sort names the carrier that `type_check` returns in its place."""
-    return _types(e, env, path, lambda t, attrs: _sorts(t.scheme, attrs),
-                  lambda a, b: Sort((a, b)))
-
-
-@functools.lru_cache(maxsize=rel.CACHE_SIZE)
-def _sorts(scheme: tables.Scheme, attrs: Optional[frozenset]) -> tuple:
-    """The sorts of a pid (attrs None) or a projection over the scheme,
-    cached by scheme as the table bridge caches its carriers."""
-    rows = Sort(scheme) if attrs is None else _sorts(scheme, None)[0]
-    if attrs is None:
-        return rows, rows
-    return rows, Sort(tables.sub_scheme(scheme, attrs))
 
 
 def eval_query(e: QueryExpr, env: Env) -> Rel:
@@ -391,7 +320,7 @@ def eval_query(e: QueryExpr, env: Env) -> Rel:
 @functools.lru_cache(maxsize=rel.CACHE_SIZE)
 def _proj_map(scheme: tables.Scheme, attrs: frozenset) -> tuple:
     """The row universe of the scheme, the sub-row carrier of `attrs` and
-    the map from a row to its sub-row, cached by scheme as `_sorts` is."""
+    the map from a row to its sub-row, cached by scheme and `attrs`."""
     universe = tables.row_carrier(scheme)  # its bound is checked first
     sub = tables.sub_scheme(scheme, attrs)
     at = [scheme.positions[n] for n in sub.names]
@@ -653,9 +582,9 @@ class EquivResult(Frozen):
         return self.equal
 
 
-def _type_pair(typer, e1: QueryExpr, e2: QueryExpr, env: Env) -> tuple:
-    c1 = typer(e1, env)
-    c2 = typer(e2, env)
+def _type_pair(e1: QueryExpr, e2: QueryExpr, env: Env) -> tuple:
+    c1 = type_check(e1, env)
+    c2 = type_check(e2, env)
     if c1 != c2:
         raise CarrierMismatchError(
             f"expressions type to different carriers: "
@@ -696,8 +625,8 @@ def _compare(e1: QueryExpr, e2: QueryExpr, env: Env) -> EquivResult:
 
 
 def verify_equiv(e1: QueryExpr, e2: QueryExpr, env: Env) -> EquivResult:
-    """Type both expressions by carriers, then evaluate and compare them."""
-    _type_pair(type_check, e1, e2, env)
+    """Type both expressions, then evaluate and compare them."""
+    _type_pair(e1, e2, env)
     return _compare(e1, e2, env)
 
 
@@ -705,14 +634,14 @@ def verify_rewrite(e: QueryExpr, rewritten: QueryExpr, fired: Sequence[tuple],
                    table: Table) -> EquivResult:
     """Whether `rewritten`, which fired `fired`, equals `e` on `table`,
     bound to the one table name `e` reads (a rewrite only removes leaves).
-    `type_attrs` types each side once; then `discharged` settles it, or
-    `_compare` evaluates both sides, which alone builds carriers."""
+    `type_check` types each side once; then `discharged` settles it, or
+    `_compare` evaluates both sides."""
     names = table_refs(e)
     if len(names) != 1:
         raise RelfdError(f"--table binds exactly one referenced table, "
                          f"query uses {sorted(names)}")
     env = Env(tables={names.pop(): table})
-    _type_pair(type_attrs, e, rewritten, env)
+    _type_pair(e, rewritten, env)
     if discharged(fired, env):
         return EquivResult(True)
     return _compare(e, rewritten, env)
@@ -725,4 +654,4 @@ def type_header(e: QueryExpr, fds: Sequence[AttrFd]) -> None:
     names = sorted(mentioned_attrs(fds, proj_attrs(e)))
     header = Table(tables.Scheme(tuple((name, Carrier(name, ()))
                                        for name in names)), frozenset())
-    type_attrs(e, Env(dict.fromkeys(table_refs(e), header)))
+    type_check(e, Env(dict.fromkeys(table_refs(e), header)))

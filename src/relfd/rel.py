@@ -22,6 +22,7 @@ mismatched carriers raises instead of silently reinterpreting elements.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property, lru_cache
 from typing import Iterable, Union
 
@@ -122,44 +123,74 @@ def render_value(v: Value) -> str:
 class Carrier(Frozen):
     """A named finite ordered set of values; the order is canonical.
 
-    The element set and the hash are computed once, at construction: both
-    would otherwise walk every element on each membership test or hash.
-    A carrier built by `pair_carrier` keeps its two component carriers in
-    `components`, which takes no part in equality.
+    Built with elements None, a carrier is the product of `components`
+    (a row universe, whose `make` is `tuple`, or a pair carrier, `Pair`),
+    sized by theirs; its `elements`, made by `make` in left-major order,
+    and their set are built on first use.  Two products compare their
+    components' elements, and two empty ones of one name are equal; other
+    carriers compare by name and elements.  A carrier hashes as its name
+    and size: neither hashing nor comparing two products enumerates one.
     """
 
-    __slots__ = ("name", "elements", "components", "_element_set", "_hash")
+    __slots__ = ("name", "components", "_make", "_len", "_hash", "__dict__")
 
-    def __init__(self, name: str, elements: tuple[Value, ...],
-                 components: tuple[Carrier, Carrier] | None = None):
-        element_set = frozenset(elements)
-        if len(element_set) != len(elements):
-            raise SchemeError(f"carrier {name!r} has duplicate elements")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "_element_set", element_set)
-        object.__setattr__(self, "_hash", hash((name, elements)))
+    def __init__(self, name: str, elements: tuple[Value, ...] | None,
+                 components: tuple[Carrier, ...] | None = None, make=None):
+        if elements is None:
+            size = math.prod(map(len, components))
+        else:
+            element_set, size = frozenset(elements), len(elements)
+            if len(element_set) != size:
+                raise SchemeError(f"carrier {name!r} has duplicate elements")
+            object.__setattr__(self, "elements", elements)  # not a product
+            object.__setattr__(self, "_element_set", element_set)
+        set_field = object.__setattr__
+        set_field(self, "name", name)
+        set_field(self, "components", components)
+        set_field(self, "_make", make)
+        set_field(self, "_len", size)
+        set_field(self, "_hash", hash((name, size)))
+
+    @cached_property
+    def elements(self) -> tuple[Value, ...]:  # a product's, on first use
+        values = itertools.product(*[c.elements for c in self.components])
+        return tuple(values if self._make is tuple
+                     else itertools.starmap(self._make, values))
+
+    @cached_property
+    def _element_set(self) -> frozenset:
+        return frozenset(self.elements)
+
+    def _same_elements(self, other: Carrier) -> bool:
+        if self._make is None or other._make is None:
+            return self.elements == other.elements
+        return self._len == other._len and (not self._len or (
+            (self._make, len(self.components))
+            == (other._make, len(other.components))
+            and all(map(Carrier._same_elements, self.components,
+                        other.components))))
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.elements) == (other.name, other.elements)
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or (self.name == other.name
+                                 and self._same_elements(other))
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
-        return Carrier, (self.name, self.elements, self.components)
+    def __reduce__(self):  # a product stays unbuilt
+        return Carrier, (self.name, None if self._make else self.elements,
+                         self.components, self._make)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self._len
 
     def __contains__(self, v: Value) -> bool:
         return v in self._element_set
 
     def __repr__(self) -> str:
-        return f"Carrier({self.name!r}, {len(self.elements)} elements)"
+        return f"Carrier({self.name!r}, {self._len} elements)"
 
 
 UNIT_CARRIER = Carrier("1", (Unit(),))
@@ -168,9 +199,7 @@ CACHE_SIZE = 8  # entries of each LRU cache here, in `tables` and in `query`
 
 def pair_carrier(a: Carrier, b: Carrier) -> Carrier:
     """Carrier of pairs, in left-major order of the component carriers."""
-    return Carrier(f"({a.name}*{b.name})",
-                   tuple(Pair(x, y) for x in a.elements for y in b.elements),
-                   (a, b))
+    return Carrier(f"({a.name}*{b.name})", None, (a, b), Pair)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -313,7 +342,7 @@ def _proj(p: Carrier, i: int) -> Rel:
         raise SchemeError(f"carrier {p.name!r} is not a pair carrier")
     side = ("left", "right")[i]
     pairs = [(e, getattr(e, side)) for e in p.elements]
-    tgt = (p.components[i] if p.components is not None else Carrier(
+    tgt = (p.components[i] if p._make is Pair else Carrier(
         f"{side}({p.name})", tuple(dict.fromkeys(v for _, v in pairs))))
     return Rel(p, tgt, frozenset(pairs))
 

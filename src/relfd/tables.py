@@ -11,12 +11,12 @@ order):
 The classical rendering of a table as one binary relation, `encode_pairs`,
 is in `relfd.oracles`.
 
-Row carriers are cached by scheme in an LRU cache of `rel.CACHE_SIZE` entries,
-as are `rel.fork`'s pair carriers and the sorts and projection maps of
-`relfd.query`, which `type_check` types on and the evaluator builds each
-projection from.  One table's queries reuse them, and the bound keeps a
-long-lived process from pinning every row universe it has seen.  An entry holds
-one to three carriers of at most `ROW_CARRIER_LIMIT` elements, and no relation.
+A row carrier is the product of the domains (`rel.Carrier`), cached by
+scheme in an LRU cache of `rel.CACHE_SIZE` entries, as are `rel.fork`'s
+pair carriers and the projection maps of `relfd.query`.  One table's
+queries reuse them, and the bound keeps a long-lived process from pinning
+every row universe it has seen.  No entry holds a relation, and none
+enumerates a universe until evaluation reads its rows.
 
 Values are those of `relfd.rel`: an atom is a `str` and a row is a `tuple`
 of values, in scheme order.  CSV ingestion reads every value as an atom, so
@@ -31,7 +31,6 @@ import csv
 import io
 import itertools
 import json
-import math
 import sys
 from functools import lru_cache
 from operator import itemgetter
@@ -107,25 +106,19 @@ class Table(Frozen):
 
 
 def row_carrier(obj: Union[Table, Scheme]) -> Carrier:
-    """Carrier of all rows of the full domain product, in lex order."""
+    """Carrier of all rows of the full domain product, in lex order: the
+    product of the domains, unbuilt; over the bound raises."""
     return _row_carrier(obj.scheme if isinstance(obj, Table) else obj)
-
-
-def row_universe(scheme: Scheme) -> tuple[str, int]:
-    """Name and size of the row carrier, unbuilt; over the bound raises."""
-    size = math.prod(len(dom) for _, dom in scheme.attributes)
-    if size > ROW_CARRIER_LIMIT:
-        raise ResourceLimitError(f"row universe has {size} rows, "
-                                 f"over the {ROW_CARRIER_LIMIT} bound")
-    return "rows(" + ",".join(scheme.names) + ")", size
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _row_carrier(scheme: Scheme) -> Carrier:
-    name, _ = row_universe(scheme)
-    elements = tuple(itertools.product(*(dom.elements
-                                         for _, dom in scheme.attributes)))
-    return Carrier(name, elements)
+    universe = Carrier("rows(" + ",".join(scheme.names) + ")", None,
+                       tuple(dom for _, dom in scheme.attributes), tuple)
+    if len(universe) > ROW_CARRIER_LIMIT:
+        raise ResourceLimitError(f"row universe has {len(universe)} rows, "
+                                 f"over the {ROW_CARRIER_LIMIT} bound")
+    return universe
 
 
 def sub_scheme(scheme: Scheme, attrs: Iterable[str]) -> Scheme:

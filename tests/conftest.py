@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from relfd import query, rel, tables
 from relfd.rel import Atom, Carrier, Rel
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -10,6 +11,25 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def carrier(name: str, n: int) -> Carrier:
     return Carrier(name, tuple(Atom(f"{name.lower()}{i}") for i in range(n)))
+
+
+class _Unbuilt:
+    """`Carrier.elements` that fails when read.  A carrier built from its
+    elements keeps them in its own `__dict__`, which wins over this
+    non-data descriptor, so only a product's enumeration reads it."""
+
+    def __get__(self, c, owner=None):
+        if c is None:
+            return self
+        raise AssertionError(f"product carrier {c.name!r} was enumerated")
+
+
+def forbid_product_enumeration(monkeypatch):
+    """Make enumerating a product carrier fail, with the caches that hold
+    products cleared, so that none enumerated before is served."""
+    for cache in (tables._row_carrier, query._proj_map, rel._fork_target):
+        cache.cache_clear()
+    monkeypatch.setattr(Carrier, "elements", _Unbuilt())
 
 
 def all_rels(src: Carrier, tgt: Carrier):

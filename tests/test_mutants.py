@@ -38,6 +38,7 @@ PID_ABSORBED = "Each pid absorbed into the projections beside it"
 COMPOSED = "Projections composed as functions inside a chain"
 LONE_PROJ = "A lone projection is a one-factor chain"
 CODED = "`check`'s shunted route on dictionary codes"
+PRODUCTS = "One typer: row universes and pair carriers as unbuilt products"
 
 
 class Mutant(NamedTuple):
@@ -156,6 +157,22 @@ def _coded_route_agrees_on(case):
     return example
 
 
+def _edited_same_elements(old, new):
+    def apply(monkeypatch):
+        monkeypatch.setattr(rel.Carrier, "_same_elements",
+                            _edited(rel.Carrier._same_elements, old, new))
+    return apply
+
+
+def _types_as_its_carriers(domains):
+    """`test_attribute_types_compare_as_their_carriers` on one case, which
+    types."""
+    def example(monkeypatch):
+        assert (domains, True) in test_query.SPLIT_NAME_CASES
+        test_query._types_as_its_carriers(domains, True)
+    return example
+
+
 MUTANTS = (
     Mutant("ker_through_R_axis_rolled",
            _wrap_ker_through(lambda t: np.roll(t, 1, axis=1)),
@@ -236,6 +253,20 @@ MUTANTS = (
                fd._codes, "positions[1:]", "positions[1:-1]")),
            _coded_route_agrees_on(test_fd.LAST_POSITION_CASE),
            CODED),
+    # two products equal only if their components are, names included:
+    # rows(A,B,C) of "A,B" and "C" differs from that of "A" and "B,C"
+    Mutant("products_compare_components_with_their_names",
+           _edited_same_elements(
+               "and all(map(Carrier._same_elements",
+               "and self.components == other.components"
+               " and all(map(Carrier._same_elements"),
+           _types_as_its_carriers("x y x y"),
+           PRODUCTS),
+    # two empty products of one name compare their components' elements
+    Mutant("products_without_the_empty_short_cut",
+           _edited_same_elements("(not self._len or (", "(("),
+           _types_as_its_carriers("- y x -"),
+           PRODUCTS),
 )
 
 

@@ -1,7 +1,9 @@
+import copy
 import functools
 import gc
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -14,15 +16,14 @@ from relfd.fd import AttrFd, parse_fd
 from relfd.infer import FIRING_LIMIT
 from relfd.query import (MAX_QUERY_DEPTH, Compose, Converse, Env, Fork,
                          Kernel, Pid, Proj, RelRef, UnionOp, _rewrite_once,
-                         _sorts, _type_pair, count_pid_nodes,
-                         discharged, eval_query, from_json, rewrite_selfjoin,
-                         to_json, type_attrs, type_check, verify_equiv,
-                         verify_rewrite)
+                         _type_pair, count_pid_nodes, discharged, eval_query,
+                         from_json, rewrite_selfjoin, to_json, type_check,
+                         verify_equiv, verify_rewrite)
 from relfd.rel import Atom, Carrier, Tup, identity
 from relfd.tables import (Scheme, Table, parse_table_csv, pid, proj_fn,
                           row_carrier)
 
-from conftest import FIXTURES, carrier
+from conftest import FIXTURES, carrier, forbid_product_enumeration
 
 TITLE_DIRECTOR = [parse_fd("Title -> Director")]
 
@@ -736,7 +737,7 @@ def test_discharge_implies_equal_evaluation():
             for q in queries:
                 fired = []
                 out = rewrite_selfjoin(q, fds, fired)
-                assert (_type_pair(type_check, q, out, env)
+                assert (_type_pair(q, out, env)
                         == type_check(q, env))
                 typed = discharged(fired, env)
                 if not fired:
@@ -1173,27 +1174,38 @@ def test_evaluation_keeps_no_relation_over_the_row_universe():
 
 
 # ---------------------------------------------------------------------------
-# typing by attribute sets
+# typing on product carriers
 
 
-def _carrier_of(sort):
-    """The carrier a `Sort` names, built."""
-    if isinstance(sort.parts, Scheme):
-        return row_carrier(sort.parts)
-    return rel.pair_carrier(*map(_carrier_of, sort.parts))
-
-
-def _typed(typer, e, env):
-    """`typer`'s types of `e`, or the class, message and path of its
-    error.  A cached universe, sort or projection map skips the bound, so
-    none is kept."""
+def _typed(e, env):
+    """`type_check`'s types of `e`, or the class, message and path of its
+    error.  A cached universe or projection map skips the bound, so none
+    is kept."""
     tables._row_carrier.cache_clear()
-    _sorts.cache_clear()
     query._proj_map.cache_clear()
     try:
-        return typer(e, env)
+        return type_check(e, env)
     except RelfdError as err:
         return type(err), str(err), getattr(err, "path", None)
+
+
+def _twin(c):
+    """The carrier `c` enumerated: a plain carrier of its name and
+    elements."""
+    return Carrier(c.name, tuple(c.elements))
+
+
+def _typed_on_twins(e, env):
+    """`_typed` with every row universe and fork target replaced by its
+    enumerated twin, after the same bound: typing by elements, as it was
+    before row universes and pair carriers were products."""
+    row_carrier = tables._row_carrier.__wrapped__
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tables, "_row_carrier",
+                  functools.cache(lambda s: _twin(row_carrier(s))))
+        m.setattr(rel, "_fork_target",
+                  lambda a, b: _twin(rel.pair_carrier(a, b)))
+        return _typed(e, env)
 
 
 @st.composite
@@ -1233,50 +1245,81 @@ def _typing_cases(draw):
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(case=_typing_cases())
-def test_attribute_typer_agrees_with_the_carrier_typer(case):
-    # `type_attrs` raises `type_check`'s error class, message and path, or
-    # returns sorts whose carriers are the carriers `type_check` returns;
-    # and two sorts are equal exactly when their carriers are
+def test_product_carriers_type_as_their_enumerated_twins(case):
+    # every carrier `type_check` returns equals, and hashes as, its
+    # enumerated twin, and every two of them compare as their twins do;
+    # typing on the twins raises the same error class, message and path
     table, queries, bound = case
     env = Env(tables={"m": table})
-    limit = tables.ROW_CARRIER_LIMIT
-    tables.ROW_CARRIER_LIMIT = bound
-    try:
-        sorts = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tables, "ROW_CARRIER_LIMIT", bound)
+        typed = []
         for e in queries:
-            want, got = _typed(type_check, e, env), _typed(type_attrs, e, env)
-            if isinstance(want[0], Carrier):
-                assert tuple(map(_carrier_of, got)) == want, e
-                assert [(s.name, len(s)) for s in got] == [
-                    (c.name, len(c)) for c in want]
-                sorts += got
-            else:
-                assert got == want, e
-        for a, b in itertools.product(sorts, repeat=2):
-            assert (a == b) == (_carrier_of(a) == _carrier_of(b))
-            assert a != b or hash(a) == hash(b)
-    finally:
-        tables.ROW_CARRIER_LIMIT = limit
+            want, got = _typed_on_twins(e, env), _typed(e, env)
+            if isinstance(got[0], Carrier):
+                typed += got
+                got = tuple(map(_twin, got))
+            assert got == want, e
+    for c in typed:
+        assert c == _twin(c) and hash(c) == hash(_twin(c))
+    for a, b in itertools.product(typed, repeat=2):
+        assert (a == b) == (_twin(a) == _twin(b))
+
+
+def _types_as_its_carriers(domains, types):
+    """Whether a chain through a carrier rows(A,B,C) types: "A,B" with "C",
+    and "A" with "B,C", both name one, so its elements decide.  `domains`
+    gives the four domains ("-" for an empty one), and `types` whether
+    the chain types."""
+    e = Compose(Converse(Proj("m", {"A", "B,C"})), Proj("m", {"A,B", "C"}))
+    scheme = Scheme(tuple((a, Carrier(a, tuple(v.strip("-"))))
+                          for a, v in zip(("A,B", "C", "A", "B,C"),
+                                          domains.split())))
+    got = _typed(e, Env(tables={"m": Table(scheme, frozenset())}))
+    if types:
+        assert got == (row_carrier(scheme),) * 2
+    else:
+        assert got == (QueryTypeError, "at query: compose needs matching "
+                       "middle carrier, got 'rows(A,B,C)' then "
+                       "'rows(A,B,C)'", "query")
+
+
+# equal one-row carriers, different one-row carriers, two empty carriers
+SPLIT_NAME_CASES = (("x y x y", True), ("x y x z", False), ("- y x -", True))
 
 
 def test_attribute_types_compare_as_their_carriers():
-    # "A,B" with "C", and "A" with "B,C", both name a carrier rows(A,B,C),
-    # so its elements decide whether the chain types, on both routes: equal
-    # one-row carriers, different one-row carriers, two empty carriers
-    e = Compose(Converse(Proj("m", {"A", "B,C"})), Proj("m", {"A,B", "C"}))
-    for domains, types in (("x y x y", True), ("x y x z", False),
-                           ("- y x -", True)):
-        scheme = Scheme(tuple((a, Carrier(a, tuple(v.strip("-"))))
-                              for a, v in zip(("A,B", "C", "A", "B,C"),
-                                              domains.split())))
-        env = Env(tables={"m": Table(scheme, frozenset())})
-        want = _typed(type_check, e, env)
-        got = _typed(type_attrs, e, env)
-        if types:
-            assert want == (row_carrier(scheme),) * 2
-            got = tuple(map(_carrier_of, got))
-        else:
-            assert want == (QueryTypeError, "at query: compose needs "
-                            "matching middle carrier, got 'rows(A,B,C)' "
-                            "then 'rows(A,B,C)'", "query")
-        assert got == want
+    for domains, types in SPLIT_NAME_CASES:
+        _types_as_its_carriers(domains, types)
+
+
+def test_a_window_over_a_huge_universe_enumerates_no_product(monkeypatch):
+    # the window `g . pid . ker f . pid . h~`, alone and under a fork, on
+    # a table of 6 attributes of 10 values each and 10 stored rows: typing,
+    # evaluation and verification read the stored rows, and no row
+    # universe of 10^6 rows or pair carrier is enumerated.  Rows 2j and
+    # 2j + 1 agree on A alone
+    names = "ABCDEF"
+    dom = {a: tuple(f"{a.lower()}{v}" for v in range(10)) for a in names}
+    rows = [(dom["A"][i // 2],) + tuple(dom[a][i * k % 10] for k, a in
+                                        enumerate(names[1:], start=1))
+            for i in range(10)]
+    scheme = Scheme(tuple((a, Carrier(a, dom[a])) for a in names))
+    env = Env(tables={"m": Table.make(scheme, rows)})
+    f, g, h = frozenset("A"), frozenset("B"), frozenset("C")
+    want = {((r2[2],), (r1[1],)) for r1 in rows for r2 in rows
+            if r1[0] == r2[0]}
+    forbid_product_enumeration(monkeypatch)
+    for kind in ("alone", "fork"):
+        window = _template(kind, f, g, h, frozenset("D"))
+        got = eval_query(window, env)
+        assert verify_equiv(window, window, env)
+        if kind == "alone":
+            assert got.pairs == want and len(want) == 20
+    universe = row_carrier(scheme)
+    assert len(universe) == 10 ** 6
+    # a copy or pickle of a product is a product, equal and hashing the same
+    for c in (universe, rel._fork_target(universe, universe)):
+        for twin in (copy.copy(c), copy.deepcopy(c),
+                     pickle.loads(pickle.dumps(c))):
+            assert twin is not c and twin == c and hash(twin) == hash(c)

@@ -58,7 +58,8 @@ class Carrier:
         if len(element_set) != len(self.elements):
             raise SchemeError(f"carrier {self.name!r} has duplicate elements")
         object.__setattr__(self, "_element_set", element_set)
-        object.__setattr__(self, "_hash", hash((self.name, self.elements)))
+        object.__setattr__(self, "_hash", hash((self.name,
+                                                len(self.elements))))
 
     def __hash__(self) -> int:
         return self._hash
