@@ -14,7 +14,9 @@ normalizes the partial identities.
 `type_check` types an expression by the carriers that evaluation reads.
 A row universe and a fork's pair carrier are products of their domains
 (`rel.Carrier`): typing sizes and compares them without enumerating
-them, so it builds no element, and its bounds raise before any is built.
+them, so it builds no element and raises no size bound.  Only
+evaluation enumerates a product, and one over `rel.CARRIER_LIMIT`
+elements raises there, naming the carrier.
 
 `verify_rewrite` confirms a rewrite on a table in three steps, each
 written once.  `_type_pair` types both sides with `type_check`.  Each
@@ -58,12 +60,11 @@ Composition is associative, so the result does not depend on the order.
 What `_compare` pays around its relations is paid once, in LRU caches
 of `rel.CACHE_SIZE` entries.  `_proj_map`, keyed by scheme and attribute
 set, holds a projection's row universe, its sub-row carrier and its map
-from a row to its sub-row; an entry holds two products, each of at most
-`tables.ROW_CARRIER_LIMIT` rows, and neither is enumerated until
-evaluation reads its elements.  No cache holds a relation.  `rel.fork`
-takes its target from `rel._fork_target`, one pair carrier per pair of
-component carriers, so both sides of a refuted rewrite share it.
-`_plan` finds the association on flat lists.
+from a row to its sub-row; an entry holds two products, and neither is
+enumerated until evaluation reads its elements.  No cache holds a
+relation.  `rel.fork` takes its target from `rel._fork_target`, one pair
+carrier per pair of component carriers, so both sides of a refuted
+rewrite share it.  `_plan` finds the association on flat lists.
 
 JSON wire form (one object per node):
 
@@ -91,7 +92,7 @@ from typing import Optional, Sequence, Union
 
 from . import rel, tables
 from .errors import (CarrierMismatchError, ParseError, QueryTypeError,
-                     RelfdError, ResourceLimitError)
+                     RelfdError)
 from .fd import AttrFd, fd_positions, satisfies_refinement
 from .infer import attr_closure, mentioned_attrs
 # Unused here; kept because the benchmark's tracer test binds it by this
@@ -275,9 +276,9 @@ def type_check(e: QueryExpr, env: Env, path="query"
         if name not in env.tables:
             raise QueryTypeError(f"unbound table {name!r}", _where(path))
         scheme = env.tables[name].scheme
-        try:
-            if is_pid:
-                return (tables.row_carrier(scheme),) * 2
+        if is_pid:
+            return (tables.row_carrier(scheme),) * 2
+        try:  # an unknown attribute, located here
             return _proj_map(scheme, e.attrs)[:2]
         except RelfdError as err:
             raise QueryTypeError(str(err), _where(path)) from None
@@ -302,11 +303,6 @@ def type_check(e: QueryExpr, env: Env, path="query"
             if s != rs:
                 raise QueryTypeError("fork operands over different sources",
                                      _where(path))
-            size = len(t) * len(rt)
-            if size > tables.ROW_CARRIER_LIMIT:
-                raise ResourceLimitError(
-                    f"at {_where(path)}: fork target has {size} pairs, "
-                    f"over the {tables.ROW_CARRIER_LIMIT} bound")
             t = rel._fork_target(t, rt)
     return s, t
 
@@ -321,7 +317,7 @@ def eval_query(e: QueryExpr, env: Env) -> Rel:
 def _proj_map(scheme: tables.Scheme, attrs: frozenset) -> tuple:
     """The row universe of the scheme, the sub-row carrier of `attrs` and
     the map from a row to its sub-row, cached by scheme and `attrs`."""
-    universe = tables.row_carrier(scheme)  # its bound is checked first
+    universe = tables.row_carrier(scheme)
     sub = tables.sub_scheme(scheme, attrs)
     at = [scheme.positions[n] for n in sub.names]
     apply = (itemgetter(*at) if len(at) > 1  # a slice keeps a 1-tuple

@@ -26,7 +26,7 @@ import math
 from functools import cached_property, lru_cache
 from typing import Iterable, Union
 
-from .errors import CarrierMismatchError, SchemeError
+from .errors import CarrierMismatchError, ResourceLimitError, SchemeError
 
 
 class Frozen:
@@ -126,10 +126,10 @@ class Carrier(Frozen):
     Built with elements None, a carrier is the product of `components`
     (a row universe, whose `make` is `tuple`, or a pair carrier, `Pair`),
     sized by theirs; its `elements`, made by `make` in left-major order,
-    and their set are built on first use.  Two products compare their
-    components' elements, and two empty ones of one name are equal; other
-    carriers compare by name and elements.  A carrier hashes as its name
-    and size: neither hashing nor comparing two products enumerates one.
+    and their set are built on first use, or raise past `CARRIER_LIMIT`.
+    Carriers compare by name and size, then two products by their
+    components' elements and others by elements (two empty ones are equal):
+    neither hashing (as name and size) nor comparing enumerates a product.
     """
 
     __slots__ = ("name", "components", "_make", "_len", "_hash", "__dict__")
@@ -153,6 +153,9 @@ class Carrier(Frozen):
 
     @cached_property
     def elements(self) -> tuple[Value, ...]:  # a product's, on first use
+        if (n := self._len) > CARRIER_LIMIT:
+            raise ResourceLimitError(f"carrier {self.name} has {n} elements, "
+                                     f"over the {CARRIER_LIMIT} bound")
         values = itertools.product(*[c.elements for c in self.components])
         return tuple(values if self._make is tuple
                      else itertools.starmap(self._make, values))
@@ -162,13 +165,14 @@ class Carrier(Frozen):
         return frozenset(self.elements)
 
     def _same_elements(self, other: Carrier) -> bool:
+        if self._len != other._len or not self._len:
+            return self._len == other._len
         if self._make is None or other._make is None:
             return self.elements == other.elements
-        return self._len == other._len and (not self._len or (
-            (self._make, len(self.components))
-            == (other._make, len(other.components))
-            and all(map(Carrier._same_elements, self.components,
-                        other.components))))
+        return ((self._make, len(self.components))
+                == (other._make, len(other.components))
+                and all(map(Carrier._same_elements, self.components,
+                            other.components)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -194,6 +198,7 @@ class Carrier(Frozen):
 
 
 UNIT_CARRIER = Carrier("1", (Unit(),))
+CARRIER_LIMIT = 10 ** 6  # elements a product carrier may enumerate
 CACHE_SIZE = 8  # entries of each LRU cache here, in `tables` and in `query`
 
 

@@ -39,8 +39,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .errors import InternalCheckError, ResourceLimitError, UnknownLawError
 from .fd import AttrFd, satisfies_oracle
 from .infer import attr_closure, mentioned_attrs
-from .rel import Carrier, Frozen
-from .tables import ROW_CARRIER_LIMIT, Scheme, Table
+from .rel import CARRIER_LIMIT, Carrier, Frozen
+from .tables import Scheme, Table
 
 # Unused here; kept because the benchmark's tracer test binds it by this
 # name (relfd.search.enumerate_tables).
@@ -91,17 +91,17 @@ def search_tables(fds: Sequence[AttrFd], goal: AttrFd,
     and one more to find (module docstring).  The witness's scheme holds
     the domain values of every attribute; unless the scope has one row,
     their number, attributes times `domain_sizes`, is checked before any
-    closure against `tables.ROW_CARRIER_LIMIT`, the bound on the values one
+    closure against `rel.CARRIER_LIMIT`, the bound on the values one
     carrier may hold.  The witness is re-checked by `satisfies_oracle`.
     """
     attrs = sorted(mentioned_attrs(fds, goal.antecedent | goal.consequent))
     if scope.max_rows < 2:
         return None  # too few rows for a witness (module docstring)
     values = len(attrs) * scope.domain_sizes
-    if values > ROW_CARRIER_LIMIT:
+    if values > CARRIER_LIMIT:
         raise ResourceLimitError(
             f"the witness scheme would hold {values} domain values, "
-            f"over the {ROW_CARRIER_LIMIT} bound")
+            f"over the {CARRIER_LIMIT} bound")
     if scope.domain_sizes < 2:
         return None  # two rows of one-value domains are equal
     agree = attr_closure(fds, goal.antecedent)

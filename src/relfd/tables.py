@@ -14,9 +14,10 @@ is in `relfd.oracles`.
 A row carrier is the product of the domains (`rel.Carrier`), cached by
 scheme in an LRU cache of `rel.CACHE_SIZE` entries, as are `rel.fork`'s
 pair carriers and the projection maps of `relfd.query`.  One table's
-queries reuse them, and the bound keeps a long-lived process from pinning
-every row universe it has seen.  No entry holds a relation, and none
-enumerates a universe until evaluation reads its rows.
+queries reuse them, and the cache's size keeps a long-lived process from
+pinning every row universe it has seen.  No entry holds a relation, and a
+universe of any size is enumerated only when evaluation reads its rows,
+past `rel.CARRIER_LIMIT` of them by raising.
 
 Values are those of `relfd.rel`: an atom is a `str` and a row is a `tuple`
 of values, in scheme order.  CSV ingestion reads every value as an atom, so
@@ -36,11 +37,8 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
-from .errors import (ParseError, ResourceLimitError, SchemeError,
-                     UnknownAttributeError)
+from .errors import ParseError, SchemeError, UnknownAttributeError
 from .rel import CACHE_SIZE, Carrier, Frozen, Rel, render_value, value_to_json
-
-ROW_CARRIER_LIMIT = 10 ** 6
 
 
 class Scheme(Frozen):
@@ -107,18 +105,14 @@ class Table(Frozen):
 
 def row_carrier(obj: Union[Table, Scheme]) -> Carrier:
     """Carrier of all rows of the full domain product, in lex order: the
-    product of the domains, unbuilt; over the bound raises."""
+    product of the domains, unbuilt."""
     return _row_carrier(obj.scheme if isinstance(obj, Table) else obj)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _row_carrier(scheme: Scheme) -> Carrier:
-    universe = Carrier("rows(" + ",".join(scheme.names) + ")", None,
-                       tuple(dom for _, dom in scheme.attributes), tuple)
-    if len(universe) > ROW_CARRIER_LIMIT:
-        raise ResourceLimitError(f"row universe has {len(universe)} rows, "
-                                 f"over the {ROW_CARRIER_LIMIT} bound")
-    return universe
+    return Carrier("rows(" + ",".join(scheme.names) + ")", None,
+                   tuple(dom for _, dom in scheme.attributes), tuple)
 
 
 def sub_scheme(scheme: Scheme, attrs: Iterable[str]) -> Scheme:

@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relfd import cli, fd, oracles, query, tables, usage
+from relfd import cli, fd, oracles, query, rel, tables, usage
 from relfd.cli import main
-from relfd.errors import RelfdError
+from relfd.errors import ResourceLimitError
 from relfd.query import MAX_QUERY_DEPTH
 from relfd.rel import Carrier
 
@@ -190,10 +190,10 @@ def test_check_text_witness_quotes_atoms_that_would_print_alike(tmp_path,
 
 def _wide_table(tmp_path):
     """A table of 50 stored rows whose 4 attributes declare 40 values each:
-    a row universe of 2.56M, over ROW_CARRIER_LIMIT."""
+    a row universe of 2.56M, over CARRIER_LIMIT."""
     names = ["A", "B", "C", "D"]
     values = [f"v{i}" for i in range(40)]
-    assert len(values) ** len(names) > tables.ROW_CARRIER_LIMIT
+    assert len(values) ** len(names) > rel.CARRIER_LIMIT
     schema = tmp_path / "wide.schema.json"
     schema.write_text(json.dumps({n: values for n in names}))
     rows = [(f"v{i}", f"v{i % 7}", f"v{i % 5}", f"v{i % 3}")
@@ -617,26 +617,27 @@ def test_optimize_malformed_query_names_the_node_path(tmp_path, capsys,
     assert f"error: at {path}: " in err
 
 
-def test_optimize_locates_a_pid_universe_past_the_bound(tmp_path, capsys):
+def test_optimize_verifies_a_pid_universe_past_the_bound(tmp_path, capsys,
+                                                         monkeypatch):
+    # typing sizes the 2.56M-row universe without enumerating it, and no
+    # window fires, so nothing is evaluated
     table, schema = _wide_table(tmp_path)
     pid = {"op": "pid", "table": "wide"}
     qfile = tmp_path / "pids.json"
     qfile.write_text(json.dumps({"op": "compose", "args": [pid, pid]}))
     fds_file = tmp_path / "wide.fds"
     fds_file.write_text("A -> B\n")
+    forbid_product_enumeration(monkeypatch)
     code, out, err = run(capsys, "optimize", "--query", qfile,
                          "--fds", fds_file, "--table", table,
                          "--schema", schema)
-    assert code == 2
-    assert out == ""
-    assert err == ("error: at query.compose.args[0]: row universe has "
-                   "2560000 rows, over the 1000000 bound\n")
+    assert (code, err) == (0, "")
+    assert out.endswith("\nverified\n")
 
 
-def test_optimize_fails_fast_on_a_fork_target_past_the_bound(tmp_path,
-                                                             capsys):
+def test_optimize_verifies_a_fork_target_past_the_bound(tmp_path, capsys):
     # 5 binary attributes: a 32-row universe, so the outer fork's target
-    # would hold 1024 * 1024 pairs
+    # holds 1024 * 1024 pairs, typed as a product and never enumerated
     table = tmp_path / "t.csv"
     table.write_text("A,B,C,D,E\n0,0,0,0,0\n1,1,1,1,1\n")
     pid = {"op": "pid", "table": "t"}
@@ -649,13 +650,8 @@ def test_optimize_fails_fast_on_a_fork_target_past_the_bound(tmp_path,
     code, out, err = run(capsys, "optimize", "--query", qfile,
                          "--fds", fds_file, "--table", table)
     assert time.perf_counter() - start < 0.5
-    assert (code, out) == (2, "")
-    assert err == ("error: at query: fork target has 1048576 pairs, "
-                   "over the 1000000 bound\n")
-    # one fork level less types, verifies and prints the query
-    qfile.write_text(json.dumps(inner))
-    assert run(capsys, "optimize", "--query", qfile, "--fds", fds_file,
-               "--table", table)[::2] == (0, "")
+    assert (code, err) == (0, "")
+    assert out.endswith("\nverified\n")
 
 
 @pytest.mark.parametrize("levels, code", [
@@ -974,11 +970,12 @@ def test_discharged_optimize_builds_no_row_universe_or_pair_carrier(
 
 def test_optimize_bounds_hold_on_attribute_types(tmp_path, capsys,
                                                  monkeypatch):
-    # with the bound patched low, an over-bound row universe and an
-    # over-bound fork target exit 2 with the message and path that the
-    # carrier route, `type_check`, gives.  With --table the universe has 8
-    # rows; without it the header-only table's universe is empty, so only a
-    # negative bound refuses it, and it fails before any fork target does
+    # with the carrier bound patched low, typing raises no size bound: an
+    # over-bound row universe and an over-bound fork target type and exit
+    # 0, with --table (an 8-row universe) and without it (the header-only
+    # table's empty universe, over only a negative bound).  Evaluating the
+    # universe shape enumerates the universe, so it raises past the bound,
+    # naming the carrier
     table = tmp_path / "bound.csv"
     table.write_text("Title,Director,Actor\nbt1,bd1,ba1\nbt2,bd2,ba2\n")
     header = tables.Table(tables.Scheme(tuple(
@@ -989,32 +986,36 @@ def test_optimize_bounds_hold_on_attribute_types(tmp_path, capsys,
                   "op": "kernel", "arg": {"op": "proj", "scheme": "movies",
                                           "attrs": ["Title"]}}]},
               "fork": {"op": "fork", "args": [pid, pid]}}
-    cases = [
-        ("universe", 7, True, "at query.compose.args[0]: row universe has 8 "
-                              "rows, over the 7 bound"),
-        ("fork", 8, True, "at query: fork target has 64 pairs, over the 8 "
-                          "bound"),
-        ("universe", -1, False, "at query.compose.args[0]: row universe has "
-                                "0 rows, over the -1 bound"),
-        ("fork", -1, False, "at query.fork.args[0]: row universe has 0 rows, "
-                            "over the -1 bound"),
-    ]
-    for shape, bound, with_table, message in cases:
-        qfile = tmp_path / f"{shape}.json"
-        qfile.write_text(json.dumps(shapes[shape]))
+    cases = [(7, True, "carrier rows(Title,Director,Actor) has 8 elements, "
+                       "over the 7 bound"),
+             (8, True, None),
+             (-1, False, "carrier rows(Director,Title) has 0 elements, over "
+                         "the -1 bound")]
+    for bound, with_table, message in cases:
         env = query.Env({"movies": tables.load_table(str(table))
                          if with_table else header})
         extra = ["--table", table] if with_table else []
-        monkeypatch.setattr(tables, "ROW_CARRIER_LIMIT", bound)
-        # a cached universe or projection map skips the bound
-        tables._row_carrier.cache_clear()
-        query._proj_map.cache_clear()
-        with pytest.raises(RelfdError) as err:
-            query.type_check(query.from_json(shapes[shape]), env)
-        assert str(err.value) == message
-        assert run(capsys, "optimize", "--query", qfile, "--fds",
-                   FIXTURES / "movies.fds", *extra) == (
-            2, "", f"error: {message}\n")
+        monkeypatch.setattr(rel, "CARRIER_LIMIT", bound)
+        for shape, obj in shapes.items():
+            qfile = tmp_path / f"{shape}.json"
+            qfile.write_text(json.dumps(obj))
+            # a cached universe may hold its rows, read past no bound
+            tables._row_carrier.cache_clear()
+            query._proj_map.cache_clear()
+            expr = query.from_json(obj)
+            universe = tables.row_carrier(env.tables["movies"])
+            want = universe if shape == "universe" else rel.pair_carrier(
+                universe, universe)
+            assert query.type_check(expr, env) == (universe, want)
+            code, out, err = run(capsys, "optimize", "--query", qfile,
+                                 "--fds", FIXTURES / "movies.fds", *extra)
+            assert (code, err) == (0, ""), (bound, shape)
+            if shape == "universe" and message is not None:
+                with pytest.raises(ResourceLimitError) as raised:
+                    query.eval_query(expr, env)
+                assert str(raised.value) == message
+            else:
+                query.eval_query(expr, env)
 
 
 def test_optimize_window_outside_the_scheme_is_a_located_error(tmp_path,

@@ -83,6 +83,7 @@ def run_cli(argv):
         assert out.getvalue() == ""
     else:
         assert errors == ""
+    return code, out.getvalue(), errors
 
 
 @seed(6)
@@ -237,3 +238,39 @@ def test_check_optimize_keep_the_exit_contract(files, command, fault, csv,
                                      "", "x", "2.5"])
 def test_laws_keeps_the_exit_contract(carrier, as_json):
     run_cli(["laws", "--scope-carrier", carrier] + ["--json"] * as_json)
+
+
+def test_optimize_keeps_the_exit_contract_on_a_wide_schema(tmp_path):
+    # 7 attributes of 10 declared values: a row universe of 10^7 rows, over
+    # the carrier bound, and 10 stored rows, where A0 -> A1 holds and
+    # A0 -> A2 fails.  The window is typed and discharged without reading
+    # the universe; beside a lone kernel, which reads it, a window whose FD
+    # fails on the table is evaluated, and the bound names the universe
+    names = [f"A{i}" for i in range(7)]
+    schema = tmp_path / "wide.schema.json"
+    schema.write_text(json.dumps({n: [str(v) for v in range(10)]
+                                  for n in names}))
+    table = tmp_path / "wide.csv"
+    table.write_text("\n".join([",".join(names)] + [
+        ",".join([str(i % 5)] + [str(i * j % 10) for j in range(2, 8)])
+        for i in range(10)]) + "\n")
+    query, fds = tmp_path / "query.json", tmp_path / "wide.fds"
+
+    def window(g, f, h):
+        return node("compose", proj([g]), PID, node("kernel", proj([f])),
+                    PID, node("converse", proj([h])))
+
+    def optimize(tree, fd_line):
+        query.write_text(json.dumps(tree))
+        fds.write_text(fd_line + "\n")
+        return run_cli(["optimize", "--query", str(query), "--fds", str(fds),
+                        "--table", str(table), "--schema", str(schema)])
+
+    code, out, _ = optimize(window("A1", "A0", "A2"), "A0 -> A1")
+    assert code == 0 and out.endswith("\nverified\n")
+    lone = node("compose", proj(["A2"]), node("kernel", proj(["A0"])),
+                node("converse", proj(["A4"])))
+    assert optimize(node("union", window("A2", "A0", "A4"), lone),
+                    "A0 -> A2") == (
+        2, "", "error: carrier rows(A0,A1,A2,A3,A4,A5,A6) has 10000000 "
+               "elements, over the 1000000 bound\n")

@@ -25,6 +25,7 @@ import pytest
 
 import test_fd
 import test_query
+import test_rel
 import test_sweep_oracles
 from relfd import bitrel as B
 from relfd import fd, laws, query, rel
@@ -39,6 +40,7 @@ COMPOSED = "Projections composed as functions inside a chain"
 LONE_PROJ = "A lone projection is a one-factor chain"
 CODED = "`check`'s shunted route on dictionary codes"
 PRODUCTS = "One typer: row universes and pair carriers as unbuilt products"
+ONE_BOUND = "One size bound, where a product carrier is enumerated"
 
 
 class Mutant(NamedTuple):
@@ -164,6 +166,14 @@ def _edited_same_elements(old, new):
     return apply
 
 
+def _bound_at_or_over(monkeypatch):
+    """`rel.Carrier.elements` refusing a product of exactly the bound."""
+    prop = _edited(rel.Carrier.__dict__["elements"].func,
+                   "> CARRIER_LIMIT", ">= CARRIER_LIMIT")
+    prop.__set_name__(rel.Carrier, "elements")
+    monkeypatch.setattr(rel.Carrier, "elements", prop)
+
+
 def _types_as_its_carriers(domains):
     """`test_attribute_types_compare_as_their_carriers` on one case, which
     types."""
@@ -264,9 +274,21 @@ MUTANTS = (
            PRODUCTS),
     # two empty products of one name compare their components' elements
     Mutant("products_without_the_empty_short_cut",
-           _edited_same_elements("(not self._len or (", "(("),
+           _edited_same_elements(" or not self._len:", ":"),
            _types_as_its_carriers("- y x -"),
            PRODUCTS),
+    Mutant("bound_tested_with_at_or_over",
+           _bound_at_or_over,
+           test_rel.test_a_product_enumerates_up_to_the_bound,
+           ONE_BOUND),
+    # only two empty carriers are settled by size; a plain carrier and a
+    # product of one name then compare elements, enumerating the product
+    Mutant("same_elements_without_the_size_test",
+           _edited_same_elements("self._len != other._len or not self._len",
+                                 "not (self._len or other._len)"),
+           (test_rel
+            .test_carriers_of_different_sizes_differ_without_enumerating),
+           ONE_BOUND),
 )
 
 

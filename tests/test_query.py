@@ -1179,8 +1179,8 @@ def test_evaluation_keeps_no_relation_over_the_row_universe():
 
 def _typed(e, env):
     """`type_check`'s types of `e`, or the class, message and path of its
-    error.  A cached universe or projection map skips the bound, so none
-    is kept."""
+    error.  A cached universe or projection map may hold an enumerated
+    twin, so none is kept."""
     tables._row_carrier.cache_clear()
     query._proj_map.cache_clear()
     try:
@@ -1197,8 +1197,8 @@ def _twin(c):
 
 def _typed_on_twins(e, env):
     """`_typed` with every row universe and fork target replaced by its
-    enumerated twin, after the same bound: typing by elements, as it was
-    before row universes and pair carriers were products."""
+    enumerated twin: typing by elements, as it was before row universes
+    and pair carriers were products."""
     row_carrier = tables._row_carrier.__wrapped__
     with pytest.MonkeyPatch.context() as m:
         m.setattr(tables, "_row_carrier",
@@ -1214,8 +1214,8 @@ def _typing_cases(draw):
     domains of 0-3 values may be empty and hold a random set of rows, or
     are all empty, as the header-only table of `optimize` without
     `--table`; the bench's shapes, random chains, and queries that are
-    ill-typed or name an unknown attribute, table or relation; and a row
-    universe bound, mostly low."""
+    ill-typed or name an unknown attribute, table or relation; and a
+    carrier bound, mostly low."""
     names = draw(st.permutations(MOVIE_ATTRS))[:draw(st.integers(2, 4))]
     header = draw(st.booleans())
     dom = {a: tuple(f"{a[0].lower()}{v}"
@@ -1238,8 +1238,7 @@ def _typing_cases(draw):
                          Fork(Proj("m", g), Converse(Proj("m", g))),
                          Compose(Pid("m"), Pid("other")),
                          UnionOp(Pid("m"), RelRef("r"))]
-    bound = draw(st.sampled_from((tables.ROW_CARRIER_LIMIT, -1, 0, 1, 8, 30,
-                                  200)))
+    bound = draw(st.sampled_from((rel.CARRIER_LIMIT, -1, 0, 1, 8, 30, 200)))
     return table, queries, bound
 
 
@@ -1248,18 +1247,21 @@ def _typing_cases(draw):
 def test_product_carriers_type_as_their_enumerated_twins(case):
     # every carrier `type_check` returns equals, and hashes as, its
     # enumerated twin, and every two of them compare as their twins do;
-    # typing on the twins raises the same error class, message and path
+    # typing on the twins raises the same error class, message and path.
+    # Typing enumerates no product, so a carrier bound below the
+    # universe's size changes none of it
     table, queries, bound = case
     env = Env(tables={"m": table})
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(tables, "ROW_CARRIER_LIMIT", bound)
-        typed = []
-        for e in queries:
-            want, got = _typed_on_twins(e, env), _typed(e, env)
-            if isinstance(got[0], Carrier):
-                typed += got
-                got = tuple(map(_twin, got))
-            assert got == want, e
+    typed = []
+    for e in queries:
+        want = _typed_on_twins(e, env)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(rel, "CARRIER_LIMIT", bound)
+            got = _typed(e, env)
+        if isinstance(got[0], Carrier):
+            typed += got
+            got = tuple(map(_twin, got))
+        assert got == want, e
     for c in typed:
         assert c == _twin(c) and hash(c) == hash(_twin(c))
     for a, b in itertools.product(typed, repeat=2):

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relfd import rel
-from relfd.errors import CarrierMismatchError, SchemeError
+from relfd.errors import CarrierMismatchError, ResourceLimitError, SchemeError
 from relfd.oracles import carrier_from_json
 from relfd.rel import (Atom, Carrier, Pair, Rel, Tup, bang, compose, converse,
                        empty, fork, identity, includes, intersect, is_entire,
                        is_function, is_injective, kernel, leq, pair_carrier,
                        product, proj1, proj2, top, union)
 
-from conftest import all_functions, all_rels, carrier
+from conftest import (all_functions, all_rels, carrier,
+                      forbid_product_enumeration)
 
 
 def rel_of(src, tgt, *pairs):
@@ -450,6 +451,39 @@ def test_equal_carriers_hash_equally_and_large_membership_works():
     assert Carrier("Other", big.elements) != big
     assert all(v in big for v in big.elements[::997])
     assert Atom("big100000") not in big and Atom("b0") not in big
+
+
+def test_carriers_of_different_sizes_differ_without_enumerating(monkeypatch):
+    # a plain carrier of a product's name is told apart by its size, in
+    # either order: comparing never builds the 4M pairs of U * U
+    p = pair_carrier(carrier("U", 2000), carrier("U", 2000))
+    forbid_product_enumeration(monkeypatch)
+    plain = Carrier(p.name, ())
+    assert plain != p and p != plain
+
+
+def _enumerates(c):
+    """Whether reading the carrier's elements stays within the bound; past
+    it, the error names the carrier, its size and the bound."""
+    try:
+        return len(c.elements) == len(c)
+    except ResourceLimitError as err:
+        assert str(err) == (f"carrier {c.name} has {len(c)} elements, over "
+                            f"the {rel.CARRIER_LIMIT} bound")
+        return False
+
+
+def test_a_product_enumerates_up_to_the_bound(monkeypatch):
+    monkeypatch.setattr(rel, "CARRIER_LIMIT", 6)
+    at = pair_carrier(carrier("A", 2), carrier("B", 3))
+    past = pair_carrier(carrier("A", 7), carrier("B", 1))
+    assert _enumerates(at) and not _enumerates(past)
+    # membership reads the element set, which is built from the elements
+    assert Pair(Atom("a1"), Atom("b2")) in at
+    with pytest.raises(ResourceLimitError):
+        Pair(Atom("a0"), Atom("b0")) in past
+    # a carrier built from its elements holds them, whatever their number
+    assert _enumerates(carrier("C", 7))
 
 
 def test_equal_tups_built_apart_hash_equally():

@@ -18,8 +18,7 @@ from relfd.laws import (LAW_REGISTRY, LAW_SUITE, _distinct, _first_bit,
                         search_law_bruteforce)
 from relfd.rel import Atom, Tup
 from relfd.search import Scope, search_law, search_tables, two_tuple_witness
-from relfd.tables import (ROW_CARRIER_LIMIT, Table, enumerate_tables,
-                          row_carrier, table_to_csv)
+from relfd.tables import Table, enumerate_tables, row_carrier, table_to_csv
 
 CORRUPTED = ("galois_corrupted", "fork_lub_corrupted",
              "union_typing_corrupted", "join_converse_corrupted")
@@ -126,8 +125,8 @@ def test_search_tables_respects_the_value_bound(monkeypatch):
     def no_closure(fds, attrs):
         raise AssertionError("the search took a closure")
 
-    at = ROW_CARRIER_LIMIT // 4
-    assert 4 * at == ROW_CARRIER_LIMIT
+    at = rel.CARRIER_LIMIT // 4
+    assert 4 * at == rel.CARRIER_LIMIT
     assert search_tables(fds("A B -> C D"), parse_fd("A B -> C"),
                          Scope(domain_sizes=at)) is None
     monkeypatch.setattr(search, "attr_closure", no_closure)

@@ -44,11 +44,17 @@ def test_row_carrier_three_binary():
 
 
 def test_row_carrier_respects_limit():
+    # a universe past the carrier bound is built and sized; only reading
+    # its rows raises
     big = Scheme(tuple(
         (f"A{i}", Carrier(f"A{i}", tuple(Atom(str(v)) for v in range(10))))
         for i in range(7)))
-    with pytest.raises(ResourceLimitError):
-        row_carrier(big)
+    universe = row_carrier(big)
+    assert len(universe) == 10 ** 7 > rel.CARRIER_LIMIT
+    with pytest.raises(ResourceLimitError,
+                       match=r"^carrier rows\(A0,A1,A2,A3,A4,A5,A6\) has "
+                             r"10000000 elements, over the 1000000 bound$"):
+        universe.elements
 
 
 # ---------------------------------------------------------------------------
