@@ -57,14 +57,13 @@ composing ``l`` with ``r`` through a middle carrier ``m`` is estimated
 at ``|l| * |r| / |m|`` pairs, capped at ``|source| * |target|``.
 Composition is associative, so the result does not depend on the order.
 
-What `_compare` pays around its relations is paid once, in LRU caches
-of `rel.CACHE_SIZE` entries.  `_proj_map`, keyed by scheme and attribute
-set, holds a projection's row universe, its sub-row carrier and its map
-from a row to its sub-row; an entry holds two products, and neither is
-enumerated until evaluation reads its elements.  No cache holds a
-relation.  `rel.fork` takes its target from `rel._fork_target`, one pair
-carrier per pair of component carriers, so both sides of a refuted
-rewrite share it.  `_plan` finds the association on flat lists.
+What `_compare` pays around its relations is paid once per scheme
+object: `_proj_map` keeps on the scheme, by attribute set, a
+projection's row universe, its sub-row carrier and its map from a row to
+its sub-row.  The two carriers are products, and neither is enumerated
+until evaluation reads its elements; nothing kept holds a relation, and
+all of it goes with the table's scheme.  `_plan` finds the association
+on flat lists.
 
 JSON wire form (one object per node):
 
@@ -260,10 +259,10 @@ def from_json(obj: dict, path="query", depth: int = 0) -> QueryExpr:
 def type_check(e: QueryExpr, env: Env, path="query"
                ) -> tuple[Carrier, Carrier]:
     """Source and target carriers of the expression, or an error located
-    by `_where(path)`.  A pid and a projection take theirs from the caches
-    that evaluation reads (`tables.row_carrier`, `_proj_map`), and a fork
-    its target from `rel._fork_target`: products, so typing enumerates
-    no row universe or pair carrier."""
+    by `_where(path)`.  A pid and a projection take theirs from what
+    evaluation reads (`tables.row_carrier`, `_proj_map`), and a fork its
+    target from `rel.pair_carrier`: products, so typing enumerates no row
+    universe or pair carrier."""
     if isinstance(e, RelRef):
         if e.name not in env.rels:
             raise QueryTypeError(f"unbound relation {e.name!r}",
@@ -303,7 +302,7 @@ def type_check(e: QueryExpr, env: Env, path="query"
             if s != rs:
                 raise QueryTypeError("fork operands over different sources",
                                      _where(path))
-            t = rel._fork_target(t, rt)
+            t = rel.pair_carrier(t, rt)
     return s, t
 
 
@@ -313,16 +312,19 @@ def eval_query(e: QueryExpr, env: Env) -> Rel:
     return _eval(e, env)
 
 
-@functools.lru_cache(maxsize=rel.CACHE_SIZE)
 def _proj_map(scheme: tables.Scheme, attrs: frozenset) -> tuple:
     """The row universe of the scheme, the sub-row carrier of `attrs` and
-    the map from a row to its sub-row, cached by scheme and `attrs`."""
-    universe = tables.row_carrier(scheme)
-    sub = tables.sub_scheme(scheme, attrs)
-    at = [scheme.positions[n] for n in sub.names]
-    apply = (itemgetter(*at) if len(at) > 1  # a slice keeps a 1-tuple
-             else itemgetter(slice(at[0], at[0] + 1) if at else slice(0)))
-    return universe, tables.row_carrier(sub), apply
+    the map from a row to its sub-row, kept on the scheme by `attrs`."""
+    maps = scheme.proj_maps
+    if attrs not in maps:
+        names = scheme.select(attrs)
+        at = [scheme.positions[n] for n in names]
+        apply = (itemgetter(*at) if len(at) > 1  # a slice keeps a 1-tuple
+                 else itemgetter(slice(at[0], at[0] + 1) if at else slice(0)))
+        maps[attrs] = scheme.universe, (
+            scheme.universe if names == scheme.names
+            else tables.row_product(scheme, names)), apply
+    return maps[attrs]
 
 
 def _is_converse_proj(x) -> bool:

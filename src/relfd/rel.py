@@ -13,18 +13,19 @@ two-value row.  `Atom` and `Tup` are aliases of `str` and `tuple`.
 All values are immutable and every operation is pure, so results can be
 shared freely.  For the same reason a `Rel` computes its input index (the
 outputs of each input) and its converse at most once and keeps them: a
-relation reused as the left operand of many compositions, such as a cached
-projection, pays for neither again.  Neither takes part in equality, hash or
-repr.  Carriers are checked at every operation: combining relations over
-mismatched carriers raises instead of silently reinterpreting elements.
+relation reused as the left operand of many compositions pays for neither
+again.  Neither takes part in equality, hash or repr.  Carriers are checked
+at every operation: combining relations over mismatched carriers raises
+instead of silently reinterpreting elements.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property, lru_cache
-from typing import Iterable, Union
+import operator
+from functools import cached_property
+from typing import Iterable, Iterator, Union
 
 from .errors import CarrierMismatchError, ResourceLimitError, SchemeError
 
@@ -126,9 +127,10 @@ class Carrier(Frozen):
     Built with elements None, a carrier is the product of `components`
     (a row universe, whose `make` is `tuple`, or a pair carrier, `Pair`),
     sized by theirs; its `elements`, made by `make` in left-major order,
-    and their set are built on first use, or raise past `CARRIER_LIMIT`.
-    Carriers compare by name and size, then two products by their
-    components' elements and others by elements (two empty ones are equal):
+    and their set are built on first use, or raise past `CARRIER_LIMIT`
+    (an empty product reads no component).  Carriers compare by name and
+    size, then two products by their components' elements and others by
+    elements, a product's walked one by one (two empty ones are equal):
     neither hashing (as name and size) nor comparing enumerates a product.
     """
 
@@ -156,19 +158,27 @@ class Carrier(Frozen):
         if (n := self._len) > CARRIER_LIMIT:
             raise ResourceLimitError(f"carrier {self.name} has {n} elements, "
                                      f"over the {CARRIER_LIMIT} bound")
-        values = itertools.product(*[c.elements for c in self.components])
-        return tuple(values if self._make is tuple
-                     else itertools.starmap(self._make, values))
+        return tuple(self._walk()) if n else ()
+
+    def _walk(self) -> Iterator[Value]:
+        """The elements in order, a product's made one by one, unbounded."""
+        if "elements" in self.__dict__:
+            return iter(self.elements)
+        values = itertools.product(*map(Carrier._walk, self.components))
+        return (values if self._make is tuple
+                else itertools.starmap(self._make, values))
 
     @cached_property
     def _element_set(self) -> frozenset:
         return frozenset(self.elements)
 
     def _same_elements(self, other: Carrier) -> bool:
-        if self._len != other._len or not self._len:
+        if self is other or self._len != other._len or not self._len:
             return self._len == other._len
-        if self._make is None or other._make is None:
+        if self._make is other._make is None:
             return self.elements == other.elements
+        if self._make is None or other._make is None:
+            return all(map(operator.eq, self._walk(), other._walk()))
         return ((self._make, len(self.components))
                 == (other._make, len(other.components))
                 and all(map(Carrier._same_elements, self.components,
@@ -199,17 +209,11 @@ class Carrier(Frozen):
 
 UNIT_CARRIER = Carrier("1", (Unit(),))
 CARRIER_LIMIT = 10 ** 6  # elements a product carrier may enumerate
-CACHE_SIZE = 8  # entries of each LRU cache here, in `tables` and in `query`
 
 
 def pair_carrier(a: Carrier, b: Carrier) -> Carrier:
     """Carrier of pairs, in left-major order of the component carriers."""
     return Carrier(f"({a.name}*{b.name})", None, (a, b), Pair)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _fork_target(a: Carrier, b: Carrier) -> Carrier:
-    return pair_carrier(a, b)  # shared by forks, products, fork typing
 
 
 class Rel(Frozen):
@@ -356,13 +360,13 @@ def fork(r: Rel, s: Rel) -> Rel:
     """Pair the outputs of r and s over their shared source."""
     _require_same(r.source, s.source, "fork")
     by_input = s._by_input
-    return Rel(r.source, _fork_target(r.target, s.target), frozenset(
+    return Rel(r.source, pair_carrier(r.target, s.target), frozenset(
         {(c, Pair(a, b)) for c, a in r.pairs for b in by_input.get(c, ())}))
 
 
 def product(f: Rel, g: Rel) -> Rel:
     """Componentwise action on the pair carrier of the two sources."""
-    p = _fork_target(f.source, g.source)
+    p = pair_carrier(f.source, g.source)
     return fork(compose(f, proj1(p)), compose(g, proj2(p)))
 
 

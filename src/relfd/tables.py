@@ -11,13 +11,12 @@ order):
 The classical rendering of a table as one binary relation, `encode_pairs`,
 is in `relfd.oracles`.
 
-A row carrier is the product of the domains (`rel.Carrier`), cached by
-scheme in an LRU cache of `rel.CACHE_SIZE` entries, as are `rel.fork`'s
-pair carriers and the projection maps of `relfd.query`.  One table's
-queries reuse them, and the cache's size keeps a long-lived process from
-pinning every row universe it has seen.  No entry holds a relation, and a
-universe of any size is enumerated only when evaluation reads its rows,
-past `rel.CARRIER_LIMIT` of them by raising.
+A row carrier is the product of the domains (`rel.Carrier`), built once
+per `Scheme` object and kept on it, as are the projection maps of
+`relfd.query`.  One table's queries reuse them, and they go with the
+scheme, so a long-lived process keeps no row universe of a table it has
+dropped.  A universe of any size is enumerated only when evaluation reads
+its rows, past `rel.CARRIER_LIMIT` of them by raising.
 
 Values are those of `relfd.rel`: an atom is a `str` and a row is a `tuple`
 of values, in scheme order.  CSV ingestion reads every value as an atom, so
@@ -33,24 +32,24 @@ import io
 import itertools
 import json
 import sys
-from functools import lru_cache
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
 from .errors import ParseError, SchemeError, UnknownAttributeError
-from .rel import CACHE_SIZE, Carrier, Frozen, Rel, render_value, value_to_json
+from .rel import Carrier, Frozen, Rel, render_value, value_to_json
 
 
 class Scheme(Frozen):
     """Ordered attribute declarations: (name, domain carrier) pairs.
 
     `names`, the attribute names in order, and `positions`, each name's
-    index in them, take no part in eq, hash or repr.  Schemes key the
-    bridge's caches: the hash is computed once, and equality compares
-    `_plain`, the names with their domains' names and elements, at once.
+    index in them, take no part in eq, hash or repr, nor do the two kept
+    in the instance `__dict__`, each built on first use: the `universe`
+    and `proj_maps`, the projection maps by attribute set.
     """
 
-    __slots__ = ("attributes", "names", "positions", "_plain", "_hash")
+    __slots__ = ("attributes", "names", "positions", "__dict__")
     _fields = ("attributes",)
 
     def __init__(self, attributes: tuple[tuple[str, Carrier], ...]):
@@ -61,17 +60,14 @@ class Scheme(Frozen):
         object.__setattr__(self, "attributes", attributes)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "_plain", tuple(
-            [(n, dom.name, dom.elements) for n, dom in attributes]))
-        object.__setattr__(self, "_hash", hash((attributes,)))
 
-    def __eq__(self, other):
-        if other.__class__ is Scheme:
-            return self._plain == other._plain
-        return NotImplemented
+    @cached_property
+    def universe(self) -> Carrier:
+        return row_product(self, self.names)
 
-    def __hash__(self) -> int:
-        return self._hash
+    @cached_property
+    def proj_maps(self) -> dict:
+        return {}  # filled by `relfd.query._proj_map`
 
     def select(self, attrs: Iterable[str]) -> tuple[str, ...]:
         """The requested attributes in scheme order; an unknown one raises,
@@ -105,20 +101,15 @@ class Table(Frozen):
 
 def row_carrier(obj: Union[Table, Scheme]) -> Carrier:
     """Carrier of all rows of the full domain product, in lex order: the
-    product of the domains, unbuilt."""
-    return _row_carrier(obj.scheme if isinstance(obj, Table) else obj)
+    scheme's `universe`, or its table's."""
+    return (obj.scheme if isinstance(obj, Table) else obj).universe
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _row_carrier(scheme: Scheme) -> Carrier:
-    return Carrier("rows(" + ",".join(scheme.names) + ")", None,
-                   tuple(dom for _, dom in scheme.attributes), tuple)
-
-
-def sub_scheme(scheme: Scheme, attrs: Iterable[str]) -> Scheme:
-    """The sub-scheme of `attrs`, in scheme order."""
-    return Scheme(tuple(scheme.attributes[scheme.positions[n]]
-                        for n in scheme.select(attrs)))
+def row_product(scheme: Scheme, names: tuple[str, ...]) -> Carrier:
+    """Carrier of the sub-rows over `names`, attributes of the scheme in
+    its order, in lex order: the product of their domains, unbuilt."""
+    return Carrier("rows(" + ",".join(names) + ")", None, tuple(
+        [scheme.attributes[scheme.positions[n]][1] for n in names]), tuple)
 
 
 def pid(table: Table) -> Rel:
@@ -130,12 +121,12 @@ def pid(table: Table) -> Rel:
 def proj_fn(scheme: Scheme, attrs: Iterable[str]) -> Rel:
     """Total function from full rows to their restriction to `attrs`."""
     src = row_carrier(scheme)
-    sub = sub_scheme(scheme, attrs)
+    names = scheme.select(attrs)
     rows = src.elements
     images = (zip(*[map(itemgetter(scheme.positions[n]), rows)
-                    for n in sub.names])
-              if sub.names else [()] * len(rows))
-    return Rel(src, _row_carrier(sub), frozenset(zip(rows, images)))
+                    for n in names])
+              if names else [()] * len(rows))
+    return Rel(src, row_product(scheme, names), frozenset(zip(rows, images)))
 
 
 def enumerate_tables(scheme: Scheme, max_rows: int) -> Iterator[Table]:

@@ -3,7 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from relfd import query, rel, tables
 from relfd.rel import Atom, Carrier, Rel
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -25,10 +24,10 @@ class _Unbuilt:
 
 
 def forbid_product_enumeration(monkeypatch):
-    """Make enumerating a product carrier fail, with the caches that hold
-    products cleared, so that none enumerated before is served."""
-    for cache in (tables._row_carrier, query._proj_map, rel._fork_target):
-        cache.cache_clear()
+    """Make enumerating a product carrier fail.  A product enumerated
+    before keeps its elements, and a scheme keeps its row universe, so a
+    test that calls this reads tables loaded after it, or loaded fresh
+    for it, never a module-level one."""
     monkeypatch.setattr(Carrier, "elements", _Unbuilt())
 
 

@@ -15,11 +15,13 @@ edit, to be logged with the change.  Regenerate the digests with
 """
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,6 +77,28 @@ def answers(base: Path) -> dict[str, str]:
             for req in requests:
                 digests[f"{name}/{seed}/{req['id']}"] = _digest(req)
     return digests
+
+
+def test_repeated_requests_keep_no_more_memory(tmp_path):
+    # the `optimize` CLI records of seed 4242, run three times in this
+    # process: after `gc.collect()`, the third pass keeps at most a small
+    # slack more traced memory than the second, so a long-lived process
+    # pins nothing per request (keeping each table a request loads, with
+    # what its scheme keeps, adds about 2.6 MiB a pass)
+    requests, _ = workloads.generate("optimize", 4242, 30, str(tmp_path),
+                                     root=str(ROOT))
+    requests = [req for req in requests if "argv" in req]
+    kept = []
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            for req in requests:
+                _digest(req)
+            gc.collect()
+            kept.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert kept[2] - kept[1] < 0.05 * 2 ** 20, kept
 
 
 def test_every_answer_matches_its_digest(tmp_path):

@@ -999,9 +999,6 @@ def test_optimize_bounds_hold_on_attribute_types(tmp_path, capsys,
         for shape, obj in shapes.items():
             qfile = tmp_path / f"{shape}.json"
             qfile.write_text(json.dumps(obj))
-            # a cached universe may hold its rows, read past no bound
-            tables._row_carrier.cache_clear()
-            query._proj_map.cache_clear()
             expr = query.from_json(obj)
             universe = tables.row_carrier(env.tables["movies"])
             want = universe if shape == "universe" else rel.pair_carrier(

@@ -118,8 +118,9 @@ def test_laws_command_loads_the_law_sweeps():
 # `rel.Carrier` sizes and compares without enumerating them, which
 # `tables` pays for in part by losing `row_universe`, 1,384 before the
 # size bound moved from `tables` to where `rel.Carrier` enumerates a
-# product.
-START_LINES = 1383
+# product, 1,383 before row universes and projection maps moved from
+# process-wide LRU caches onto their schemes.
+START_LINES = 1378
 
 
 def test_start_path_stays_within_its_line_count():

@@ -28,7 +28,7 @@ import test_query
 import test_rel
 import test_sweep_oracles
 from relfd import bitrel as B
-from relfd import fd, laws, query, rel
+from relfd import fd, laws, query, rel, tables
 from relfd.query import Converse, Proj
 from relfd.search import Scope, search_law
 
@@ -41,6 +41,7 @@ LONE_PROJ = "A lone projection is a one-factor chain"
 CODED = "`check`'s shunted route on dictionary codes"
 PRODUCTS = "One typer: row universes and pair carriers as unbuilt products"
 ONE_BOUND = "One size bound, where a product carrier is enumerated"
+ON_SCHEME = "Carriers and projection maps kept on their scheme"
 
 
 class Mutant(NamedTuple):
@@ -130,18 +131,20 @@ def _planner_agrees_on_tied_costs(monkeypatch):
     test.hypothesis.inner_test(ends=[(2, 2, 2)] * 6)
 
 
-def _uncached_fork_target(a, b):
-    """`rel._fork_target` without its cache: a pair carrier per call."""
-    return rel.pair_carrier(a, b)
-
-
-_uncached_fork_target.cache_clear = lambda: None
+def _row_carrier_per_call(obj):
+    """`tables.row_carrier` building the scheme's universe at each call."""
+    return tables.Scheme.universe.func(getattr(obj, "scheme", obj))
 
 
 def _absorbing_restricts_the_projection(monkeypatch):
     """`test_absorbing_a_pid_restricts_the_projection_beside_it`, whose
     tables come from a fixed seed."""
     test_query.test_absorbing_a_pid_restricts_the_projection_beside_it()
+
+
+def _own_projection_maps(monkeypatch):
+    """`test_schemes_of_the_same_names_keep_their_own_projection_maps`."""
+    test_query.test_schemes_of_the_same_names_keep_their_own_projection_maps()
 
 
 def _edited_proj_map(old, new):
@@ -212,12 +215,6 @@ MUTANTS = (
                query._plan, "total < best", "total <= best")),
            _planner_agrees_on_tied_costs,
            BUILT_ONCE),
-    Mutant("fork_target_uncached",
-           lambda monkeypatch: monkeypatch.setattr(
-               rel, "_fork_target", _uncached_fork_target),
-           (test_query
-            .test_refuted_rewrites_build_each_fork_target_and_map_once),
-           BUILT_ONCE),
     # ``(p|S)~`` built as the pairs ``(r, p(r))`` of ``p|S``
     Mutant("absorb_converse_pairs_flipped",
            lambda monkeypatch: monkeypatch.setattr(query, "_absorb", _edited(
@@ -282,13 +279,26 @@ MUTANTS = (
            test_rel.test_a_product_enumerates_up_to_the_bound,
            ONE_BOUND),
     # only two empty carriers are settled by size; a plain carrier and a
-    # product of one name then compare elements, enumerating the product
+    # product of one name then walk their elements side by side, and the
+    # empty one stops the walk at once, equal
     Mutant("same_elements_without_the_size_test",
            _edited_same_elements("self._len != other._len or not self._len",
                                  "not (self._len or other._len)"),
            (test_rel
             .test_carriers_of_different_sizes_differ_without_enumerating),
            ONE_BOUND),
+    # a universe is built again at each call, not kept on its scheme
+    Mutant("row_carrier_built_per_call",
+           lambda monkeypatch: monkeypatch.setattr(
+               tables, "row_carrier", _row_carrier_per_call),
+           (test_query
+            .test_one_evaluation_builds_each_universe_and_projection_map_once),
+           ON_SCHEME),
+    # the maps kept in one dict by attribute set alone, for every scheme
+    Mutant("proj_map_kept_by_attribute_set_alone",
+           _edited_proj_map("scheme.proj_maps", "_proj_map.__dict__"),
+           _own_projection_maps,
+           ON_SCHEME),
 )
 
 

@@ -3,8 +3,10 @@ import functools
 import gc
 import itertools
 import json
+import operator
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -185,8 +187,7 @@ def test_type_check_lets_a_fault_in_the_table_bridge_through(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("broken bridge")
 
-    query._proj_map.cache_clear()  # a cached map builds no sub-scheme
-    monkeypatch.setattr(tables, "sub_scheme", broken)
+    monkeypatch.setattr(tables, "row_product", broken)
     with pytest.raises(RuntimeError, match="broken bridge"):
         type_check(Proj("movies", frozenset({"Title"})), movies_env())
 
@@ -1040,12 +1041,28 @@ def test_planner_splits_every_span_as_the_dictionary_planner(ends):
             for j in range(i + 1, n)} == _plan_oracle(ends)
 
 
-def test_projection_maps_are_cached_by_equal_scheme_only():
+def _counted(calls, build):
+    """`build`, appending the arguments of each call to `calls`."""
+    return lambda *args: calls.append(args) or build(*args)
+
+
+def _count_maps(monkeypatch) -> list:
+    """The list to which each projection map that `query._proj_map` builds
+    from now on appends the arguments of its row map's `itemgetter`."""
+    maps = []
+    monkeypatch.setattr(query, "itemgetter",
+                        _counted(maps, operator.itemgetter))
+    return maps
+
+
+def test_projection_maps_are_built_once_per_scheme_and_attribute_set(
+        monkeypatch):
     # the bench's query shapes and `_cancel_shapes` on four tables in turn,
-    # the caches kept warm: a table over an equal scheme and other rows is
-    # served the first one's projection maps, and tables whose scheme
-    # differs in one domain's order or in one of its values miss; every
-    # result is the left fold's
+    # then on two more twice: each scheme object builds one map per
+    # attribute set and keeps it, so a table over an equal scheme builds
+    # its own, and one whose scheme has the same names but a domain in
+    # another order or with another value is never served another's;
+    # every result is the left fold's
     dom = {"Title": ("t0", "t1"), "Director": ("d0", "d1"),
            "Actor": ("a0", "a1", "a2")}
 
@@ -1071,25 +1088,58 @@ def test_projection_maps_are_cached_by_equal_scheme_only():
     keys = 5
     cases = [(t, queries) for t in (first, equal, reordered, revalued)]
     cases += [_colliding_targets_case(), _empty_universe_case()] * 2
-    misses = []
+    maps = _count_maps(monkeypatch)
+    built = []
     for t, qs in cases:
         env = Env(tables={"m": t})
-        before = query._proj_map.cache_info().misses
+        start = len(maps)
         for e in qs:
             got, want = eval_query(e, env), _left_fold(e, env)
             assert (got.source, got.target, got.pairs) == (
                 want.source, want.target, want.pairs), e
-        misses.append(query._proj_map.cache_info().misses - before)
-    assert misses[1:4] == [0, keys, keys] and misses[6:] == [0, 0]
+        built.append(len(maps) - start)
+    assert built[:4] == [keys] * 4 and built[6:] == [0, 0]
 
 
-def test_refuted_rewrites_build_each_fork_target_and_map_once(monkeypatch):
+def test_schemes_of_the_same_names_keep_their_own_projection_maps():
+    # two tables over the attribute names Title and Actor, whose Actor
+    # domains differ: a lone projection of each maps its own universe
+    for actors in (("a0", "a1"), ("a1", "a2")):
+        table = parse_table_csv("Title,Actor\n",
+                                {"Title": ("t0",), "Actor": actors})
+        e = Proj("m", frozenset({"Actor"}))
+        got = eval_query(e, Env(tables={"m": table}))
+        assert got == proj_fn(table.scheme, e.attrs)
+
+
+def test_one_evaluation_builds_each_universe_and_projection_map_once(
+        monkeypatch):
+    # a window and a chain over the same three projections, in a union:
+    # typing and evaluation read one row universe of the table's scheme,
+    # and one map, with its sub-row carrier, per attribute set
+    table = parse_table_csv((FIXTURES / "movies_violating.csv").read_text())
+    env = Env(tables={"m": table})
+    f, g, h = (Proj("m", frozenset({a}))
+               for a in ("Title", "Director", "Actor"))
+    e = UnionOp(Compose(g, Pid("m"), Kernel(f), Pid("m"), Converse(h)),
+                Compose(g, Kernel(f), Converse(h)))
+    carriers = []
+    monkeypatch.setattr(tables, "Carrier", _counted(carriers, Carrier))
+    maps = _count_maps(monkeypatch)
+    got = eval_query(e, env)
+    assert sorted(name for name, *_ in carriers) == [
+        "rows(Actor)", "rows(Director)", "rows(Title)",
+        "rows(Title,Director,Actor)"]
+    assert sorted(maps) == [(slice(0, 1),), (slice(1, 2),), (slice(2, 3),)]
+    assert got == _left_fold(e, env)
+
+
+def test_refuted_rewrites_build_each_projection_map_once(monkeypatch):
     # on a table breaking `Title -> Director`, which refutes the rewrite of
-    # each template, verifying them builds the fork template's target once,
-    # for both sides; a second table over an equal scheme is served every
-    # fork target and projection map from the caches, and builds no
-    # sub-scheme
-    text = (FIXTURES / "movies_violating.csv").read_text()
+    # each template, verifying them all builds one projection map per
+    # attribute set: every template and both sides of each rewrite are
+    # served the maps that the table's scheme keeps
+    table = parse_table_csv((FIXTURES / "movies_violating.csv").read_text())
     f, g, h = (frozenset({a}) for a in ("Title", "Director", "Actor"))
     requests = []
     for kind in TEMPLATES:
@@ -1097,61 +1147,33 @@ def test_refuted_rewrites_build_each_fork_target_and_map_once(monkeypatch):
         fired = []
         requests.append((q, rewrite_selfjoin(q, [AttrFd(f, g)], fired),
                          fired))
-    targets = []
-    pair_carrier = rel.pair_carrier
-
-    def counted(a, b):
-        targets.append((a, b))
-        return pair_carrier(a, b)
-
-    def unbuilt(*args):
-        raise AssertionError("a sub-scheme was built")
-
-    monkeypatch.setattr(rel, "pair_carrier", counted)
-    rel._fork_target.cache_clear()
-    first = [verify_rewrite(*r, parse_table_csv(text)) for r in requests]
-    assert not any(first) and len(targets) == 1
-    monkeypatch.setattr(tables, "sub_scheme", unbuilt)
-    assert [verify_rewrite(*r, parse_table_csv(text))
-            for r in requests] == first
-    assert len(targets) == 1
+    maps = _count_maps(monkeypatch)
+    assert not any(verify_rewrite(*r, table) for r in requests)
+    assert sorted(maps) == [(slice(0, 1),), (slice(1, 2),), (slice(2, 3),)]
 
 
-def test_type_check_takes_every_carrier_from_the_evaluators_caches(
-        monkeypatch):
-    # from a cleared `rel._fork_target`, `eval_query` and `verify_equiv`
-    # each build a fork's pair carrier once, for typing and evaluation; and
+def test_type_check_takes_every_carrier_from_what_evaluation_reads():
     # every carrier `type_check` returns is the object `_eval` puts at its
-    # relation's source or target.  The caches start cleared, so no entry
-    # built before this test was evicted from one cache and kept by another
+    # relation's source or target, but a fork's target: each builds a pair
+    # carrier of its own, over the same two objects
     table = parse_table_csv((FIXTURES / "movies.csv").read_text())
     env = Env(tables={"m": table})
     title, director = (Proj("m", frozenset({a}))
                        for a in ("Title", "Director"))
     forks = [Fork(title, director), Fork(Pid("m"), Pid("m"))]
-    targets = []
-    pair_carrier = rel.pair_carrier
-
-    def counted(a, b):
-        targets.append((a, b))
-        return pair_carrier(a, b)
-
-    monkeypatch.setattr(rel, "pair_carrier", counted)
-    for e in forks:
-        for run in (eval_query, lambda e, env: verify_equiv(e, e, env)):
-            rel._fork_target.cache_clear()
-            targets.clear()
-            run(e, env)
-            assert len(targets) == 1, e
-    for cache in (tables._row_carrier, query._proj_map, rel._fork_target):
-        cache.cache_clear()
     f, g, h = (frozenset({a}) for a in table.scheme.names)
     queries = ([_template(t, f, g, h, g) for t in TEMPLATES]
                + _cancel_shapes(list(table.scheme.names)) + forks)
     for e in queries:
         source, target = type_check(e, env)
         got = query._eval(e, env)
-        assert source is got.source and target is got.target, e
+        assert source is got.source, e
+        if isinstance(e, Fork):
+            assert target == got.target
+            assert all(map(operator.is_, target.components,
+                           got.target.components)), e
+        else:
+            assert target is got.target, e
 
 
 def test_evaluation_keeps_no_relation_over_the_row_universe():
@@ -1173,18 +1195,42 @@ def test_evaluation_keeps_no_relation_over_the_row_universe():
         assert not kept, (e, kept)
 
 
+def test_a_dropped_table_keeps_no_row_universe():
+    # a projection onto A B and the kernel of the projection onto A B C
+    # enumerate the row universe of 3 attributes of 40 values (64,000
+    # rows); once the table and the results are dropped, under 0.5 MiB of
+    # what they built is kept.  (The kernel onto A B would build 2.56M
+    # pairs, past 700 MB at peak under tracing, for no more coverage)
+    dom = {a: tuple(f"{a.lower()}{v}" for v in range(40)) for a in "ABC"}
+    tracemalloc.start()
+    try:
+        gc.collect()
+        start = tracemalloc.get_traced_memory()[0]
+        env = Env(tables={"t": parse_table_csv("A,B,C\na0,b0,c0\n", dom)})
+        for e in (Proj("t", frozenset("AB")),
+                  Kernel(Proj("t", frozenset("ABC")))):
+            assert len(eval_query(e, env).pairs) == 40 ** 3
+        del env
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.5 * 2 ** 20, kept
+
+
 # ---------------------------------------------------------------------------
 # typing on product carriers
 
 
 def _typed(e, env):
     """`type_check`'s types of `e`, or the class, message and path of its
-    error.  A cached universe or projection map may hold an enumerated
-    twin, so none is kept."""
-    tables._row_carrier.cache_clear()
-    query._proj_map.cache_clear()
+    error.  Each table is typed over a new scheme object, since a scheme
+    keeps the universe and projection maps it was typed with, maybe
+    enumerated twins."""
+    fresh = {n: Table(Scheme(t.scheme.attributes), t.rows)
+             for n, t in env.tables.items()}
     try:
-        return type_check(e, env)
+        return type_check(e, Env(fresh, env.rels))
     except RelfdError as err:
         return type(err), str(err), getattr(err, "path", None)
 
@@ -1196,15 +1242,13 @@ def _twin(c):
 
 
 def _typed_on_twins(e, env):
-    """`_typed` with every row universe and fork target replaced by its
-    enumerated twin: typing by elements, as it was before row universes
-    and pair carriers were products."""
-    row_carrier = tables._row_carrier.__wrapped__
+    """`_typed` with every row universe, sub-row carrier and fork target
+    replaced by its enumerated twin: typing by elements, as it was before
+    row carriers and pair carriers were products."""
+    row_product, pair_carrier = tables.row_product, rel.pair_carrier
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(tables, "_row_carrier",
-                  functools.cache(lambda s: _twin(row_carrier(s))))
-        m.setattr(rel, "_fork_target",
-                  lambda a, b: _twin(rel.pair_carrier(a, b)))
+        m.setattr(tables, "row_product", lambda s, n: _twin(row_product(s, n)))
+        m.setattr(rel, "pair_carrier", lambda a, b: _twin(pair_carrier(a, b)))
         return _typed(e, env)
 
 
@@ -1321,7 +1365,7 @@ def test_a_window_over_a_huge_universe_enumerates_no_product(monkeypatch):
     universe = row_carrier(scheme)
     assert len(universe) == 10 ** 6
     # a copy or pickle of a product is a product, equal and hashing the same
-    for c in (universe, rel._fork_target(universe, universe)):
+    for c in (universe, rel.pair_carrier(universe, universe)):
         for twin in (copy.copy(c), copy.deepcopy(c),
                      pickle.loads(pickle.dumps(c))):
             assert twin is not c and twin == c and hash(twin) == hash(c)

@@ -486,6 +486,50 @@ def test_a_product_enumerates_up_to_the_bound(monkeypatch):
     assert _enumerates(carrier("C", 7))
 
 
+def test_an_empty_product_reads_no_component(monkeypatch):
+    # a product of the 7-attribute, 10-value universe, past the bound, and
+    # an empty carrier has no elements, in either order: neither component
+    # is enumerated, nor walked
+    universe = Carrier("rows(A0,A1,A2,A3,A4,A5,A6)", None,
+                       tuple(carrier(f"A{i}", 10) for i in range(7)), tuple)
+    empty_carrier = Carrier("E", ())
+
+    def unwalked(c):
+        raise AssertionError(f"carrier {c.name!r} was walked")
+
+    monkeypatch.setattr(Carrier, "_walk", unwalked)
+    for p in (pair_carrier(universe, empty_carrier),
+              pair_carrier(empty_carrier, universe)):
+        assert len(p) == 0 and p.elements == ()
+        assert Pair(universe.components[0].elements[0], Atom("e")) not in p
+    with pytest.raises(ResourceLimitError):
+        universe.elements
+
+
+def test_a_plain_carrier_and_a_product_of_one_name_compare_by_walking(
+        monkeypatch):
+    # with the bound patched to 5, a plain carrier of a product's name and
+    # size equals the product when it holds the same elements in the same
+    # order, in either order of comparison; the product, a pair carrier of
+    # products too, is walked, not enumerated, and nothing raises
+    a, b = carrier("A", 3), carrier("B", 2)
+    ab = Carrier("rows(A,B)", None, (a, b), tuple)
+    products = [lambda: pair_carrier(a, a), lambda: pair_carrier(ab, ab)]
+    cases = []
+    for make in products:
+        elements = make().elements
+        wrong = elements[:-1] + (Pair(Atom("x"), Atom("y")),)
+        cases += [(make, elements, True), (make, elements[::-1], False),
+                  (make, wrong, False)]
+    monkeypatch.setattr(rel, "CARRIER_LIMIT", 5)
+    forbid_product_enumeration(monkeypatch)
+    for make, elements, equal in cases:
+        p = make()
+        plain = Carrier(p.name, elements)
+        assert len(p) > 5 and hash(plain) == hash(p)
+        assert (plain == p, p == plain) == (equal, equal)
+
+
 def test_equal_tups_built_apart_hash_equally():
     items = (Atom("t1"), Pair(Atom("d1"), Tup((Atom("a1"),))))
     row = Tup(items)

@@ -398,7 +398,7 @@ def test_search_tables_answers_long_chains_by_closures(monkeypatch, m):
         raise AssertionError("the search built a row universe")
 
     monkeypatch.setattr(search, "attr_closure", counted)
-    monkeypatch.setattr(tables, "_row_carrier", no_universe)
+    monkeypatch.setattr(tables.Scheme, "universe", property(no_universe))
     start = time.perf_counter()
     derivable = AttrFd(frozenset([names[0]]), frozenset([names[-1]]))
     assert search_tables(axioms, derivable, scope) is None
