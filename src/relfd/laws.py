@@ -56,6 +56,16 @@ bits alone (`bitrel.subset_table`); nothing derived from `compose_table`
 or `kernel_table` is kept between calls, so a wrong op table always
 reaches the sweep that reads it.
 
+A sweep over pairs of relations takes the R axis in blocks
+(`bitrel.row_blocks`), for the reason the bitrel docstring gives: at
+carrier 3 one int32 array over every (R, S) is 1 MiB, and numpy gathers by
+an int32 index array through an intp copy twice that size.  Where R leads
+the nesting order, the first block with a false holds the first witness
+(`_first_false_by_rows`); where a bit leads it (X in `union_injectivity`,
+g in `union_fd_typing`), the lowest bit set in any block is taken first,
+then its first (R, S) (`_first_bit_by_rows`).  A table of at most
+`bitrel.BLOCK_ROWS` rows is one block.
+
 `search_law_bruteforce` is a slow pointwise mirror of the sweep machinery
 used by the tests to cross-validate the vectorized engine.
 """
@@ -174,6 +184,35 @@ def _first_bit(bits: np.ndarray, lead: int = 0) -> Optional[tuple[int, ...]]:
             bit, *(int(i) for i in np.unravel_index(at, bits.shape[lead:])))
 
 
+def _first_false_by_rows(ok: Callable[[slice], np.ndarray],
+                         n: int) -> Optional[tuple[int, ...]]:
+    """`_first_false` of an array of n rows given block by block: ok(rows)
+    is its block of `rows` (`bitrel.row_blocks`).  The first block with a
+    false holds the first false, shifted by the block's first row."""
+    for rows in B.row_blocks(n):
+        hit = _first_false(ok(rows))
+        if hit is not None:
+            return (rows.start + hit[0], *hit[1:])
+    return None
+
+
+def _first_bit_by_rows(bits: Callable[[slice], np.ndarray],
+                       n: int) -> Optional[tuple[int, ...]]:
+    """`_first_bit` (lead 0) of an array of n rows of bitsets given block by
+    block: bits(rows) is its block of `rows`.  The bit comes first in that
+    order, so the lowest bit set in any block is taken first, then its
+    first position, in the first block that holds it (computed again)."""
+    blocks = B.row_blocks(n)
+    ors = [int(np.bitwise_or.reduce(bits(rows), axis=None))
+           for rows in blocks]
+    if not any(ors):
+        return None
+    low = min(_low_bit(x) for x in ors if x)
+    rows = next(rows for rows, x in zip(blocks, ors) if x >> low & 1)
+    bit, ri, *rest = _first_bit(bits(rows))
+    return (bit, rows.start + ri, *rest)
+
+
 def _ker_through(funcs: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
     """[f, R] = ker(f.R~) over b -> b, for each f: a -> n of `funcs` and
     every R: a -> b.  R : f -> g holds when this is in ker g.  Built from
@@ -195,12 +234,13 @@ def _holds_converse_compose(a: dict) -> bool:
 def _sweep_converse_compose(sz: dict) -> Optional[dict]:
     a, b, c = sz["A"], sz["B"], sz["C"]
     ct = B.compose_table(a, b, c)
-    lhs = B.converse_table(a, c)[ct]
+    conv_rs = B.converse_table(a, c)
     ct2 = B.compose_table(c, b, a)
     conv_s = B.converse_table(a, b)
     conv_r = B.converse_table(b, c)
-    rhs = ct2[conv_s[None, :], conv_r[:, None]]
-    hit = _first_false(lhs == rhs)
+    hit = _first_false_by_rows(
+        lambda rows: (conv_rs[ct[rows]]
+                      == ct2[conv_s[None, :], conv_r[rows, None]]), len(ct))
     if hit is None:
         return None
     ri, si = hit
@@ -238,10 +278,12 @@ def _sweep_shunt_left(sz: dict) -> Optional[dict]:
     r_all = B.all_masks(a, b)
     sub = B.subset_table(a, c)
     for f in funcs:
-        cfs = ct_cfs[conv_f[f]]
-        lhs = sub.take(ct_fr[f], axis=0)  # f.R in S, row f.R of the table
-        rhs = B.subset(r_all[:, None], cfs[None, :])
-        hit = _first_false(lhs == rhs)
+        cfs, fr = ct_cfs[conv_f[f]], ct_fr[f]
+        hit = _first_false_by_rows(
+            # f.R in S, row f.R of the table
+            lambda rows: (sub.take(fr[rows], axis=0)
+                          == B.subset(r_all[rows, None], cfs[None, :])),
+            len(r_all))
         if hit is not None:
             return {"f": int(f), "R": hit[0], "S": hit[1]}
     return None
@@ -262,10 +304,11 @@ def _sweep_shunt_right(sz: dict) -> Optional[dict]:
     r_all = B.all_masks(x, w)
     sub = B.subset_table(y, w)
     for f in funcs:
-        sf = ct_sf[:, f]
-        lhs = sub.take(ct_rcf[:, conv_f[f]], axis=0)  # R.f~ in S
-        rhs = B.subset(r_all[:, None], sf[None, :])
-        hit = _first_false(lhs == rhs)
+        sf, rcf = ct_sf[:, f], ct_rcf[:, conv_f[f]]
+        hit = _first_false_by_rows(
+            lambda rows: (sub.take(rcf[rows], axis=0)  # R.f~ in S
+                          == B.subset(r_all[rows, None], sf[None, :])),
+            len(r_all))
         if hit is not None:
             return {"f": int(f), "R": hit[0], "S": hit[1]}
     return None
@@ -383,18 +426,24 @@ def _sweep_union_injectivity(sz: dict) -> Optional[dict]:
     over them (`bitrel.fit_table`): carriers up to 3 have at most 18."""
     a, b = sz["A"], sz["B"]
     ker_ab = B.kernel_table(a, b)
-    crs = B.compose_table(a, b, a)[B.converse_table(a, b)]  # [R, S]: R~.S
+    ct = B.compose_table(a, b, a)
+    conv = B.converse_table(a, b)
     masks = np.arange(1 << (a * b), dtype=np.int64)
-    ku = ker_ab.take(masks[:, None] | masks[None, :])  # [R, S]: ker(R|S)
     xs = _distinct(ker_ab)
     fits = B.fit_table(a, ker_ab[xs])
     single = fits[ker_ab]
-    lhs = fits.take(ku)
-    rhs = single[:, None] & single[None, :] & fits.take(crs)
-    if not np.array_equal(lhs, rhs):
-        xi, ri, si = _first_bit(lhs ^ rhs)
-        return {"X": int(xs[xi]), "R": ri, "S": si}
-    return None
+
+    def differ(rows):
+        ku = ker_ab.take(masks[rows, None] | masks[None, :])  # ker(R|S)
+        crs = ct[conv[rows]]  # R~.S
+        return (fits.take(ku)
+                ^ single[rows, None] & single[None, :] & fits.take(crs))
+
+    hit = _first_bit_by_rows(differ, len(masks))
+    if hit is None:
+        return None
+    xi, ri, si = hit
+    return {"X": int(xs[xi]), "R": ri, "S": si}
 
 
 def _holds_fork_lub(a: dict, corrupted: bool = False) -> bool:
@@ -412,11 +461,11 @@ def _sweep_fork_lub(sz: dict, corrupted: bool = False) -> Optional[dict]:
     ker_s = B.kernel_table(c, b)
     for ti in _distinct(ker_t):
         kt = int(ker_t[ti])
-        lhs = B.subset(kt, fk)
-        rhs = B.subset(kt, ker_r)[:, None]
-        if not corrupted:
-            rhs = rhs & B.subset(kt, ker_s)[None, :]
-        hit = _first_false(lhs == rhs)
+        r_ok = B.subset(kt, ker_r)[:, None]
+        s_ok = True if corrupted else B.subset(kt, ker_s)[None, :]
+        hit = _first_false_by_rows(
+            lambda rows: B.subset(kt, fk[rows]) == (r_ok[rows] & s_ok),
+            len(fk))
         if hit is not None:
             return {"R": hit[0], "S": hit[1], "T": int(ti)}
     return None
@@ -440,11 +489,12 @@ def _sweep_consequent_pairing(sz: dict) -> Optional[dict]:
     kfrs = _ker_through(funcs_f, a, b, ff)
     for fi in _distinct(kfrs):
         f, kfr = funcs_f[fi], kfrs[fi]
-        lhs = B.subset(kfr[:, None, None], fk[None, :, :])
         okg = B.subset(kfr[:, None], kg[None, :])
         okh = B.subset(kfr[:, None], kh[None, :])
-        rhs = okg[:, :, None] & okh[:, None, :]
-        hit = _first_false(lhs == rhs)
+        hit = _first_false_by_rows(
+            lambda rows: (B.subset(kfr[rows, None, None], fk[None, :, :])
+                          == okg[rows, :, None] & okh[rows, None, :]),
+            len(kfr))
         if hit is not None:
             ri, gi, hi = hit
             return {"R": ri, "f": int(f), "g": int(funcs_g[gi]),
@@ -490,22 +540,30 @@ def _sweep_union_fd_typing(sz: dict,
     """The corrupted rule drops the mutual conjunct.  Each judgement is a
     bitset over g, so one comparison per f covers every g; the bitsets of
     R.m for every R and every B -> A mask m are gathered once, not per f,
-    and each f is tested for equality before its witness is searched."""
+    and each f's differences are ORed over every block of R before its
+    witness is searched."""
     masks = np.arange(1 << (sz["A"] * sz["B"]), dtype=np.int64)
-    un = masks[:, None] | masks[None, :]
     funcs_g, kg_all, ct_r_mid, per_f = _union_terms(sz)
     fits = B.fit_table(sz["B"], kg_all)
-    fits_mid = None if corrupted else fits[ct_r_mid]  # [R, m]
+    if not corrupted:
+        fits_mid = np.empty(ct_r_mid.shape, dtype=fits.dtype)  # [R, m]
+        for rows in B.row_blocks(len(ct_r_mid)):
+            fits_mid[rows] = fits[ct_r_mid[rows]]
     for f, kfu, m1 in per_f:
         single = fits[kfu]
-        rhs = single[:, None] & single[None, :]
-        if not corrupted:
-            # take() keeps C order; fits_mid[:, m1] is F order, and mixing
-            # the two orders makes the elementwise ops several times slower
-            rhs &= fits_mid.take(m1, axis=1)
-        lhs = single[un]
-        if not np.array_equal(lhs, rhs):
-            gi, ri, si = _first_bit(lhs ^ rhs)
+
+        def differ(rows):
+            rhs = single[rows, None] & single[None, :]
+            if not corrupted:
+                # take() keeps C order; fits_mid[rows][:, m1] is F order, and
+                # mixing the orders makes the elementwise ops several times
+                # slower
+                rhs &= fits_mid[rows].take(m1, axis=1)
+            return single[masks[rows, None] | masks[None, :]] ^ rhs
+
+        hit = _first_bit_by_rows(differ, len(masks))
+        if hit is not None:
+            gi, ri, si = hit
             return {"R": ri, "S": si, "f": f, "g": int(funcs_g[gi])}
     return None
 

@@ -1,5 +1,6 @@
 """The bitmask op tables against their `einsum` oracles, their size bound
-and their memory; the subset table against the elementwise subset test.
+and their memory; the subset table against the elementwise subset test;
+the memory of each carrier-3 law sweep.
 
 `compose_table` and `fork_kernel_table` are built from rows with integer
 bit arithmetic.  The oracles here build the same tables the literal way:
@@ -8,10 +9,13 @@ every relation as a 0/1 matrix (`bitrel.mats`), the operator as an
 masks (`bitrel.pack`).
 """
 
+import gc
 import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +24,7 @@ import pytest
 from relfd import bitrel
 from relfd.bitrel import mats, pack
 from relfd.errors import ResourceLimitError
+from relfd.laws import LAW_REGISTRY
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SIZES = list(itertools.product((1, 2, 3), repeat=3))
@@ -95,11 +100,59 @@ print(peak_mb() - before)
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="reads the peak RSS from /proc/self/status")
 def test_carrier_3_tables_stay_small():
-    """Peak RSS of a fresh interpreter grows by under 20 MB while it builds
-    both carrier-3 tables (about 8 MB; the einsum builds took about 33)."""
+    """Peak RSS of a fresh interpreter grows by under 4.5 MB while it builds
+    both carrier-3 tables: about 3.0 MB in row blocks, 7.3 MB when each
+    table was built whole, and about 33 MB by the einsum builds."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", MEMORY_PROBE], env=env,
                           capture_output=True, text=True, timeout=60,
                           check=True)
-    assert float(done.stdout) < 20
+    assert float(done.stdout) < 4.5
+
+
+# Traced peaks in MiB (`tracemalloc`), measured with numpy 2.4: each
+# registered law's sweep with every carrier at 3, its tables built
+# beforehand, and each uncached carrier-3 build of the two tables over
+# pairs of relations, whose 1 MiB result is part of its peak.  Before the
+# row blocks of `bitrel.BLOCK_ROWS` rows, union_injectivity peaked at 7.0,
+# union_typing_corrupted at 7.1, union_fd_typing at 6.2, fd_consequent_pairing
+# at 2.6, fork_least_upper_bound at 2.5, converse_of_compose and
+# fork_lub_corrupted at 2.25, both shunting laws at 1.75, and the builds at
+# 3.0 and 6.0.
+TRACED_PEAK_MIB = {
+    "converse_of_compose": 0.38, "converse_involution": 0.01,
+    "shunt_function_left": 0.23, "shunt_function_right": 0.23,
+    "injectivity_galois": 0.86, "fd_trading": 1.52,
+    "union_injectivity": 0.89, "fork_least_upper_bound": 0.25,
+    "fd_consequent_pairing": 0.33, "union_fd_typing": 1.62,
+    "mutual_dependency_self": 0.25, "join_fd_typing": 0.28,
+    "galois_corrupted": 0.86, "fork_lub_corrupted": 0.25,
+    "union_typing_corrupted": 0.62, "join_converse_corrupted": 0.25,
+    "compose_table": 1.28, "fork_kernel_table": 1.89,
+}
+PEAK_MARGIN_MIB = 0.5
+
+
+def _traced_peak_mib(call) -> float:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", [*LAW_REGISTRY, "compose_table",
+                                  "fork_kernel_table"])
+def test_carrier_3_sweeps_and_builds_stay_under_their_traced_peaks(name):
+    if name in LAW_REGISTRY:
+        law = LAW_REGISTRY[name]
+        sizes = dict.fromkeys(law.slots(), 3)
+        law.sweep(sizes)  # builds and caches its tables
+        call = partial(law.sweep, sizes)
+    else:
+        call = partial(getattr(bitrel, name).__wrapped__, 3, 3, 3)
+    peak = _traced_peak_mib(call)
+    assert peak < TRACED_PEAK_MIB[name] + PEAK_MARGIN_MIB, peak

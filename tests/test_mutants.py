@@ -42,6 +42,7 @@ CODED = "`check`'s shunted route on dictionary codes"
 PRODUCTS = "One typer: row universes and pair carriers as unbuilt products"
 ONE_BOUND = "One size bound, where a product carrier is enumerated"
 ON_SCHEME = "Carriers and projection maps kept on their scheme"
+ROW_BLOCKS = "Law sweeps and op-table builds in row blocks"
 
 
 class Mutant(NamedTuple):
@@ -186,6 +187,21 @@ def _types_as_its_carriers(domains):
     return example
 
 
+def _later_block_case(case_id):
+    """`test_sweep_finds_witnesses_past_the_first_row_block` on one case."""
+    def example(monkeypatch):
+        test_sweep_oracles.sweep_and_oracle_find(
+            test_sweep_oracles.LATER_BLOCK_CASES[case_id],
+            test_sweep_oracles.corruptible_tables(monkeypatch))
+    return example
+
+
+def _edited_laws(name, old, new):
+    def apply(monkeypatch):
+        monkeypatch.setattr(laws, name, _edited(getattr(laws, name), old, new))
+    return apply
+
+
 MUTANTS = (
     Mutant("ker_through_R_axis_rolled",
            _wrap_ker_through(lambda t: np.roll(t, 1, axis=1)),
@@ -299,6 +315,32 @@ MUTANTS = (
            _edited_proj_map("scheme.proj_maps", "_proj_map.__dict__"),
            _own_projection_maps,
            ON_SCHEME),
+    # the example's tables are built and cached by its clean run first, so
+    # only the sweep's blocks lose their last one
+    Mutant("row_blocks_drop_the_last_block",
+           lambda monkeypatch: monkeypatch.setattr(B, "row_blocks", _edited(
+               B.row_blocks, "range(0, n, BLOCK_ROWS)",
+               "range(0, n - BLOCK_ROWS, BLOCK_ROWS)")),
+           _later_block_case("converse_of_compose/last"),
+           ROW_BLOCKS),
+    Mutant("first_false_by_rows_without_the_row_offset",
+           _edited_laws("_first_false_by_rows", "rows.start + hit[0]",
+                        "hit[0]"),
+           _later_block_case("shunt_function_right/last"),
+           ROW_BLOCKS),
+    Mutant("first_bit_by_rows_without_the_row_offset",
+           _edited_laws("_first_bit_by_rows", "rows.start + ri", "ri"),
+           _later_block_case("union_injectivity/last"),
+           ROW_BLOCKS),
+    # the first block that differs, with its own lowest bit
+    Mutant("first_bit_by_rows_lowest_bit_per_block",
+           _edited_laws("_first_bit_by_rows", "if x >> low & 1", "if x"),
+           _later_block_case("union_injectivity/two"),
+           ROW_BLOCKS),
+    Mutant("union_fd_typing_lowest_bit_per_block",
+           _edited_laws("_first_bit_by_rows", "if x >> low & 1", "if x"),
+           _later_block_case("union_fd_typing/two"),
+           ROW_BLOCKS),
 )
 
 

@@ -27,6 +27,7 @@ import itertools
 import random
 from functools import partial
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -317,11 +318,11 @@ ORACLES = {
 TABLES = ("compose_table", "kernel_table")
 
 
-@pytest.fixture
-def tables(monkeypatch):
+def corruptible_tables(monkeypatch):
     """Patch hooks on the two op tables: `record()` starts collecting the
-    (name, sizes) of every table asked for; `corrupt(name, sizes, entry,
-    bit)` serves that table with one bit of one entry flipped."""
+    (name, sizes) of every table asked for; `corrupt(name, sizes, *flips)`
+    serves that table with, for each flip (entry, bit), that bit of that
+    entry flipped."""
     # kernel_table reads compose_table and caches what it builds: build
     # every kernel table first, so none is built from a corrupted one
     for m, n in itertools.product(range(1, B.MAX_SIZE + 1), repeat=2):
@@ -341,13 +342,19 @@ def tables(monkeypatch):
         used.clear()
         return used
 
-    def corrupt(name, sizes, entry, bit):
+    def corrupt(name, sizes, *flips):
         flipped.clear()
         table = clean[name](*sizes).copy()
-        table[entry] ^= 1 << bit
+        for entry, bit in flips:
+            table[entry] ^= 1 << bit
         flipped[name, sizes] = table
 
     return SimpleNamespace(record=record, corrupt=corrupt)
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    return corruptible_tables(monkeypatch)
 
 
 def _combos(law):
@@ -382,8 +389,8 @@ def test_sweep_equals_its_oracle_under_corrupted_tables(law_id, tables):
     for name, sizes in ([rnd.choice(small) for _ in range(40)]
                         + [rnd.choice(large) for _ in range(2)]):
         shape = getattr(B, name)(*sizes).shape
-        tables.corrupt(name, sizes, tuple(rnd.randrange(d) for d in shape),
-                       rnd.randrange(_mask_bits(name, sizes)))
+        tables.corrupt(name, sizes, (tuple(rnd.randrange(d) for d in shape),
+                                     rnd.randrange(_mask_bits(name, sizes))))
         for sz, read in zip(combos, reads):
             if (name, sizes) in read:
                 want = oracle(sz)
@@ -396,7 +403,7 @@ def test_join_sweep_judges_each_f_by_its_premises(tables):
     """The two functions from a 1-set to a 2-set have the same kernel; one
     corrupted compose entry gives them different premises p1.  Skipping
     the second f for its kernel alone missed this witness."""
-    tables.corrupt("compose_table", (2, 1, 2), (2, 3), 3)
+    tables.corrupt("compose_table", (2, 1, 2), ((2, 3), 3))
     sz = {"A": 1, "F": 2, "B": 2, "G": 2, "C": 2, "H": 2}
     witness = {"R": 1, "S": 3, "f": 2, "g": 5, "h": 9}
     assert join_fd_typing_oracle(sz) == witness
@@ -444,8 +451,114 @@ def test_join_sweep_takes_each_r_by_its_own_domain(tables):
     """One corrupted compose entry puts the first witness at R = 5, whose
     domain is all of A.  A sweep that judged R by another R's domain class
     (its class labels sorted, say) named another witness."""
-    tables.corrupt("compose_table", (2, 2, 2), (5, 6), 0)
+    tables.corrupt("compose_table", (2, 2, 2), ((5, 6), 0))
     sz = {"A": 2, "F": 2, "B": 2, "G": 2, "C": 2, "H": 2}
     witness = {"R": 5, "S": 6, "f": 5, "g": 5, "h": 9}
     assert join_fd_typing_oracle(sz) == witness
     assert LAW_REGISTRY["join_fd_typing"].sweep(sz) == witness
+
+
+class Corruption(NamedTuple):
+    """One table served with `flips` at `table_sizes`, and the witness that
+    the sweep of `law_id` and its oracle find at carrier sizes `sizes`."""
+    law_id: str
+    sizes: dict
+    table: str
+    table_sizes: tuple
+    flips: tuple  # ((entry, bit), ...)
+    witness: dict
+
+
+CT3, KT3 = ("compose_table", (3, 3, 3)), ("kernel_table", (3, 3))
+ALL_3 = dict.fromkeys("ABC", 3)
+# Carrier-3 corruptions, found by a search over random ones, that put a
+# witness past the first block of R, the relation axis of 512 rows that the
+# re-blocked sweeps take `bitrel.BLOCK_ROWS` rows at a time.  Each `last`
+# case puts it in the last block.  For `fd_consequent_pairing` and
+# `union_fd_typing` no corruption of one entry was found to do so: at an R
+# of the last block, row 2 of R relates to every target, so ker(f.R~) is
+# the whole square for every f, as at R = 7, which comes first; their
+# `last` cases reach block 5.  Each `two` case flips two entries whose
+# witnesses, each alone, fall in two blocks (`test_two_block_cases_...`).
+LATER_BLOCK_CASES = {
+    "converse_of_compose/last": Corruption(
+        "converse_of_compose", ALL_3, *CT3, (((494, 439), 1),),
+        {"R": 494, "S": 439}),
+    "converse_of_compose/two": Corruption(
+        "converse_of_compose", ALL_3, *CT3, (((402, 380), 7), ((456, 372), 5)),
+        {"R": 402, "S": 380}),
+    "shunt_function_left/last": Corruption(
+        "shunt_function_left", ALL_3, *CT3, (((268, 486), 3),),
+        {"f": 268, "R": 486, "S": 357}),
+    "shunt_function_left/two": Corruption(
+        "shunt_function_left", ALL_3, *CT3, (((268, 429), 8), ((268, 486), 3)),
+        {"f": 268, "R": 429, "S": 100}),
+    "shunt_function_right/last": Corruption(
+        "shunt_function_right", dict.fromkeys("XYW", 3), *CT3,
+        (((451, 392), 2),), {"f": 290, "R": 451, "S": 472}),
+    "shunt_function_right/two": Corruption(
+        "shunt_function_right", dict.fromkeys("XYW", 3), *CT3,
+        (((324, 28), 4), ((394, 28), 1)), {"f": 82, "R": 324, "S": 37}),
+    "union_injectivity/last": Corruption(
+        "union_injectivity", dict.fromkeys("AB", 3), *CT3,
+        (((357, 453), 5),), {"X": 65, "R": 453, "S": 453}),
+    "union_injectivity/two": Corruption(
+        "union_injectivity", dict.fromkeys("AB", 3), *CT3,
+        (((306, 184), 2), ((357, 453), 5)), {"X": 65, "R": 453, "S": 453}),
+    "union_fd_typing/last": Corruption(
+        "union_fd_typing", dict.fromkeys("ABCD", 3), *CT3,
+        (((357, 453), 5),), {"R": 357, "S": 37, "f": 81, "g": 81}),
+    "union_fd_typing/two": Corruption(
+        "union_fd_typing", dict.fromkeys("ABCD", 3), *CT3,
+        (((306, 184), 2), ((357, 453), 5)),
+        {"R": 357, "S": 37, "f": 81, "g": 81}),
+    # ker_r and ker_t are different tables at these sizes, so a flipped
+    # kernel of R leaves T's order alone
+    "fork_least_upper_bound/last": Corruption(
+        "fork_least_upper_bound", {"C": 3, "A": 3, "B": 2, "D": 2}, *KT3,
+        (((511,), 8),), {"R": 511, "S": 16, "T": 16}),
+    "fork_least_upper_bound/two": Corruption(
+        "fork_least_upper_bound", {"C": 3, "A": 3, "B": 2, "D": 2}, *KT3,
+        (((446,), 4), ((511,), 4)), {"R": 446, "S": 4, "T": 4}),
+    "fd_consequent_pairing/last": Corruption(
+        "fd_consequent_pairing", dict.fromkeys("AFBGH", 3), *KT3,
+        (((138,), 1),), {"R": 322, "f": 137, "g": 73, "h": 138}),
+    "fd_consequent_pairing/two": Corruption(
+        "fd_consequent_pairing", dict.fromkeys("AFBGH", 3), *KT3,
+        (((82,), 5), ((138,), 1)), {"R": 196, "f": 137, "g": 73, "h": 82}),
+}
+# the sweeps whose witness takes its bit (X or g) before R, as _first_bit
+BIT_FIRST = ("union_injectivity", "union_fd_typing")
+
+
+def sweep_and_oracle_find(case: Corruption, tables) -> None:
+    tables.corrupt(case.table, case.table_sizes, *case.flips)
+    assert ORACLES[case.law_id](case.sizes) == case.witness
+    assert LAW_REGISTRY[case.law_id].sweep(case.sizes) == case.witness
+
+
+@pytest.mark.parametrize("case_id", list(LATER_BLOCK_CASES))
+def test_sweep_finds_witnesses_past_the_first_row_block(case_id, tables):
+    case = LATER_BLOCK_CASES[case_id]
+    if case_id.endswith("/last"):
+        assert case.witness["R"] >= (1 << 9) - B.BLOCK_ROWS or (
+            case.law_id in ("fd_consequent_pairing", "union_fd_typing"))
+    sweep_and_oracle_find(case, tables)
+
+
+@pytest.mark.parametrize("case_id", [c for c in LATER_BLOCK_CASES
+                                     if c.endswith("/two")])
+def test_two_block_cases_take_the_witness_the_nesting_order_gives(case_id,
+                                                                 tables):
+    """Each flip alone puts the oracle's witness in its own block, the
+    first flip's in the earlier one.  With both, R outermost takes the
+    earlier block's witness; a bit outermost takes the later block's, whose
+    bit is the lower."""
+    case = LATER_BLOCK_CASES[case_id]
+    alone = []
+    for flip in case.flips:
+        tables.corrupt(case.table, case.table_sizes, flip)
+        alone.append(ORACLES[case.law_id](case.sizes))
+    early, late = (w["R"] // B.BLOCK_ROWS for w in alone)
+    assert early < late
+    assert case.witness == alone[case.law_id in BIT_FIRST]
