@@ -204,14 +204,25 @@ def subset(x, y):
 
 
 @lru_cache(maxsize=None)
-def subset_table(m: int, n: int) -> np.ndarray:
+def subset_table(m: int, n: int, packed: bool = False) -> np.ndarray:
     """T[x, y] = subset(x, y) for every pair of masks over m -> n, built
-    from the mask bits alone: row 0 is all true, and row x | 1 << i, for
-    x < 2^i, is row x and bit i of y."""
+    in place from the mask bits alone: row 0 is all true, and row
+    x | 1 << i, for x < 2^i, is row x and bit i of y.  Packed, row x is
+    the bitset of those y: bit y % 8 of byte y // 8 (`np.packbits`,
+    little-endian)."""
     masks = all_masks(m, n)
-    out = np.ones((1, len(masks)), dtype=bool)
+
+    def column(bits):
+        return (np.packbits(bits, bitorder="little") if packed
+                else bits.astype(bool))
+
+    row = column(masks >= 0)
+    out = np.empty((len(masks), len(row)), dtype=row.dtype)
+    out[0] = row
     for i in range(m * n):
-        out = np.concatenate([out, out & (masks >> i & 1).astype(bool)])
+        half = 1 << i
+        np.bitwise_and(out[:half], column(masks >> i & 1),
+                       out=out[half:2 * half])
     return out
 
 

@@ -167,13 +167,15 @@ def search_law(law_id: str, scope: Scope) -> Optional[dict]:
 
     Exhaustive over all relation assignments with carriers up to
     scope.max_carrier; a found assignment is re-checked against the law's
-    pointwise oracle before being reported.
+    pointwise oracle before being reported.  The sweeps share one memo of
+    computed terms (`relfd.laws`), dropped on return.
     """
     from . import bitrel
     law = get_law(law_id)
     bitrel.check_size(scope.max_carrier)
+    memo: dict = {}
     for sizes in law.size_combos(scope.max_carrier):
-        masks = law.sweep(sizes)
+        masks = law.sweep(sizes, memo)
         if masks is not None:
             assignment = law.assignment_from_masks(sizes, masks)
             if law.holds(assignment):

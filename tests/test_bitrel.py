@@ -67,6 +67,11 @@ def test_subset_table_equals_subset_on_every_pair_of_masks(m, n):
     table = bitrel.subset_table(m, n)
     assert table.shape == (len(masks), len(masks)) and table.dtype == bool
     assert np.array_equal(table, bitrel.subset(masks[:, None], masks[None, :]))
+    # packed, bit y % 8 of byte y // 8; the padding bits of a short row are 0
+    packed = bitrel.subset_table(m, n, packed=True)
+    assert packed.dtype == np.uint8
+    assert np.array_equal(packed,
+                          np.packbits(table, axis=1, bitorder="little"))
 
 
 @pytest.mark.parametrize("table", [bitrel.compose_table,
@@ -113,25 +118,33 @@ def test_carrier_3_tables_stay_small():
 
 # Traced peaks in MiB (`tracemalloc`), measured with numpy 2.4: each
 # registered law's sweep with every carrier at 3, its tables built
-# beforehand, and each uncached carrier-3 build of the two tables over
-# pairs of relations, whose 1 MiB result is part of its peak.  Before the
-# row blocks of `bitrel.BLOCK_ROWS` rows, union_injectivity peaked at 7.0,
+# beforehand and a memo of its own, and each uncached carrier-3 build of
+# the two tables over pairs of relations, whose 1 MiB result is part of
+# its peak, and of the subset table (0.25 MiB).  Before the row blocks of
+# `bitrel.BLOCK_ROWS` rows, union_injectivity peaked at 7.0,
 # union_typing_corrupted at 7.1, union_fd_typing at 6.2, fd_consequent_pairing
 # at 2.6, fork_least_upper_bound at 2.5, converse_of_compose and
 # fork_lub_corrupted at 2.25, both shunting laws at 1.75, and the builds at
-# 3.0 and 6.0.
+# 3.0 and 6.0.  Before the per-search memo and the packed and class-judged
+# sweeps, union_fd_typing peaked at 1.62, fd_trading at 1.52,
+# union_typing_corrupted at 0.62, fd_consequent_pairing at 0.33,
+# join_fd_typing at 0.28, join_converse_corrupted and both
+# fork_least_upper_bound laws at 0.25, both shunting laws at 0.23, and the
+# subset table, doubled by `np.concatenate`, at 0.50; the rest were as now.
 TRACED_PEAK_MIB = {
     "converse_of_compose": 0.38, "converse_involution": 0.01,
-    "shunt_function_left": 0.23, "shunt_function_right": 0.23,
-    "injectivity_galois": 0.86, "fd_trading": 1.52,
-    "union_injectivity": 0.89, "fork_least_upper_bound": 0.25,
-    "fd_consequent_pairing": 0.33, "union_fd_typing": 1.62,
-    "mutual_dependency_self": 0.25, "join_fd_typing": 0.28,
-    "galois_corrupted": 0.86, "fork_lub_corrupted": 0.25,
-    "union_typing_corrupted": 0.62, "join_converse_corrupted": 0.25,
-    "compose_table": 1.28, "fork_kernel_table": 1.89,
+    "shunt_function_left": 0.10, "shunt_function_right": 0.10,
+    "injectivity_galois": 0.86, "fd_trading": 0.96,
+    "union_injectivity": 0.89, "fork_least_upper_bound": 0.11,
+    "fd_consequent_pairing": 0.29, "union_fd_typing": 0.77,
+    "mutual_dependency_self": 0.25, "join_fd_typing": 0.19,
+    "galois_corrupted": 0.86, "fork_lub_corrupted": 0.11,
+    "union_typing_corrupted": 0.52, "join_converse_corrupted": 0.22,
+    "compose_table": 1.28, "fork_kernel_table": 1.89, "subset_table": 0.26,
 }
 PEAK_MARGIN_MIB = 0.5
+BUILD_SIZES = {"compose_table": (3, 3, 3), "fork_kernel_table": (3, 3, 3),
+               "subset_table": (3, 3)}
 
 
 def _traced_peak_mib(call) -> float:
@@ -144,8 +157,7 @@ def _traced_peak_mib(call) -> float:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("name", [*LAW_REGISTRY, "compose_table",
-                                  "fork_kernel_table"])
+@pytest.mark.parametrize("name", [*LAW_REGISTRY, *BUILD_SIZES])
 def test_carrier_3_sweeps_and_builds_stay_under_their_traced_peaks(name):
     if name in LAW_REGISTRY:
         law = LAW_REGISTRY[name]
@@ -153,6 +165,6 @@ def test_carrier_3_sweeps_and_builds_stay_under_their_traced_peaks(name):
         law.sweep(sizes)  # builds and caches its tables
         call = partial(law.sweep, sizes)
     else:
-        call = partial(getattr(bitrel, name).__wrapped__, 3, 3, 3)
+        call = partial(getattr(bitrel, name).__wrapped__, *BUILD_SIZES[name])
     peak = _traced_peak_mib(call)
     assert peak < TRACED_PEAK_MIB[name] + PEAK_MARGIN_MIB, peak

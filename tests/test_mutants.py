@@ -43,6 +43,7 @@ PRODUCTS = "One typer: row universes and pair carriers as unbuilt products"
 ONE_BOUND = "One size bound, where a product carrier is enumerated"
 ON_SCHEME = "Carriers and projection maps kept on their scheme"
 ROW_BLOCKS = "Law sweeps and op-table builds in row blocks"
+ONE_SEARCH = "One search per law"
 
 
 class Mutant(NamedTuple):
@@ -202,6 +203,62 @@ def _edited_laws(name, old, new):
     return apply
 
 
+def _edited_sweep(law_id, old, new):
+    """The registered law's sweep compiled from its edited source."""
+    def apply(monkeypatch):
+        law = laws.LAW_REGISTRY[law_id]
+        monkeypatch.setitem(laws.LAW_REGISTRY, law_id, dataclasses.replace(
+            law, sweep=_edited(law.sweep, old, new)))
+    return apply
+
+
+def _memo_kept_across_searches(monkeypatch):
+    """Every fd_trading search reads and fills one memo of module life."""
+    law, kept = laws.LAW_REGISTRY["fd_trading"], {}
+    monkeypatch.setitem(laws.LAW_REGISTRY, "fd_trading", dataclasses.replace(
+        law, sweep=lambda sizes, memo=None: law.sweep(sizes, kept)))
+
+
+def _fd_trading_search_equals_its_oracle(monkeypatch):
+    """`test_search_equals_its_first_oracle_witness_under_corrupted_tables`
+    for `fd_trading` at carrier 2, on the sound tables."""
+    test_sweep_oracles.corruptible_tables(monkeypatch)
+    assert test_sweep_oracles.search_equals_the_first_oracle_witness(
+        "fd_trading", 2, monkeypatch) is None
+
+
+def _corrupted_between_two_searches(monkeypatch):
+    """Two `fd_trading` searches at carrier 2 against the first oracle
+    witness, the second with the table of x.k at A = K = 1 corrupted: its
+    first witness is at the 13th size combination, which reads the x.k
+    that the first combination built."""
+    tables = test_sweep_oracles.corruptible_tables(monkeypatch)
+    assert test_sweep_oracles.search_equals_the_first_oracle_witness(
+        "fd_trading", 2, monkeypatch) is None
+    tables.corrupt("compose_table", (1, 1, 2), ((3, 1), 1))
+    assert test_sweep_oracles.search_equals_the_first_oracle_witness(
+        "fd_trading", 2, monkeypatch) is not None
+
+
+def _down_or_on_nine_bits(monkeypatch):
+    """`test_down_or_equals_the_unpacked_subset_test` at 9 bits."""
+    test_sweep_oracles.test_down_or_equals_the_unpacked_subset_test(9)
+
+
+def _shunt_right_equals_its_oracle(monkeypatch):
+    """`test_sweep_equals_its_oracle_under_corrupted_tables` for
+    `shunt_function_right` at one size combination, on the sound tables.
+    The subset table of a wrong carrier pair is of the wrong size for the
+    masks that index it and the S it is compared over, so the sweep
+    raises: a wrong answer too."""
+    sz = {"X": 1, "Y": 2, "W": 2}
+    try:
+        got = laws.LAW_REGISTRY["shunt_function_right"].sweep(sz)
+    except (IndexError, ValueError) as err:
+        raise AssertionError("the sweep raised") from err
+    assert got == test_sweep_oracles.shunt_right_oracle(sz)
+
+
 MUTANTS = (
     Mutant("ker_through_R_axis_rolled",
            _wrap_ker_through(lambda t: np.roll(t, 1, axis=1)),
@@ -341,6 +398,26 @@ MUTANTS = (
            _edited_laws("_first_bit_by_rows", "if x >> low & 1", "if x"),
            _later_block_case("union_fd_typing/two"),
            ROW_BLOCKS),
+    # the z groups of Z = 1 are read again at Z = 2, with their y-bitsets
+    Mutant("memo_key_of_ker_yz_without_Z",
+           _edited_sweep("fd_trading", '("ker(y.z)", b, zz, cy)',
+                         '("ker(y.z)", b, cy)'),
+           _fd_trading_search_equals_its_oracle,
+           ONE_SEARCH),
+    Mutant("memo_kept_across_searches",
+           _memo_kept_across_searches,
+           _corrupted_between_two_searches,
+           ONE_SEARCH),
+    Mutant("down_or_skips_the_last_bit",
+           _edited_laws("_down_or", "range(bits)", "range(bits - 1)"),
+           _down_or_on_nine_bits,
+           ONE_SEARCH),
+    # the subset table of R's carriers, X -> W, not of S's, Y -> W
+    Mutant("shunt_reads_the_subset_table_of_the_wrong_pair",
+           _edited_sweep("shunt_function_right", "x * w, y, w)",
+                         "x * w, x, w)"),
+           _shunt_right_equals_its_oracle,
+           ONE_SEARCH),
 )
 
 

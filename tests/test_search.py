@@ -664,15 +664,15 @@ def test_join_violation_prefers_the_first_witness_branch():
     # one (R, S): g1 meets prem1 but breaks conc1, h0 breaks conc2, so the
     # two branches name different (g, h)
     def one(bits):
-        return np.array([[bits]], dtype=np.int64)
+        return np.array([[[bits]]], dtype=np.int64)
 
-    # one R and one S, each alone in its class
+    # one f, one R and one S, each alone in its class
     in_s, at_r = np.ones((1, 1), dtype=bool), np.zeros(1, dtype=np.intp)
     assert _join_violation(one(0b11), one(0b11), one(0b01), one(0b10),
-                           in_s, at_r) == (0, 0, 1, 0)
+                           in_s, at_r) == (0, 0, 0, 1, 0)
     # no g breaks conc1: the second branch names h0
     assert _join_violation(one(0b11), one(0b11), one(0b11), one(0b10),
-                           in_s, at_r) == (0, 0, 0, 0)
+                           in_s, at_r) == (0, 0, 0, 0, 0)
     assert _join_violation(one(0b11), one(0b11), one(0b11), one(0b11),
                            in_s, at_r) is None
 

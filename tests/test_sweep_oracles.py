@@ -23,6 +23,7 @@ sweep is also compared with its oracle under single-entry corruptions of
 oracle's witness, or None with it.
 """
 
+import dataclasses
 import itertools
 import random
 from functools import partial
@@ -33,8 +34,10 @@ import numpy as np
 import pytest
 
 from relfd import bitrel as B
+from relfd import laws
 from relfd.laws import (LAW_REGISTRY, LAW_SUITE, _first_bit, _first_false,
                         _join_violation, _low_bit)
+from relfd.search import Scope, search_law
 
 
 def fd_trading_oracle(sz):
@@ -419,28 +422,38 @@ def _classes(rng, n):
 
 
 def test_compressed_join_judgement_equals_the_plain_one():
-    """`_join_violation` takes g-side bitsets per (R, class of S) and h-side
-    ones per (class of R, S), S's classes as a membership matrix and R's as
-    labels; spread over every (R, S) they must give the plain judgement's
-    witness, or None with it.  Any axis may have length 1 and broadcast."""
+    """`_join_violation` takes, for each f, g-side bitsets per (R, class of
+    S) and h-side ones per (class of R, S), S's classes as a membership
+    matrix and R's as labels; spread over every (R, S) they must give the
+    plain judgement's witness for the first f that has one, or None with
+    it.  Any axis may have length 1 and broadcast."""
     rng = np.random.default_rng(20)
     found = 0
     for _ in range(300):
         at1, at2 = _classes(rng, rng.integers(1, 7)), _classes(rng, 6)
-        covered = rng.random() ** 0.3  # how often a conclusion covers all
+        n = int(rng.integers(1, 4))  # the f
+        # how often a conclusion covers all; more often for more f
+        covered = rng.random() ** (0.3 / n)
 
         def bits(rows, cols):
-            shape = [n if rng.random() < 0.8 else 1 for n in (rows, cols)]
+            shape = [k if rng.random() < 0.8 else 1 for k in (n, rows, cols)]
             return (rng.integers(0, 4, shape)
                     | np.where(rng.random(shape) < covered, 3, 0))
 
         c1, c2 = at1.max() + 1, at2.max() + 1
         prem1, conc1 = bits(len(at2), c1) & 3, bits(len(at2), c1)
         prem2, conc2 = bits(c2, len(at1)) & 3, bits(c2, len(at1))
-        g_side = [t[:, at1] if t.shape[1] > 1 else t for t in (prem1, conc1)]
-        h_side = [t[at2] if t.shape[0] > 1 else t for t in (prem2, conc2)]
-        want = plain_join_violation(g_side[0], h_side[0],
-                                    g_side[1], h_side[1])
+        want = None
+        for fi in range(n):
+            g_side, h_side = ([t[min(fi, len(t) - 1)] for t in ts]
+                              for ts in ((prem1, conc1), (prem2, conc2)))
+            g_side = [t[:, at1] if t.shape[1] > 1 else t for t in g_side]
+            h_side = [t[at2] if t.shape[0] > 1 else t for t in h_side]
+            hit = plain_join_violation(g_side[0], h_side[0],
+                                       g_side[1], h_side[1])
+            if hit is not None:
+                want = (fi, *hit)
+                break
         in_s = at1[:, None] == np.arange(c1)
         assert _join_violation(prem1, prem2, conc1, conc2, in_s, at2) == want
         found += want is not None
@@ -499,6 +512,22 @@ LATER_BLOCK_CASES = {
     "shunt_function_right/two": Corruption(
         "shunt_function_right", dict.fromkeys("XYW", 3), *CT3,
         (((324, 28), 4), ((394, 28), 1)), {"f": 82, "R": 324, "S": 37}),
+    # The packed shunts pass over the first 15 f on their S-bitsets: a
+    # `later_f` case flips the left side of f = 98, the 16th, to put its
+    # witness in the last block; a `right_side` case flips one S of the
+    # right side of a later f, f~.S or S.f, which `laws._down_or` spreads.
+    "shunt_function_left/later_f": Corruption(
+        "shunt_function_left", ALL_3, *CT3, (((98, 464), 0),),
+        {"f": 98, "R": 464, "S": 480}),
+    "shunt_function_left/right_side": Corruption(
+        "shunt_function_left", ALL_3, *CT3, (((224, 155), 8),),
+        {"f": 164, "R": 256, "S": 155}),
+    "shunt_function_right/later_f": Corruption(
+        "shunt_function_right", dict.fromkeys("XYW", 3), *CT3,
+        (((498, 140), 3),), {"f": 98, "R": 498, "S": 407}),
+    "shunt_function_right/right_side": Corruption(
+        "shunt_function_right", dict.fromkeys("XYW", 3), *CT3,
+        (((319, 274), 8),), {"f": 274, "R": 256, "S": 319}),
     "union_injectivity/last": Corruption(
         "union_injectivity", dict.fromkeys("AB", 3), *CT3,
         (((357, 453), 5),), {"X": 65, "R": 453, "S": 453}),
@@ -540,7 +569,7 @@ def sweep_and_oracle_find(case: Corruption, tables) -> None:
 @pytest.mark.parametrize("case_id", list(LATER_BLOCK_CASES))
 def test_sweep_finds_witnesses_past_the_first_row_block(case_id, tables):
     case = LATER_BLOCK_CASES[case_id]
-    if case_id.endswith("/last"):
+    if case_id.endswith(("/last", "/later_f")):
         assert case.witness["R"] >= (1 << 9) - B.BLOCK_ROWS or (
             case.law_id in ("fd_consequent_pairing", "union_fd_typing"))
     sweep_and_oracle_find(case, tables)
@@ -562,3 +591,68 @@ def test_two_block_cases_take_the_witness_the_nesting_order_gives(case_id,
     early, late = (w["R"] // B.BLOCK_ROWS for w in alone)
     assert early < late
     assert case.witness == alone[case.law_id in BIT_FIRST]
+
+
+@pytest.mark.parametrize("bits", [2, 4, 6, 9])
+def test_down_or_equals_the_unpacked_subset_test(bits):
+    """`laws._down_or(right, bits)` packs, for every mask R of `bits` bits,
+    the S with R in right[S]; the unpacked test is `bitrel.subset` over
+    every (R, S)."""
+    rng = np.random.default_rng(bits)
+    for n in (1, 3, 8, 64, 512):
+        right = rng.integers(0, 1 << bits, n).astype(np.int32)
+        want = B.subset(np.arange(1 << bits)[:, None], right[None, :])
+        assert np.array_equal(laws._down_or(right, bits),
+                              np.packbits(want, axis=1, bitorder="little"))
+
+
+# The sweeps that keep computed terms in `search_law`'s memo.
+MEMOISED = ("fd_trading", "join_fd_typing")
+
+
+def first_oracle_witness(law, max_carrier):
+    """The loop oracle's first witness in `size_combos` order, as an
+    assignment, or None."""
+    for sz in law.size_combos(max_carrier):
+        masks = ORACLES[law.law_id](sz)
+        if masks is not None:
+            return law.assignment_from_masks(sz, masks)
+    return None
+
+
+def search_equals_the_first_oracle_witness(law_id, max_carrier, monkeypatch):
+    """`search_law` against `first_oracle_witness`.  Under a corrupted
+    table a witness need not falsify the law, so the search's pointwise
+    re-check is turned off."""
+    law = LAW_REGISTRY[law_id]
+    monkeypatch.setitem(LAW_REGISTRY, law_id,
+                        dataclasses.replace(law, holds=lambda a: False))
+    want = first_oracle_witness(law, max_carrier)
+    assert search_law(law_id, Scope(max_carrier=max_carrier)) == want
+    return want
+
+
+@pytest.mark.parametrize("law_id", MEMOISED)
+def test_search_equals_its_first_oracle_witness_under_corrupted_tables(
+        law_id, tables, monkeypatch):
+    """One search shares its terms across size combinations, so each
+    corruption is of a table that only some of the carrier-2 combinations
+    read: a term kept under too few sizes, or from an earlier search,
+    would be read where the corrupted one is due, or the other way round."""
+    law = LAW_REGISTRY[law_id]
+    reads = []
+    for sz in law.size_combos(2):
+        used = tables.record()
+        law.sweep(sz)
+        reads.append(set(used))
+    some = sorted(set().union(*reads) - set.intersection(*reads))
+    rnd = random.Random(law_id)
+    witnesses = 0
+    search_equals_the_first_oracle_witness(law_id, 2, monkeypatch)
+    for name, sizes in (rnd.choice(some) for _ in range(60)):
+        shape = getattr(B, name)(*sizes).shape
+        tables.corrupt(name, sizes, (tuple(rnd.randrange(d) for d in shape),
+                                     rnd.randrange(_mask_bits(name, sizes))))
+        witnesses += search_equals_the_first_oracle_witness(
+            law_id, 2, monkeypatch) is not None
+    assert witnesses >= 6, witnesses

@@ -8,7 +8,11 @@ the bound, uncached, and prints the warm best-of-`--repeat` seconds of the
 build and its traced peak (`tracemalloc`; the table the build returns is
 part of it).  Then it runs `search_law` for each registered law, sound and
 corrupted, over every carrier size up to the bound, with the tables already
-built, and prints the same two figures and whether the law was refuted.
+built, and prints the same two figures, the best time of the law's sweep at
+its all-bound size combination alone (every carrier at the bound, with a
+memo of its own), and whether the law was refuted.  The search's other
+combinations take the rest of its time, which is where the memo of
+computed terms that one search shares pays.
 Last it runs `relfd laws --json --scope-carrier N` through `cli.main`, in
 the same process, and prints its seconds, exit code and the SHA-256 of its
 stdout, so two versions of relfd can be compared on the same bound.
@@ -40,14 +44,20 @@ BUILDS = (("compose_table", 3), ("fork_kernel_table", 3),
           ("subset_table", 2), ("function_masks", 2))
 
 
-def best_and_peak(call, repeat: int):
-    """call()'s best time over `repeat` runs, in seconds, its traced peak
-    in MiB on one more run, and that run's result."""
+def best_time(call, repeat: int) -> float:
+    """call()'s best time over `repeat` runs, in seconds."""
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
         call()
         best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def best_and_peak(call, repeat: int):
+    """call()'s best time over `repeat` runs, in seconds, its traced peak
+    in MiB on one more run, and that run's result."""
+    best = best_time(call, repeat)
     gc.collect()
     tracemalloc.start()
     try:
@@ -69,14 +79,17 @@ def builds(n: int, repeat: int):
 
 
 def sweeps(n: int, repeat: int):
-    """Yield (law, seconds, MiB, refuted) for each registered law searched
-    over every carrier size up to n; the first run builds its tables."""
+    """Yield (law, seconds, all-bound seconds, MiB, refuted) for each
+    registered law searched over every carrier size up to n; the first run
+    builds its tables."""
     scope = Scope(max_carrier=n)
-    for law_id in LAW_REGISTRY:
+    for law_id, law in LAW_REGISTRY.items():
         search_law(law_id, scope)
         seconds, peak, witness = best_and_peak(
             lambda: search_law(law_id, scope), repeat)
-        yield law_id, seconds, peak, witness is not None
+        top = dict.fromkeys(law.slots(), n)
+        yield (law_id, seconds, best_time(lambda: law.sweep(top), repeat),
+               peak, witness is not None)
 
 
 def run_laws(n: int) -> tuple[int, str]:
@@ -98,9 +111,10 @@ def main(argv=None) -> int:
     print(f"carrier {args.carrier} repeat {args.repeat}")
     for name, seconds, peak in builds(args.carrier, args.repeat):
         print(f"build {name:32s} {seconds:9.5f} s  {peak:6.2f} MiB")
-    for law_id, seconds, peak, refuted in sweeps(args.carrier, args.repeat):
-        print(f"law   {law_id:32s} {seconds:9.5f} s  {peak:6.2f} MiB  "
-              f"{'refuted' if refuted else 'holds'}")
+    for law_id, seconds, top, peak, refuted in sweeps(args.carrier,
+                                                      args.repeat):
+        print(f"law   {law_id:32s} {seconds:9.5f} s  all-bound {top:9.5f} s"
+              f"  {peak:6.2f} MiB  {'refuted' if refuted else 'holds'}")
     t0 = time.perf_counter()
     code, out = run_laws(args.carrier)
     dt = time.perf_counter() - t0
