@@ -230,8 +230,8 @@ FLAGS = {
     "--attrs": (str, "attribute list, e.g. 'Flight,Date'"),
     "--goal": (str, "dependency to test, e.g. 'Flight Date -> Pilot'"),
     "--query": (str, "query JSON file"),
-    "--scope-rows": (int, "max rows in counterexample tables"),
-    "--scope-dom": (int, "attribute domain size for the search"),
+    "--scope-rows": (int, "max rows in a counterexample; only 1 vs 2+ counts"),
+    "--scope-dom": (int, "values per attribute; only 1 vs 2+ counts"),
     "--scope-carrier": (int, "max carrier size for law sweeps"),
 }
 REQUIRED = object()  # the default of a flag that must be given

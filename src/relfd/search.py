@@ -23,23 +23,26 @@ closure of S misses part of Y.  So A starts as the closure of X and takes
 each position in order, as the closure of A with it, whenever that closure
 misses part of Y.  A position left out never returns, since every closed
 set holding it and A covers Y.  When the first closure covers Y, no table
-of any size is a witness.  `search_law` sweeps a registered algebraic law
-over all relation assignments at carrier sizes up to the scope bound.
-`check_rule_soundness` validates an inference rule instance empirically as
-a table search for a model of its premises that violates its conclusion.
-Every witness is re-verified by the corresponding pointwise oracle before
-being returned.  The law functions import `relfd.laws` and `relfd.bitrel`,
-and with them numpy, when called: the table searches never load them.
+of any size is a witness.  The witness uses two values per attribute, and
+its scheme lists just those, "0" and "1": a scope changes the answer only
+as one row or one value against two or more.  `search_law` sweeps a
+registered algebraic law over all relation assignments at carrier sizes up
+to the scope bound.  `check_rule_soundness` validates an inference rule
+instance empirically as a table search for a model of its premises that
+violates its conclusion.  Every witness is re-verified by the
+corresponding pointwise oracle before being returned.  The law functions
+import `relfd.laws` and `relfd.bitrel`, and with them numpy, when called:
+the table searches never load them.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import InternalCheckError, ResourceLimitError, UnknownLawError
+from .errors import InternalCheckError, UnknownLawError
 from .fd import AttrFd, satisfies_oracle
 from .infer import attr_closure, mentioned_attrs
-from .rel import CARRIER_LIMIT, Carrier, Frozen
+from .rel import Carrier, Frozen
 from .tables import Scheme, Table
 
 # Unused here; kept because the benchmark's tracer test binds it by this
@@ -61,13 +64,6 @@ class Scope(Frozen):
             raise ValueError("scope bounds must all be positive")
         super().__init__(max_rows, domain_sizes, max_carrier)
 
-    def scheme_for(self, attrs: Sequence[str]) -> Scheme:
-        """Scheme over the sorted attribute names, each with the numeric
-        atoms 0 .. domain_sizes - 1."""
-        values = tuple(str(i) for i in range(self.domain_sizes))
-        return Scheme(tuple((name, Carrier(name, values))
-                            for name in sorted(attrs)))
-
 
 def two_tuple_witness(fds: Sequence[AttrFd], goal: AttrFd) -> Optional[Table]:
     """The canonical two-row refutation of `goal`, or None when derivable.
@@ -79,7 +75,7 @@ def two_tuple_witness(fds: Sequence[AttrFd], goal: AttrFd) -> Optional[Table]:
     closure = attr_closure(fds, goal.antecedent)
     if goal.consequent <= closure:
         return None
-    return _agree_pair(Scope().scheme_for(attrs), closure, fds, goal)
+    return _agree_pair(attrs, closure, fds, goal)
 
 
 def search_tables(fds: Sequence[AttrFd], goal: AttrFd,
@@ -88,22 +84,15 @@ def search_tables(fds: Sequence[AttrFd], goal: AttrFd,
 
     The first table in canonical order is row 0 and r_D for the least
     qualifying D, whose agree set takes at most one closure per attribute
-    and one more to find (module docstring).  The witness's scheme holds
-    the domain values of every attribute; unless the scope has one row,
-    their number, attributes times `domain_sizes`, is checked before any
-    closure against `rel.CARRIER_LIMIT`, the bound on the values one
-    carrier may hold.  The witness is re-checked by `satisfies_oracle`.
+    and one more to find (module docstring).  The scope decides only
+    whether a witness can exist: it needs two rows and two values per
+    attribute, and the witness's scheme lists "0" and "1", the values its
+    rows use, whatever `domain_sizes` is.  The witness is re-checked by
+    `satisfies_oracle`.
     """
+    if scope.max_rows < 2 or scope.domain_sizes < 2:
+        return None  # no two distinct rows, no witness (module docstring)
     attrs = sorted(mentioned_attrs(fds, goal.antecedent | goal.consequent))
-    if scope.max_rows < 2:
-        return None  # too few rows for a witness (module docstring)
-    values = len(attrs) * scope.domain_sizes
-    if values > CARRIER_LIMIT:
-        raise ResourceLimitError(
-            f"the witness scheme would hold {values} domain values, "
-            f"over the {CARRIER_LIMIT} bound")
-    if scope.domain_sizes < 2:
-        return None  # two rows of one-value domains are equal
     agree = attr_closure(fds, goal.antecedent)
     if goal.consequent <= agree:
         return None
@@ -112,18 +101,17 @@ def search_tables(fds: Sequence[AttrFd], goal: AttrFd,
             grown = attr_closure(fds, agree | {a})
             if not goal.consequent <= grown:
                 agree = grown
-    return _agree_pair(scope.scheme_for(attrs), agree, fds, goal)
+    return _agree_pair(attrs, agree, fds, goal)
 
 
-def _agree_pair(scheme: Scheme, agree: frozenset, fds: Sequence[AttrFd],
-                goal: AttrFd) -> Table:
-    """Row 0 and the row taking each domain's second value outside `agree`,
-    re-checked to satisfy `fds` and violate `goal`."""
-    doms = [dom.elements for _, dom in scheme.attributes]
+def _agree_pair(attrs: Sequence[str], agree: frozenset,
+                fds: Sequence[AttrFd], goal: AttrFd) -> Table:
+    """Row 0, all "0", and the row taking "1" outside `agree`, over
+    `attrs` with the domain ("0", "1") each, re-checked to satisfy `fds`
+    and violate `goal`."""
+    scheme = Scheme(tuple((a, Carrier(a, ("0", "1"))) for a in attrs))
     table = Table(scheme, frozenset((
-        tuple(dom[0] for dom in doms),
-        tuple(dom[name not in agree]
-              for name, dom in zip(scheme.names, doms)))))
+        ("0",) * len(attrs), tuple("01"[a not in agree] for a in attrs))))
     if (satisfies_oracle(table, goal)
             or not all(satisfies_oracle(table, fd) for fd in fds)):
         raise InternalCheckError(

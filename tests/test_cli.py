@@ -465,14 +465,35 @@ def test_cex_none_for_derivable_goal(capsys):
     ("--scope-dom", str(10 ** 20)),
     ("--scope-rows", str(10 ** 20), "--scope-dom", str(10 ** 6)),
 ])
-def test_cex_over_cap_scope_fails_fast(capsys, scope):
+def test_cex_huge_scope_answers_as_scope_dom_2(capsys, scope):
+    # the witness lists the two values its rows use, so a scope of any
+    # size above one row and one value prints the default scope's answer
+    goal = ("cex", "--fds", FIXTURES / "pilots.fds",
+            "--goal", "Pilot -> Flight")
     start = time.perf_counter()
-    code, out, err = run(capsys, "cex", "--fds", FIXTURES / "pilots.fds",
-                         "--goal", "Pilot -> Flight", *scope)
+    code, out, err = run(capsys, *goal, *scope)
     assert time.perf_counter() - start < 1.0
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert err.endswith("domain values, over the 1000000 bound\n")
+    assert (code, err) == (1, "")
+    assert out == run(capsys, *goal, "--scope-dom", "2")[1]
+
+
+def test_cex_json_over_a_huge_domain_is_sized_by_its_witness(tmp_path,
+                                                             capsys):
+    # over 3 attributes of 333,333 values the two-row answer is the
+    # `--scope-dom 2` one, byte for byte, and is built in a few KiB
+    fds_file = tmp_path / "ab.fds"
+    fds_file.write_text("A -> B\n")
+    goal = ("cex", "--json", "--fds", fds_file, "--goal", "B -> A C")
+    want = run(capsys, *goal, "--scope-dom", "2")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        got = run(capsys, *goal, "--scope-dom", "333333")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert want[0] == 1 and got == want
+    assert peak < 32 * 2 ** 10, f"traced peak {peak} bytes"
 
 
 def test_cex_answers_eight_attributes_at_four_rows(tmp_path, capsys):

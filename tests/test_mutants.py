@@ -26,9 +26,10 @@ import pytest
 import test_fd
 import test_query
 import test_rel
+import test_search
 import test_sweep_oracles
 from relfd import bitrel as B
-from relfd import fd, laws, query, rel, tables
+from relfd import fd, laws, query, rel, search, tables
 from relfd.query import Converse, Proj
 from relfd.search import Scope, search_law
 
@@ -44,6 +45,7 @@ ONE_BOUND = "One size bound, where a product carrier is enumerated"
 ON_SCHEME = "Carriers and projection maps kept on their scheme"
 ROW_BLOCKS = "Law sweeps and op-table builds in row blocks"
 ONE_SEARCH = "One search per law"
+TWO_VALUES = "A `cex` witness lists only the two values its rows use"
 
 
 class Mutant(NamedTuple):
@@ -115,14 +117,17 @@ def _evaluation_agrees_on_an_empty_universe(monkeypatch):
     test.hypothesis.inner_test(case=test_query._empty_universe_case())
 
 
-def _edited(func, old, new):
+def _edited(func, old, new, *more):
     """A twin of `func` compiled from its source with the one occurrence
-    of `old` replaced by `new`, over `func`'s module globals; the source
-    keeps its decorators, so the twin of a cached function is cached."""
+    of `old` replaced by `new`, and so for each further (old, new) pair in
+    `more`, over `func`'s module globals; the source keeps its decorators,
+    so the twin of a cached function is cached."""
     source = textwrap.dedent(inspect.getsource(func))
-    assert source.count(old) == 1, old
+    for old, new in ((old, new), *more):
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
     names: dict = {}
-    exec(source.replace(old, new), inspect.unwrap(func).__globals__, names)
+    exec(source, inspect.unwrap(func).__globals__, names)
     return names[func.__name__]
 
 
@@ -194,6 +199,35 @@ def _later_block_case(case_id):
         test_sweep_oracles.sweep_and_oracle_find(
             test_sweep_oracles.LATER_BLOCK_CASES[case_id],
             test_sweep_oracles.corruptible_tables(monkeypatch))
+    return example
+
+
+def _edited_search_tables(old, new):
+    """`search.search_tables` running its edited twin's code, so callers
+    that imported it by name run the twin too."""
+    def apply(monkeypatch):
+        monkeypatch.setattr(search.search_tables, "__code__", _edited(
+            search.search_tables, old, new).__code__)
+    return apply
+
+
+def _agree_pair_over_every_value(monkeypatch):
+    """`search._agree_pair` listing `domain_sizes` values per attribute
+    again, given them by `search_tables`."""
+    monkeypatch.setattr(search, "_agree_pair", _edited(
+        search._agree_pair, "goal: AttrFd)", "goal: AttrFd, n: int = 2)",
+        ('Carrier(a, ("0", "1"))', "Carrier(a, tuple(map(str, range(n))))")))
+    _edited_search_tables("agree, fds, goal)",
+                          "agree, fds, goal, scope.domain_sizes)")(monkeypatch)
+
+
+def _literal_searches_agree_at(scope):
+    """`test_closure_search_matches_the_literal_searches` on the axiom
+    A -> B and the goal B -> A at one (rows, values) scope."""
+    def example(monkeypatch):
+        test = test_search.test_closure_search_matches_the_literal_searches
+        test.hypothesis.inner_test(axioms=[({"A"}, {"B"})],
+                                   goal=({"B"}, {"A"}), scope=scope)
     return example
 
 
@@ -418,6 +452,17 @@ MUTANTS = (
                          "x * w, x, w)"),
            _shunt_right_equals_its_oracle,
            ONE_SEARCH),
+    Mutant("agree_pair_lists_every_domain_value",
+           _agree_pair_over_every_value,
+           _literal_searches_agree_at((2, 3)),
+           TWO_VALUES),
+    # `--scope-dom 1` answers a witness over values it does not have
+    Mutant("early_return_tests_only_max_rows",
+           _edited_search_tables(
+               "scope.max_rows < 2 or scope.domain_sizes < 2",
+               "scope.max_rows < 2"),
+           _literal_searches_agree_at((2, 1)),
+           TWO_VALUES),
 )
 
 
