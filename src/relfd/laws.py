@@ -543,16 +543,14 @@ def _sweep_fork_lub(sz: dict, memo=None,
                     corrupted: bool = False) -> Optional[dict]:
     """The corrupted rule drops the S <= T conjunct.  The law reads R only
     through its row of fork kernels and ker R, and T only through ker T,
-    so past one row block the first R of each class of equal pairs is
-    judged, per distinct ker T, and the first R that fails is the first of
-    its class."""
+    so the first R of each class of equal pairs is judged, per distinct
+    ker T, and the first R that fails is the first of its class."""
     c, a, b, d = sz["C"], sz["A"], sz["B"], sz["D"]
     fk = B.fork_kernel_table(c, a, b)
     ker_t = B.kernel_table(c, d)
     ker_r = B.kernel_table(c, a)
     ker_s = B.kernel_table(c, b)
-    rs = (_distinct(_firsts(fk), ker_r) if len(fk) > B.BLOCK_ROWS
-          else np.arange(len(fk)))
+    rs = _distinct(_firsts(fk), ker_r)
     fk, ker_r = fk[rs], ker_r[rs]
     for ti in _distinct(ker_t):
         kt = int(ker_t[ti])

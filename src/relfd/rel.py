@@ -11,12 +11,11 @@ Values are plain Python values: an atom is a `str` and an n-ary row is a
 two-value row.  `Atom` and `Tup` are aliases of `str` and `tuple`.
 
 All values are immutable and every operation is pure, so results can be
-shared freely.  For the same reason a `Rel` computes its input index (the
-outputs of each input) and its converse at most once and keeps them: a
-relation reused as the left operand of many compositions pays for neither
-again.  Neither takes part in equality, hash or repr.  Carriers are checked
-at every operation: combining relations over mismatched carriers raises
-instead of silently reinterpreting elements.
+shared freely.  A `Rel` is its two carriers and its set of pairs and keeps
+nothing else: `compose` and `fork` index the outputs of each input of one
+operand anew at each call.  Carriers are checked at every operation:
+combining relations over mismatched carriers raises instead of silently
+reinterpreting elements.
 """
 
 from __future__ import annotations
@@ -220,12 +219,11 @@ class Rel(Frozen):
     """A finite binary relation from `source` to `target`.
 
     Algebra operations construct results directly; use `Rel.make` at input
-    boundaries to get membership validation.  The instance `__dict__` holds
-    the two cached properties only.
+    boundaries to get membership validation.  A relation is its carriers
+    and pairs; it keeps no other state.
     """
 
-    __slots__ = ("source", "target", "pairs", "__dict__")
-    _fields = ("source", "target", "pairs")
+    __slots__ = _fields = ("source", "target", "pairs")
 
     def __init__(self, source: Carrier, target: Carrier, pairs: frozenset):
         object.__setattr__(self, "source", source)
@@ -245,20 +243,6 @@ class Rel(Frozen):
                     f"output {render_value(b)} not in carrier {target.name!r}")
         return cls(source, target, ps)
 
-    @cached_property
-    def _by_input(self) -> dict:
-        # the outputs of each input; shared by every call, so never mutated
-        index: dict = {}
-        for a, b in self.pairs:
-            index.setdefault(a, []).append(b)
-        return index
-
-    @cached_property
-    def _converse(self) -> "Rel":
-        # a fresh relation: its own converse is built again, not `self`
-        return Rel(self.target, self.source,
-                   frozenset((b, a) for a, b in self.pairs))
-
     def render(self) -> str:
         """Debug form, one sorted ``output <- input`` line per pair."""
         lines = sorted(f"{render_value(b)} <- {render_value(a)}"
@@ -276,16 +260,24 @@ def _require_same(c1: Carrier, c2: Carrier, what: str) -> None:
             f"{what}: carriers {c1.name!r} and {c2.name!r} differ")
 
 
+def _by_input(r: Rel) -> dict:
+    """The outputs of each input of r, as a list per input."""
+    index: dict = {}
+    for a, b in r.pairs:
+        index.setdefault(a, []).append(b)
+    return index
+
+
 def compose(r: Rel, s: Rel) -> Rel:
     """r . s — apply `s` first, then `r`; needs s.target = r.source."""
     _require_same(s.target, r.source, "compose")
-    by_input = r._by_input
+    by_input = _by_input(r)
     return Rel(s.source, r.target, frozenset(
         {(c, b) for c, a in s.pairs for b in by_input.get(a, ())}))
 
 
 def converse(r: Rel) -> Rel:
-    return r._converse
+    return Rel(r.target, r.source, frozenset((b, a) for a, b in r.pairs))
 
 
 def union(r: Rel, s: Rel) -> Rel:
@@ -359,7 +351,7 @@ def _proj(p: Carrier, i: int) -> Rel:
 def fork(r: Rel, s: Rel) -> Rel:
     """Pair the outputs of r and s over their shared source."""
     _require_same(r.source, s.source, "fork")
-    by_input = s._by_input
+    by_input = _by_input(s)
     return Rel(r.source, pair_carrier(r.target, s.target), frozenset(
         {(c, Pair(a, b)) for c, a in r.pairs for b in by_input.get(c, ())}))
 

@@ -46,6 +46,7 @@ ON_SCHEME = "Carriers and projection maps kept on their scheme"
 ROW_BLOCKS = "Law sweeps and op-table builds in row blocks"
 ONE_SEARCH = "One search per law"
 TWO_VALUES = "A `cex` witness lists only the two values its rows use"
+PAIRS_ONLY = "A relation is its pairs"
 
 
 class Mutant(NamedTuple):
@@ -202,12 +203,17 @@ def _later_block_case(case_id):
     return example
 
 
-def _edited_search_tables(old, new):
-    """`search.search_tables` running its edited twin's code, so callers
-    that imported it by name run the twin too."""
+def _every_output_of_an_input(monkeypatch):
+    """`test_compose_and_fork_keep_every_output_of_an_input`."""
+    test_rel.test_compose_and_fork_keep_every_output_of_an_input()
+
+
+def _edited_in_place(func, old, new):
+    """`func` running its edited twin's code, so callers that imported it
+    by name run the twin too."""
     def apply(monkeypatch):
-        monkeypatch.setattr(search.search_tables, "__code__", _edited(
-            search.search_tables, old, new).__code__)
+        monkeypatch.setattr(func, "__code__",
+                            _edited(func, old, new).__code__)
     return apply
 
 
@@ -217,8 +223,8 @@ def _agree_pair_over_every_value(monkeypatch):
     monkeypatch.setattr(search, "_agree_pair", _edited(
         search._agree_pair, "goal: AttrFd)", "goal: AttrFd, n: int = 2)",
         ('Carrier(a, ("0", "1"))', "Carrier(a, tuple(map(str, range(n))))")))
-    _edited_search_tables("agree, fds, goal)",
-                          "agree, fds, goal, scope.domain_sizes)")(monkeypatch)
+    _edited_in_place(search.search_tables, "agree, fds, goal)",
+                     "agree, fds, goal, scope.domain_sizes)")(monkeypatch)
 
 
 def _literal_searches_agree_at(scope):
@@ -458,11 +464,22 @@ MUTANTS = (
            TWO_VALUES),
     # `--scope-dom 1` answers a witness over values it does not have
     Mutant("early_return_tests_only_max_rows",
-           _edited_search_tables(
+           _edited_in_place(
+               search.search_tables,
                "scope.max_rows < 2 or scope.domain_sizes < 2",
                "scope.max_rows < 2"),
            _literal_searches_agree_at((2, 1)),
            TWO_VALUES),
+    Mutant("by_input_keeps_the_last_output_of_each_input",
+           _edited_in_place(rel._by_input, "index.setdefault(a, []).append(b)",
+                            "index[a] = [b]"),
+           _every_output_of_an_input,
+           PAIRS_ONLY),
+    # the right operand's outputs read from the left operand's index
+    Mutant("fork_indexes_its_left_operand",
+           _edited_in_place(rel.fork, "_by_input(s)", "_by_input(r)"),
+           _every_output_of_an_input,
+           PAIRS_ONLY),
 )
 
 

@@ -61,6 +61,15 @@ def test_compose_single_existential():
     assert compose(r, s) == rel_of(c, b, (Atom("c"), Atom("b")))
 
 
+def test_compose_and_fork_keep_every_output_of_an_input():
+    # b0 has two outputs under r, read as the left operand of compose and
+    # the right operand of fork
+    a, b, c = carrier("A", 1), carrier("B", 1), carrier("C", 2)
+    r = top(b, c)
+    assert compose(r, top(a, b)) == top(a, c)
+    assert fork(top(b, a), r) == top(b, pair_carrier(a, c))
+
+
 def _compose_oracle(r, s):
     # definitional triple loop: b (r.s) c iff some a has b r a and a s c
     pairs = set()
@@ -124,33 +133,29 @@ def _random_rel(rnd, src, tgt):
                                    if rnd.random() < density))
 
 
-def test_cached_index_and_converse_match_set_comprehensions():
-    # each r is the left operand of many compositions, so all but the first
-    # read its cached index; its converse and kernel are also asked twice
+def test_stateless_relations_match_set_comprehensions():
+    # compose and fork index an operand at each call, so every relation is
+    # read afresh by each of its compositions and forks
     rnd = random.Random(1302)
     for _ in range(40):
         a, b, c = (carrier(n, rnd.randint(1, 6)) for n in "ABC")
         r = _random_rel(rnd, b, c)
-        for _ in range(2):
-            assert converse(r).pairs == {(y, x) for x, y in r.pairs}
-            assert kernel(r).pairs == {(x, z) for x, y in r.pairs
-                                       for z, w in r.pairs if y == w}
-        assert converse(r) is converse(r)
-        for _ in range(12):
+        assert converse(r).pairs == {(y, x) for x, y in r.pairs}
+        assert kernel(r).pairs == {(x, z) for x, y in r.pairs
+                                   for z, w in r.pairs if y == w}
+        for _ in range(6):
             s = _random_rel(rnd, a, b)
             assert compose(r, s).pairs == {(x, z) for x, y in s.pairs
                                            for w, z in r.pairs if y == w}
-        assert "_by_input" in vars(r)
-
-
-def test_cached_index_and_converse_stay_outside_equality_and_hash():
-    rnd = random.Random(7)
+            t = _random_rel(rnd, b, a)
+            assert fork(r, t).pairs == {(x, Pair(y, z)) for x, y in r.pairs
+                                        for w, z in t.pairs if x == w}
     r = _random_rel(rnd, carrier("A", 5), carrier("B", 4))
     twin = Rel(r.source, r.target, frozenset(r.pairs))
     compose(r, identity(r.source))
+    fork(r, r)
     again = converse(converse(r))
-    assert {"_by_input", "_converse"} <= vars(r).keys()
-    assert not {"_by_input", "_converse"} & vars(twin).keys()
+    assert not hasattr(r, "__dict__")
     assert r == twin and hash(r) == hash(twin) and repr(r) == repr(twin)
     # the converse of a converse is built afresh, not handed back
     assert again == r and again is not r and again.pairs is not r.pairs
