@@ -133,9 +133,10 @@ def _random_rel(rnd, src, tgt):
                                    if rnd.random() < density))
 
 
-def test_stateless_relations_match_set_comprehensions():
-    # compose and fork index an operand at each call, so every relation is
-    # read afresh by each of its compositions and forks
+def test_cached_index_and_converse_match_set_comprehensions():
+    # a relation caches no index or converse: compose and fork index an
+    # operand at each call, so every relation is read afresh by each of its
+    # compositions and forks
     rnd = random.Random(1302)
     for _ in range(40):
         a, b, c = (carrier(n, rnd.randint(1, 6)) for n in "ABC")
@@ -150,6 +151,11 @@ def test_stateless_relations_match_set_comprehensions():
             t = _random_rel(rnd, b, a)
             assert fork(r, t).pairs == {(x, Pair(y, z)) for x, y in r.pairs
                                         for w, z in t.pairs if x == w}
+
+
+def test_cached_index_and_converse_stay_outside_equality_and_hash():
+    # with no cache at all, a used relation and its unused twin are alike
+    rnd = random.Random(7)
     r = _random_rel(rnd, carrier("A", 5), carrier("B", 4))
     twin = Rel(r.source, r.target, frozenset(r.pairs))
     compose(r, identity(r.source))
